@@ -5,6 +5,13 @@ the integrators are written once against this interface and never see
 the underlying group.  Manifold points are flat float64 arrays; group
 elements are whatever structure the action finds convenient.
 
+Every system's action is a direct product built by
+:func:`product_action` from a few factor types: ``R^n`` translation,
+SO(3) multiplying a 3x3 rotation block from the left or from the right,
+SE(3) on TS^2, the cotangent group SO(3) x so(3)* on (Q, pi), and the
+coadjoint actions.  Algebra and point blocks of the factors are laid end
+to end; a product's group elements are lists with one entry per factor.
+
 The generator of every action equals the t-derivative of
 ``act(exp(t xi), m)`` at ``t = 0`` (finite-difference tested).
 """
@@ -12,7 +19,8 @@ The generator of every action equals the t-derivative of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from itertools import accumulate
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -32,16 +40,16 @@ from .lie import (
 
 __all__ = [
     "HomogeneousAction",
+    "product_action",
     "translation_action",
+    "so3_left_action",
+    "so3_right_action",
+    "se3_ts2_action",
     "ts2_action",
     "act_ts2",
     "generator_ts2",
     "coadjoint_so3_action",
     "coadjoint_se3_action",
-    "semidirect_compose",
-    "semidirect_inverse",
-    "semidirect_identity",
-    "semidirect_act",
     "body_top_action",
     "cotangent_so3_action",
     "ext_top_action",
@@ -75,6 +83,90 @@ class HomogeneousAction:
 
 
 # ---------------------------------------------------------------------------
+# Group data shared by the factors over SO(3) and over SE(3)
+
+_SO3 = dict(
+    algebra_dim=3,
+    exp=exp_so3,
+    bracket=so3_bracket,
+    compose=lambda g1, g2: g1 @ g2,
+    identity=np.eye(3),
+    dexpinv=dexpinv_so3,
+    inverse=lambda g: g.T,
+)
+
+_SE3 = dict(
+    algebra_dim=6,
+    exp=exp_se3,
+    bracket=se3_bracket,
+    compose=se3_compose,
+    identity=(np.eye(3), np.zeros(3)),
+    dexpinv=dexpinv_se3,
+    inverse=se3_inverse,
+)
+
+
+# ---------------------------------------------------------------------------
+# Direct products
+
+
+def _blocks(dims) -> list:
+    ends = list(accumulate(dims, initial=0))
+    return [slice(a, b) for a, b in zip(ends, ends[1:])]
+
+
+def product_action(name: str, factors: Sequence[HomogeneousAction]) -> HomogeneousAction:
+    """Direct product of ``factors`` acting blockwise on the product of
+    their manifolds.  Every map applies the matching factor callable to
+    that factor's slice, so each factor must provide dexpinv and inverse;
+    a group element with the wrong number of factors raises ValueError."""
+    alg = _blocks(f.algebra_dim for f in factors)
+    pts = _blocks(f.point_dim for f in factors)
+    checks = [(f.check, p) for f, p in zip(factors, pts) if f.check is not None]
+
+    def act(g, m):
+        return np.concatenate(
+            [f.act(gi, m[p]) for f, gi, p in zip(factors, g, pts, strict=True)]
+        )
+
+    def generator(xi, m):
+        return np.concatenate(
+            [f.generator(xi[a], m[p]) for f, a, p in zip(factors, alg, pts)]
+        )
+
+    def bracket(x, y):
+        return np.concatenate([f.bracket(x[a], y[a]) for f, a in zip(factors, alg)])
+
+    def compose(g1, g2):
+        return [f.compose(a, b) for f, a, b in zip(factors, g1, g2, strict=True)]
+
+    def dexpinv(u, v):
+        return np.concatenate([f.dexpinv(u[a], v[a]) for f, a in zip(factors, alg)])
+
+    def inverse(g):
+        return [f.inverse(gi) for f, gi in zip(factors, g, strict=True)]
+
+    def check(m):
+        for c, p in checks:
+            c(m[p])
+
+    return HomogeneousAction(
+        name=name,
+        algebra_dim=alg[-1].stop,
+        point_dim=pts[-1].stop,
+        exp=lambda xi: [f.exp(xi[a]) for f, a in zip(factors, alg)],
+        act=act,
+        generator=generator,
+        bracket=bracket,
+        compose=compose,
+        identity=[f.identity for f in factors],
+        dexpinv=dexpinv,
+        inverse=inverse,
+        check=check if checks else None,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Translation group on R^n (the classical-integrator control case)
 
 
@@ -97,12 +189,58 @@ def translation_action(n: int) -> HomogeneousAction:
 
 
 # ---------------------------------------------------------------------------
-# SE(3)^N on (TS^2)^N
+# SO(3) on a flat 3x3 rotation block, from the left or from the right
+
+
+def so3_left_action() -> HomogeneousAction:
+    """SO(3) on a rotation block Q by left multiplication, A.Q = A Q."""
+    return HomogeneousAction(
+        name="so3-left",
+        point_dim=9,
+        act=lambda g, m: (g @ m.reshape(3, 3)).ravel(),
+        generator=lambda xi, m: (hat(xi) @ m.reshape(3, 3)).ravel(),
+        **_SO3,
+    )
+
+
+# Right multiplication A.Q = Q A has generator Q hat(xi) and is a left
+# action of the *opposite* group of SO(3): its bracket is the negated
+# cross product.  Even powers of ad are unchanged, so the exact dexpinv
+# only flips the sign of the first correction term.
+
+
+def _dexpinv_so3_opposite(u, v):
+    alpha = np.linalg.norm(u)
+    uv = cross(u, v)
+    return v + 0.5 * uv + _dexpinv_g2(alpha) * cross(u, uv)
+
+
+def so3_right_action() -> HomogeneousAction:
+    """The opposite group of SO(3) on a rotation block Q, A.Q = Q A."""
+    return HomogeneousAction(
+        name="so3-right",
+        algebra_dim=3,
+        point_dim=9,
+        exp=exp_so3,
+        act=lambda g, m: (m.reshape(3, 3) @ g).ravel(),
+        generator=lambda xi, m: (m.reshape(3, 3) @ hat(xi)).ravel(),
+        bracket=lambda x, y: -cross(x, y),
+        # right multiplication is a left action of the opposite group
+        compose=lambda g1, g2: g2 @ g1,
+        identity=np.eye(3),
+        dexpinv=_dexpinv_so3_opposite,
+        inverse=lambda g: g.T,
+    )
+
+
+# ---------------------------------------------------------------------------
+# SE(3) on TS^2
 
 _TS2_TOL = 1e-9
 
 
-def _check_ts2(q, omega):
+def _check_ts2(m):
+    q, omega = m[:3], m[3:6]
     if abs(q @ q - 1.0) > 2.0 * _TS2_TOL:
         raise ValueError(f"|q| off the unit sphere by {abs(np.linalg.norm(q)-1.0):.2e}")
     if abs(q @ omega) > _TS2_TOL * max(1.0, np.linalg.norm(omega)):
@@ -112,10 +250,9 @@ def _check_ts2(q, omega):
 def act_ts2(g, m):
     """SE(3) on TS^2: ((A,a),(q,w)) -> (Aq, Aw + a x Aq)."""
     A, a = g
-    q, omega = m[:3], m[3:6]
-    _check_ts2(q, omega)
-    Aq = A @ q
-    return np.concatenate([Aq, A @ omega + cross(a, Aq)])
+    _check_ts2(m)
+    Aq = A @ m[:3]
+    return np.concatenate([Aq, A @ m[3:6] + cross(a, Aq)])
 
 
 def generator_ts2(xi, m):
@@ -125,52 +262,15 @@ def generator_ts2(xi, m):
     return np.concatenate([cross(u, q), cross(u, omega) + cross(v, q)])
 
 
-def ts2_action(n: int = 1) -> HomogeneousAction:
-    """Direct product of N copies of SE(3) acting on (TS^2)^N."""
-
-    def expmap(xi):
-        return [exp_se3(xi[6 * i : 6 * i + 6]) for i in range(n)]
-
-    def act(g, m):
-        if len(g) != n:
-            raise ValueError(f"group element has {len(g)} factors, expected {n}")
-        return np.concatenate([act_ts2(g[i], m[6 * i : 6 * i + 6]) for i in range(n)])
-
-    def generator(xi, m):
-        return np.concatenate(
-            [generator_ts2(xi[6 * i : 6 * i + 6], m[6 * i : 6 * i + 6]) for i in range(n)]
-        )
-
-    def bracket(x, y):
-        return np.concatenate(
-            [se3_bracket(x[6 * i : 6 * i + 6], y[6 * i : 6 * i + 6]) for i in range(n)]
-        )
-
-    def compose(g1, g2):
-        return [se3_compose(a, b) for a, b in zip(g1, g2)]
-
-    def dexpinv(u, v):
-        return np.concatenate(
-            [dexpinv_se3(u[6 * i : 6 * i + 6], v[6 * i : 6 * i + 6]) for i in range(n)]
-        )
-
-    def check(m):
-        for i in range(n):
-            _check_ts2(m[6 * i : 6 * i + 3], m[6 * i + 3 : 6 * i + 6])
-
+def se3_ts2_action() -> HomogeneousAction:
+    """SE(3) on one TS^2 = {(q, w) : |q| = 1, q.w = 0}."""
     return HomogeneousAction(
-        name=f"ts2-{n}",
-        algebra_dim=6 * n,
-        point_dim=6 * n,
-        exp=expmap,
-        act=act,
-        generator=generator,
-        bracket=bracket,
-        compose=compose,
-        identity=[(np.eye(3), np.zeros(3))] * n,
-        dexpinv=dexpinv,
-        inverse=lambda g: [se3_inverse(gi) for gi in g],
-        check=check,
+        name="se3-ts2",
+        point_dim=6,
+        act=act_ts2,
+        generator=generator_ts2,
+        check=_check_ts2,
+        **_SE3,
     )
 
 
@@ -182,16 +282,10 @@ def coadjoint_so3_action() -> HomogeneousAction:
     """SO(3) on so(3)* by g.mu = Ad*_{g^-1} mu = g mu (spherical shells)."""
     return HomogeneousAction(
         name="coadjoint-so3",
-        algebra_dim=3,
         point_dim=3,
-        exp=exp_so3,
         act=lambda g, mu: g @ mu,
         generator=lambda xi, mu: cross(xi, mu),
-        bracket=so3_bracket,
-        compose=lambda g1, g2: g1 @ g2,
-        identity=np.eye(3),
-        dexpinv=dexpinv_so3,
-        inverse=lambda g: g.T,
+        **_SO3,
     )
 
 
@@ -213,17 +307,7 @@ def coadjoint_se3_action() -> HomogeneousAction:
         return np.concatenate([cross(xi[:3], Pi) + cross(v, Gamma), cross(xi[:3], Gamma)])
 
     return HomogeneousAction(
-        name="coadjoint-se3",
-        algebra_dim=6,
-        point_dim=6,
-        exp=exp_se3,
-        act=act,
-        generator=generator,
-        bracket=se3_bracket,
-        compose=se3_compose,
-        identity=(np.eye(3), np.zeros(3)),
-        dexpinv=dexpinv_se3,
-        inverse=se3_inverse,
+        name="coadjoint-se3", point_dim=6, act=act, generator=generator, **_SE3
     )
 
 
@@ -234,29 +318,15 @@ def coadjoint_se3_action() -> HomogeneousAction:
 # multiplication table as SE(3), so exp and dexpinv are the se(3) kernels.
 
 
-def semidirect_compose(g1, g2):
-    return se3_compose(g1, g2)
-
-
-def semidirect_inverse(g):
-    return se3_inverse(g)
-
-
-def semidirect_identity():
-    return np.eye(3), np.zeros(3)
-
-
-def semidirect_act(g, m):
-    """Left multiplication on a point (Q, pi) of the group itself."""
-    A, nu = g
-    Q = m[:9].reshape(3, 3)
-    pi = m[9:12]
-    return np.concatenate([(A @ Q).ravel(), nu + A @ pi])
-
-
 def cotangent_so3_action() -> HomogeneousAction:
     """SO(3) x so(3)* acting on (Q, pi) by left multiplication; the
     action behind the spatial heavy top for explicit schemes."""
+
+    def act(g, m):
+        A, nu = g
+        Q = m[:9].reshape(3, 3)
+        pi = m[9:12]
+        return np.concatenate([(A @ Q).ravel(), nu + A @ pi])
 
     def generator(xi, m):
         eta, delta = xi[:3], xi[3:6]
@@ -265,109 +335,30 @@ def cotangent_so3_action() -> HomogeneousAction:
         return np.concatenate([(hat(eta) @ Q).ravel(), delta + cross(eta, pi)])
 
     return HomogeneousAction(
-        name="cotangent-so3",
-        algebra_dim=6,
-        point_dim=12,
-        exp=exp_se3,
-        act=semidirect_act,
-        generator=generator,
-        bracket=se3_bracket,
-        compose=semidirect_compose,
-        identity=semidirect_identity(),
-        dexpinv=dexpinv_se3,
-        inverse=semidirect_inverse,
+        name="cotangent-so3", point_dim=12, act=act, generator=generator, **_SE3
     )
 
 
 # ---------------------------------------------------------------------------
-# Body-frame heavy top: right multiplication on Q, translation on Pi.
-#
-# act((A, v), (Q, Pi)) = (Q A, Pi + v), so the generator is (Q hat(xi), v)
-# and the rotational factor is the *opposite* group of SO(3): its bracket
-# is the negated cross product.  Even powers of ad are unchanged, so the
-# exact dexpinv only flips the sign of the first correction term.
+# System actions
 
 
-def _dexpinv_so3_opposite(u, v):
-    alpha = np.linalg.norm(u)
-    uv = cross(u, v)
-    return v + 0.5 * uv + _dexpinv_g2(alpha) * cross(u, uv)
+def ts2_action(n: int = 1) -> HomogeneousAction:
+    """Direct product of N copies of SE(3) acting on (TS^2)^N."""
+    return product_action(f"ts2-{n}", [se3_ts2_action()] * n)
 
 
 def body_top_action() -> HomogeneousAction:
-    def act(g, m):
-        A, v = g
-        Q = m[:9].reshape(3, 3)
-        return np.concatenate([(Q @ A).ravel(), m[9:12] + v])
-
-    def generator(xi, m):
-        Q = m[:9].reshape(3, 3)
-        return np.concatenate([(Q @ hat(xi[:3])).ravel(), xi[3:6]])
-
-    def bracket(x, y):
-        return np.concatenate([-cross(x[:3], y[:3]), np.zeros(3)])
-
-    def dexpinv(u, v):
-        return np.concatenate([_dexpinv_so3_opposite(u[:3], v[:3]), v[3:6]])
-
-    return HomogeneousAction(
-        name="body-top",
-        algebra_dim=6,
-        point_dim=12,
-        exp=lambda xi: (exp_so3(xi[:3]), np.asarray(xi[3:6], dtype=float)),
-        act=act,
-        generator=generator,
-        bracket=bracket,
-        # right multiplication is a left action of the opposite group
-        compose=lambda g1, g2: (g2[0] @ g1[0], g1[1] + g2[1]),
-        identity=(np.eye(3), np.zeros(3)),
-        dexpinv=dexpinv,
-        inverse=lambda g: (g[0].T, -g[1]),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Extended heavy top: (SO(3) x so(3)*) x R^6, point (Q, pi, p, q)
+    """Body-frame heavy top: right multiplication on Q, translation on
+    Pi, act((A, v), (Q, Pi)) = (Q A, Pi + v)."""
+    return product_action("body-top", [so3_right_action(), translation_action(3)])
 
 
 def ext_top_action() -> HomogeneousAction:
-    def expmap(xi):
-        return exp_se3(xi[:6]), np.asarray(xi[6:12], dtype=float)
-
-    def act(g, m):
-        sd, t = g
-        return np.concatenate([semidirect_act(sd, m[:12]), m[12:18] + t])
-
-    def generator(xi, m):
-        eta, delta = xi[:3], xi[3:6]
-        Q = m[:9].reshape(3, 3)
-        pi = m[9:12]
-        return np.concatenate(
-            [(hat(eta) @ Q).ravel(), delta + cross(eta, pi), xi[6:12]]
-        )
-
-    def bracket(x, y):
-        return np.concatenate([se3_bracket(x[:6], y[:6]), np.zeros(6)])
-
-    def dexpinv(u, v):
-        return np.concatenate([dexpinv_se3(u[:6], v[:6]), v[6:12]])
-
-    return HomogeneousAction(
-        name="ext-top",
-        algebra_dim=12,
-        point_dim=18,
-        exp=expmap,
-        act=act,
-        generator=generator,
-        bracket=bracket,
-        compose=lambda g1, g2: (semidirect_compose(g1[0], g2[0]), g1[1] + g2[1]),
-        identity=(semidirect_identity(), np.zeros(6)),
-        dexpinv=dexpinv,
-        inverse=lambda g: (semidirect_inverse(g[0]), -g[1]),
-    )
+    """Extended heavy top: (SO(3) x so(3)*) x R^6, point (Q, pi, p, q)."""
+    return product_action("ext-top", [cotangent_so3_action(), translation_action(6)])
 
 
-# ---------------------------------------------------------------------------
 # Quadrotor transport group: R^6 x (TSO(3))^2 x (SE(3))^2 on the 42-dim state
 #
 # State layout: y(3) v(3) R1(9) Omega1(3) R2(9) Omega2(3) q1(3) w1(3) q2(3) w2(3)
@@ -375,98 +366,6 @@ def ext_top_action() -> HomogeneousAction:
 
 
 def quadrotor_action() -> HomogeneousAction:
-    def expmap(xi):
-        return (
-            np.asarray(xi[0:6], dtype=float),
-            (exp_so3(xi[6:9]), np.asarray(xi[9:12], dtype=float)),
-            (exp_so3(xi[12:15]), np.asarray(xi[15:18], dtype=float)),
-            exp_se3(xi[18:24]),
-            exp_se3(xi[24:30]),
-        )
-
-    def act(g, P):
-        a, (B1, b1), (B2, b2), c1, c2 = g
-        R1 = P[6:15].reshape(3, 3)
-        R2 = P[18:27].reshape(3, 3)
-        return np.concatenate(
-            [
-                P[0:6] + a,
-                (B1 @ R1).ravel(),
-                P[15:18] + b1,
-                (B2 @ R2).ravel(),
-                P[27:30] + b2,
-                act_ts2(c1, P[30:36]),
-                act_ts2(c2, P[36:42]),
-            ]
-        )
-
-    def generator(xi, P):
-        R1 = P[6:15].reshape(3, 3)
-        R2 = P[18:27].reshape(3, 3)
-        return np.concatenate(
-            [
-                xi[0:6],
-                (hat(xi[6:9]) @ R1).ravel(),
-                xi[9:12],
-                (hat(xi[12:15]) @ R2).ravel(),
-                xi[15:18],
-                generator_ts2(xi[18:24], P[30:36]),
-                generator_ts2(xi[24:30], P[36:42]),
-            ]
-        )
-
-    def bracket(x, y):
-        out = np.zeros(30)
-        out[6:9] = so3_bracket(x[6:9], y[6:9])
-        out[12:15] = so3_bracket(x[12:15], y[12:15])
-        out[18:24] = se3_bracket(x[18:24], y[18:24])
-        out[24:30] = se3_bracket(x[24:30], y[24:30])
-        return out
-
-    def compose(g1, g2):
-        return (
-            g1[0] + g2[0],
-            (g1[1][0] @ g2[1][0], g1[1][1] + g2[1][1]),
-            (g1[2][0] @ g2[2][0], g1[2][1] + g2[2][1]),
-            se3_compose(g1[3], g2[3]),
-            se3_compose(g1[4], g2[4]),
-        )
-
-    def dexpinv(u, v):
-        out = np.asarray(v, dtype=float).copy()
-        out[6:9] = dexpinv_so3(u[6:9], v[6:9])
-        out[12:15] = dexpinv_so3(u[12:15], v[12:15])
-        out[18:24] = dexpinv_se3(u[18:24], v[18:24])
-        out[24:30] = dexpinv_se3(u[24:30], v[24:30])
-        return out
-
-    def check(P):
-        _check_ts2(P[30:33], P[33:36])
-        _check_ts2(P[36:39], P[39:42])
-
-    return HomogeneousAction(
-        name="quadrotor",
-        algebra_dim=30,
-        point_dim=42,
-        exp=expmap,
-        act=act,
-        generator=generator,
-        bracket=bracket,
-        compose=compose,
-        identity=(
-            np.zeros(6),
-            (np.eye(3), np.zeros(3)),
-            (np.eye(3), np.zeros(3)),
-            (np.eye(3), np.zeros(3)),
-            (np.eye(3), np.zeros(3)),
-        ),
-        dexpinv=dexpinv,
-        inverse=lambda g: (
-            -g[0],
-            (g[1][0].T, -g[1][1]),
-            (g[2][0].T, -g[2][1]),
-            se3_inverse(g[3]),
-            se3_inverse(g[4]),
-        ),
-        check=check,
-    )
+    rot, r3, ts2 = so3_left_action(), translation_action(3), se3_ts2_action()
+    factors = [translation_action(6), rot, r3, rot, r3, ts2, ts2]
+    return product_action("quadrotor", factors)

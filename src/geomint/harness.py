@@ -292,6 +292,7 @@ def run(cfg: RunConfig) -> List[str]:
 
     if cfg.mode == "fixed":
         ts, ys = _integrate_fixed(cfg, system)
+        ts[-1] = cfg.t_end  # the symplectic driver's t0 + n*h may round past it
         hs = np.full(len(ts), (cfg.t_end - cfg.t0) / max(1, len(ts) - 1))
         return _emit_trajectory(cfg, system, ts, ys, hs, out_base)
 

@@ -17,6 +17,9 @@ from geomint.actions import (
     ext_top_action,
     generator_ts2,
     quadrotor_action,
+    se3_ts2_action,
+    so3_left_action,
+    so3_right_action,
     translation_action,
     ts2_action,
 )
@@ -54,6 +57,10 @@ CASES = [
     (body_top_action(), lambda: _rotation_point(3)),
     (ext_top_action(), lambda: _rotation_point(9)),
     (quadrotor_action(), _quadrotor_point),
+    # the one-block factors the system actions are built from
+    (so3_left_action(), lambda: _rotation_point(0)),
+    (so3_right_action(), lambda: _rotation_point(0)),
+    (se3_ts2_action(), _ts2_point),
 ]
 
 IDS = [action.name for action, _ in CASES]
@@ -143,6 +150,17 @@ def test_exp_act_preserves_manifold(case):
     for _ in range(20):
         m = action.act(action.exp(_random_algebra(action)), m)
     action.check(m)  # must not raise
+
+
+# -- products ----------------------------------------------------------------
+
+
+def test_product_rejects_wrong_factor_count():
+    action = quadrotor_action()
+    g = action.exp(_random_algebra(action))
+    assert len(g) == 7
+    with pytest.raises(ValueError):
+        action.act(g[:6], _quadrotor_point())
 
 
 # -- TS^2 specifics ----------------------------------------------------------

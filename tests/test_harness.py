@@ -172,6 +172,18 @@ def test_fixed_run_outputs(tmp_path):
     assert np.ptp(inv[:, 2]) < 1e-12
 
 
+def test_symplectic_run_ends_exactly_at_t_end(tmp_path):
+    # 70 * 0.01 rounds to 0.7000000000000001; the last row must read t-end
+    cfg = RunConfig(
+        system="heavytop-ext", method="symplectic", h=0.01, t_end=0.7, out=str(tmp_path / "r")
+    )
+    run(cfg)
+    _, _, data = _read_csv(tmp_path / "r.trajectory.csv")
+    _, _, inv = _read_csv(tmp_path / "r.invariants.csv")
+    assert data.shape[0] == 71
+    assert data[-1, 0] == 0.7 and inv[-1, 0] == 0.7
+
+
 def test_csv_has_17_significant_digits(tmp_path):
     cfg = RunConfig(
         system="heavytop-lp", method="rkmk4", steps=2, t_end=0.02, out=str(tmp_path / "r")
