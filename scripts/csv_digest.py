@@ -2,8 +2,9 @@
 """SHA-256 digests of the harness CSVs over a fixed case list.
 
 Runs every system with every explicit method at a short t_end, adaptive
-rkmk54 and cf43 runs, and one symplectic run through
-``geomint.harness.run`` into a temporary directory.  Prints one digest
+rkmk54 and cf43 runs, one symplectic run, one converge ladder, one
+``steps`` run, and runs that set system overrides, a preset, t0 and seed
+through ``geomint.harness.run`` into a temporary directory.  Prints one digest
 per case (over all files the case writes) and one over all cases, so a
 refactor can be checked for byte-identical output:
 
@@ -31,6 +32,16 @@ def cases():
             yield RunConfig(system=system, method=method, mode="adaptive",
                             t_end=t_end, h=h, tol=1e-6)
     yield RunConfig(system="heavytop-ext", method="symplectic", t_end=0.7, h=0.01)
+    yield RunConfig(system="heavytop-spatial", method="heun", mode="converge",
+                    t_end=0.2, h=0.2)
+    yield RunConfig(system="heavytop-body", method="rkmk4", t_end=0.05, steps=7)
+    yield RunConfig(system="heavytop-lp", method="cf4", t0=0.5, t_end=0.6, h=0.01,
+                    seed=5, preset="bruls-top",
+                    overrides={"mass": 12.0, "gravity": 0.5, "length": 1.5})
+    yield RunConfig(system="pendulum", method="rkmk4", t_end=0.05, h=0.005,
+                    overrides={"n": 3, "length": 0.8, "gravity": 9.0})
+    yield RunConfig(system="quadrotor", method="rkmk4", t_end=0.05, h=0.005,
+                    overrides={"payload_mass": 1.5, "gravity": 9.0})
 
 
 def main() -> None:

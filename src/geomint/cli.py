@@ -5,8 +5,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import ConfigError, RunConfig, parse_config, run
-from .integrators import METHODS
+from .harness import RUN_KEYS, ConfigError, RunConfig, parse_config, run
+from .integrators import (
+    METHODS,
+    NonConvergenceError,
+    StepSizeUnderflowError,
+    TooManyRejectsError,
+)
 from .systems import SYSTEM_IDS
 
 _MODE_FOR = {"simulate": "fixed", "converge": "converge", "adapt": "adaptive"}
@@ -46,19 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    flags = {
-        "system": args.system,
-        "method": args.method,
-        "h": args.h,
-        "steps": args.steps,
-        "tol": args.tol,
-        "theta": args.theta,
-        "t-end": args.t_end,
-        "out": args.out,
-        "seed": args.seed,
-        "preset": args.preset,
-        "mode": _MODE_FOR[args.command],
-    }
+    flags = {key: getattr(args, key.replace("-", "_"), None) for key in RUN_KEYS}
+    flags["mode"] = _MODE_FOR[args.command]
     return parse_config(flags, config_file=args.config)
 
 
@@ -67,7 +61,14 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(args)
         paths = run(cfg)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (
+        ConfigError,
+        ValueError,
+        OSError,
+        NonConvergenceError,
+        StepSizeUnderflowError,
+        TooManyRejectsError,
+    ) as exc:
         print(f"geomint: error: {exc}", file=sys.stderr)
         return 1
     for path in paths:

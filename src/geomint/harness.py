@@ -22,10 +22,11 @@ from .integrators import (
     adaptive_integrate,
     fixed_integrate,
 )
-from .systems import System, get_system, symplectic_integrate
+from .systems import OVERRIDES, System, get_system, symplectic_integrate
 
 __all__ = [
     "RunConfig",
+    "RUN_KEYS",
     "ConfigError",
     "parse_config_file",
     "parse_config",
@@ -37,22 +38,25 @@ __all__ = [
 # Convergence ladders use h = h0 * 2^-k for these k.
 LADDER_EXPONENTS = tuple(range(4, 10))
 
-_OVERRIDE_KEYS = ("mass", "gravity", "length", "n", "payload_mass")
-_KNOWN_KEYS = {
-    "system",
-    "method",
-    "mode",
-    "t0",
-    "t-end",
-    "h",
-    "steps",
-    "tol",
-    "theta",
-    "out",
-    "seed",
-    "preset",
-    *_OVERRIDE_KEYS,
+# Run keys in CSV echo order, each with the type its value parses to; the
+# RunConfig field of a key is its name with '-' read as '_'.  A key is
+# echoed when its value is set, theta only for the symplectic family and
+# out never.  System overrides follow, sorted by name.
+RUN_KEYS: Dict[str, type] = {
+    "system": str,
+    "method": str,
+    "mode": str,
+    "t0": float,
+    "t-end": float,
+    "seed": int,
+    "h": float,
+    "steps": int,
+    "tol": float,
+    "theta": float,
+    "preset": str,
+    "out": str,
 }
+_KEY_TYPES = {**RUN_KEYS, **OVERRIDES}
 
 _MODES = ("fixed", "adaptive", "converge")
 
@@ -83,6 +87,10 @@ class RunConfig:
             raise ConfigError(f"unknown mode {self.mode!r} (expected one of {_MODES})")
         if self.t_end <= self.t0:
             raise ConfigError(f"t-end ({self.t_end}) must exceed t0 ({self.t0})")
+        for name in ("h", "steps", "tol"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ConfigError(f"{name} must be positive, got {value!r}")
         if self.method != "symplectic" and self.method not in METHODS:
             raise ConfigError(
                 f"unknown method {self.method!r} "
@@ -110,37 +118,25 @@ class RunConfig:
         return get_system(self.system, preset=self.preset, **self.overrides)
 
     def echo_items(self) -> List[Tuple[str, str]]:
-        items = [
-            ("system", self.system),
-            ("method", self.method),
-            ("mode", self.mode),
-            ("t0", repr(self.t0)),
-            ("t-end", repr(self.t_end)),
-            ("seed", str(self.seed)),
-        ]
-        if self.h is not None:
-            items.append(("h", repr(self.h)))
-        if self.steps is not None:
-            items.append(("steps", str(self.steps)))
-        if self.tol is not None:
-            items.append(("tol", repr(self.tol)))
-        if self.method == "symplectic":
-            items.append(("theta", repr(self.theta)))
-        if self.preset:
-            items.append(("preset", self.preset))
+        items = []
+        for key, kind in RUN_KEYS.items():
+            value = getattr(self, _field(key))
+            if value is None or key == "out" or (key == "theta" and self.method != "symplectic"):
+                continue
+            items.append((key, repr(value) if kind is float else str(value)))
         items.extend((k, repr(v)) for k, v in sorted(self.overrides.items()))
         return items
 
 
-def _parse_value(key: str, raw: str, where: str):
+def _field(key: str) -> str:
+    return key.replace("-", "_")
+
+
+def _parse_value(key: str, raw, where: str):
     try:
-        if key in ("steps", "seed", "n"):
-            return int(raw)
-        if key in ("t0", "t-end", "h", "tol", "theta", "mass", "gravity", "length", "payload_mass"):
-            return float(raw)
-    except ValueError:
+        return _KEY_TYPES[key](raw)
+    except (TypeError, ValueError):
         raise ConfigError(f"{where}: cannot parse value {raw!r} for key {key!r}") from None
-    return raw
 
 
 def parse_config_file(path) -> Dict[str, object]:
@@ -155,7 +151,7 @@ def parse_config_file(path) -> Dict[str, object]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
         key = key.replace("_", "-") if key == "t_end" else key
-        if key not in _KNOWN_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -166,34 +162,19 @@ def parse_config_file(path) -> Dict[str, object]:
 def parse_config(
     flags: Optional[Dict[str, object]] = None, config_file=None
 ) -> RunConfig:
-    """Merge a config file with flag overrides (flags win) into a RunConfig."""
-    values: Dict[str, object] = {}
-    if config_file is not None:
-        values.update(parse_config_file(config_file))
+    """Merge a config file with flag overrides (flags win) into a RunConfig;
+    keys given neither way keep the RunConfig defaults."""
+    values = {} if config_file is None else parse_config_file(config_file)
     for key, val in (flags or {}).items():
         if val is None:
             continue
-        if key not in _KNOWN_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"unknown flag {key!r}")
-        values[key] = val
+        values[key] = _parse_value(key, val, "flags")
     if "system" not in values or "method" not in values:
         raise ConfigError("both a system and a method are required")
-    overrides = {k: values.pop(k) for k in list(values) if k in _OVERRIDE_KEYS}
-    return RunConfig(
-        system=str(values["system"]),
-        method=str(values["method"]),
-        mode=str(values.get("mode", "fixed")),
-        t0=float(values.get("t0", 0.0)),
-        t_end=float(values.get("t-end", 1.0)),
-        h=None if values.get("h") is None else float(values["h"]),
-        steps=None if values.get("steps") is None else int(values["steps"]),
-        tol=None if values.get("tol") is None else float(values["tol"]),
-        theta=float(values.get("theta", 0.5)),
-        preset=values.get("preset"),
-        out=values.get("out"),
-        seed=int(values.get("seed", 0)),
-        overrides=overrides,
-    )
+    overrides = {k: values.pop(k) for k in list(values) if k in OVERRIDES}
+    return RunConfig(**{_field(k): v for k, v in values.items()}, overrides=overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +185,9 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-def _write_csv(path, cfg: RunConfig, header: Sequence[str], rows) -> None:
-    lines = [f"# {k} = {v}" for k, v in cfg.echo_items()]
+def _write_csv(path, cfg: RunConfig, header: Sequence[str], rows, meta=()) -> None:
+    """Echoes the config, then the extra ``(key, value)`` metadata."""
+    lines = [f"# {k} = {v}" for k, v in [*cfg.echo_items(), *meta]]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row))
@@ -267,20 +249,37 @@ def _integrate_fixed(cfg: RunConfig, system: System):
     )
 
 
-def reference_state(system: System, t0: float, t_end: float, tol: float = 1e-12):
-    """Tight-tolerance end state used as the self-reference solution."""
-    cfg = ControllerConfig(tol=tol, alpha=0.2)
-    res = adaptive_integrate(
+def _integrate_adaptive(cfg: RunConfig, system: System):
+    info = METHODS[cfg.method]
+    ctrl = ControllerConfig(
+        tol=cfg.tol,
+        alpha=1.0 / (1.0 + min(info.p, info.p_hat)),
+        theta=cfg.safety,
+    )
+    return adaptive_integrate(
         system.action,
         system.field,
-        METHODS["rkmk54"].stepper,
+        info.stepper,
         system.initial,
-        t0,
-        t_end,
-        min(1e-3, (t_end - t0) / 10),
-        cfg,
+        cfg.t0,
+        cfg.t_end,
+        cfg.h,
+        ctrl,
     )
-    return res.ys[-1]
+
+
+def reference_state(system: System, t0: float, t_end: float, tol: float = 1e-12):
+    """Tight-tolerance end state used as the self-reference solution."""
+    cfg = RunConfig(
+        system=system.name,
+        method="rkmk54",
+        mode="adaptive",
+        t0=t0,
+        t_end=t_end,
+        h=min(1e-3, (t_end - t0) / 10),
+        tol=tol,
+    )
+    return _integrate_adaptive(cfg, system).ys[-1]
 
 
 def run(cfg: RunConfig) -> List[str]:
@@ -297,22 +296,7 @@ def run(cfg: RunConfig) -> List[str]:
         return _emit_trajectory(cfg, system, ts, ys, hs, out_base)
 
     if cfg.mode == "adaptive":
-        info = METHODS[cfg.method]
-        ctrl = ControllerConfig(
-            tol=cfg.tol,
-            alpha=1.0 / (1.0 + min(info.p, info.p_hat)),
-            theta=cfg.safety,
-        )
-        res = adaptive_integrate(
-            system.action,
-            system.field,
-            info.stepper,
-            system.initial,
-            cfg.t0,
-            cfg.t_end,
-            cfg.h,
-            ctrl,
-        )
+        res = _integrate_adaptive(cfg, system)
         hs = np.concatenate([[cfg.h], np.diff(res.ts)])
         paths = _emit_trajectory(cfg, system, res.ts, res.ys, hs, out_base)
         steps = out_base + ".steps.csv"
@@ -337,7 +321,6 @@ def converge(cfg: RunConfig) -> List[str]:
     system = cfg.build_system()
     ref = reference_state(system, cfg.t0, cfg.t_end)
     span = cfg.t_end - cfg.t0
-    rows = []
     hs, errs = [], []
     for k in LADDER_EXPONENTS:
         h = cfg.h * 2.0**-k
@@ -346,12 +329,8 @@ def converge(cfg: RunConfig) -> List[str]:
         err = float(np.linalg.norm(ys[-1] - ref))
         hs.append(span / n)
         errs.append(err)
-        rows.append([span / n, err])
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     out = str(cfg.out) + ".orders.csv"
-    lines = [f"# {k} = {v}" for k, v in cfg.echo_items()]
-    lines.append(f"# fitted_slope = {_fmt(slope)}")
-    lines.append("h,global_error")
-    lines.extend(f"{_fmt(h)},{_fmt(e)}" for h, e in rows)
-    Path(out).write_text("\n".join(lines) + "\n")
+    meta = [("fitted_slope", _fmt(slope))]
+    _write_csv(out, cfg, ["h", "global_error"], zip(hs, errs), meta=meta)
     return [out]

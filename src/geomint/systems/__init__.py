@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Optional
+import inspect
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -15,6 +17,7 @@ __all__ = [
     "CotangentForm",
     "symplectic_integrate",
     "SYSTEM_IDS",
+    "OVERRIDES",
     "get_system",
 ]
 
@@ -64,84 +67,84 @@ def symplectic_integrate(
     return ts, ys
 
 
-SYSTEM_IDS = (
-    "heavytop-body",
-    "heavytop-spatial",
-    "heavytop-lp",
-    "heavytop-ext",
-    "pendulum",
-    "quadrotor",
+# ---------------------------------------------------------------------------
+# Registry.  The system modules import System and CotangentForm from here,
+# so they are imported once both are defined.
+
+from . import heavytop, pendulum, quadrotor  # noqa: E402
+
+
+@dataclass(frozen=True)
+class _Family:
+    """Systems built from one parameter record.  ``params`` makes the
+    record from the overrides given, so the defaults stay those of the
+    parameter classes; ``defaults`` maps each override name to its
+    default, read from those classes, and the default's type is the
+    override's type."""
+
+    builders: Mapping[str, Callable[[Any], System]]
+    params: Callable[..., Any]
+    defaults: Mapping[str, object]
+    presets: Tuple[str, ...] = ()
+
+
+def _defaults(record, names) -> Dict[str, object]:
+    return {name: getattr(record, name) for name in names}
+
+
+_FAMILIES = (
+    _Family(
+        builders={
+            "heavytop-body": heavytop.build_body,
+            "heavytop-spatial": heavytop.build_spatial,
+            "heavytop-lp": heavytop.build_liepoisson,
+            "heavytop-ext": heavytop.build_ext,
+        },
+        params=partial(replace, heavytop.BRULS_TOP),
+        defaults=_defaults(heavytop.BRULS_TOP, ("mass", "gravity", "length")),
+        presets=("bruls-top",),
+    ),
+    _Family(
+        builders={"pendulum": pendulum.build_pendulum},
+        params=pendulum.PendulumParams.uniform,
+        defaults={
+            name: p.default
+            for name, p in inspect.signature(pendulum.PendulumParams.uniform).parameters.items()
+        },
+    ),
+    _Family(
+        builders={"quadrotor": quadrotor.build_quadrotor},
+        params=quadrotor.QuadrotorParams,
+        defaults=_defaults(quadrotor.QuadrotorParams(), ("payload_mass", "gravity")),
+    ),
 )
 
+SYSTEM_IDS = tuple(sid for family in _FAMILIES for sid in family.builders)
 
-def _heavytop_params(preset, overrides):
-    from .heavytop import BRULS_TOP, HeavyTopParams
-
-    if preset not in (None, "bruls-top"):
-        raise ValueError(f"unknown heavy top preset {preset!r}")
-    allowed = {"mass", "gravity", "length"}
-    unknown = set(overrides) - allowed
-    if unknown:
-        raise ValueError(f"unknown heavy top overrides: {sorted(unknown)}")
-    return HeavyTopParams(
-        inertia=BRULS_TOP.inertia,
-        mass=overrides.get("mass", BRULS_TOP.mass),
-        length=overrides.get("length", BRULS_TOP.length),
-        gravity=overrides.get("gravity", BRULS_TOP.gravity),
-    )
+# Every override name with its type, over all systems.
+OVERRIDES: Dict[str, type] = {
+    name: type(default) for family in _FAMILIES for name, default in family.defaults.items()
+}
 
 
 def get_system(system_id: str, preset: Optional[str] = None, **overrides) -> System:
     """Build a named benchmark system.
 
-    Recognized overrides: heavy top -- mass, gravity, length; pendulum --
-    n, mass, length, gravity; quadrotor -- payload_mass, gravity.
-    The only named preset is ``bruls-top`` (the heavy top benchmark
-    parameters, also the default).
+    Each override is one of the system's names in ``OVERRIDES``; one left
+    out keeps the default of the system's parameter class.  The only
+    named preset is ``bruls-top`` (the heavy top benchmark parameters,
+    also the default).
     """
-    if system_id.startswith("heavytop-"):
-        from . import heavytop as ht
-
-        params = _heavytop_params(preset, overrides)
-        builders = {
-            "heavytop-body": ht.build_body,
-            "heavytop-spatial": ht.build_spatial,
-            "heavytop-lp": ht.build_liepoisson,
-            "heavytop-ext": ht.build_ext,
-        }
-        if system_id not in builders:
-            raise ValueError(f"unknown system {system_id!r}")
-        return builders[system_id](params)
-
-    if preset is not None:
-        raise ValueError(f"preset {preset!r} only applies to heavy top systems")
-
-    if system_id == "pendulum":
-        from .pendulum import PendulumParams, build_pendulum
-
-        allowed = {"n", "mass", "length", "gravity"}
-        unknown = set(overrides) - allowed
-        if unknown:
-            raise ValueError(f"unknown pendulum overrides: {sorted(unknown)}")
-        params = PendulumParams.uniform(
-            int(overrides.get("n", 2)),
-            mass=overrides.get("mass", 1.0),
-            length=overrides.get("length", 1.0),
-            gravity=overrides.get("gravity", 9.81),
+    family = next((f for f in _FAMILIES if system_id in f.builders), None)
+    if family is None:
+        raise ValueError(f"unknown system {system_id!r} (expected one of {SYSTEM_IDS})")
+    if preset not in (None, *family.presets):
+        raise ValueError(f"unknown preset {preset!r} for system {system_id!r}")
+    unknown = set(overrides) - set(family.defaults)
+    if unknown:
+        raise ValueError(
+            f"unknown overrides for system {system_id!r}: {sorted(unknown)} "
+            f"(expected some of {sorted(family.defaults)})"
         )
-        return build_pendulum(params)
-
-    if system_id == "quadrotor":
-        from .quadrotor import QuadrotorParams, build_quadrotor
-
-        allowed = {"payload_mass", "gravity"}
-        unknown = set(overrides) - allowed
-        if unknown:
-            raise ValueError(f"unknown quadrotor overrides: {sorted(unknown)}")
-        params = QuadrotorParams(
-            payload_mass=overrides.get("payload_mass", 1.0),
-            gravity=overrides.get("gravity", 9.81),
-        )
-        return build_quadrotor(params)
-
-    raise ValueError(f"unknown system {system_id!r} (expected one of {SYSTEM_IDS})")
+    params = family.params(**{k: type(family.defaults[k])(v) for k, v in overrides.items()})
+    return family.builders[system_id](params)

@@ -21,6 +21,7 @@ from typing import Tuple
 
 import numpy as np
 
+from . import CotangentForm, System
 from ..actions import (
     body_top_action,
     coadjoint_se3_action,
@@ -129,16 +130,6 @@ def _spatial_omega(params, Q, pi):
     return Q @ (params.inertia_inv * (Q.T @ pi))
 
 
-def heavytop_spatial_f(params: HeavyTopParams, m: np.ndarray) -> np.ndarray:
-    """Frozen field on SO(3) x so(3)*: (omega, Mgl Gamma0 x QX + pi x omega)."""
-    Q = m[:9].reshape(3, 3)
-    pi = m[9:12]
-    omega = _spatial_omega(params, Q, pi)
-    return np.concatenate(
-        [omega, params.mgl * cross(params.g0, Q @ params.chi) + cross(pi, omega)]
-    )
-
-
 def heavytop_spatial_f_pair(params: HeavyTopParams):
     """Hamiltonian (f1, f2) map consumed by the symplectic family."""
 
@@ -147,6 +138,11 @@ def heavytop_spatial_f_pair(params: HeavyTopParams):
         return omega, params.mgl * cross(params.g0, g @ params.chi) + cross(mu, omega)
 
     return f
+
+
+def heavytop_spatial_f(params: HeavyTopParams, m: np.ndarray) -> np.ndarray:
+    """Frozen field on SO(3) x so(3)*: (omega, Mgl Gamma0 x QX + pi x omega)."""
+    return np.concatenate(heavytop_spatial_f_pair(params)(*unpack_spatial(m)))
 
 
 def spatial_energy(params: HeavyTopParams, m: np.ndarray) -> float:
@@ -195,20 +191,6 @@ def ext_initial_p(params: HeavyTopParams) -> np.ndarray:
     return -params.mgl * params.chi
 
 
-def heavytop_ext_f(params: HeavyTopParams, m: np.ndarray) -> np.ndarray:
-    Q = m[:9].reshape(3, 3)
-    pi, p = m[9:12], m[12:15]
-    omega = _spatial_omega(params, Q, pi)
-    return np.concatenate(
-        [
-            omega,
-            -cross(params.g0, Q @ p) + cross(pi, omega),
-            np.zeros(3),
-            p - Q.T @ params.g0,
-        ]
-    )
-
-
 def heavytop_ext_f_pair(params: HeavyTopParams):
     """(f1, f2) on the group (SO(3) x R^3) x dual, state ((Q, q), (pi, p))."""
 
@@ -221,6 +203,12 @@ def heavytop_ext_f_pair(params: HeavyTopParams):
         return f1, f2
 
     return f
+
+
+def heavytop_ext_f(params: HeavyTopParams, m: np.ndarray) -> np.ndarray:
+    """Frozen field on the ext-top action, algebra order (omega, pi', p', q')."""
+    f1, f2 = heavytop_ext_f_pair(params)(*unpack_ext(m))
+    return np.concatenate([f1[:3], f2, f1[3:]])
 
 
 def ext_energy(params: HeavyTopParams, m: np.ndarray) -> float:
@@ -246,8 +234,7 @@ def unpack_ext(m: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Assembled System records (imported lazily by systems/__init__ to avoid
-# a circular import with the registry)
+# Assembled System records
 
 
 def _orthogonality_error(m: np.ndarray) -> float:
@@ -256,8 +243,6 @@ def _orthogonality_error(m: np.ndarray) -> float:
 
 
 def build_body(params: HeavyTopParams, pi0=None):
-    from . import System
-
     pi0 = bruls_momentum(params) if pi0 is None else np.asarray(pi0, dtype=float)
     initial = np.concatenate([np.eye(3).ravel(), pi0])  # Q(0) = I so Pi(0) = pi(0)
     return System(
@@ -274,8 +259,6 @@ def build_body(params: HeavyTopParams, pi0=None):
 
 
 def build_spatial(params: HeavyTopParams, pi0=None):
-    from . import CotangentForm, System
-
     pi0 = bruls_momentum(params) if pi0 is None else np.asarray(pi0, dtype=float)
     initial = np.concatenate([np.eye(3).ravel(), pi0])
     g0 = params.g0
@@ -300,8 +283,6 @@ def build_spatial(params: HeavyTopParams, pi0=None):
 
 
 def build_liepoisson(params: HeavyTopParams, pi0=None):
-    from . import System
-
     pi0 = bruls_momentum(params) if pi0 is None else np.asarray(pi0, dtype=float)
     initial = np.concatenate([pi0, params.g0])  # Q(0) = I: Pi = pi, Gamma = Gamma0
     return System(
@@ -319,8 +300,6 @@ def build_liepoisson(params: HeavyTopParams, pi0=None):
 
 
 def build_ext(params: HeavyTopParams, pi0=None):
-    from . import CotangentForm, System
-
     pi0 = bruls_momentum(params) if pi0 is None else np.asarray(pi0, dtype=float)
     initial = np.concatenate([np.eye(3).ravel(), pi0, ext_initial_p(params), np.zeros(3)])
     g0 = params.g0

@@ -14,6 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
+from . import System
 from ..actions import ts2_action
 from ..kernels import BlockMatrix, cross, solve_dense
 from ..lie import hat
@@ -54,7 +55,7 @@ class PendulumParams:
         return np.cumsum(np.asarray(self.masses)[::-1])[::-1]
 
     @classmethod
-    def uniform(cls, n: int, mass=1.0, length=1.0, gravity=9.81) -> "PendulumParams":
+    def uniform(cls, n: int = 2, mass=1.0, length=1.0, gravity=9.81) -> "PendulumParams":
         return cls(masses=(mass,) * n, lengths=(length,) * n, gravity=gravity)
 
 
@@ -133,8 +134,6 @@ def pendulum_energy(params: PendulumParams, state: np.ndarray) -> float:
 
 
 def build_pendulum(params: PendulumParams, initial=None):
-    from . import System
-
     n = params.n
     initial = default_initial(n) if initial is None else np.asarray(initial, dtype=float)
 

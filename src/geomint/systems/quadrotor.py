@@ -14,6 +14,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
+from . import System
 from ..actions import quadrotor_action
 from ..kernels import BlockMatrix, cross, solve_dense
 from ..lie import hat
@@ -216,8 +217,6 @@ def quadrotor_energy(params: QuadrotorParams, state: np.ndarray) -> float:
 
 
 def build_quadrotor(params: QuadrotorParams, controls: Controls = zero_controls, initial=None):
-    from . import System
-
     initial = default_initial() if initial is None else np.asarray(initial, dtype=float)
 
     def max_q_norm_error(state):

@@ -111,6 +111,41 @@ def test_misc_validation():
         RunConfig(system="pendulum", method="rkmk4", h=0.1, mode="magic")
 
 
+def test_nonpositive_h_steps_tol_are_rejected():
+    with pytest.raises(ConfigError, match="h must be positive"):
+        RunConfig(system="heavytop-body", method="rkmk4", h=-0.1)
+    with pytest.raises(ConfigError, match="steps must be positive"):
+        RunConfig(system="heavytop-body", method="rkmk4", steps=0)
+    with pytest.raises(ConfigError, match="h must be positive"):
+        RunConfig(system="heavytop-lp", method="rkmk54", mode="adaptive", h=-0.01, tol=1e-6)
+    with pytest.raises(ConfigError, match="tol must be positive"):
+        RunConfig(system="heavytop-lp", method="rkmk54", mode="adaptive", h=0.01, tol=0.0)
+    with pytest.raises(ConfigError, match="h must be positive"):
+        RunConfig(system="pendulum", method="heun", mode="converge", h=float("nan"))
+
+
+def test_echo_follows_key_order_and_defaults(tmp_path):
+    p = _write(
+        tmp_path,
+        "mass = 12\nout = o\npreset = bruls-top\nseed = 5\nt-end = 0.6\nh = 0.01\n"
+        "t0 = 0.5\nmethod = cf4\nsystem = heavytop-lp\ngravity = 0.5\n",
+    )
+    cfg = parse_config(config_file=p)
+    assert cfg.echo_items() == [
+        ("system", "heavytop-lp"),
+        ("method", "cf4"),
+        ("mode", "fixed"),
+        ("t0", "0.5"),
+        ("t-end", "0.6"),
+        ("seed", "5"),
+        ("h", "0.01"),
+        ("preset", "bruls-top"),
+        ("gravity", "0.5"),
+        ("mass", "12.0"),
+    ]
+    assert (cfg.theta, cfg.safety, cfg.steps, cfg.tol) == (0.5, 0.9, None, None)
+
+
 # -- system registry -------------------------------------------------------------------
 
 
@@ -306,6 +341,26 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
     )
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_negative_step_exits_nonzero(tmp_path, capsys):
+    rc = cli_main(
+        ["simulate", "--system", "heavytop-body", "--method", "rkmk4", "--h", "-0.1",
+         "--t-end", "1", "--out", str(tmp_path / "neg")]
+    )
+    assert rc == 1
+    assert "h must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "neg.trajectory.csv").exists()
+
+
+def test_cli_reports_integrator_failure(tmp_path, capsys):
+    # no step meets tol = 1e-300, so the controller gives up
+    rc = cli_main(
+        ["adapt", "--system", "heavytop-lp", "--method", "rkmk54", "--h", "0.01",
+         "--tol", "1e-300", "--t-end", "0.1", "--out", str(tmp_path / "r")]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("geomint: error: ")
 
 
 def test_cli_missing_output_path_fails(capsys):
