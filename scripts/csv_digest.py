@@ -3,10 +3,11 @@
 
 Runs every system with every explicit method at a short t_end, adaptive
 rkmk54 and cf43 runs, one symplectic run, one converge ladder, one
-``steps`` run, and runs that set system overrides, a preset, t0 and seed
-through ``geomint.harness.run`` into a temporary directory.  Prints one digest
-per case (over all files the case writes) and one over all cases, so a
-refactor can be checked for byte-identical output:
+``steps`` run, runs that set system overrides, a preset, t0 and seed, and
+pendulum chains of one and six links through ``geomint.harness.run`` into a
+temporary directory.  Prints one digest per case (over all files the case
+writes) and one over all cases, so a refactor can be checked for
+byte-identical output:
 
     PYTHONPATH=src python scripts/csv_digest.py
 """
@@ -40,6 +41,9 @@ def cases():
                     overrides={"mass": 12.0, "gravity": 0.5, "length": 1.5})
     yield RunConfig(system="pendulum", method="rkmk4", t_end=0.05, h=0.005,
                     overrides={"n": 3, "length": 0.8, "gravity": 9.0})
+    for n in (1, 6):
+        yield RunConfig(system="pendulum", method="rkmk4", t_end=0.05, h=0.005,
+                        overrides={"n": n})
     yield RunConfig(system="quadrotor", method="rkmk4", t_end=0.05, h=0.005,
                     overrides={"payload_mass": 1.5, "gravity": 9.0})
 

@@ -9,6 +9,7 @@ are reproducible and plottable without a bundled renderer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -40,8 +41,8 @@ LADDER_EXPONENTS = tuple(range(4, 10))
 
 # Run keys in CSV echo order, each with the type its value parses to; the
 # RunConfig field of a key is its name with '-' read as '_'.  A key is
-# echoed when its value is set, theta only for the symplectic family and
-# out never.  System overrides follow, sorted by name.
+# echoed when its value is set and _ECHO_WHEN holds.  System overrides
+# follow, sorted by name.
 RUN_KEYS: Dict[str, type] = {
     "system": str,
     "method": str,
@@ -57,6 +58,16 @@ RUN_KEYS: Dict[str, type] = {
     "out": str,
 }
 _KEY_TYPES = {**RUN_KEYS, **OVERRIDES}
+
+# The runs that read a key, for the keys not every run reads (a converge
+# ladder sets its own steps and its reference solve its own tol); out
+# names the files, not the run, and is never echoed.
+_ECHO_WHEN = {
+    "steps": lambda cfg: cfg.mode == "fixed",
+    "tol": lambda cfg: cfg.mode == "adaptive",
+    "theta": lambda cfg: cfg.method == "symplectic",
+    "out": lambda cfg: False,
+}
 
 _MODES = ("fixed", "adaptive", "converge")
 
@@ -91,6 +102,10 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ConfigError(f"{name} must be positive, got {value!r}")
+        for key in ("t0", "t-end", "h", "tol"):
+            value = getattr(self, _field(key))
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
         if self.method != "symplectic" and self.method not in METHODS:
             raise ConfigError(
                 f"unknown method {self.method!r} "
@@ -121,7 +136,7 @@ class RunConfig:
         items = []
         for key, kind in RUN_KEYS.items():
             value = getattr(self, _field(key))
-            if value is None or key == "out" or (key == "theta" and self.method != "symplectic"):
+            if value is None or not _ECHO_WHEN.get(key, lambda cfg: True)(self):
                 continue
             items.append((key, repr(value) if kind is float else str(value)))
         items.extend((k, repr(v)) for k, v in sorted(self.overrides.items()))

@@ -1,9 +1,8 @@
 """Small dense linear algebra shared by every other module.
 
 Vectors and matrices are plain float64 numpy arrays: ``Vec3`` is shape
-``(3,)``, ``Mat3`` is shape ``(3, 3)``.  Block matrices are dense
-``(3n, 3n)`` arrays wrapped in :class:`BlockMatrix` for block-wise
-assembly.
+``(3,)``, ``Mat3`` is shape ``(3, 3)``.  The multibody systems assemble
+their block matrices as dense ``(3n, 3n)`` arrays by slices.
 """
 
 from __future__ import annotations
@@ -13,15 +12,17 @@ import warnings
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-__all__ = ["SingularMatrixError", "BlockMatrix", "cross", "solve_dense"]
+__all__ = ["SingularMatrixError", "cross", "solve_dense"]
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
-    """Raised when a pivot falls below the relative singularity threshold."""
+    """Raised when a pivot falls below the relative singularity threshold
+    or the matrix is not finite."""
 
 
 def cross(a, b):
-    """Cross product of two 3-vectors (faster than np.cross for scalars)."""
+    """Cross product of two 3-vectors (faster than np.cross for scalars);
+    on ``(3, n)`` arrays it crosses column by column."""
     return np.array(
         [
             a[1] * b[2] - a[2] * b[1],
@@ -31,51 +32,21 @@ def cross(a, b):
     )
 
 
-class BlockMatrix:
-    """Dense square matrix assembled from 3x3 blocks.
-
-    ``n`` is the number of block rows; the underlying array has shape
-    ``(3n, 3n)``.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.mat = np.zeros((3 * n, 3 * n))
-
-    def set_block(self, i: int, j: int, block) -> None:
-        self.mat[3 * i : 3 * i + 3, 3 * j : 3 * j + 3] = block
-
-    def get_block(self, i: int, j: int):
-        return self.mat[3 * i : 3 * i + 3, 3 * j : 3 * j + 3]
-
-    @classmethod
-    def from_array(cls, mat) -> "BlockMatrix":
-        mat = np.asarray(mat, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 3:
-            raise ValueError(f"not a square 3n x 3n matrix: shape {mat.shape}")
-        out = cls(mat.shape[0] // 3)
-        out.mat = mat
-        return out
-
-
 def solve_dense(A, b):
-    """Solve ``A x = b`` by LU with partial pivoting.
-
-    ``A`` may be a :class:`BlockMatrix` or a square ndarray.  Raises
-    :class:`SingularMatrixError` when a pivot magnitude drops below
-    ``1e-13 * ||A||``.
+    """Solve ``A x = b`` for a square float ndarray ``A`` by LU with
+    partial pivoting.  Raises :class:`SingularMatrixError` when ``A`` is
+    zero or not finite, or a pivot magnitude drops below ``1e-13 * ||A||``.
     """
-    mat = A.mat if isinstance(A, BlockMatrix) else np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    scale = np.linalg.norm(mat)
+    scale = np.linalg.norm(A)
     with warnings.catch_warnings():
         # the pivot check below is the real diagnostic
         warnings.simplefilter("ignore")
-        lu, piv = lu_factor(mat, check_finite=False)
+        lu, piv = lu_factor(A, check_finite=False)
     pivots = np.abs(np.diag(lu))
-    if scale == 0.0 or np.min(pivots) < 1e-13 * scale:
+    # written so that a NaN norm or pivot fails it
+    if not (0.0 < scale < np.inf and np.min(pivots) >= 1e-13 * scale):
         raise SingularMatrixError(
-            f"matrix numerically singular: min pivot {np.min(pivots):.3e}, "
-            f"norm {scale:.3e}"
+            f"matrix numerically singular or not finite: "
+            f"min pivot {np.min(pivots):.3e}, norm {scale:.3e}"
         )
     return lu_solve((lu, piv), b, check_finite=False)

@@ -39,9 +39,13 @@ class System:
     action: HomogeneousAction
     field: Callable[[np.ndarray], np.ndarray]
     initial: np.ndarray
-    energy: Callable[[np.ndarray], float]
     invariants: Mapping[str, Callable[[np.ndarray], float]]
     cotangent: Optional[CotangentForm] = None
+
+    @property
+    def energy(self) -> Callable[[np.ndarray], float]:
+        """The ``"energy"`` invariant, which every system has."""
+        return self.invariants["energy"]
 
 
 def symplectic_integrate(

@@ -250,7 +250,6 @@ def build_body(params: HeavyTopParams, pi0=None):
         action=body_top_action(),
         field=lambda m: heavytop_body_f(params, m),
         initial=initial,
-        energy=lambda m: body_energy(params, m),
         invariants={
             "energy": lambda m: body_energy(params, m),
             "orthogonality": _orthogonality_error,
@@ -267,7 +266,6 @@ def build_spatial(params: HeavyTopParams, pi0=None):
         action=cotangent_so3_action(),
         field=lambda m: heavytop_spatial_f(params, m),
         initial=initial,
-        energy=lambda m: spatial_energy(params, m),
         invariants={
             "energy": lambda m: spatial_energy(params, m),
             "orthogonality": _orthogonality_error,
@@ -290,7 +288,6 @@ def build_liepoisson(params: HeavyTopParams, pi0=None):
         action=coadjoint_se3_action(),
         field=lambda mu: heavytop_liepoisson_f(params, mu),
         initial=initial,
-        energy=lambda mu: liepoisson_energy(params, mu),
         invariants={
             "energy": lambda mu: liepoisson_energy(params, mu),
             "gamma_norm": lambda mu: float(np.linalg.norm(mu[3:6])),
@@ -308,7 +305,6 @@ def build_ext(params: HeavyTopParams, pi0=None):
         action=ext_top_action(),
         field=lambda m: heavytop_ext_f(params, m),
         initial=initial,
-        energy=lambda m: ext_energy(params, m),
         invariants={
             "energy": lambda m: ext_energy(params, m),
             "orthogonality": _orthogonality_error,

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import System
 from ..actions import ts2_action
-from ..kernels import BlockMatrix, cross, solve_dense
-from ..lie import hat
+from ..kernels import cross, solve_dense
 
 __all__ = [
     "PendulumParams",
@@ -70,38 +69,33 @@ def _split(state: np.ndarray, n: int):
     return blocks[:, :3], blocks[:, 3:]
 
 
-def pendulum_mass_matrix(params: PendulumParams, q: np.ndarray) -> BlockMatrix:
-    """Symmetric 3N x 3N block matrix: diagonal (sum_{j>=i} m_j) L_i^2 I,
-    off-diagonal (i<j) (sum_{k>=j} m_k) L_i L_j hat(q_i)^T hat(q_j)."""
-    n = params.n
-    tails = params.tail_mass
+def _coupling(params: PendulumParams) -> np.ndarray:
+    """N x N coefficients M_ij = (sum_{k >= max(i, j)} m_k) L_i L_j."""
     L = np.asarray(params.lengths)
-    R = BlockMatrix(n)
-    hats = [hat(q[i]) for i in range(n)]
-    for i in range(n):
-        R.set_block(i, i, tails[i] * L[i] ** 2 * np.eye(3))
-        for j in range(i + 1, n):
-            block = tails[j] * L[i] * L[j] * (hats[i].T @ hats[j])
-            R.set_block(i, j, block)
-            R.set_block(j, i, block.T)
-    return R
+    links = np.arange(params.n)
+    return params.tail_mass[np.maximum.outer(links, links)] * np.outer(L, L)
+
+
+def pendulum_mass_matrix(params: PendulumParams, q: np.ndarray) -> np.ndarray:
+    """Symmetric 3N x 3N matrix of 3 x 3 blocks: diagonal M_ii I,
+    off-diagonal M_ij hat(q_i)^T hat(q_j) = M_ij ((q_i . q_j) I - q_j q_i^T)."""
+    n = params.n
+    # blocks[i, :, j, :] = (q_i . q_j) I - q_j q_i^T
+    blocks = (q @ q.T)[:, None, :, None] * np.eye(3)[None, :, None, :]
+    blocks -= q.T[None, :, :, None] * q[:, None, None, :]
+    links = np.arange(n)
+    blocks[links, :, links, :] = np.eye(3)
+    return (_coupling(params)[:, None, :, None] * blocks).reshape(3 * n, 3 * n)
 
 
 def pendulum_rhs(params: PendulumParams, q: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Stacked right-hand sides g_i = sum_{j != i} M_ij |w_j|^2 q_i x q_j
-    - (sum_{j >= i} m_j) g L_i q_i x e3."""
-    n = params.n
-    tails = params.tail_mass
-    L = np.asarray(params.lengths)
-    out = np.empty((n, 3))
-    for i in range(n):
-        gi = -tails[i] * params.gravity * L[i] * cross(q[i], _E3)
-        for j in range(n):
-            if j != i:
-                mij = tails[max(i, j)] * L[i] * L[j]
-                gi = gi + mij * (w[j] @ w[j]) * cross(q[i], q[j])
-        out[i] = gi
-    return out.ravel()
+    """Stacked right-hand sides
+    g_i = q_i x (sum_{j != i} M_ij |w_j|^2 q_j - (sum_{j >= i} m_j) g L_i e3)."""
+    M = _coupling(params)
+    np.fill_diagonal(M, 0.0)
+    weight = params.tail_mass * params.gravity * np.asarray(params.lengths)
+    pull = (M * np.sum(w * w, axis=1)) @ q - np.outer(weight, _E3)
+    return cross(q.T, pull.T).T.ravel()
 
 
 def pendulum_accelerations(params: PendulumParams, q, w) -> np.ndarray:
@@ -114,19 +108,13 @@ def pendulum_f(params: PendulumParams, state: np.ndarray) -> np.ndarray:
     n = params.n
     q, w = _split(state, n)
     h = pendulum_accelerations(params, q, w).reshape(n, 3)
-    out = np.empty((n, 6))
-    for i in range(n):
-        out[i, :3] = w[i]
-        out[i, 3:] = cross(q[i], h[i])
-    return out.ravel()
+    return np.hstack([w, cross(q.T, h.T).T]).ravel()
 
 
 def pendulum_energy(params: PendulumParams, state: np.ndarray) -> float:
-    n = params.n
-    q, w = _split(state, n)
-    R = pendulum_mass_matrix(params, q)
+    q, w = _split(state, params.n)
     wflat = w.ravel()
-    kinetic = 0.5 * float(wflat @ (R.mat @ wflat))
+    kinetic = 0.5 * float(wflat @ (pendulum_mass_matrix(params, q) @ wflat))
     potential = float(
         np.sum(params.tail_mass * params.gravity * np.asarray(params.lengths) * q[:, 2])
     )
@@ -150,7 +138,6 @@ def build_pendulum(params: PendulumParams, initial=None):
         action=ts2_action(n),
         field=lambda m: pendulum_f(params, m),
         initial=initial,
-        energy=lambda m: pendulum_energy(params, m),
         invariants={
             "energy": lambda m: pendulum_energy(params, m),
             "max_q_norm_error": max_norm_error,

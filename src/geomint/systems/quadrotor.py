@@ -16,7 +16,7 @@ import numpy as np
 
 from . import System
 from ..actions import quadrotor_action
-from ..kernels import BlockMatrix, cross, solve_dense
+from ..kernels import cross, solve_dense
 from ..lie import hat
 
 __all__ = [
@@ -111,15 +111,12 @@ def quadrotor_assemble(params: QuadrotorParams, controls: Controls, t, state):
 
     mq = params.payload_mass * np.eye(3) + m1 * np.outer(q1, q1) + m2 * np.outer(q2, q2)
 
-    A = BlockMatrix(6)
-    A.set_block(0, 0, np.eye(3))
-    A.set_block(1, 1, mq)
-    A.set_block(2, 2, J1)
-    A.set_block(3, 3, J2)
-    A.set_block(4, 1, -hat(q1) / L1)
-    A.set_block(4, 4, np.eye(3))
-    A.set_block(5, 1, -hat(q2) / L2)
-    A.set_block(5, 5, np.eye(3))
+    A = np.eye(18)
+    A[3:6, 3:6] = mq
+    A[6:9, 6:9] = J1
+    A[9:12, 9:12] = J2
+    A[12:15, 3:6] = -hat(q1) / L1
+    A[15:18, 3:6] = -hat(q2) / L2
 
     u1_par = np.outer(q1, q1) @ u1
     u2_par = np.outer(q2, q2) @ u2
@@ -239,7 +236,6 @@ def build_quadrotor(params: QuadrotorParams, controls: Controls = zero_controls,
         action=quadrotor_action(),
         field=lambda m: quadrotor_f(params, controls, 0.0, m),
         initial=initial,
-        energy=lambda m: quadrotor_energy(params, m),
         invariants={
             "energy": lambda m: quadrotor_energy(params, m),
             "max_q_norm_error": max_q_norm_error,

@@ -124,6 +124,32 @@ def test_nonpositive_h_steps_tol_are_rejected():
         RunConfig(system="pendulum", method="heun", mode="converge", h=float("nan"))
 
 
+def test_non_finite_times_are_rejected():
+    for kwargs in (
+        {"t_end": float("nan")},
+        {"t_end": float("inf")},
+        {"t0": float("-inf")},
+        {"h": float("inf")},
+    ):
+        with pytest.raises(ConfigError, match="must be finite"):
+            RunConfig(**{"system": "heavytop-lp", "method": "rkmk4", "h": 0.01, **kwargs})
+    with pytest.raises(ConfigError, match="tol must be finite"):
+        RunConfig(system="heavytop-lp", method="rkmk54", mode="adaptive", h=0.01,
+                  tol=float("inf"))
+
+
+def test_echo_skips_keys_the_run_ignores():
+    def keys(**kwargs):
+        return [k for k, _ in RunConfig(system="heavytop-lp", **kwargs).echo_items()]
+
+    common = ["system", "method", "mode", "t0", "t-end", "seed", "h"]
+    assert keys(method="rkmk4", h=0.01, tol=1e-3) == common
+    adaptive = keys(method="rkmk54", mode="adaptive", h=0.01, tol=1e-3, steps=3)
+    assert adaptive == common + ["tol"]
+    assert keys(method="rkmk4", mode="converge", h=0.1, steps=3, tol=1e-3) == common
+    assert keys(method="rkmk4", steps=3, theta=0.3) == common[:-1] + ["steps"]
+
+
 def test_echo_follows_key_order_and_defaults(tmp_path):
     p = _write(
         tmp_path,
@@ -351,6 +377,15 @@ def test_cli_negative_step_exits_nonzero(tmp_path, capsys):
     assert rc == 1
     assert "h must be positive" in capsys.readouterr().err
     assert not (tmp_path / "neg.trajectory.csv").exists()
+
+
+def test_cli_non_finite_t_end_exits_nonzero(tmp_path, capsys):
+    rc = cli_main(
+        ["simulate", "--system", "heavytop-lp", "--method", "rkmk4", "--h", "0.01",
+         "--t-end", "inf", "--out", str(tmp_path / "inf")]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("geomint: error: t-end must be finite")
 
 
 def test_cli_reports_integrator_failure(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from geomint.kernels import BlockMatrix, SingularMatrixError, cross, solve_dense
+from geomint.kernels import SingularMatrixError, cross, solve_dense
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
 vec3 = st.tuples(finite, finite, finite).map(np.array)
@@ -29,35 +29,6 @@ def test_cross_basis():
     np.testing.assert_array_equal(cross(e[2], e[0]), e[1])
 
 
-def test_block_matrix_roundtrip():
-    rng = np.random.default_rng(7)
-    bm = BlockMatrix(3)
-    blocks = {}
-    for i in range(3):
-        for j in range(3):
-            blocks[i, j] = rng.normal(size=(3, 3))
-            bm.set_block(i, j, blocks[i, j])
-    for (i, j), blk in blocks.items():
-        np.testing.assert_array_equal(bm.get_block(i, j), blk)
-        np.testing.assert_array_equal(bm.mat[3 * i : 3 * i + 3, 3 * j : 3 * j + 3], blk)
-
-
-def test_block_matrix_from_array():
-    rng = np.random.default_rng(11)
-    dense = rng.normal(size=(6, 6))
-    bm = BlockMatrix.from_array(dense)
-    np.testing.assert_array_equal(bm.mat, dense)
-    np.testing.assert_array_equal(bm.get_block(1, 0), dense[3:6, 0:3])
-
-
-def test_block_matrix_rejects_bad_shapes():
-    bm = BlockMatrix(2)
-    with pytest.raises(ValueError):
-        bm.set_block(0, 0, np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        BlockMatrix.from_array(np.zeros((5, 5)))
-
-
 def test_solve_dense_matches_numpy():
     rng = np.random.default_rng(3)
     A = rng.normal(size=(9, 9)) + 9 * np.eye(9)
@@ -65,16 +36,16 @@ def test_solve_dense_matches_numpy():
     np.testing.assert_allclose(solve_dense(A, b), np.linalg.solve(A, b), rtol=1e-12)
 
 
-def test_solve_dense_accepts_block_matrix():
-    bm = BlockMatrix(2)
-    bm.set_block(0, 0, 2.0 * np.eye(3))
-    bm.set_block(1, 1, 4.0 * np.eye(3))
-    b = np.arange(6.0)
-    np.testing.assert_allclose(solve_dense(bm, b), b / np.repeat([2.0, 4.0], 3))
-
-
 def test_solve_dense_singular_raises():
     A = np.zeros((4, 4))
     A[0, 0] = 1.0
+    with pytest.raises(SingularMatrixError):
+        solve_dense(A, np.ones(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solve_dense_non_finite_raises(bad):
+    A = np.eye(4)
+    A[1, 2] = bad
     with pytest.raises(SingularMatrixError):
         solve_dense(A, np.ones(4))

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from geomint.integrators import METHODS, fixed_integrate
+from geomint.kernels import cross, solve_dense
 from geomint.lie import hat
 from geomint.systems import get_system
 from geomint.systems.pendulum import (
@@ -50,22 +51,22 @@ def test_single_link_mass_matrix_is_scaled_identity():
     p = PendulumParams(masses=(2.0,), lengths=(3.0,))
     q, _ = _random_links(1)
     R = pendulum_mass_matrix(p, q)
-    np.testing.assert_allclose(R.mat, 2.0 * 9.0 * np.eye(3), atol=1e-15)
+    np.testing.assert_allclose(R, 2.0 * 9.0 * np.eye(3), atol=1e-15)
 
 
 def test_two_link_mass_matrix_blocks():
     p = PendulumParams(masses=(1.5, 2.5), lengths=(1.2, 0.7))
     q, _ = _random_links(2)
     R = pendulum_mass_matrix(p, q)
-    np.testing.assert_allclose(R.get_block(0, 0), 4.0 * 1.2**2 * np.eye(3), atol=1e-14)
-    np.testing.assert_allclose(R.get_block(1, 1), 2.5 * 0.7**2 * np.eye(3), atol=1e-14)
+    np.testing.assert_allclose(R[0:3, 0:3], 4.0 * 1.2**2 * np.eye(3), atol=1e-14)
+    np.testing.assert_allclose(R[3:6, 3:6], 2.5 * 0.7**2 * np.eye(3), atol=1e-14)
     off = 2.5 * 1.2 * 0.7 * hat(q[0]).T @ hat(q[1])
-    np.testing.assert_allclose(R.get_block(0, 1), off, atol=1e-14)
-    np.testing.assert_allclose(R.get_block(1, 0), off.T, atol=1e-14)
+    np.testing.assert_allclose(R[0:3, 3:6], off, atol=1e-14)
+    np.testing.assert_allclose(R[3:6, 0:3], off.T, atol=1e-14)
     # symmetric and positive definite on random tangent data
-    np.testing.assert_allclose(R.mat, R.mat.T, atol=1e-14)
+    np.testing.assert_allclose(R, R.T, atol=1e-14)
     w = rng.normal(size=6)
-    assert w @ (R.mat @ w) > 0
+    assert w @ (R @ w) > 0
 
 
 def test_rhs_single_link_oracle():
@@ -82,7 +83,7 @@ def test_accelerations_solve_the_block_system():
     q, w = _random_links(3)
     h = pendulum_accelerations(p, q, w)
     R = pendulum_mass_matrix(p, q)
-    np.testing.assert_allclose(R.mat @ h, pendulum_rhs(p, q, w), atol=1e-11)
+    np.testing.assert_allclose(R @ h, pendulum_rhs(p, q, w), atol=1e-11)
 
 
 def test_field_layout():
@@ -158,3 +159,72 @@ def test_default_initial_tiles_links():
     m = default_initial(3)
     assert m.shape == (18,)
     np.testing.assert_array_equal(m[:6], m[6:12])
+
+
+# -- per-link loop references ------------------------------------------------------
+# The loop forms the array assembly replaced.  The array forms sum in
+# another order, so they agree to rounding, not bit for bit.
+
+_E3 = np.array([0.0, 0.0, 1.0])
+
+
+def _blk(i):
+    return slice(3 * i, 3 * i + 3)
+
+
+def _ref_mass_matrix(params, q):
+    n = params.n
+    tails = params.tail_mass
+    L = np.asarray(params.lengths)
+    R = np.zeros((3 * n, 3 * n))
+    hats = [hat(q[i]) for i in range(n)]
+    for i in range(n):
+        R[_blk(i), _blk(i)] = tails[i] * L[i] ** 2 * np.eye(3)
+        for j in range(i + 1, n):
+            block = tails[j] * L[i] * L[j] * (hats[i].T @ hats[j])
+            R[_blk(i), _blk(j)] = block
+            R[_blk(j), _blk(i)] = block.T
+    return R
+
+
+def _ref_rhs(params, q, w):
+    n = params.n
+    tails = params.tail_mass
+    L = np.asarray(params.lengths)
+    out = np.empty((n, 3))
+    for i in range(n):
+        gi = -tails[i] * params.gravity * L[i] * cross(q[i], _E3)
+        for j in range(n):
+            if j != i:
+                mij = tails[max(i, j)] * L[i] * L[j]
+                gi = gi + mij * (w[j] @ w[j]) * cross(q[i], q[j])
+        out[i] = gi
+    return out.ravel()
+
+
+def _ref_f(params, q, w):
+    n = params.n
+    h = solve_dense(_ref_mass_matrix(params, q), _ref_rhs(params, q, w)).reshape(n, 3)
+    out = np.empty((n, 6))
+    for i in range(n):
+        out[i, :3] = w[i]
+        out[i, 3:] = cross(q[i], h[i])
+    return out.ravel()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 10])
+def test_array_assembly_matches_loop_reference(n):
+    # unequal masses and lengths, so a wrong tail-mass index shows
+    p = PendulumParams(
+        masses=tuple(rng.uniform(0.5, 3.0, n)), lengths=tuple(rng.uniform(0.4, 1.6, n))
+    )
+    q, w = _random_links(n)
+    state = np.hstack([q, w]).ravel()
+    for got, ref in (
+        (pendulum_mass_matrix(p, q), _ref_mass_matrix(p, q)),
+        (pendulum_rhs(p, q, w), _ref_rhs(p, q, w)),
+        (pendulum_f(p, state), _ref_f(p, q, w)),
+    ):
+        assert got.shape == ref.shape
+        tol = 1e-13 * max(1.0, np.max(np.abs(ref)))
+        np.testing.assert_allclose(got, ref, rtol=0, atol=tol)

@@ -33,8 +33,8 @@ def test_params_validation():
 def test_block_system_structure():
     state = default_initial()
     A, h = quadrotor_assemble(PARAMS, zero_controls, 0.0, state)
-    assert A.mat.shape == (18, 18) and h.shape == (18,)
-    np.testing.assert_array_equal(A.get_block(0, 0), np.eye(3))
+    assert A.shape == (18, 18) and h.shape == (18,)
+    np.testing.assert_array_equal(A[0:3, 0:3], np.eye(3))
     q1 = state[30:33]
     m1, m2 = PARAMS.masses
     mq = (
@@ -42,11 +42,11 @@ def test_block_system_structure():
         + m1 * np.outer(q1, q1)
         + m2 * np.outer(state[36:39], state[36:39])
     )
-    np.testing.assert_allclose(A.get_block(1, 1), mq, atol=1e-14)
-    np.testing.assert_allclose(A.get_block(2, 2), np.diag(PARAMS.inertia1), atol=1e-15)
+    np.testing.assert_allclose(A[3:6, 3:6], mq, atol=1e-14)
+    np.testing.assert_allclose(A[6:9, 6:9], np.diag(PARAMS.inertia1), atol=1e-15)
     # velocity block of the link rows: -(1/L) hat(q)
     np.testing.assert_allclose(
-        A.get_block(4, 1) @ np.ones(3), -np.cross(q1, np.ones(3)) / PARAMS.lengths[0],
+        A[12:15, 3:6] @ np.ones(3), -np.cross(q1, np.ones(3)) / PARAMS.lengths[0],
         atol=1e-14,
     )
     # first block row says ydot = v
@@ -57,7 +57,7 @@ def test_zdot_satisfies_block_system():
     state = default_initial()
     A, h = quadrotor_assemble(PARAMS, zero_controls, 0.0, state)
     zd = quadrotor_zdot(PARAMS, zero_controls, 0.0, state)
-    np.testing.assert_allclose(A.mat @ zd, h, atol=1e-11)
+    np.testing.assert_allclose(A @ zd, h, atol=1e-11)
 
 
 def test_block_system_invertible_at_random_states():
