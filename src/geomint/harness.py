@@ -250,7 +250,7 @@ def _integrate_fixed(cfg: RunConfig, system: System):
             )
         h = (cfg.t_end - cfg.t0) / n
         # the fixed-point iteration stops contracting for fast tops at
-        # moderate steps; the root solve handles those
+        # moderate steps; the simplified Newton solve handles those
         solve = SolveConfig(method="newton")
         return symplectic_integrate(system, cfg.theta, h, n, t0=cfg.t0, solve=solve)
     return fixed_integrate(

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import root
 
 from .actions import HomogeneousAction
-from .lie import dexp_star_so3, dexpinv_series, exp_so3
+from .kernels import SingularMatrixError, solve_dense
+from .lie import BranchError, dexp_star_so3, dexpinv_series, exp_so3
 
 __all__ = [
     "Tableau",
@@ -390,8 +390,12 @@ class SolveConfig:
     method: str = "fixed-point"  # or "newton"
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("solve tolerance must be positive")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError(
+                f"solve tolerance must be positive and finite, got {self.tol!r}"
+            )
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
         if self.method not in ("fixed-point", "newton"):
             raise ValueError(f"unknown solve method {self.method!r}")
 
@@ -404,15 +408,58 @@ def _symplectic_residual_map(group, f, g0, mu0, h, theta):
     """Returns G(xi, nbar) = h f(exp(theta xi) g0, M_theta)."""
 
     def gmap(xi, nbar):
-        ad_n = group.coad(group.exp(theta * xi), nbar)
+        e_theta = group.exp(theta * xi)
+        ad_n = group.coad(e_theta, nbar)
         m_theta = group.dexp_star(-xi, mu0 + ad_n)
         if theta != 0.0:
             m_theta = m_theta - theta * group.dexp_star(-theta * xi, ad_n)
-        g = group.compose(group.exp(theta * xi), g0)
-        xi_new, nbar_new = f(g, m_theta)
+        xi_new, nbar_new = f(group.compose(e_theta, g0), m_theta)
         return h * np.asarray(xi_new, dtype=float), h * np.asarray(nbar_new, dtype=float)
 
     return gmap
+
+
+# Forward-difference step of the Newton Jacobian, relative to max(1, |x_j|).
+_FD_STEP = math.sqrt(np.finfo(float).eps)
+
+
+def _simplified_newton(G, n: int, solve: SolveConfig) -> np.ndarray:
+    """Solves x = G(x) on R^n by simplified Newton (Hairer, Lubich and
+    Wanner, GNI VIII.6): predictor x0 = G(0), J = I - dG/dx formed once by
+    forward differences at x0, then x <- x - J^-1 (x - G(x)) until the
+    update is below tol (1 + |x|).  Returns that last update, not G(x):
+    near the solution the update contracts the error and G may amplify
+    it, which on the heavy top shows as drift of the conserved Gamma0.pi."""
+    x = G(np.zeros(n))
+    if not np.all(np.isfinite(x)):
+        raise NonConvergenceError("newton predictor is not finite")
+    gx = G(x)
+    J = np.eye(n)
+    for j in range(n):
+        xj = x.copy()
+        xj[j] += _FD_STEP * max(1.0, abs(x[j]))
+        J[:, j] -= (G(xj) - gx) / (xj[j] - x[j])
+    try:
+        J_inv = solve_dense(J, np.eye(n))
+    except SingularMatrixError as exc:
+        raise NonConvergenceError(f"newton Jacobian is singular: {exc}") from None
+    for _ in range(solve.max_iter):
+        r = x - gx
+        dx = J_inv @ r
+        if not np.all(np.isfinite(dx)):
+            raise NonConvergenceError("newton iterate is not finite")
+        bound = solve.tol * (1.0 + np.linalg.norm(x))
+        if np.linalg.norm(dx) <= bound:
+            if np.linalg.norm(r) > 100.0 * bound:
+                raise NonConvergenceError(
+                    f"newton residual {np.linalg.norm(r):.3e} above tolerance"
+                )
+            return x - dx
+        x = x - dx
+        gx = G(x)
+    raise NonConvergenceError(
+        f"newton solve did not converge in {solve.max_iter} iterations"
+    )
 
 
 def symplectic_step(
@@ -435,10 +482,10 @@ def symplectic_step(
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
     gmap = _symplectic_residual_map(group, f, g0, mu0, h, theta)
     nd, na = group.dual_dim, group.algebra_dim
-    xi = np.zeros(na)
-    nbar = np.zeros(nd)
 
     if solve.method == "fixed-point":
+        xi = np.zeros(na)
+        nbar = np.zeros(nd)
         for _ in range(solve.max_iter):
             xi_new, nbar_new = gmap(xi, nbar)
             delta = math.hypot(
@@ -456,15 +503,9 @@ def symplectic_step(
                 f"(h = {h:.3e} likely too large)"
             )
     else:
-
-        def residual(x):
-            xi_new, nbar_new = gmap(x[:na], x[na:])
-            return x - np.concatenate([xi_new, nbar_new])
-
-        sol = root(residual, np.concatenate([xi, nbar]), method="hybr", tol=1e-14)
-        x = sol.x
-        if np.linalg.norm(residual(x)) > solve.tol * (1.0 + np.linalg.norm(x)) * 100.0:
-            raise NonConvergenceError(f"newton solve failed: {sol.message}")
+        x = _simplified_newton(
+            lambda x: np.concatenate(gmap(x[:na], x[na:])), na + nd, solve
+        )
         xi, nbar = x[:na], x[na:]
 
     g1 = group.compose(group.exp(xi), g0)
@@ -543,7 +584,10 @@ def adaptive_integrate(
     cfg: ControllerConfig,
 ) -> AdaptiveResult:
     """Accept/reject loop: accept when e < tol, always update h by the
-    controller formula, truncate the last step to land exactly on T."""
+    controller formula, truncate the last step to land exactly on T.
+
+    A trial step that raises :class:`BranchError` (logged with estimate
+    inf) or returns a non-finite estimate is a rejection that halves h."""
     if T <= t0:
         raise ValueError("T must exceed t0")
     t, y = t0, np.asarray(y0, dtype=float)
@@ -555,13 +599,18 @@ def adaptive_integrate(
         h_try = min(h, T - t)
         if h_try < cfg.h_min:
             raise StepSizeUnderflowError(f"step size underflow at t = {t:.6g}")
-        res = stepper(action, f, y, h_try)
-        if res.error_estimate is None:
-            raise ValueError("adaptive integration requires an embedded stepper")
-        e = res.error_estimate
-        accepted = e < cfg.tol
+        try:
+            res = stepper(action, f, y, h_try)
+        except BranchError:
+            e = math.inf
+        else:
+            if res.error_estimate is None:
+                raise ValueError("adaptive integration requires an embedded stepper")
+            e = res.error_estimate
+        finite = math.isfinite(e)
+        accepted = finite and e < cfg.tol
         log.append(StepAttempt(t=t, h=h_try, error_estimate=e, accepted=accepted))
-        h = controller_update(h_try, e, cfg)
+        h = controller_update(h_try, e, cfg) if finite else 0.5 * h_try
         if accepted:
             t = t + h_try
             y = np.asarray(res.y_next, dtype=float)

@@ -18,6 +18,7 @@ the degree-12 polynomials are exact to machine precision on that range.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -90,13 +91,6 @@ _DEXPINV_G2 = (1 / 12, 1 / 720, 1 / 30240, 1 / 1209600, 1 / 47900160, 691 / 1307
 _DEXPINV_G2T = (1 / 360, 1 / 7560, 1 / 201600, 1 / 5987520, 691 / 130767436800, 1 / 6227020800, 3617 / 762187345920000)
 
 
-def _sinc(z):
-    # sin(z)/z
-    if abs(z) < _SERIES_CUTOFF:
-        return _poly_even(z * z, _SINC)
-    return np.sin(z) / z
-
-
 def _cosc(z):
     # (1 - cos z)/z**2
     if abs(z) < _SERIES_CUTOFF:
@@ -146,25 +140,85 @@ def _dexpinv_g2t(z):
     return (w * c + w * w * (1.0 + c * c) - 2.0) / z**4
 
 
+def _floats3(v):
+    """The components of a 3-vector (array, list or tuple) as floats."""
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    x, y, z = v
+    return float(x), float(y), float(z)
+
+
+def _sin_cos(a):
+    # math.sin raises on an infinite angle where numpy gives NaN; keep NaN
+    if a == math.inf:
+        return math.nan, math.nan
+    return math.sin(a), math.cos(a)
+
+
+def _exp_coeffs(a2):
+    """sin(a)/a and (1 - cos a)/a**2 at a = sqrt(a2)."""
+    if a2 < _SERIES_CUTOFF * _SERIES_CUTOFF:
+        return _poly_even(a2, _SINC), _poly_even(a2, _COSC)
+    a = math.sqrt(a2)
+    s, c = _sin_cos(a)
+    return s / a, (1.0 - c) / a2
+
+
+def _dexp_coeffs(a2):
+    """(1 - cos a)/a**2 and (a - sin a)/a**3 at a = sqrt(a2)."""
+    if a2 < _SERIES_CUTOFF * _SERIES_CUTOFF:
+        return _poly_even(a2, _COSC), _poly_even(a2, _DEXP_G2)
+    a = math.sqrt(a2)
+    s, c = _sin_cos(a)
+    return (1.0 - c) / a2, (a - s) / (a2 * a)
+
+
+def _identity_plus_hat(x, y, z, p, q):
+    """I + p hat(v) + q hat(v)^2 for v = (x, y, z), using
+    hat(v)^2 = v v^T - |v|^2 I."""
+    xy, xz, yz = q * x * y, q * x * z, q * y * z
+    xx, yy, zz = x * x, y * y, z * z
+    px, py, pz = p * x, p * y, p * z
+    # one flat list and a reshape: numpy parses it twice as fast as nested rows
+    return np.array(
+        [
+            1.0 - q * (yy + zz), xy - pz, xz + py,
+            xy + pz, 1.0 - q * (xx + zz), yz - px,
+            xz - py, yz + px, 1.0 - q * (xx + yy),
+        ]
+    ).reshape(3, 3)
+
+
 def exp_so3(xi):
     """Rodrigues rotation matrix exp(hat(xi))."""
-    alpha = np.linalg.norm(xi)
-    H = hat(xi)
-    return np.eye(3) + _sinc(alpha) * H + _cosc(alpha) * (H @ H)
+    x, y, z = _floats3(xi)
+    return _identity_plus_hat(x, y, z, *_exp_coeffs(x * x + y * y + z * z))
 
 
 def dexp_so3_matrix(u):
     """3x3 matrix of dexp_u on so(3): I + cosc(a) hat(u) + g2(a) hat(u)^2."""
-    alpha = np.linalg.norm(u)
-    H = hat(u)
-    return np.eye(3) + _cosc(alpha) * H + _dexp_g2(alpha) * (H @ H)
+    x, y, z = _floats3(u)
+    return _identity_plus_hat(x, y, z, *_dexp_coeffs(x * x + y * y + z * z))
 
 
 def dexp_star_so3(u, mu):
-    """Dual of dexp_u on so(3)*: the transpose of the dexp matrix."""
-    if np.linalg.norm(u) >= 2.0 * np.pi:
+    """Dual of dexp_u on so(3)*: the transpose of the dexp matrix,
+    mu - cosc(a) u x mu + g2(a) (u (u . mu) - a^2 mu)."""
+    x, y, z = _floats3(u)
+    a2 = x * x + y * y + z * z
+    if math.sqrt(a2) >= 2.0 * math.pi:
         raise BranchError("||u|| >= 2*pi")
-    return dexp_so3_matrix(u).T @ mu
+    p, q = _dexp_coeffs(a2)
+    m1, m2, m3 = _floats3(mu)
+    um = q * (x * m1 + y * m2 + z * m3)
+    qa2 = 1.0 - q * a2
+    return np.array(
+        [
+            qa2 * m1 - p * (y * m3 - z * m2) + um * x,
+            qa2 * m2 - p * (z * m1 - x * m3) + um * y,
+            qa2 * m3 - p * (x * m2 - y * m1) + um * z,
+        ]
+    )
 
 
 def exp_se3(x):

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import geomint
 from geomint.cli import main as cli_main
 from geomint.harness import (
     ConfigError,
@@ -401,3 +407,15 @@ def test_cli_reports_integrator_failure(tmp_path, capsys):
 def test_cli_missing_output_path_fails(capsys):
     rc = cli_main(["simulate", "--system", "pendulum", "--method", "rkmk4", "--h", "0.1"])
     assert rc == 1
+
+
+def test_importing_the_harness_leaves_scipy_optimize_unloaded():
+    # a fresh interpreter: other tests import scipy modules into this one
+    src = str(Path(geomint.__file__).resolve().parents[1])
+    code = "import sys, geomint.harness; print('scipy.optimize' in sys.modules)"
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

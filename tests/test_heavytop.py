@@ -3,7 +3,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from geomint.integrators import METHODS, SolveConfig, fixed_integrate
+from geomint.integrators import (
+    METHODS,
+    ControllerConfig,
+    SolveConfig,
+    adaptive_integrate,
+    fixed_integrate,
+    symplectic_step,
+)
 from geomint.lie import exp_so3
 from geomint.systems import get_system, symplectic_integrate
 from geomint.systems.heavytop import (
@@ -222,3 +229,60 @@ def test_symplectic_ext_newton_matches_fixed_point():
         system, 0.5, 0.001, 20, solve=SolveConfig(method="newton")
     )
     np.testing.assert_allclose(ys_fp[-1], ys_nw[-1], atol=1e-9)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("system_id", ["heavytop-spatial", "heavytop-ext"])
+def test_symplectic_newton_agrees_with_fixed_point_on_both_groups(system_id, theta):
+    system = get_system(system_id)
+    _, ys_fp = symplectic_integrate(system, theta, 1e-3, 10)
+    _, ys_nw = symplectic_integrate(
+        system, theta, 1e-3, 10, solve=SolveConfig(method="newton")
+    )
+    np.testing.assert_allclose(ys_nw, ys_fp, rtol=0.0, atol=1e-11)
+
+
+@pytest.mark.parametrize("system_id,bound", [("heavytop-spatial", 18), ("heavytop-ext", 24)])
+def test_symplectic_newton_field_evaluations_per_step(system_id, bound):
+    # predictor, Jacobian base and one column per unknown, then a few
+    # simplified Newton iterations: 6 unknowns on spatial, 12 on ext
+    system = get_system(system_id)
+    ct = system.cotangent
+    calls = []
+
+    def counted(g, mu):
+        calls.append(None)
+        return ct.f(g, mu)
+
+    g, mu = ct.unpack(system.initial)
+    for _ in range(10):
+        before = len(calls)
+        g, mu = symplectic_step(ct.group, counted, g, mu, 0.01, 0.5, SolveConfig(method="newton"))
+        assert len(calls) - before <= bound
+
+
+@pytest.mark.parametrize("h0", [0.5, 2.0])
+def test_adaptive_branch_error_rejects_the_trial_step(h0):
+    # rkmk54 trial steps this long leave the exp branch of se(3)
+    system = get_system("heavytop-spatial")
+    cfg = ControllerConfig(tol=1e-6, alpha=0.2)
+    res = adaptive_integrate(
+        system.action, system.field, METHODS["rkmk54"].stepper, system.initial,
+        0.0, 0.6, h0, cfg,
+    )
+    first, second = res.step_log[:2]
+    assert first.h == min(h0, 0.6)
+    assert first.error_estimate == np.inf and not first.accepted
+    assert second.h == 0.5 * first.h
+    assert res.ts[-1] == pytest.approx(0.6, abs=1e-12)
+    assert system.invariants["orthogonality"](res.ys[-1]) < 1e-12
+
+
+@pytest.mark.parametrize("system_id", ["heavytop-spatial", "heavytop-ext"])
+def test_symplectic_newton_keeps_gamma0_pi(system_id):
+    # the solve error enters Gamma0.pi directly; returning G(x) at the last
+    # Newton iterate instead of the update drifted up to 1.5e-10 here
+    system = get_system(system_id, mass=13.875)
+    _, ys = symplectic_integrate(system, 0.5, 0.01, 50, solve=SolveConfig(method="newton"))
+    pg = ys[:, 9:12] @ BRULS_TOP.g0
+    assert np.max(np.abs(pg - pg[0])) <= 1e-11

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,21 @@ def test_adaptive_requires_embedded_stepper():
         adaptive_integrate(ACTION2, _linear_field, lie_euler_step, Y0, 0.0, 1.0, 0.1, cfg)
 
 
+def test_adaptive_rejects_non_finite_estimate_and_halves_h():
+    # a trial step longer than 0.05 reports a NaN estimate
+    def stepper(action, f, y, h):
+        res = rkmk54_step(action, f, y, h)
+        return replace(res, error_estimate=np.nan) if h > 0.05 else res
+
+    cfg = ControllerConfig(tol=1e-8, alpha=0.2)
+    res = adaptive_integrate(ACTION2, _linear_field, stepper, Y0, 0.0, 1.0, 0.08, cfg)
+    first, second = res.step_log[:2]
+    assert np.isnan(first.error_estimate) and not first.accepted
+    assert second.h == 0.04
+    assert res.ts[-1] == pytest.approx(1.0, abs=1e-12)
+    assert all(a.h <= 0.05 for a in res.step_log if a.accepted)
+
+
 def test_adaptive_step_underflow():
     cfg = ControllerConfig(tol=1e-8, alpha=0.2, h_min=0.5)
     stiff = translation_action(1)
@@ -269,6 +286,30 @@ def test_solve_config_validation():
         SolveConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolveConfig(method="bisection")
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"tol": float("nan")}, {"tol": float("inf")}, {"tol": -1e-13}, {"max_iter": 0},
+     {"max_iter": -3}],
+)
+def test_solve_config_rejects_unusable_solve(kwargs):
+    with pytest.raises(ValueError):
+        SolveConfig(**kwargs)
+
+
+@pytest.mark.parametrize("method", ["fixed-point", "newton"])
+def test_symplectic_nan_field_does_not_converge(method):
+    def nan_field(g, mu):
+        _, torque = _free_rigid_body(g, mu)
+        return np.full(3, np.nan), torque
+
+    group = so3_cotangent_group()
+    with pytest.raises(NonConvergenceError):
+        symplectic_step(
+            group, nan_field, np.eye(3), np.array([0.4, -1.0, 0.7]), 0.02, 0.5,
+            SolveConfig(method=method),
+        )
 
 
 def test_symplectic_fixed_point_diverges_for_huge_steps():

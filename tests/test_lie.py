@@ -224,6 +224,39 @@ def test_series_closed_form_agree_at_cutoff():
         np.testing.assert_allclose(dexp_se3(u6b, w6), dexp_se3(u6a, w6), atol=atol)
 
 
+def test_dexp_so3_series_closed_form_agree_at_cutoff():
+    direction = rng.normal(size=3)
+    direction /= np.linalg.norm(direction)
+    mu = rng.normal(size=3)
+    for eps in (1e-9, 1e-7):
+        atol = 50.0 * eps
+        below, above = (0.5 - eps) * direction, (0.5 + eps) * direction
+        np.testing.assert_allclose(dexp_so3_matrix(below), dexp_so3_matrix(above), atol=atol)
+        np.testing.assert_allclose(dexp_star_so3(below, mu), dexp_star_so3(above, mu), atol=atol)
+
+
+@pytest.mark.parametrize("scale", [0.1, 2.0])
+def test_so3_kernels_accept_lists_tuples_and_slices(scale):
+    u = scale * rng.normal(size=3)
+    mu = rng.normal(size=3)
+    strided = np.empty(6)
+    strided[::2], strided[1::2] = u, mu
+    for arg in (list(u), tuple(u), strided[::2], np.concatenate([u, mu])[:3]):
+        np.testing.assert_array_equal(exp_so3(arg), exp_so3(u))
+        np.testing.assert_array_equal(dexp_so3_matrix(arg), dexp_so3_matrix(u))
+        np.testing.assert_array_equal(dexp_star_so3(arg, list(mu)), dexp_star_so3(u, mu))
+    with pytest.raises(BranchError):
+        dexp_star_so3([0.0, 2.0 * np.pi, 0.0], (1.0, 2.0, 3.0))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_so3_kernels_give_nan_for_non_finite_input(bad):
+    # as numpy's sin and cos do: a NaN result, not a math domain error
+    u = np.array([bad, 0.5, 0.0])
+    assert np.isnan(exp_so3(u)).any()
+    assert np.isnan(dexp_so3_matrix(u)).any()
+
+
 def test_apply_phi_matches_series_for_dexpinv():
     u = 0.1 * rng.normal(size=6)
     v = rng.normal(size=6)
