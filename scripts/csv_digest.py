@@ -29,7 +29,13 @@ def cases():
     for system in SYSTEM_IDS:
         for method in sorted(METHODS):
             yield RunConfig(system=system, method=method, t_end=0.05, h=0.005)
-    for system, t_end, h in (("heavytop-spatial", 0.1, 0.005), ("pendulum", 0.5, 0.05)):
+    # heavytop-body runs the right-action dexpinv under the controller
+    adaptive = (
+        ("heavytop-spatial", 0.1, 0.005),
+        ("heavytop-body", 0.1, 0.005),
+        ("pendulum", 0.5, 0.05),
+    )
+    for system, t_end, h in adaptive:
         for method in ("rkmk54", "cf43"):
             yield RunConfig(system=system, method=method, mode="adaptive",
                             t_end=t_end, h=h, tol=1e-6)

@@ -28,7 +28,6 @@ from .kernels import cross
 from .lie import (
     dexpinv_se3,
     dexpinv_so3,
-    _dexpinv_g2,
     exp_se3,
     exp_so3,
     hat,
@@ -64,8 +63,8 @@ class HomogeneousAction:
     ``exp`` maps a flat algebra element to a group element, ``act``
     moves a flat manifold point, ``generator`` returns the flat ambient
     tangent vector.  ``dexpinv`` is the exact inverse differential of
-    exp when the algebra provides one; otherwise integrators fall back
-    to the truncated series built on ``bracket``.
+    exp, ``dexpinv(u, v) = sum_k (B_k/k!) ad_u^k v`` summed in closed
+    form, with ``ad_u = bracket(u, .)``.
     """
 
     name: str
@@ -77,7 +76,7 @@ class HomogeneousAction:
     bracket: Callable[[np.ndarray, np.ndarray], np.ndarray]
     compose: Callable[[Any, Any], Any]
     identity: Any
-    dexpinv: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    dexpinv: Callable[[np.ndarray, np.ndarray], np.ndarray]
     inverse: Optional[Callable[[Any], Any]] = None
     check: Optional[Callable[[np.ndarray], None]] = None
 
@@ -118,8 +117,8 @@ def _blocks(dims) -> list:
 def product_action(name: str, factors: Sequence[HomogeneousAction]) -> HomogeneousAction:
     """Direct product of ``factors`` acting blockwise on the product of
     their manifolds.  Every map applies the matching factor callable to
-    that factor's slice, so each factor must provide dexpinv and inverse;
-    a group element with the wrong number of factors raises ValueError."""
+    that factor's slice, so each factor must provide inverse; a group
+    element with the wrong number of factors raises ValueError."""
     alg = _blocks(f.algebra_dim for f in factors)
     pts = _blocks(f.point_dim for f in factors)
     checks = [(f.check, p) for f, p in zip(factors, pts) if f.check is not None]
@@ -205,14 +204,8 @@ def so3_left_action() -> HomogeneousAction:
 
 # Right multiplication A.Q = Q A has generator Q hat(xi) and is a left
 # action of the *opposite* group of SO(3): its bracket is the negated
-# cross product.  Even powers of ad are unchanged, so the exact dexpinv
-# only flips the sign of the first correction term.
-
-
-def _dexpinv_so3_opposite(u, v):
-    alpha = np.linalg.norm(u)
-    uv = cross(u, v)
-    return v + 0.5 * uv + _dexpinv_g2(alpha) * cross(u, uv)
+# cross product, so its ad_u is the so(3) ad_(-u) and its exact dexpinv
+# is the so(3) one at -u (principal branch included).
 
 
 def so3_right_action() -> HomogeneousAction:
@@ -228,7 +221,7 @@ def so3_right_action() -> HomogeneousAction:
         # right multiplication is a left action of the opposite group
         compose=lambda g1, g2: g2 @ g1,
         identity=np.eye(3),
-        dexpinv=_dexpinv_so3_opposite,
+        dexpinv=lambda u, v: dexpinv_so3(-u, v),
         inverse=lambda g: g.T,
     )
 

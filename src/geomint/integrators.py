@@ -21,7 +21,7 @@ import numpy as np
 
 from .actions import HomogeneousAction
 from .kernels import SingularMatrixError, solve_dense
-from .lie import BranchError, dexp_star_so3, dexpinv_series, exp_so3
+from .lie import BranchError, dexp_star_so3, exp_so3
 
 __all__ = [
     "Tableau",
@@ -164,37 +164,26 @@ def lie_euler_heun_step(action, f, y, h) -> StepResult:
     return StepResult(y_next=action.act(action.exp(0.5 * h * (f1 + f2)), y))
 
 
-def _dexpinv_for(action: HomogeneousAction, tableau: Tableau, trunc_order):
-    if trunc_order is None and action.dexpinv is not None:
-        return action.dexpinv
-    order = trunc_order if trunc_order is not None else tableau.p + 1
-    return lambda u, v: dexpinv_series(u, v, order, bracket=action.bracket)
-
-
 def rkmk_step(
     action: HomogeneousAction,
     f: FieldMap,
     y,
     h: float,
     tableau: Tableau = RK4,
-    trunc_order: Optional[int] = None,
 ) -> StepResult:
     """Generic explicit RKMK step for any explicit tableau.
 
-    The algebra-valued stages solve the dexpinv equation from sigma = 0;
-    the exact dexpinv of the action is used when present, otherwise the
-    truncated series at ``trunc_order`` (default p+1).
+    The algebra-valued stages solve the dexpinv equation from sigma = 0
+    with the action's exact dexpinv; the first stage sits at sigma = 0,
+    where dexpinv is the identity.
     """
-    dexpinv = _dexpinv_for(action, tableau, trunc_order)
-    s = tableau.stages
-    k: List[np.ndarray] = []
-    for i in range(s):
+    k: List[np.ndarray] = [f(y)]
+    for i in range(1, tableau.stages):
         sigma = h * sum(
             (tableau.a[i][j] * k[j] for j in range(i) if tableau.a[i][j] != 0.0),
             np.zeros(action.algebra_dim),
         )
-        stage_point = action.act(action.exp(sigma), y) if i else y
-        k.append(dexpinv(sigma, f(stage_point)))
+        k.append(action.dexpinv(sigma, f(action.act(action.exp(sigma), y))))
     sigma1 = h * sum(b * ki for b, ki in zip(tableau.b, k))
     y1 = action.act(action.exp(sigma1), y)
     if tableau.b_hat is None:
@@ -286,9 +275,9 @@ def rkmk54_step(action, f, y, h) -> StepResult:
     return rkmk_step(action, f, y, h, tableau=DOPRI54)
 
 
-def make_rkmk_stepper(tableau: Tableau, trunc_order: Optional[int] = None):
+def make_rkmk_stepper(tableau: Tableau):
     def stepper(action, f, y, h):
-        return rkmk_step(action, f, y, h, tableau=tableau, trunc_order=trunc_order)
+        return rkmk_step(action, f, y, h, tableau=tableau)
 
     stepper.__name__ = f"rkmk_{tableau.name}_step"
     return stepper

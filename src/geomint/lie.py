@@ -8,8 +8,6 @@ Conventions
   the bracket is ``[(A,a),(B,b)] = (A x B, A x b - B x a)``.
 * SE(3) group elements are ``(R, r)`` pairs with product
   ``(g1, u1)(g2, u2) = (g1 g2, g1 u2 + u1)``.
-* se(3)* elements are flat 6-vectors ``[Pi, Gamma]`` paired with the
-  algebra by the Euclidean dot product.
 
 Every scalar coefficient function switches to a Taylor polynomial below
 ``|z| = 0.5``; the closed forms cancel catastrophically near zero while
@@ -19,7 +17,6 @@ the degree-12 polynomials are exact to machine precision on that range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,7 +26,6 @@ from .kernels import cross
 __all__ = [
     "BranchError",
     "hat",
-    "vee",
     "exp_so3",
     "exp_se3",
     "se3_compose",
@@ -40,14 +36,6 @@ __all__ = [
     "dexpinv_series",
     "dexpinv_so3",
     "dexpinv_se3",
-    "dexp_se3",
-    "AnalyticPhi",
-    "DEXPINV_PHI",
-    "DEXP_PHI",
-    "apply_phi_ad_se3",
-    "Ad_se3",
-    "coAd_se3",
-    "coad_se3",
     "dexp_so3_matrix",
     "dexp_star_so3",
 ]
@@ -65,14 +53,6 @@ def hat(xi):
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def vee(M, tol: float = 1e-10):
-    """Inverse of the hat map; rejects matrices that are not skew."""
-    M = np.asarray(M, dtype=float)
-    if np.max(np.abs(M + M.T)) > tol * max(1.0, np.max(np.abs(M))):
-        raise ValueError("matrix is not skew-symmetric")
-    return np.array([M[2, 1], M[0, 2], M[1, 0]])
-
-
 def _poly_even(z2, coeffs):
     """Evaluate sum coeffs[k] * z2**k (Horner)."""
     acc = 0.0
@@ -85,42 +65,8 @@ def _poly_even(z2, coeffs):
 _SINC = (1.0, -1 / 6, 1 / 120, -1 / 5040, 1 / 362880, -1 / 39916800, 1 / 6227020800)
 _COSC = (1 / 2, -1 / 24, 1 / 720, -1 / 40320, 1 / 3628800, -1 / 479001600, 1 / 87178291200)
 _DEXP_G2 = (1 / 6, -1 / 120, 1 / 5040, -1 / 362880, 1 / 39916800, -1 / 6227020800, 1 / 1307674368000)
-_DEXP_G1T = (-1 / 12, 1 / 180, -1 / 6720, 1 / 453600, -1 / 47900160, 1 / 7264857600, -1 / 1494484992000)
-_DEXP_G2T = (-1 / 60, 1 / 1260, -1 / 60480, 1 / 4989600, -1 / 622702080, 1 / 108972864000, -1 / 25406244864000)
 _DEXPINV_G2 = (1 / 12, 1 / 720, 1 / 30240, 1 / 1209600, 1 / 47900160, 691 / 1307674368000, 1 / 74724249600)
 _DEXPINV_G2T = (1 / 360, 1 / 7560, 1 / 201600, 1 / 5987520, 691 / 130767436800, 1 / 6227020800, 3617 / 762187345920000)
-
-
-def _cosc(z):
-    # (1 - cos z)/z**2
-    if abs(z) < _SERIES_CUTOFF:
-        return _poly_even(z * z, _COSC)
-    return (1.0 - np.cos(z)) / (z * z)
-
-
-def _dexp_g1(z):
-    return _cosc(z)
-
-
-def _dexp_g2(z):
-    # (z - sin z)/z**3
-    if abs(z) < _SERIES_CUTOFF:
-        return _poly_even(z * z, _DEXP_G2)
-    return (z - np.sin(z)) / z**3
-
-
-def _dexp_g1t(z):
-    # d/dz[(1-cos z)/z^2] / z
-    if abs(z) < _SERIES_CUTOFF:
-        return _poly_even(z * z, _DEXP_G1T)
-    return (z * np.sin(z) - 2.0 + 2.0 * np.cos(z)) / z**4
-
-
-def _dexp_g2t(z):
-    # d/dz[(z - sin z)/z^3] / z
-    if abs(z) < _SERIES_CUTOFF:
-        return _poly_even(z * z, _DEXP_G2T)
-    return (z * (1.0 - np.cos(z)) - 3.0 * (z - np.sin(z))) / z**5
 
 
 def _dexpinv_g2(z):
@@ -294,90 +240,30 @@ def dexpinv_so3(u, v):
     return v - 0.5 * uv + _dexpinv_g2(alpha) * cross(u, uv)
 
 
-@dataclass(frozen=True)
-class AnalyticPhi:
-    """Scalar data of an analytic function of ad on se(3).
+def dexpinv_se3(u, v):
+    """Exact dexpinv on se(3); principal branch on the rotational part.
 
-    ``phi0`` is phi(0); the four callables are the g1/g1~/g2/g2~
-    functions of the rotation angle, each with its own series fallback.
+    For u = (A, a), v = (B, b), rho = A.a and alpha = |A|, dexpinv_u v =
+    (C, c) with
+    C = B - 1/2 A x B + g2 A x (A x B),
+    c = b - 1/2 (a x B + A x b) + rho g2~ A x (A x B)
+        + g2 (a x (A x B) + A x (a x B) + A x (A x b)),
+    where g2 = (1 - (alpha/2) cot(alpha/2)) / alpha^2 and g2~ = g2'/alpha.
     """
-
-    phi0: float
-    g1: Callable[[float], float]
-    g1t: Callable[[float], float]
-    g2: Callable[[float], float]
-    g2t: Callable[[float], float]
-
-
-DEXPINV_PHI = AnalyticPhi(
-    phi0=1.0,
-    g1=lambda z: -0.5,
-    g1t=lambda z: 0.0,
-    g2=_dexpinv_g2,
-    g2t=_dexpinv_g2t,
-)
-
-DEXP_PHI = AnalyticPhi(
-    phi0=1.0,
-    g1=_dexp_g1,
-    g1t=_dexp_g1t,
-    g2=_dexp_g2,
-    g2t=_dexp_g2t,
-)
-
-
-def apply_phi_ad_se3(x, y, phi: AnalyticPhi):
-    """Evaluate phi(ad_x) y on se(3) from the closed two-block formula."""
-    A, a = x[:3], x[3:6]
-    B, b = y[:3], y[3:6]
+    A, a = u[:3], u[3:6]
+    B, b = v[:3], v[3:6]
     alpha = np.linalg.norm(A)
+    if alpha >= 2.0 * np.pi:
+        raise BranchError("rotational norm >= 2*pi")
     rho = float(A @ a)
-    g1 = phi.g1(alpha)
-    g1t = phi.g1t(alpha)
-    g2 = phi.g2(alpha)
-    g2t = phi.g2t(alpha)
+    g2 = _dexpinv_g2(alpha)
     AxB = cross(A, B)
     AxAxB = cross(A, AxB)
-    C = phi.phi0 * B + g1 * AxB + g2 * AxAxB
+    C = B - 0.5 * AxB + g2 * AxAxB
     c = (
-        phi.phi0 * b
-        + g1 * (cross(a, B) + cross(A, b))
-        + rho * g1t * AxB
-        + rho * g2t * AxAxB
+        b
+        - 0.5 * (cross(a, B) + cross(A, b))
+        + rho * _dexpinv_g2t(alpha) * AxAxB
         + g2 * (cross(a, AxB) + cross(A, cross(a, B)) + cross(A, cross(A, b)))
     )
     return np.concatenate([C, c])
-
-
-def dexpinv_se3(u, v):
-    """Exact dexpinv on se(3); principal branch on the rotational part."""
-    if np.linalg.norm(u[:3]) >= 2.0 * np.pi:
-        raise BranchError("rotational norm >= 2*pi")
-    return apply_phi_ad_se3(u, v, DEXPINV_PHI)
-
-
-def dexp_se3(u, v):
-    """Exact dexp on se(3) (right-trivialized differential of exp)."""
-    return apply_phi_ad_se3(u, v, DEXP_PHI)
-
-
-def Ad_se3(g, x):
-    """Adjoint action of SE(3): Ad_(R,r)(u,v) = (Ru, Rv + hat(r) Ru)."""
-    R, r = g
-    u, v = x[:3], x[3:6]
-    Ru = R @ u
-    return np.concatenate([Ru, R @ v + cross(r, Ru)])
-
-
-def coAd_se3(g, mu):
-    """Coadjoint map Ad*_(g,u) on se(3)*: (g^-1(Pi - u x Gamma), g^-1 Gamma)."""
-    R, u = g
-    Pi, Gamma = mu[:3], mu[3:6]
-    return np.concatenate([R.T @ (Pi - cross(u, Gamma)), R.T @ Gamma])
-
-
-def coad_se3(x, mu):
-    """Infinitesimal coadjoint map ad*_(xi,u) on se(3)*."""
-    xi, u = x[:3], x[3:6]
-    Pi, Gamma = mu[:3], mu[3:6]
-    return np.concatenate([-cross(xi, Pi) - cross(u, Gamma), -cross(xi, Gamma)])

@@ -248,7 +248,7 @@ def test_criterion_4_symplectic_long_run():
     system = get_system("heavytop-ext")
     h, n = 0.01, 6000
     # the fixed-point solve stops contracting at this step size for the
-    # fast benchmark top; the root solve converges
+    # fast benchmark top; the simplified Newton solve converges
     _, ys = symplectic_integrate(system, 0.5, h, n, solve=SolveConfig(method="newton"))
     e = np.array([system.energy(y) for y in ys])
     err = np.abs(e - e[0])

@@ -23,7 +23,7 @@ from geomint.actions import (
     translation_action,
     ts2_action,
 )
-from geomint.lie import dexpinv_series, exp_so3
+from geomint.lie import BranchError, dexpinv_series, dexpinv_so3, exp_so3
 
 rng = np.random.default_rng(2024)
 
@@ -133,8 +133,6 @@ def test_generator_finite_difference_is_second_order(case):
 
 def test_dexpinv_matches_bracket_series(case):
     action, point = case
-    if action.dexpinv is None:
-        pytest.skip("no exact dexpinv registered")
     u = _random_algebra(action, scale=0.05)
     v = rng.normal(size=action.algebra_dim)
     got = action.dexpinv(u, v)
@@ -193,3 +191,18 @@ def test_generator_ts2_stays_tangent():
     # d/dt |q|^2 = 0 and d/dt (q.w) = 0 along the generator
     assert abs(q @ dq) < 1e-12
     assert abs(dq @ w + q @ dw) < 1e-12
+
+
+# -- SO(3) from the right ----------------------------------------------------
+
+
+def test_right_action_dexpinv_keeps_branch_check():
+    # the opposite group's dexpinv is the so(3) one at -u, so it leaves
+    # the principal branch where dexpinv_so3 does
+    action = so3_right_action()
+    with pytest.raises(BranchError):
+        action.dexpinv(np.array([7.0, 0.0, 0.0]), np.ones(3))
+    with pytest.raises(BranchError):
+        body_top_action().dexpinv(np.array([7.0, 0, 0, 0, 0, 0]), np.ones(6))
+    u, v = rng.normal(size=3), rng.normal(size=3)
+    np.testing.assert_array_equal(action.dexpinv(u, v), dexpinv_so3(-u, v))

@@ -30,7 +30,7 @@ from geomint.integrators import (
     so3r3_cotangent_group,
     symplectic_step,
 )
-from geomint.lie import dexp_star_so3, exp_so3
+from geomint.lie import dexp_star_so3, dexpinv_series, exp_so3
 
 rng = np.random.default_rng(99)
 
@@ -137,11 +137,14 @@ def test_constant_field_exact(method):
     assert np.linalg.norm(ys[-1] - exact) <= 1e-13
 
 
-# -- truncated dexpinv fallback ------------------------------------------------
+# -- dexpinv in the RKMK stages ------------------------------------------------
 
 
 def test_series_dexpinv_matches_exact_for_small_steps():
     action = coadjoint_so3_action()
+    series_action = replace(
+        action, dexpinv=lambda u, v: dexpinv_series(u, v, 8, bracket=action.bracket)
+    )
     iinv = np.array([1.0, 0.5, 2.0])
 
     def euler_field(mu):
@@ -150,8 +153,25 @@ def test_series_dexpinv_matches_exact_for_small_steps():
     h = 1e-3
     y0 = np.array([0.3, -1.1, 0.8])
     exact = rkmk_step(action, euler_field, y0, h, tableau=RK4)
-    series = make_rkmk_stepper(RK4, trunc_order=8)(action, euler_field, y0, h)
+    series = make_rkmk_stepper(RK4)(series_action, euler_field, y0, h)
     np.testing.assert_allclose(series.y_next, exact.y_next, atol=1e-12)
+
+
+@pytest.mark.parametrize("method,calls", [("rkmk3", 2), ("rkmk4", 3), ("rkmk54", 6)])
+def test_rkmk_skips_dexpinv_at_the_first_stage(method, calls):
+    # stage 1 sits at sigma = 0, where dexpinv is the identity
+    action = coadjoint_so3_action()
+    seen = []
+
+    def dexpinv(u, v):
+        seen.append(u)
+        return action.dexpinv(u, v)
+
+    f = lambda mu: np.array([1.0, 0.5, 2.0]) * mu
+    y0 = np.array([0.3, -1.1, 0.8])
+    METHODS[method].stepper(replace(action, dexpinv=dexpinv), f, y0, 0.1)
+    assert len(seen) == calls
+    assert all(np.any(u != 0.0) for u in seen)
 
 
 def test_rkmk54_error_estimate_scales_at_order_five():

@@ -5,16 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+from geomint.kernels import cross
 from geomint.lie import (
-    Ad_se3,
     BranchError,
-    DEXP_PHI,
-    DEXPINV_PHI,
     ad_bracket,
-    apply_phi_ad_se3,
-    coAd_se3,
-    coad_se3,
-    dexp_se3,
     dexp_so3_matrix,
     dexp_star_so3,
     dexpinv_se3,
@@ -26,7 +20,6 @@ from geomint.lie import (
     se3_bracket,
     se3_compose,
     se3_inverse,
-    vee,
 )
 
 rng = np.random.default_rng(42)
@@ -41,6 +34,60 @@ def _homogeneous(x):
     M[:3, :3] = hat(x[:3])
     M[:3, 3] = x[3:6]
     return M
+
+
+# -- reference maps the integrators do not use ---------------------------------
+
+
+def vee(M, tol: float = 1e-10):
+    """Inverse of the hat map; rejects matrices that are not skew."""
+    M = np.asarray(M, dtype=float)
+    if np.max(np.abs(M + M.T)) > tol * max(1.0, np.max(np.abs(M))):
+        raise ValueError("matrix is not skew-symmetric")
+    return np.array([M[2, 1], M[0, 2], M[1, 0]])
+
+
+# Taylor coefficients in z**2 of the dexp coefficient functions g1, g1~,
+# g2, g2~ below the 0.5 cutoff, where their closed forms cancel
+_DEXP_G1 = (1 / 2, -1 / 24, 1 / 720, -1 / 40320, 1 / 3628800, -1 / 479001600, 1 / 87178291200)
+_DEXP_G2 = (1 / 6, -1 / 120, 1 / 5040, -1 / 362880, 1 / 39916800, -1 / 6227020800, 1 / 1307674368000)
+_DEXP_G1T = (-1 / 12, 1 / 180, -1 / 6720, 1 / 453600, -1 / 47900160, 1 / 7264857600, -1 / 1494484992000)
+_DEXP_G2T = (-1 / 60, 1 / 1260, -1 / 60480, 1 / 4989600, -1 / 622702080, 1 / 108972864000, -1 / 25406244864000)
+
+
+def _series_or(z, coeffs, closed):
+    if abs(z) < 0.5:
+        return sum(c * z ** (2 * k) for k, c in enumerate(coeffs))
+    return closed(z)
+
+
+def dexp_se3(u, v):
+    """Exact dexp on se(3) (right-trivialized differential of exp): the
+    two-block closed form of phi(ad_u) v for phi(z) = (e^z - 1)/z."""
+    A, a = u[:3], u[3:6]
+    B, b = v[:3], v[3:6]
+    alpha = np.linalg.norm(A)
+    rho = float(A @ a)
+    # (1 - cos z)/z^2, (z - sin z)/z^3 and their z-derivatives over z
+    g1 = _series_or(alpha, _DEXP_G1, lambda z: (1.0 - np.cos(z)) / z**2)
+    g2 = _series_or(alpha, _DEXP_G2, lambda z: (z - np.sin(z)) / z**3)
+    g1t = _series_or(
+        alpha, _DEXP_G1T, lambda z: (z * np.sin(z) - 2.0 + 2.0 * np.cos(z)) / z**4
+    )
+    g2t = _series_or(
+        alpha, _DEXP_G2T, lambda z: (z * (1.0 - np.cos(z)) - 3.0 * (z - np.sin(z))) / z**5
+    )
+    AxB = cross(A, B)
+    AxAxB = cross(A, AxB)
+    C = B + g1 * AxB + g2 * AxAxB
+    c = (
+        b
+        + g1 * (cross(a, B) + cross(A, b))
+        + rho * g1t * AxB
+        + rho * g2t * AxAxB
+        + g2 * (cross(a, AxB) + cross(A, cross(a, B)) + cross(A, cross(A, b)))
+    )
+    return np.concatenate([C, c])
 
 
 # -- hat / vee ---------------------------------------------------------------
@@ -260,9 +307,7 @@ def test_so3_kernels_give_nan_for_non_finite_input(bad):
 def test_apply_phi_matches_series_for_dexpinv():
     u = 0.1 * rng.normal(size=6)
     v = rng.normal(size=6)
-    got = apply_phi_ad_se3(u, v, DEXPINV_PHI)
-    ref = dexpinv_series(u, v, 8)
-    np.testing.assert_allclose(got, ref, atol=1e-12)
+    np.testing.assert_allclose(dexpinv_se3(u, v), dexpinv_series(u, v, 8), atol=1e-12)
 
 
 def test_apply_phi_dexp_matches_bracket_series():
@@ -276,7 +321,7 @@ def test_apply_phi_dexp_matches_bracket_series():
         ref += w / fact
         w = se3_bracket(u, w)
         fact *= k + 2
-    np.testing.assert_allclose(apply_phi_ad_se3(u, v, DEXP_PHI), ref, atol=1e-12)
+    np.testing.assert_allclose(dexp_se3(u, v), ref, atol=1e-12)
 
 
 # -- branch handling ---------------------------------------------------------
@@ -294,44 +339,7 @@ def test_branch_errors():
     dexpinv_so3(0.99 * u, np.ones(3))
 
 
-# -- adjoint / coadjoint pairings --------------------------------------------
-
-
-def test_Ad_se3_is_homomorphism():
-    g1 = exp_se3(rng.normal(size=6))
-    g2 = exp_se3(rng.normal(size=6))
-    x = rng.normal(size=6)
-    np.testing.assert_allclose(
-        Ad_se3(se3_compose(g1, g2), x), Ad_se3(g1, Ad_se3(g2, x)), atol=1e-12
-    )
-
-
-def test_Ad_se3_matches_conjugation():
-    g = exp_se3(rng.normal(size=6))
-    x = rng.normal(size=6)
-    G = np.eye(4)
-    G[:3, :3], G[:3, 3] = g
-    M = G @ _homogeneous(x) @ np.linalg.inv(G)
-    got = _homogeneous(Ad_se3(g, x))
-    np.testing.assert_allclose(got, M, atol=1e-12)
-
-
-def test_coAd_pairing():
-    g = exp_se3(rng.normal(size=6))
-    mu, x = rng.normal(size=6), rng.normal(size=6)
-    assert abs(coAd_se3(g, mu) @ x - mu @ Ad_se3(g, x)) < 1e-11
-
-
-def test_coad_pairing():
-    x, y, mu = rng.normal(size=6), rng.normal(size=6), rng.normal(size=6)
-    assert abs(coad_se3(x, mu) @ y - mu @ se3_bracket(x, y)) < 1e-12
-
-
-def test_coad_is_derivative_of_coAd():
-    x, mu = rng.normal(size=6), rng.normal(size=6)
-    eps = 1e-6
-    fd = (coAd_se3(exp_se3(eps * x), mu) - coAd_se3(exp_se3(-eps * x), mu)) / (2 * eps)
-    np.testing.assert_allclose(fd, coad_se3(x, mu), atol=1e-8)
+# -- coadjoint pairing -------------------------------------------------------
 
 
 def test_dexp_star_so3_is_transpose():
