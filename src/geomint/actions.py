@@ -18,6 +18,7 @@ The generator of every action equals the t-derivative of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Any, Callable, Optional, Sequence
@@ -77,7 +78,7 @@ class HomogeneousAction:
     compose: Callable[[Any, Any], Any]
     identity: Any
     dexpinv: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    inverse: Optional[Callable[[Any], Any]] = None
+    inverse: Callable[[Any], Any]
     check: Optional[Callable[[np.ndarray], None]] = None
 
 
@@ -233,19 +234,38 @@ _TS2_TOL = 1e-9
 
 
 def _check_ts2(m):
-    q, omega = m[:3], m[3:6]
-    if abs(q @ q - 1.0) > 2.0 * _TS2_TOL:
-        raise ValueError(f"|q| off the unit sphere by {abs(np.linalg.norm(q)-1.0):.2e}")
-    if abs(q @ omega) > _TS2_TOL * max(1.0, np.linalg.norm(omega)):
-        raise ValueError(f"omega not tangent: q.omega = {q @ omega:.2e}")
+    """The floats (q, w) of a point m; ValueError unless m is on TS^2."""
+    q1, q2, q3, w1, w2, w3 = m.tolist()
+    qq = q1 * q1 + q2 * q2 + q3 * q3
+    if abs(qq - 1.0) > 2.0 * _TS2_TOL:
+        raise ValueError(f"|q| off the unit sphere by {abs(math.sqrt(qq) - 1.0):.2e}")
+    qw = q1 * w1 + q2 * w2 + q3 * w3
+    if abs(qw) > _TS2_TOL * max(1.0, math.sqrt(w1 * w1 + w2 * w2 + w3 * w3)):
+        raise ValueError(f"omega not tangent: q.omega = {qw:.2e}")
+    return q1, q2, q3, w1, w2, w3
+
+
+def _shifted_rotation(g, x1, x2, x3, y1, y2, y3):
+    """R x + r x R y and R y for g = (R, r), as six floats."""
+    R, r = g
+    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = R.tolist()
+    t1, t2, t3 = r.tolist()
+    p1 = a1 * y1 + a2 * y2 + a3 * y3
+    p2 = b1 * y1 + b2 * y2 + b3 * y3
+    p3 = c1 * y1 + c2 * y2 + c3 * y3
+    return (
+        a1 * x1 + a2 * x2 + a3 * x3 + t2 * p3 - t3 * p2,
+        b1 * x1 + b2 * x2 + b3 * x3 + t3 * p1 - t1 * p3,
+        c1 * x1 + c2 * x2 + c3 * x3 + t1 * p2 - t2 * p1,
+        p1, p2, p3,
+    )
 
 
 def act_ts2(g, m):
     """SE(3) on TS^2: ((A,a),(q,w)) -> (Aq, Aw + a x Aq)."""
-    A, a = g
-    _check_ts2(m)
-    Aq = A @ m[:3]
-    return np.concatenate([Aq, A @ m[3:6] + cross(a, Aq)])
+    q1, q2, q3, w1, w2, w3 = _check_ts2(m)
+    s1, s2, s3, p1, p2, p3 = _shifted_rotation(g, w1, w2, w3, q1, q2, q3)
+    return np.array([p1, p2, p3, s1, s2, s3])
 
 
 def generator_ts2(xi, m):
@@ -288,10 +308,8 @@ def coadjoint_se3_action() -> HomogeneousAction:
     integrator's accuracy."""
 
     def act(g, mu):
-        R, u = g
-        Pi, Gamma = mu[:3], mu[3:6]
-        RGamma = R @ Gamma
-        return np.concatenate([R @ Pi + cross(u, RGamma), RGamma])
+        # (R Pi + u x R Gamma, R Gamma)
+        return np.array(_shifted_rotation(g, *mu.tolist()))
 
     def generator(xi, mu):
         # -ad*_(xi,v) mu
@@ -317,9 +335,17 @@ def cotangent_so3_action() -> HomogeneousAction:
 
     def act(g, m):
         A, nu = g
-        Q = m[:9].reshape(3, 3)
-        pi = m[9:12]
-        return np.concatenate([(A @ Q).ravel(), nu + A @ pi])
+        (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = A.tolist()
+        q1, q2, q3, q4, q5, q6, q7, q8, q9, p1, p2, p3 = m.tolist()
+        n1, n2, n3 = nu.tolist()
+        # A Q row by row, then nu + A pi
+        return np.array([
+            a1 * q1 + a2 * q4 + a3 * q7, a1 * q2 + a2 * q5 + a3 * q8, a1 * q3 + a2 * q6 + a3 * q9,
+            b1 * q1 + b2 * q4 + b3 * q7, b1 * q2 + b2 * q5 + b3 * q8, b1 * q3 + b2 * q6 + b3 * q9,
+            c1 * q1 + c2 * q4 + c3 * q7, c1 * q2 + c2 * q5 + c3 * q8, c1 * q3 + c2 * q6 + c3 * q9,
+            n1 + a1 * p1 + a2 * p2 + a3 * p3, n2 + b1 * p1 + b2 * p2 + b3 * p3,
+            n3 + c1 * p1 + c2 * p2 + c3 * p3,
+        ])
 
     def generator(xi, m):
         eta, delta = xi[:3], xi[3:6]

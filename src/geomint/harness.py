@@ -209,29 +209,14 @@ def _write_csv(path, cfg: RunConfig, header: Sequence[str], rows, meta=()) -> No
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _state_header(dim: int) -> List[str]:
-    return [f"x{i}" for i in range(dim)]
-
-
 def _emit_trajectory(cfg, system, ts, ys, hs, out_base) -> List[str]:
-    paths = []
-    dim = ys.shape[1]
-    traj = out_base + ".trajectory.csv"
-    rows = [
-        [float(t), float(h)] + [float(x) for x in y] for t, h, y in zip(ts, hs, ys)
-    ]
-    _write_csv(traj, cfg, ["t", "h"] + _state_header(dim), rows)
-    paths.append(traj)
-
-    inv = out_base + ".invariants.csv"
+    traj, inv = out_base + ".trajectory.csv", out_base + ".invariants.csv"
+    rows = [[t, h, *y] for t, h, y in zip(ts.tolist(), hs.tolist(), ys.tolist())]
+    _write_csv(traj, cfg, ["t", "h"] + [f"x{i}" for i in range(ys.shape[1])], rows)
     names = list(system.invariants)
-    rows = [
-        [float(t)] + [float(system.invariants[n](y)) for n in names]
-        for t, y in zip(ts, ys)
-    ]
+    rows = [[t] + [float(system.invariants[n](y)) for n in names] for t, y in zip(ts.tolist(), ys)]
     _write_csv(inv, cfg, ["t"] + names, rows)
-    paths.append(inv)
-    return paths
+    return [traj, inv]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
@@ -139,9 +140,20 @@ DOPRI54 = Tableau(
 
 @dataclass(frozen=True)
 class StepResult:
+    """The main update ``y_next``; for an embedded pair also ``y_aux``
+    and ``error_estimate``, None otherwise.  A pair hands over the work
+    only they need as the closure ``_embedded`` -> (y_aux, estimate),
+    run the first time either is read: fixed-step runs skip it."""
+
     y_next: np.ndarray
-    y_aux: Optional[np.ndarray] = None
-    error_estimate: Optional[float] = None
+    _embedded: Optional[Callable[[], Tuple[np.ndarray, float]]] = None
+
+    @cached_property
+    def _aux(self):
+        return (None, None) if self._embedded is None else self._embedded()
+
+    y_aux = property(lambda self: self._aux[0])
+    error_estimate = property(lambda self: self._aux[1])
 
 
 FieldMap = Callable[[np.ndarray], np.ndarray]
@@ -177,8 +189,10 @@ def rkmk_step(
     with the action's exact dexpinv; the first stage sits at sigma = 0,
     where dexpinv is the identity.
     """
+    # a first-same-as-last stage (its row is b) sits at y1 and feeds only b_hat
+    fsal = tableau.b_hat is not None and tableau.a[-1] + (0.0,) == tableau.b
     k: List[np.ndarray] = [f(y)]
-    for i in range(1, tableau.stages):
+    for i in range(1, tableau.stages - fsal):
         sigma = h * sum(
             (tableau.a[i][j] * k[j] for j in range(i) if tableau.a[i][j] != 0.0),
             np.zeros(action.algebra_dim),
@@ -188,13 +202,14 @@ def rkmk_step(
     y1 = action.act(action.exp(sigma1), y)
     if tableau.b_hat is None:
         return StepResult(y_next=y1)
-    sigma_hat = h * sum(b * ki for b, ki in zip(tableau.b_hat, k))
-    y_aux = action.act(action.exp(sigma_hat), y)
-    return StepResult(
-        y_next=y1,
-        y_aux=y_aux,
-        error_estimate=float(np.linalg.norm(sigma1 - sigma_hat)),
-    )
+
+    def embedded():
+        if fsal:
+            k.append(action.dexpinv(sigma1, f(y1)))
+        sigma_hat = h * sum(b * ki for b, ki in zip(tableau.b_hat, k))
+        return action.act(action.exp(sigma_hat), y), float(np.linalg.norm(sigma1 - sigma_hat))
+
+    return StepResult(y_next=y1, _embedded=embedded)
 
 
 def rkmk4_two_commutator_step(action, f, y, h) -> StepResult:
@@ -226,8 +241,15 @@ def cf4_step(action, f, y, h) -> StepResult:
     return StepResult(y_next=y1)
 
 
-def _ambient_distance(a, b) -> float:
-    return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
+def _cf_pair(y1, aux: Callable[[], np.ndarray]) -> StepResult:
+    """A commutator-free pair's result: ``aux()`` computes y_aux, and the
+    estimate is the ambient distance between the two updates."""
+
+    def embedded():
+        y_aux = aux()
+        return y_aux, float(np.linalg.norm(y1 - y_aux))
+
+    return StepResult(y_next=y1, _embedded=embedded)
 
 
 def cf32_step_A(action, f, y, h) -> StepResult:
@@ -239,8 +261,7 @@ def cf32_step_A(action, f, y, h) -> StepResult:
     y3 = action.act(action.exp(2.0 * h / 3.0 * f2), y)
     f3 = f(y3)
     y1 = action.act(action.exp(h * (-f1 / 12.0 + 0.75 * f3)), y2)
-    y_aux = action.act(action.exp(0.5 * h * (f2 + f3)), y)
-    return StepResult(y_next=y1, y_aux=y_aux, error_estimate=_ambient_distance(y1, y_aux))
+    return _cf_pair(y1, lambda: action.act(action.exp(0.5 * h * (f2 + f3)), y))
 
 
 def cf32_step_B(action, f, y, h) -> StepResult:
@@ -251,8 +272,7 @@ def cf32_step_B(action, f, y, h) -> StepResult:
     y3 = action.act(action.exp(h * (5.0 / 12.0 * f1 + 0.25 * f2)), y)
     f3 = f(y3)
     y1 = action.act(action.exp(h * (-f1 / 6.0 - 0.5 * f2 + f3)), y3)
-    y_aux = action.act(action.exp(0.25 * h * (f1 + 3.0 * f3)), y)
-    return StepResult(y_next=y1, y_aux=y_aux, error_estimate=_ambient_distance(y1, y_aux))
+    return _cf_pair(y1, lambda: action.act(action.exp(0.25 * h * (f1 + 3.0 * f3)), y))
 
 
 def cf43_step(action, f, y, h) -> StepResult:
@@ -261,12 +281,13 @@ def cf43_step(action, f, y, h) -> StepResult:
     f1, f2, f3, f4 = _cf4_stages(action, f, y, h)
     y_half = action.act(action.exp(h / 12.0 * (3.0 * f1 + 2.0 * f2 + 2.0 * f3 - f4)), y)
     y1 = action.act(action.exp(h / 12.0 * (-f1 + 2.0 * f2 + 2.0 * f3 + 3.0 * f4)), y_half)
-    f3bar = f(action.act(action.exp(0.75 * h * f2), y))
-    y_aux = action.act(
-        action.exp(h / 9.0 * (-f1 + 3.0 * f2 + 4.0 * f3bar)),
-        action.act(action.exp(h / 3.0 * f1), y),
-    )
-    return StepResult(y_next=y1, y_aux=y_aux, error_estimate=_ambient_distance(y1, y_aux))
+
+    def aux():
+        f3bar = f(action.act(action.exp(0.75 * h * f2), y))
+        y_third = action.act(action.exp(h / 3.0 * f1), y)
+        return action.act(action.exp(h / 9.0 * (-f1 + 3.0 * f2 + 4.0 * f3bar)), y_third)
+
+    return _cf_pair(y1, aux)
 
 
 def rkmk54_step(action, f, y, h) -> StepResult:
@@ -590,12 +611,13 @@ def adaptive_integrate(
             raise StepSizeUnderflowError(f"step size underflow at t = {t:.6g}")
         try:
             res = stepper(action, f, y, h_try)
+            # read inside the try: the embedded part runs here
+            e = res.error_estimate
         except BranchError:
             e = math.inf
         else:
-            if res.error_estimate is None:
+            if e is None:
                 raise ValueError("adaptive integration requires an embedded stepper")
-            e = res.error_estimate
         finite = math.isfinite(e)
         accepted = finite and e < cfg.tol
         log.append(StepAttempt(t=t, h=h_try, error_estimate=e, accepted=accepted))

@@ -74,7 +74,7 @@ def _dexpinv_g2(z):
     if abs(z) < _SERIES_CUTOFF:
         return _poly_even(z * z, _DEXPINV_G2)
     w = 0.5 * z
-    return (1.0 - w / np.tan(w)) / (z * z)
+    return (1.0 - w / math.tan(w)) / (z * z)
 
 
 def _dexpinv_g2t(z):
@@ -82,16 +82,15 @@ def _dexpinv_g2t(z):
     if abs(z) < _SERIES_CUTOFF:
         return _poly_even(z * z, _DEXPINV_G2T)
     w = 0.5 * z
-    c = 1.0 / np.tan(w)
+    c = 1.0 / math.tan(w)
     return (w * c + w * w * (1.0 + c * c) - 2.0) / z**4
 
 
-def _floats3(v):
-    """The components of a 3-vector (array, list or tuple) as floats."""
+def _floats(v):
+    """The components of a vector (array, list or tuple) as floats."""
     if isinstance(v, np.ndarray):
         return v.tolist()
-    x, y, z = v
-    return float(x), float(y), float(z)
+    return [float(c) for c in v]
 
 
 def _sin_cos(a):
@@ -119,43 +118,44 @@ def _dexp_coeffs(a2):
     return (1.0 - c) / a2, (a - s) / (a2 * a)
 
 
-def _identity_plus_hat(x, y, z, p, q):
-    """I + p hat(v) + q hat(v)^2 for v = (x, y, z), using
-    hat(v)^2 = v v^T - |v|^2 I."""
+def _identity_plus_hat(x, y, z, p, q, *tail):
+    """I + p hat(v) + q hat(v)^2 for v = (x, y, z), using hat(v)^2 =
+    v v^T - |v|^2 I, row by row and then ``tail``, as one flat array."""
     xy, xz, yz = q * x * y, q * x * z, q * y * z
     xx, yy, zz = x * x, y * y, z * z
     px, py, pz = p * x, p * y, p * z
-    # one flat list and a reshape: numpy parses it twice as fast as nested rows
+    # one flat list: numpy parses it twice as fast as nested rows
     return np.array(
         [
             1.0 - q * (yy + zz), xy - pz, xz + py,
             xy + pz, 1.0 - q * (xx + zz), yz - px,
             xz - py, yz + px, 1.0 - q * (xx + yy),
+            *tail,
         ]
-    ).reshape(3, 3)
+    )
 
 
 def exp_so3(xi):
     """Rodrigues rotation matrix exp(hat(xi))."""
-    x, y, z = _floats3(xi)
-    return _identity_plus_hat(x, y, z, *_exp_coeffs(x * x + y * y + z * z))
+    x, y, z = _floats(xi)
+    return _identity_plus_hat(x, y, z, *_exp_coeffs(x * x + y * y + z * z)).reshape(3, 3)
 
 
 def dexp_so3_matrix(u):
     """3x3 matrix of dexp_u on so(3): I + cosc(a) hat(u) + g2(a) hat(u)^2."""
-    x, y, z = _floats3(u)
-    return _identity_plus_hat(x, y, z, *_dexp_coeffs(x * x + y * y + z * z))
+    x, y, z = _floats(u)
+    return _identity_plus_hat(x, y, z, *_dexp_coeffs(x * x + y * y + z * z)).reshape(3, 3)
 
 
 def dexp_star_so3(u, mu):
     """Dual of dexp_u on so(3)*: the transpose of the dexp matrix,
     mu - cosc(a) u x mu + g2(a) (u (u . mu) - a^2 mu)."""
-    x, y, z = _floats3(u)
+    x, y, z = _floats(u)
     a2 = x * x + y * y + z * z
     if math.sqrt(a2) >= 2.0 * math.pi:
         raise BranchError("||u|| >= 2*pi")
     p, q = _dexp_coeffs(a2)
-    m1, m2, m3 = _floats3(mu)
+    m1, m2, m3 = _floats(mu)
     um = q * (x * m1 + y * m2 + z * m3)
     qa2 = 1.0 - q * a2
     return np.array(
@@ -170,11 +170,23 @@ def dexp_star_so3(u, mu):
 def exp_se3(x):
     """Group exponential of se(3); returns an ``(R, r)`` pair.
 
-    Equals the exponential of the 4x4 homogeneous matrix: the
-    translational part is the so(3) dexp matrix applied to ``a``.
+    Equals the exponential of the 4x4 homogeneous matrix: r is the so(3)
+    dexp matrix applied to a, a + cosc A x a + g2 (A (A . a) - |A|^2 a).
     """
-    A, a = np.asarray(x[:3], dtype=float), np.asarray(x[3:6], dtype=float)
-    return exp_so3(A), dexp_so3_matrix(A) @ a
+    x, y, z, a1, a2, a3 = _floats(x)
+    t2 = x * x + y * y + z * z
+    s, p = _exp_coeffs(t2)
+    # g2 = (t - sin t)/t^3 = (1 - sinc t)/t^2
+    q = _poly_even(t2, _DEXP_G2) if t2 < _SERIES_CUTOFF * _SERIES_CUTOFF else (1.0 - s) / t2
+    qa = q * (x * a1 + y * a2 + z * a3)
+    qt = 1.0 - q * t2
+    g = _identity_plus_hat(
+        x, y, z, s, p,
+        qt * a1 + p * (y * a3 - z * a2) + qa * x,
+        qt * a2 + p * (z * a1 - x * a3) + qa * y,
+        qt * a3 + p * (x * a2 - y * a1) + qa * z,
+    )
+    return g[:9].reshape(3, 3), g[9:]
 
 
 def se3_compose(g1, g2):
@@ -232,12 +244,20 @@ def dexpinv_series(u, v, order: int, bracket: Callable = ad_bracket):
 
 
 def dexpinv_so3(u, v):
-    """Exact dexpinv on so(3); principal branch ``||u|| < 2*pi``."""
-    alpha = np.linalg.norm(u)
-    if alpha >= 2.0 * np.pi:
+    """Exact dexpinv on so(3); principal branch ``||u|| < 2*pi``:
+    v - 1/2 u x v + g2 u x (u x v)."""
+    x, y, z = _floats(u)
+    alpha = math.sqrt(x * x + y * y + z * z)
+    if alpha >= 2.0 * math.pi:
         raise BranchError("||u|| >= 2*pi")
-    uv = cross(u, v)
-    return v - 0.5 * uv + _dexpinv_g2(alpha) * cross(u, uv)
+    v1, v2, v3 = _floats(v)
+    w1, w2, w3 = y * v3 - z * v2, z * v1 - x * v3, x * v2 - y * v1
+    g = _dexpinv_g2(alpha)
+    return np.array([
+        v1 - 0.5 * w1 + g * (y * w3 - z * w2),
+        v2 - 0.5 * w2 + g * (z * w1 - x * w3),
+        v3 - 0.5 * w3 + g * (x * w2 - y * w1),
+    ])
 
 
 def dexpinv_se3(u, v):
@@ -246,24 +266,27 @@ def dexpinv_se3(u, v):
     For u = (A, a), v = (B, b), rho = A.a and alpha = |A|, dexpinv_u v =
     (C, c) with
     C = B - 1/2 A x B + g2 A x (A x B),
-    c = b - 1/2 (a x B + A x b) + rho g2~ A x (A x B)
-        + g2 (a x (A x B) + A x (a x B) + A x (A x b)),
+    c = b - 1/2 W + rho g2~ A x (A x B) + g2 (a x (A x B) + A x W),
+    W = a x B + A x b,
     where g2 = (1 - (alpha/2) cot(alpha/2)) / alpha^2 and g2~ = g2'/alpha.
     """
-    A, a = u[:3], u[3:6]
-    B, b = v[:3], v[3:6]
-    alpha = np.linalg.norm(A)
-    if alpha >= 2.0 * np.pi:
+    x, y, z, a1, a2, a3 = _floats(u)
+    alpha = math.sqrt(x * x + y * y + z * z)
+    if alpha >= 2.0 * math.pi:
         raise BranchError("rotational norm >= 2*pi")
-    rho = float(A @ a)
-    g2 = _dexpinv_g2(alpha)
-    AxB = cross(A, B)
-    AxAxB = cross(A, AxB)
-    C = B - 0.5 * AxB + g2 * AxAxB
-    c = (
-        b
-        - 0.5 * (cross(a, B) + cross(A, b))
-        + rho * _dexpinv_g2t(alpha) * AxAxB
-        + g2 * (cross(a, AxB) + cross(A, cross(a, B)) + cross(A, cross(A, b)))
-    )
-    return np.concatenate([C, c])
+    B1, B2, B3, b1, b2, b3 = _floats(v)
+    g = _dexpinv_g2(alpha)
+    gt = (x * a1 + y * a2 + z * a3) * _dexpinv_g2t(alpha)
+    # P = A x B, Q = A x P
+    P1, P2, P3 = y * B3 - z * B2, z * B1 - x * B3, x * B2 - y * B1
+    Q1, Q2, Q3 = y * P3 - z * P2, z * P1 - x * P3, x * P2 - y * P1
+    # W = a x B + A x b
+    W1 = a2 * B3 - a3 * B2 + y * b3 - z * b2
+    W2 = a3 * B1 - a1 * B3 + z * b1 - x * b3
+    W3 = a1 * B2 - a2 * B1 + x * b2 - y * b1
+    return np.array([
+        B1 - 0.5 * P1 + g * Q1, B2 - 0.5 * P2 + g * Q2, B3 - 0.5 * P3 + g * Q3,
+        b1 - 0.5 * W1 + gt * Q1 + g * (a2 * P3 - a3 * P2 + y * W3 - z * W2),
+        b2 - 0.5 * W2 + gt * Q2 + g * (a3 * P1 - a1 * P3 + z * W1 - x * W3),
+        b3 - 0.5 * W3 + gt * Q3 + g * (a1 * P2 - a2 * P1 + x * W2 - y * W1),
+    ])

@@ -30,7 +30,7 @@ from geomint.integrators import (
     so3r3_cotangent_group,
     symplectic_step,
 )
-from geomint.lie import dexp_star_so3, dexpinv_series, exp_so3
+from geomint.lie import BranchError, dexp_star_so3, dexpinv_series, exp_so3
 
 rng = np.random.default_rng(99)
 
@@ -159,7 +159,8 @@ def test_series_dexpinv_matches_exact_for_small_steps():
 
 @pytest.mark.parametrize("method,calls", [("rkmk3", 2), ("rkmk4", 3), ("rkmk54", 6)])
 def test_rkmk_skips_dexpinv_at_the_first_stage(method, calls):
-    # stage 1 sits at sigma = 0, where dexpinv is the identity
+    # stage 1 sits at sigma = 0, where dexpinv is the identity; the
+    # estimate is read so that rkmk54 also runs its seventh stage
     action = coadjoint_so3_action()
     seen = []
 
@@ -169,9 +170,71 @@ def test_rkmk_skips_dexpinv_at_the_first_stage(method, calls):
 
     f = lambda mu: np.array([1.0, 0.5, 2.0]) * mu
     y0 = np.array([0.3, -1.1, 0.8])
-    METHODS[method].stepper(replace(action, dexpinv=dexpinv), f, y0, 0.1)
+    METHODS[method].stepper(replace(action, dexpinv=dexpinv), f, y0, 0.1).error_estimate
     assert len(seen) == calls
     assert all(np.any(u != 0.0) for u in seen)
+
+
+def _counted(action, f):
+    """The action and field with exp, dexpinv and field calls counted."""
+    counts = {"f": 0, "exp": 0, "dexpinv": 0}
+
+    def counting(key, fn):
+        def wrapped(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return wrapped
+
+    counted = replace(action, exp=counting("exp", action.exp),
+                      dexpinv=counting("dexpinv", action.dexpinv))
+    return counted, counting("f", f), counts
+
+
+# (field evaluations, exps, dexpinvs) per step without and with the estimate
+@pytest.mark.parametrize(
+    "method,main,with_estimate",
+    [("rkmk54", (6, 6, 5), (7, 7, 6)), ("cf43", (4, 5, 0), (5, 8, 0))],
+)
+def test_fixed_step_runs_skip_the_embedded_part(method, main, with_estimate):
+    stepper = METHODS[method].stepper
+    f = lambda mu: np.array([1.0, 0.5, 2.0]) * mu
+    y0 = np.array([0.3, -1.1, 0.8])
+    action, field, counts = _counted(coadjoint_so3_action(), f)
+    fixed_integrate(action, field, stepper, y0, 0.0, 0.4, 4)
+    assert tuple(v / 4 for v in counts.values()) == main
+
+    counts.update(f=0, exp=0, dexpinv=0)
+    res = stepper(action, field, y0, 0.1)
+    assert res.error_estimate > 0.0
+    assert tuple(counts.values()) == with_estimate
+
+    plain = stepper(coadjoint_so3_action(), f, y0, 0.1)
+    np.testing.assert_array_equal(plain.y_next, res.y_next)
+    assert res.y_aux is not None
+
+
+def test_adaptive_rejects_branch_error_in_the_embedded_part():
+    # DOPRI54's seventh stage sits at the final sigma and runs only when
+    # the estimate is read; a BranchError there rejects the trial step
+    action = coadjoint_so3_action()
+    calls = []
+
+    def dexpinv(u, v):
+        calls.append(u)
+        if len(calls) == 6:  # the first trial step's seventh stage
+            raise BranchError("outside the principal branch")
+        return action.dexpinv(u, v)
+
+    f = lambda mu: np.array([1.0, 0.5, 2.0]) * mu
+    cfg = ControllerConfig(tol=1e-6, alpha=0.2)
+    res = adaptive_integrate(replace(action, dexpinv=dexpinv), f, rkmk54_step,
+                             np.array([0.3, -1.1, 0.8]), 0.0, 0.5, 0.1, cfg)
+    first, second = res.step_log[:2]
+    assert first.error_estimate == np.inf and not first.accepted
+    assert second.h == 0.05
+    assert res.rejects >= 1
+    assert res.ts[-1] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_rkmk54_error_estimate_scales_at_order_five():
@@ -264,7 +327,7 @@ def test_adaptive_rejects_non_finite_estimate_and_halves_h():
     # a trial step longer than 0.05 reports a NaN estimate
     def stepper(action, f, y, h):
         res = rkmk54_step(action, f, y, h)
-        return replace(res, error_estimate=np.nan) if h > 0.05 else res
+        return replace(res, _embedded=lambda: (res.y_aux, np.nan)) if h > 0.05 else res
 
     cfg = ControllerConfig(tol=1e-8, alpha=0.2)
     res = adaptive_integrate(ACTION2, _linear_field, stepper, Y0, 0.0, 1.0, 0.08, cfg)

@@ -90,6 +90,57 @@ def dexp_se3(u, v):
     return np.concatenate([C, c])
 
 
+# numpy references for the scalar se(3) kernels and dexpinv_so3: the same
+# closed forms through np.tan, np.linalg.norm and kernels.cross
+
+
+def _dexpinv_g2_ref(z):
+    if abs(z) < 0.5:
+        return sum(c * z ** (2 * k) for k, c in enumerate(_DEXPINV_G2))
+    w = 0.5 * z
+    return (1.0 - w / np.tan(w)) / (z * z)
+
+
+def _dexpinv_g2t_ref(z):
+    if abs(z) < 0.5:
+        return sum(c * z ** (2 * k) for k, c in enumerate(_DEXPINV_G2T))
+    w = 0.5 * z
+    c = 1.0 / np.tan(w)
+    return (w * c + w * w * (1.0 + c * c) - 2.0) / z**4
+
+
+_DEXPINV_G2 = (1 / 12, 1 / 720, 1 / 30240, 1 / 1209600, 1 / 47900160, 691 / 1307674368000, 1 / 74724249600)
+_DEXPINV_G2T = (1 / 360, 1 / 7560, 1 / 201600, 1 / 5987520, 691 / 130767436800, 1 / 6227020800, 3617 / 762187345920000)
+
+
+def exp_se3_ref(x):
+    A, a = np.asarray(x[:3], dtype=float), np.asarray(x[3:6], dtype=float)
+    return exp_so3(A), dexp_so3_matrix(A) @ a
+
+
+def dexpinv_so3_ref(u, v):
+    alpha = np.linalg.norm(u)
+    uv = cross(u, v)
+    return v - 0.5 * uv + _dexpinv_g2_ref(alpha) * cross(u, uv)
+
+
+def dexpinv_se3_ref(u, v):
+    A, a = u[:3], u[3:6]
+    B, b = v[:3], v[3:6]
+    alpha = np.linalg.norm(A)
+    g2 = _dexpinv_g2_ref(alpha)
+    AxB = cross(A, B)
+    AxAxB = cross(A, AxB)
+    C = B - 0.5 * AxB + g2 * AxAxB
+    c = (
+        b
+        - 0.5 * (cross(a, B) + cross(A, b))
+        + float(A @ a) * _dexpinv_g2t_ref(alpha) * AxAxB
+        + g2 * (cross(a, AxB) + cross(A, cross(a, B)) + cross(A, cross(A, b)))
+    )
+    return np.concatenate([C, c])
+
+
 # -- hat / vee ---------------------------------------------------------------
 
 
@@ -292,6 +343,7 @@ def test_so3_kernels_accept_lists_tuples_and_slices(scale):
         np.testing.assert_array_equal(exp_so3(arg), exp_so3(u))
         np.testing.assert_array_equal(dexp_so3_matrix(arg), dexp_so3_matrix(u))
         np.testing.assert_array_equal(dexp_star_so3(arg, list(mu)), dexp_star_so3(u, mu))
+        np.testing.assert_array_equal(dexpinv_so3(arg, tuple(mu)), dexpinv_so3(u, mu))
     with pytest.raises(BranchError):
         dexp_star_so3([0.0, 2.0 * np.pi, 0.0], (1.0, 2.0, 3.0))
 
@@ -302,6 +354,67 @@ def test_so3_kernels_give_nan_for_non_finite_input(bad):
     u = np.array([bad, 0.5, 0.0])
     assert np.isnan(exp_so3(u)).any()
     assert np.isnan(dexp_so3_matrix(u)).any()
+    _non_finite_or_branch_error(dexpinv_so3, u, np.ones(3))
+
+
+# Closer to 2*pi, g2 grows like 1/(2*pi - |A|) and amplifies the one-ulp
+# difference between the two ways of forming |A|.
+@pytest.mark.parametrize("lo,hi", [(0.0, 0.5), (0.5, 0.99 * 2.0 * np.pi)])
+def test_se3_kernels_match_numpy_reference(lo, hi):
+    draws = np.random.default_rng(11)
+    for _ in range(500):
+        d = draws.normal(size=3)
+        A = draws.uniform(lo, hi) * d / np.linalg.norm(d)
+        u = np.concatenate([A, draws.uniform(0.1, 5.0) * draws.normal(size=3)])
+        v = draws.normal(size=6)
+        pairs = [
+            (exp_se3(u)[0], exp_se3_ref(u)[0]),
+            (exp_se3(u)[1], exp_se3_ref(u)[1]),
+            (dexpinv_se3(u, v), dexpinv_se3_ref(u, v)),
+            (dexpinv_so3(A, v[:3]), dexpinv_so3_ref(A, v[:3])),
+        ]
+        for new, ref in pairs:
+            assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("scale", [0.1, 2.0])
+def test_se3_kernels_accept_lists_tuples_and_slices(scale):
+    u = np.concatenate([scale * rng.normal(size=3), rng.normal(size=3)])
+    v = rng.normal(size=6)
+    strided = np.empty(12)
+    strided[::2], strided[1::2] = u, v
+    for arg in (list(u), tuple(u), strided[::2], np.concatenate([u, v])[:6]):
+        R, r = exp_se3(arg)
+        np.testing.assert_array_equal(R, exp_se3(u)[0])
+        np.testing.assert_array_equal(r, exp_se3(u)[1])
+        np.testing.assert_array_equal(dexpinv_se3(arg, list(v)), dexpinv_se3(u, v))
+        np.testing.assert_array_equal(dexpinv_so3(arg[:3], tuple(v[:3])), dexpinv_so3(u[:3], v[:3]))
+    with pytest.raises(BranchError):
+        dexpinv_se3([0.0, 2.0 * np.pi, 0.0, 1.0, 1.0, 1.0], tuple(v))
+
+
+def _non_finite_or_branch_error(fn, *args):
+    # BranchError only: a math domain ValueError must fail the test
+    try:
+        out = fn(*args)
+    except BranchError:
+        return
+    parts = out if isinstance(out, tuple) else (out,)
+    assert not all(np.all(np.isfinite(p)) for p in parts)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("slot", range(6))
+def test_se3_kernels_give_nan_or_branch_error_for_non_finite_input(bad, slot):
+    u = np.array([0.3, 4.0, -0.2, 1.0, -2.0, 0.5])
+    v = np.array([1.0, 0.5, -1.5, 0.2, 0.3, -0.4])
+    bad_u, bad_v = u.copy(), v.copy()
+    bad_u[slot] = bad_v[slot] = bad
+    _non_finite_or_branch_error(exp_se3, bad_u)
+    _non_finite_or_branch_error(dexpinv_se3, bad_u, v)
+    _non_finite_or_branch_error(dexpinv_se3, u, bad_v)
+    # the bad entry is in u for slots 0-2 and in v for slots 3-5
+    _non_finite_or_branch_error(dexpinv_so3, bad_u[:3], bad_v[3:])
 
 
 def test_apply_phi_matches_series_for_dexpinv():
