@@ -2,8 +2,8 @@
 """SHA-256 digests of the harness CSVs over a fixed case list.
 
 Runs every system with every explicit method at a short t_end, adaptive
-rkmk54 and cf43 runs, symplectic runs (heavytop-ext at theta 0, 1/2 and
-1, heavytop-spatial at 1/2), one converge ladder, one ``steps`` run, runs
+rkmk54 and cf43 runs, symplectic runs (heavytop-ext and heavytop-spatial,
+each at theta 0, 1/2 and 1), one converge ladder, one ``steps`` run, runs
 that set system overrides, a preset, t0 and seed, and pendulum chains of
 one and six links through ``geomint.harness.run`` into a temporary
 directory.  Prints one digest per case (over all files the case
@@ -41,9 +41,10 @@ def cases():
                             t_end=t_end, h=h, tol=1e-6)
     yield RunConfig(system="heavytop-ext", method="symplectic", t_end=0.7, h=0.01)
     yield RunConfig(system="heavytop-spatial", method="symplectic", t_end=0.7, h=0.01)
-    for theta in (0.0, 1.0):
-        yield RunConfig(system="heavytop-ext", method="symplectic", t_end=0.7, h=0.01,
-                        theta=theta)
+    for system in ("heavytop-ext", "heavytop-spatial"):
+        for theta in (0.0, 1.0):
+            yield RunConfig(system=system, method="symplectic", t_end=0.7, h=0.01,
+                            theta=theta)
     yield RunConfig(system="heavytop-spatial", method="heun", mode="converge",
                     t_end=0.2, h=0.2)
     yield RunConfig(system="heavytop-body", method="rkmk4", t_end=0.05, steps=7)

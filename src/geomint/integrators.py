@@ -23,6 +23,7 @@ import numpy as np
 from .actions import HomogeneousAction
 from .kernels import SingularMatrixError, solve_dense
 from .lie import BranchError, dexp_star_so3, exp_so3
+from .lie import _dexp_star, _exp_coeffs, _floats, _identity_plus_hat
 
 __all__ = [
     "Tableau",
@@ -369,16 +370,24 @@ def so3_cotangent_group() -> CotangentGroup:
 
 def so3r3_cotangent_group() -> CotangentGroup:
     """(SO(3) x R^3) x its dual; the translational factor is abelian, so
-    its coadjoint and dexp* blocks are identities."""
+    its coadjoint and dexp* blocks are identities.  The maps are closed
+    forms on floats."""
 
     def expmap(xi):
-        return exp_so3(xi[:3]), np.asarray(xi[3:6], dtype=float)
+        x, y, z, *t = _floats(xi)
+        g = _identity_plus_hat(x, y, z, *_exp_coeffs(x * x + y * y + z * z), *t)
+        return g[:9].reshape(3, 3), g[9:]
 
     def coad(g, mu):
-        return np.concatenate([g[0].T @ mu[:3], mu[3:6]])
+        # R^T m on the rotational block
+        (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = g[0].tolist()
+        m1, m2, m3, *t = _floats(mu)
+        return np.array([a1 * m1 + b1 * m2 + c1 * m3, a2 * m1 + b2 * m2 + c2 * m3,
+                         a3 * m1 + b3 * m2 + c3 * m3, *t])
 
     def dexp_star(u, mu):
-        return np.concatenate([dexp_star_so3(u[:3], mu[:3]), mu[3:6]])
+        x, y, z = _floats(u)[:3]
+        return np.array(_dexp_star(x, y, z, *_floats(mu)))
 
     return CotangentGroup(
         name="so3r3-cotangent",
@@ -415,16 +424,17 @@ class NonConvergenceError(RuntimeError):
 
 
 def _symplectic_residual_map(group, f, g0, mu0, h, theta):
-    """Returns G(xi, nbar) = h f(exp(theta xi) g0, M_theta)."""
+    """Returns G(x) = h f(exp(theta xi) g0, M_theta) on the flat x = (xi, nbar)."""
+    na = group.algebra_dim
 
-    def gmap(xi, nbar):
+    def gmap(x):
+        xi, nbar = x[:na], x[na:]
         e_theta = group.exp(theta * xi)
         ad_n = group.coad(e_theta, nbar)
         m_theta = group.dexp_star(-xi, mu0 + ad_n)
         if theta != 0.0:
             m_theta = m_theta - theta * group.dexp_star(-theta * xi, ad_n)
-        xi_new, nbar_new = f(group.compose(e_theta, g0), m_theta)
-        return h * np.asarray(xi_new, dtype=float), h * np.asarray(nbar_new, dtype=float)
+        return h * np.concatenate(f(group.compose(e_theta, g0), m_theta))
 
     return gmap
 
@@ -441,14 +451,13 @@ def _simplified_newton(G, n: int, solve: SolveConfig) -> np.ndarray:
     near the solution the update contracts the error and G may amplify
     it, which on the heavy top shows as drift of the conserved Gamma0.pi."""
     x = G(np.zeros(n))
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonConvergenceError("newton predictor is not finite")
     gx = G(x)
-    J = np.eye(n)
-    for j in range(n):
-        xj = x.copy()
-        xj[j] += _FD_STEP * max(1.0, abs(x[j]))
-        J[:, j] -= (G(xj) - gx) / (xj[j] - x[j])
+    # column j of dG/dx from the step along x_j, the rows of xs
+    xs = np.tile(x, (n, 1))
+    xs.flat[:: n + 1] += _FD_STEP * np.maximum(1.0, np.abs(x))
+    J = np.eye(n) - (np.array([G(xj) for xj in xs]) - gx).T / (xs.diagonal() - x)
     try:
         J_inv = solve_dense(J, np.eye(n))
     except SingularMatrixError as exc:
@@ -456,14 +465,14 @@ def _simplified_newton(G, n: int, solve: SolveConfig) -> np.ndarray:
     for _ in range(solve.max_iter):
         r = x - gx
         dx = J_inv @ r
-        if not np.all(np.isfinite(dx)):
+        if not np.isfinite(dx).all():
             raise NonConvergenceError("newton iterate is not finite")
-        bound = solve.tol * (1.0 + np.linalg.norm(x))
-        if np.linalg.norm(dx) <= bound:
-            if np.linalg.norm(r) > 100.0 * bound:
-                raise NonConvergenceError(
-                    f"newton residual {np.linalg.norm(r):.3e} above tolerance"
-                )
+        # sqrt(v @ v) is np.linalg.norm of a real vector
+        bound = solve.tol * (1.0 + math.sqrt(x @ x))
+        if math.sqrt(dx @ dx) <= bound:
+            r_norm = math.sqrt(r @ r)
+            if r_norm > 100.0 * bound:
+                raise NonConvergenceError(f"newton residual {r_norm:.3e} above tolerance")
             return x - dx
         x = x - dx
         gx = G(x)
@@ -490,22 +499,14 @@ def symplectic_step(
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    gmap = _symplectic_residual_map(group, f, g0, mu0, h, theta)
-    nd, na = group.dual_dim, group.algebra_dim
+    G = _symplectic_residual_map(group, f, g0, mu0, h, theta)
+    n = group.algebra_dim + group.dual_dim
 
     if solve.method == "fixed-point":
-        xi = np.zeros(na)
-        nbar = np.zeros(nd)
+        x = np.zeros(n)
         for _ in range(solve.max_iter):
-            xi_new, nbar_new = gmap(xi, nbar)
-            delta = math.hypot(
-                float(np.linalg.norm(xi_new - xi)), float(np.linalg.norm(nbar_new - nbar))
-            )
-            scale = 1.0 + math.hypot(
-                float(np.linalg.norm(xi_new)), float(np.linalg.norm(nbar_new))
-            )
-            xi, nbar = xi_new, nbar_new
-            if delta <= solve.tol * scale:
+            x, x_old = G(x), x
+            if np.linalg.norm(x - x_old) <= solve.tol * (1.0 + np.linalg.norm(x)):
                 break
         else:
             raise NonConvergenceError(
@@ -513,10 +514,8 @@ def symplectic_step(
                 f"(h = {h:.3e} likely too large)"
             )
     else:
-        x = _simplified_newton(
-            lambda x: np.concatenate(gmap(x[:na], x[na:])), na + nd, solve
-        )
-        xi, nbar = x[:na], x[na:]
+        x = _simplified_newton(G, n, solve)
+    xi, nbar = x[: group.algebra_dim], x[group.algebra_dim :]
 
     g1 = group.compose(group.exp(xi), g0)
     mu1 = group.coad(group.exp((theta - 1.0) * xi), nbar) + group.coad(

@@ -151,19 +151,23 @@ def dexp_star_so3(u, mu):
     """Dual of dexp_u on so(3)*: the transpose of the dexp matrix,
     mu - cosc(a) u x mu + g2(a) (u (u . mu) - a^2 mu)."""
     x, y, z = _floats(u)
+    m1, m2, m3 = _floats(mu)
+    return np.array(_dexp_star(x, y, z, m1, m2, m3))
+
+
+def _dexp_star(x, y, z, m1, m2, m3, *tail):
+    """dexp_star_so3 of (x, y, z) and (m1, m2, m3) as floats, then ``tail``."""
     a2 = x * x + y * y + z * z
     if math.sqrt(a2) >= 2.0 * math.pi:
         raise BranchError("||u|| >= 2*pi")
     p, q = _dexp_coeffs(a2)
-    m1, m2, m3 = _floats(mu)
     um = q * (x * m1 + y * m2 + z * m3)
     qa2 = 1.0 - q * a2
-    return np.array(
-        [
-            qa2 * m1 - p * (y * m3 - z * m2) + um * x,
-            qa2 * m2 - p * (z * m1 - x * m3) + um * y,
-            qa2 * m3 - p * (x * m2 - y * m1) + um * z,
-        ]
+    return (
+        qa2 * m1 - p * (y * m3 - z * m2) + um * x,
+        qa2 * m2 - p * (z * m1 - x * m3) + um * y,
+        qa2 * m3 - p * (x * m2 - y * m1) + um * z,
+        *tail,
     )
 
 

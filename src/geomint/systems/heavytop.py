@@ -65,8 +65,11 @@ class HeavyTopParams:
     gamma0: Tuple[float, float, float] = (0.0, 0.0, -9.81)
 
     def __post_init__(self):
-        if min(self.inertia) <= 0:
-            raise ValueError("inertia diagonal must be positive")
+        values = (*self.inertia, self.mass, self.length, self.gravity, *self.axis, *self.gamma0)
+        if not np.isfinite(values).all():
+            raise ValueError(f"heavy top parameters must be finite, got {self}")
+        if min(self.inertia) <= 0 or self.mass <= 0 or self.length <= 0:
+            raise ValueError("inertia diagonal, mass and length must be positive")
         if abs(np.linalg.norm(self.axis) - 1.0) > 1e-12:
             raise ValueError("body axis must be a unit vector")
 
@@ -126,16 +129,36 @@ def body_energy(params: HeavyTopParams, m: np.ndarray) -> float:
 # Spatial form, state [Q.ravel(), pi]
 
 
-def _spatial_omega(params, Q, pi):
-    return Q @ (params.inertia_inv * (Q.T @ pi))
+def _times(rows, v1, v2, v3):
+    """M v as three floats, for M given by its rows."""
+    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = rows
+    return a1 * v1 + a2 * v2 + a3 * v3, b1 * v1 + b2 * v2 + b3 * v3, c1 * v1 + c2 * v2 + c3 * v3
+
+
+def _omega_and_torque(Q, inertia_inv, p1, p2, p3, gamma, v):
+    """omega = Q I^-1 Q^T pi and Gamma x Qv + pi x omega, as float lists."""
+    rows = Q.tolist()
+    w1, w2, w3 = _times(Q.T.tolist(), p1, p2, p3)
+    i1, i2, i3 = inertia_inv
+    o1, o2, o3 = _times(rows, i1 * w1, i2 * w2, i3 * w3)
+    e1, e2, e3 = _times(rows, *v)
+    g1, g2, g3 = gamma
+    return [o1, o2, o3], [
+        g2 * e3 - g3 * e2 + (p2 * o3 - p3 * o2),
+        g3 * e1 - g1 * e3 + (p3 * o1 - p1 * o3),
+        g1 * e2 - g2 * e1 + (p1 * o2 - p2 * o1),
+    ]
 
 
 def heavytop_spatial_f_pair(params: HeavyTopParams):
-    """Hamiltonian (f1, f2) map consumed by the symplectic family."""
+    """Hamiltonian (f1, f2) map consumed by the symplectic family:
+    (omega, Gamma0 x Q (Mgl X) + pi x omega), in closed form on floats."""
+    inertia_inv, g0 = params.inertia_inv.tolist(), params.g0.tolist()
+    mgl_chi = (params.mgl * params.chi).tolist()
 
     def f(g, mu):
-        omega = _spatial_omega(params, g, mu)
-        return omega, params.mgl * cross(params.g0, g @ params.chi) + cross(mu, omega)
+        omega, torque = _omega_and_torque(g, inertia_inv, *mu.tolist(), g0, mgl_chi)
+        return np.array(omega), np.array(torque)
 
     return f
 
@@ -192,23 +215,28 @@ def ext_initial_p(params: HeavyTopParams) -> np.ndarray:
 
 
 def heavytop_ext_f_pair(params: HeavyTopParams):
-    """(f1, f2) on the group (SO(3) x R^3) x dual, state ((Q, q), (pi, p))."""
+    """(f1, f2) on the group (SO(3) x R^3) x dual, state ((Q, q), (pi, p)):
+    ((omega, p - Q^T Gamma0), (Gamma0 x Q(-p) + pi x omega, 0)), on floats."""
+    inertia_inv, g0 = params.inertia_inv.tolist(), params.g0.tolist()
 
     def f(g, mu):
-        Q, _q = g
-        pi, p = mu[:3], mu[3:6]
-        omega = _spatial_omega(params, Q, pi)
-        f1 = np.concatenate([omega, p - Q.T @ params.g0])
-        f2 = np.concatenate([-cross(params.g0, Q @ p) + cross(pi, omega), np.zeros(3)])
-        return f1, f2
+        Q = g[0]
+        p1, p2, p3, s1, s2, s3 = mu.tolist()
+        omega, torque = _omega_and_torque(Q, inertia_inv, p1, p2, p3, g0, (-s1, -s2, -s3))
+        r1, r2, r3 = _times(Q.T.tolist(), *g0)
+        return np.array([*omega, s1 - r1, s2 - r2, s3 - r3]), np.array([*torque, 0.0, 0.0, 0.0])
 
     return f
 
 
+def _ext_field(pair, m: np.ndarray) -> np.ndarray:
+    f1, f2 = pair(*unpack_ext(m))
+    return np.concatenate([f1[:3], f2, f1[3:]])
+
+
 def heavytop_ext_f(params: HeavyTopParams, m: np.ndarray) -> np.ndarray:
     """Frozen field on the ext-top action, algebra order (omega, pi', p', q')."""
-    f1, f2 = heavytop_ext_f_pair(params)(*unpack_ext(m))
-    return np.concatenate([f1[:3], f2, f1[3:]])
+    return _ext_field(heavytop_ext_f_pair(params), m)
 
 
 def ext_energy(params: HeavyTopParams, m: np.ndarray) -> float:
@@ -230,7 +258,7 @@ def pack_ext(g, mu) -> np.ndarray:
 
 def unpack_ext(m: np.ndarray):
     Q = m[:9].reshape(3, 3)
-    return (Q, m[15:18]), np.concatenate([m[9:12], m[12:15]])
+    return (Q, m[15:18]), m[9:15]
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +289,11 @@ def build_spatial(params: HeavyTopParams, pi0=None):
     pi0 = bruls_momentum(params) if pi0 is None else np.asarray(pi0, dtype=float)
     initial = np.concatenate([np.eye(3).ravel(), pi0])
     g0 = params.g0
+    f = heavytop_spatial_f_pair(params)
     return System(
         name="heavytop-spatial",
         action=cotangent_so3_action(),
-        field=lambda m: heavytop_spatial_f(params, m),
+        field=lambda m: np.concatenate(f(*unpack_spatial(m))),
         initial=initial,
         invariants={
             "energy": lambda m: spatial_energy(params, m),
@@ -273,7 +302,7 @@ def build_spatial(params: HeavyTopParams, pi0=None):
         },
         cotangent=CotangentForm(
             group=so3_cotangent_group(),
-            f=heavytop_spatial_f_pair(params),
+            f=f,
             pack=pack_spatial,
             unpack=unpack_spatial,
         ),
@@ -300,10 +329,11 @@ def build_ext(params: HeavyTopParams, pi0=None):
     pi0 = bruls_momentum(params) if pi0 is None else np.asarray(pi0, dtype=float)
     initial = np.concatenate([np.eye(3).ravel(), pi0, ext_initial_p(params), np.zeros(3)])
     g0 = params.g0
+    f = heavytop_ext_f_pair(params)
     return System(
         name="heavytop-ext",
         action=ext_top_action(),
-        field=lambda m: heavytop_ext_f(params, m),
+        field=lambda m: _ext_field(f, m),
         initial=initial,
         invariants={
             "energy": lambda m: ext_energy(params, m),
@@ -313,7 +343,7 @@ def build_ext(params: HeavyTopParams, pi0=None):
         },
         cotangent=CotangentForm(
             group=so3r3_cotangent_group(),
-            f=heavytop_ext_f_pair(params),
+            f=f,
             pack=pack_ext,
             unpack=unpack_ext,
         ),

@@ -48,6 +48,9 @@ class QuadrotorParams:
     gravity: float = 9.81
 
     def __post_init__(self):
+        values = (self.payload_mass, self.gravity, *self.masses, *self.lengths)
+        if not np.isfinite((*values, *self.inertia1, *self.inertia2)).all():
+            raise ValueError(f"quadrotor parameters must be finite, got {self}")
         if self.payload_mass <= 0 or min(self.masses) <= 0 or min(self.lengths) <= 0:
             raise ValueError("masses and lengths must be positive")
         if min(self.inertia1) <= 0 or min(self.inertia2) <= 0:

@@ -41,9 +41,11 @@ from geomint.systems import get_system, symplectic_integrate
 rng = np.random.default_rng(314)
 
 
-def _report(criterion: int, label: str, ok: bool, detail: str = "") -> None:
+def _report(criterion: int, label: str, ok: bool, detail: str = "", *, start: float) -> None:
+    """Prints the criterion's line with the seconds since ``start``."""
     status = "PASS" if ok else "FAIL"
-    print(f"[{status}] criterion {criterion}: {label} {detail}".rstrip(), flush=True)
+    elapsed = f"[{time.monotonic() - start:.1f}s]"
+    print(f"[{status}] criterion {criterion}: {label} {elapsed} {detail}".rstrip(), flush=True)
 
 
 _REFS: dict = {}
@@ -146,7 +148,7 @@ def test_criterion_1_convergence_orders():
     if elapsed > 120.0:
         failures.append(f"runtime {elapsed:.1f}s exceeds 120s")
     ok = not failures
-    _report(1, "convergence orders", ok, f"[{elapsed:.0f}s] " + " ".join(lines))
+    _report(1, "convergence orders", ok, " ".join(lines), start=start)
     assert ok, failures
 
 
@@ -170,6 +172,7 @@ def _nonplanar_initial():
 
 
 def test_criterion_2_pendulum_manifold_preservation():
+    start = time.monotonic()
     T, n = 5.0, 500
     system = get_system("pendulum")
 
@@ -201,6 +204,7 @@ def test_criterion_2_pendulum_manifold_preservation():
         "pendulum manifold preservation",
         ok,
         f"lie={lie_worst:.2e} (<=1e-12), classical RK4={classical_worst:.2e} (>=1e-9)",
+        start=start,
     )
     assert ok
 
@@ -210,6 +214,7 @@ def test_criterion_2_pendulum_manifold_preservation():
 
 
 def test_criterion_3_liepoisson_casimirs():
+    start = time.monotonic()
     system = get_system("heavytop-lp")
     T, h = 10.0, 1e-2
     gamma0 = np.linalg.norm(system.initial[3:6])
@@ -235,6 +240,7 @@ def test_criterion_3_liepoisson_casimirs():
         "Lie-Poisson Casimirs",
         ok,
         f"|Gamma| drift {worst_gamma:.2e} (<=1e-12), Pi.Gamma drift {worst_pg:.2e} (<=1e-10)",
+        start=start,
     )
     assert ok
 
@@ -245,6 +251,7 @@ def test_criterion_3_liepoisson_casimirs():
 
 
 def test_criterion_4_symplectic_long_run():
+    start = time.monotonic()
     system = get_system("heavytop-ext")
     h, n = 0.01, 6000
     # the fixed-point solve stops contracting at this step size for the
@@ -266,6 +273,7 @@ def test_criterion_4_symplectic_long_run():
         ok,
         f"|dE| halves {first:.3e}/{second:.3e}, p drift {p_drift:.1e}, "
         f"Gamma0.pi drift {pg_drift:.2e}",
+        start=start,
     )
     assert ok
 
@@ -275,6 +283,7 @@ def test_criterion_4_symplectic_long_run():
 
 
 def test_criterion_5_kernel_oracles():
+    start = time.monotonic()
     failures = []
     for _ in range(50):
         u = rng.normal(size=3)
@@ -307,6 +316,7 @@ def test_criterion_5_kernel_oracles():
         "kernel oracles",
         ok,
         f"decay ratios {ratios[0]:.0f}/{ratios[1]:.0f} (>= {2**8 * 0.8:.0f})",
+        start=start,
     )
     assert ok, failures
 
@@ -317,6 +327,7 @@ def test_criterion_5_kernel_oracles():
 
 
 def test_criterion_6_adaptive_controller():
+    start = time.monotonic()
     failures = []
     details = []
     info = METHODS["rkmk54"]
@@ -359,7 +370,7 @@ def test_criterion_6_adaptive_controller():
     details.append(f"adaptive {err_adaptive:.1e} vs fixed {err_fixed:.1e}")
 
     ok = not failures
-    _report(6, "adaptive controller", ok, "; ".join(details))
+    _report(6, "adaptive controller", ok, "; ".join(details), start=start)
     assert ok, failures
 
 
@@ -369,6 +380,7 @@ def test_criterion_6_adaptive_controller():
 
 
 def test_criterion_7_exactness_and_reduction():
+    start = time.monotonic()
     failures = []
 
     action = coadjoint_so3_action()
@@ -428,6 +440,7 @@ def test_criterion_7_exactness_and_reduction():
         "constant-field exactness and linear reduction",
         ok,
         f"const {worst_const:.1e} (<=1e-13), reduction {worst_red:.1e} (<=1e-12)",
+        start=start,
     )
     assert ok, failures
 
@@ -437,6 +450,7 @@ def test_criterion_7_exactness_and_reduction():
 
 
 def test_criterion_8_quadrotor():
+    start = time.monotonic()
     failures = []
     system = get_system("quadrotor")
 
@@ -471,5 +485,6 @@ def test_criterion_8_quadrotor():
         "quadrotor benchmark",
         ok,
         f"geometry {geom:.1e} (<=1e-12), slope {slope:.2f} (4±0.25), energy {drift:.1e} (<=1e-8)",
+        start=start,
     )
     assert ok, failures

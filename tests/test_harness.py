@@ -394,6 +394,17 @@ def test_cli_non_finite_t_end_exits_nonzero(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("geomint: error: t-end must be finite")
 
 
+def test_cli_non_finite_system_parameter_exits_nonzero(tmp_path, capsys):
+    cfgfile = tmp_path / "nan.cfg"
+    cfgfile.write_text(
+        "system = heavytop-spatial\nmethod = rkmk4\nh = 0.01\nt-end = 0.05\nmass = nan\n"
+        f"out = {tmp_path / 'nan'}\n"
+    )
+    assert cli_main(["simulate", "--config", str(cfgfile)]) == 1
+    assert capsys.readouterr().err.startswith("geomint: error: heavy top parameters must be finite")
+    assert not (tmp_path / "nan.trajectory.csv").exists()
+
+
 def test_cli_reports_integrator_failure(tmp_path, capsys):
     # no step meets tol = 1e-300, so the controller gives up
     rc = cli_main(

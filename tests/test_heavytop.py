@@ -11,6 +11,7 @@ from geomint.integrators import (
     fixed_integrate,
     symplectic_step,
 )
+from geomint.kernels import cross
 from geomint.lie import exp_so3
 from geomint.systems import get_system, symplectic_integrate
 from geomint.systems.heavytop import (
@@ -22,8 +23,10 @@ from geomint.systems.heavytop import (
     ext_initial_p,
     heavytop_body_f,
     heavytop_ext_f,
+    heavytop_ext_f_pair,
     heavytop_liepoisson_f,
     heavytop_spatial_f,
+    heavytop_spatial_f_pair,
     pack_ext,
     pack_spatial,
     unpack_ext,
@@ -58,6 +61,13 @@ def test_params_validation():
         HeavyTopParams(inertia=(1.0, -1.0, 1.0), mass=1.0, length=1.0)
     with pytest.raises(ValueError):
         HeavyTopParams(inertia=(1.0, 1.0, 1.0), mass=1.0, length=1.0, axis=(1.0, 1.0, 0.0))
+    # NaN fails every ordered comparison, so each value is checked for finiteness
+    base = dict(inertia=(1.0, 1.0, 1.0), mass=1.0, length=1.0)
+    for bad in ({"mass": np.nan}, {"length": np.inf}, {"gravity": np.nan},
+                {"inertia": (1.0, np.nan, 1.0)}, {"gamma0": (0.0, 0.0, -np.inf)},
+                {"mass": 0.0}, {"length": -2.0}):
+        with pytest.raises(ValueError):
+            HeavyTopParams(**{**base, **bad})
 
 
 # -- field oracles --------------------------------------------------------------
@@ -128,6 +138,65 @@ def test_ext_energy_is_body_energy_plus_constant():
     body = np.concatenate([Q.ravel(), Q.T @ pi])
     const = 0.5 * 30.0**2
     assert ext_energy(params, ext) == pytest.approx(body_energy(params, body) + const)
+
+
+# Numpy forms of the Hamiltonian pairs before they were written on floats,
+# kept as references for the closed forms.
+
+
+def _reference_spatial_pair(params):
+    def f(g, mu):
+        omega = g @ (params.inertia_inv * (g.T @ mu))
+        return omega, params.mgl * cross(params.g0, g @ params.chi) + cross(mu, omega)
+
+    return f
+
+
+def _reference_ext_pair(params):
+    def f(g, mu):
+        Q, _q = g
+        pi, p = mu[:3], mu[3:6]
+        omega = Q @ (params.inertia_inv * (Q.T @ pi))
+        f1 = np.concatenate([omega, p - Q.T @ params.g0])
+        f2 = np.concatenate([-cross(params.g0, Q @ p) + cross(pi, omega), np.zeros(3)])
+        return f1, f2
+
+    return f
+
+
+def _random_top():
+    axis = rng.normal(size=3)
+    return HeavyTopParams(
+        inertia=tuple(rng.uniform(0.1, 2.0, size=3)),
+        mass=rng.uniform(1.0, 20.0),
+        length=rng.uniform(0.5, 3.0),
+        gravity=rng.uniform(0.5, 2.0),
+        axis=tuple(axis / np.linalg.norm(axis)),
+        gamma0=tuple(10.0 * rng.normal(size=3)),
+    )
+
+
+def _random_rotation():
+    u = rng.normal(size=3)
+    return exp_so3(rng.uniform(0.0, 2.0 * np.pi) * u / np.linalg.norm(u))
+
+
+@pytest.mark.parametrize(
+    "pair, reference, ext",
+    [(heavytop_spatial_f_pair, _reference_spatial_pair, False),
+     (heavytop_ext_f_pair, _reference_ext_pair, True)],
+    ids=["spatial", "ext"],
+)
+def test_hamiltonian_pairs_match_numpy_reference(pair, reference, ext):
+    # tolerance fixed beforehand: 1e-13 of the largest reference entry
+    for _ in range(200):
+        params = _random_top()
+        Q = _random_rotation()
+        g, mu = ((Q, rng.normal(size=3)), 50.0 * rng.normal(size=6)) if ext else (
+            Q, 50.0 * rng.normal(size=3))
+        for out, ref in zip(pair(params)(g, mu), reference(params)(g, mu)):
+            assert isinstance(out, np.ndarray) and out.shape == ref.shape
+            np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
 
 
 # -- energy is a first integral of each field -----------------------------------

@@ -13,6 +13,7 @@ from geomint.integrators import (
     RK4,
     AdaptiveResult,
     ControllerConfig,
+    CotangentGroup,
     NonConvergenceError,
     SolveConfig,
     StepSizeUnderflowError,
@@ -455,3 +456,65 @@ def test_so3r3_group_blocks():
     ds = group.dexp_star(xi, mu)
     np.testing.assert_allclose(ds[:3], dexp_star_so3(xi[:3], mu[:3]), atol=1e-15)
     np.testing.assert_array_equal(ds[3:], mu[3:])
+
+
+# numpy maps of the (SO(3) x R^3) cotangent group before they were written
+# on floats, kept as the reference for the closed forms
+_REFERENCE_SO3R3 = CotangentGroup(
+    name="so3r3-reference",
+    algebra_dim=6,
+    dual_dim=6,
+    exp=lambda xi: (exp_so3(xi[:3]), np.asarray(xi[3:6], dtype=float)),
+    compose=lambda g1, g2: (g1[0] @ g2[0], g1[1] + g2[1]),
+    coad=lambda g, mu: np.concatenate([g[0].T @ mu[:3], mu[3:6]]),
+    dexp_star=lambda u, mu: np.concatenate([dexp_star_so3(u[:3], mu[:3]), mu[3:6]]),
+)
+
+
+def test_so3r3_group_matches_numpy_reference():
+    # tolerance fixed beforehand: 1e-13 of the largest reference entry
+    group, ref = so3r3_cotangent_group(), _REFERENCE_SO3R3
+
+    def close(out, expected):
+        assert isinstance(out, np.ndarray) and out.shape == expected.shape
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-13 * np.max(np.abs(expected)))
+
+    for _ in range(500):
+        # rotation angles below 2 pi, either side of the series cutoff 0.5
+        u = rng.normal(size=6)
+        u[:3] *= rng.uniform(0.0, 2.0 * np.pi) / np.linalg.norm(u[:3])
+        mu = 50.0 * rng.normal(size=6)
+        g, g_ref = group.exp(u), ref.exp(u)
+        close(g[0], g_ref[0])
+        close(g[1], g_ref[1])
+        close(group.coad(g_ref, mu), ref.coad(g_ref, mu))
+        close(group.dexp_star(u, mu), ref.dexp_star(u, mu))
+
+
+def _free_rigid_body_r3(g, mu):
+    """The free body on (SO(3) x R^3) x dual; the translational part is still."""
+    omega, torque = _free_rigid_body(g[0], mu[:3])
+    return np.concatenate([omega, np.zeros(3)]), np.concatenate([torque, np.zeros(3)])
+
+
+@pytest.mark.parametrize("method", ["fixed-point", "newton"])
+@pytest.mark.parametrize(
+    "group, field, g0, mu0",
+    [(so3_cotangent_group(), _free_rigid_body, exp_so3([0.3, -0.2, 0.9]),
+      np.array([0.4, -1.0, 0.7])),
+     (so3r3_cotangent_group(), _free_rigid_body_r3, (exp_so3([0.3, -0.2, 0.9]), np.ones(3)),
+      np.array([0.4, -1.0, 0.7, 0.0, 0.0, 0.0]))],
+    ids=["so3", "so3r3"],
+)
+def test_symplectic_step_accepts_a_field_returning_lists(method, group, field, g0, mu0):
+    def as_lists(g, mu):
+        return tuple(a.tolist() for a in field(g, mu))
+
+    def flat(g):
+        return np.concatenate([np.ravel(a) for a in (g if isinstance(g, tuple) else (g,))])
+
+    solve = SolveConfig(method=method)
+    g1, mu1 = symplectic_step(group, as_lists, g0, mu0, 0.05, 0.5, solve)
+    g2, mu2 = symplectic_step(group, field, g0, mu0, 0.05, 0.5, solve)
+    np.testing.assert_array_equal(flat(g1), flat(g2))
+    np.testing.assert_array_equal(mu1, mu2)

@@ -37,6 +37,9 @@ def test_params_validation():
         PendulumParams(masses=(1.0,), lengths=(1.0, 1.0))
     with pytest.raises(ValueError):
         PendulumParams(masses=(0.0,), lengths=(1.0,))
+    for bad in ({"lengths": (np.nan,)}, {"masses": (np.inf,)}, {"gravity": np.nan}):
+        with pytest.raises(ValueError):
+            PendulumParams(**{"masses": (1.0,), "lengths": (1.0,), **bad})
 
 
 def test_tail_mass():

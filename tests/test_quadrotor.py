@@ -28,6 +28,10 @@ def test_params_validation():
         QuadrotorParams(payload_mass=-1.0)
     with pytest.raises(ValueError):
         QuadrotorParams(inertia1=(0.0, 0.1, 0.1))
+    for bad in ({"payload_mass": np.nan}, {"lengths": (1.0, np.nan)}, {"gravity": np.inf},
+                {"inertia2": (0.02, np.nan, 0.04)}):
+        with pytest.raises(ValueError):
+            QuadrotorParams(**bad)
 
 
 def test_block_system_structure():
