@@ -596,9 +596,20 @@ def adaptive_integrate(
     controller formula, truncate the last step to land exactly on T.
 
     A trial step that raises :class:`BranchError` (logged with estimate
-    inf) or returns a non-finite estimate is a rejection that halves h."""
+    inf) or returns a non-finite estimate is a rejection that halves h.
+
+    f is memoised on the identity of its last argument, so the last stage
+    of a first-same-as-last pair, f(y1), is also the next trial's first."""
     if T <= t0:
         raise ValueError("T must exceed t0")
+    last = (None, None)
+
+    def f_memo(m):
+        nonlocal last
+        if m is not last[0]:
+            last = (m, f(m))
+        return last[1]
+
     t, y = t0, np.asarray(y0, dtype=float)
     h = min(h0, cfg.h_max)
     ts, ys, log = [t], [y], []
@@ -609,7 +620,7 @@ def adaptive_integrate(
         if h_try < cfg.h_min:
             raise StepSizeUnderflowError(f"step size underflow at t = {t:.6g}")
         try:
-            res = stepper(action, f, y, h_try)
+            res = stepper(action, f_memo, y, h_try)
             # read inside the try: the embedded part runs here
             e = res.error_estimate
         except BranchError:

@@ -1,23 +1,22 @@
 """Small dense linear algebra shared by every other module.
 
 Vectors and matrices are plain float64 numpy arrays: ``Vec3`` is shape
-``(3,)``, ``Mat3`` is shape ``(3, 3)``.  The multibody systems assemble
-their block matrices as dense ``(3n, 3n)`` arrays by slices.
+``(3,)``, ``Mat3`` is shape ``(3, 3)``.  :func:`solve_dense` calls
+LAPACK's ``dgetrf`` and ``dgetrs`` directly, the routines behind
+``scipy.linalg.lu_factor`` and ``lu_solve``.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lapack
 
 __all__ = ["SingularMatrixError", "cross", "solve_dense"]
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
-    """Raised when a pivot falls below the relative singularity threshold
-    or the matrix is not finite."""
+    """Raised when a pivot falls below the relative singularity threshold,
+    or when the matrix, or the state a system solves at, is not finite."""
 
 
 def cross(a, b):
@@ -32,16 +31,20 @@ def cross(a, b):
     )
 
 
+def _times(rows, v1, v2, v3):
+    """M v as three floats, for M given by its rows."""
+    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = rows
+    return a1 * v1 + a2 * v2 + a3 * v3, b1 * v1 + b2 * v2 + b3 * v3, c1 * v1 + c2 * v2 + c3 * v3
+
+
 def solve_dense(A, b):
     """Solve ``A x = b`` for a square float ndarray ``A`` by LU with
     partial pivoting.  Raises :class:`SingularMatrixError` when ``A`` is
     zero or not finite, or a pivot magnitude drops below ``1e-13 * ||A||``.
     """
     scale = np.linalg.norm(A)
-    with warnings.catch_warnings():
-        # the pivot check below is the real diagnostic
-        warnings.simplefilter("ignore")
-        lu, piv = lu_factor(A, check_finite=False)
+    # dgetrf's info flags an exactly zero pivot; the check below covers it
+    lu, piv, _ = lapack.dgetrf(A)
     pivots = np.abs(np.diag(lu))
     # written so that a NaN norm or pivot fails it
     if not (0.0 < scale < np.inf and np.min(pivots) >= 1e-13 * scale):
@@ -49,4 +52,4 @@ def solve_dense(A, b):
             f"matrix numerically singular or not finite: "
             f"min pivot {np.min(pivots):.3e}, norm {scale:.3e}"
         )
-    return lu_solve((lu, piv), b, check_finite=False)
+    return lapack.dgetrs(lu, piv, b)[0]

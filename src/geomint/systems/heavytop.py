@@ -17,6 +17,7 @@ multiplier kept at 1 for the standard benchmark parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -29,7 +30,7 @@ from ..actions import (
     ext_top_action,
 )
 from ..integrators import so3_cotangent_group, so3r3_cotangent_group
-from ..kernels import cross
+from ..kernels import _times, cross
 
 __all__ = [
     "HeavyTopParams",
@@ -50,6 +51,11 @@ __all__ = [
     "pack_ext",
     "unpack_ext",
 ]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -73,21 +79,23 @@ class HeavyTopParams:
         if abs(np.linalg.norm(self.axis) - 1.0) > 1e-12:
             raise ValueError("body axis must be a unit vector")
 
-    @property
+    # the arrays are built once per parameter set and shared, so read-only
+
+    @cached_property
     def inertia_inv(self) -> np.ndarray:
-        return 1.0 / np.asarray(self.inertia)
+        return _read_only(1.0 / np.asarray(self.inertia))
 
     @property
     def mgl(self) -> float:
         return self.mass * self.gravity * self.length
 
-    @property
+    @cached_property
     def chi(self) -> np.ndarray:
-        return np.asarray(self.axis, dtype=float)
+        return _read_only(np.array(self.axis, dtype=float))
 
-    @property
+    @cached_property
     def g0(self) -> np.ndarray:
-        return np.asarray(self.gamma0, dtype=float)
+        return _read_only(np.array(self.gamma0, dtype=float))
 
 
 # Benchmark top: Q(0) = I, pi(0) = inertia * (0, 150, -4.61538); the
@@ -127,12 +135,6 @@ def body_energy(params: HeavyTopParams, m: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # Spatial form, state [Q.ravel(), pi]
-
-
-def _times(rows, v1, v2, v3):
-    """M v as three floats, for M given by its rows."""
-    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = rows
-    return a1 * v1 + a2 * v2 + a3 * v3, b1 * v1 + b2 * v2 + b3 * v3, c1 * v1 + c2 * v2 + c3 * v3
 
 
 def _omega_and_torque(Q, inertia_inv, p1, p2, p3, gamma, v):

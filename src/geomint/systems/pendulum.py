@@ -10,6 +10,7 @@ matrix R(q); the frozen field per link is the se(3) element
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -29,7 +30,7 @@ __all__ = [
     "build_pendulum",
 ]
 
-_E3 = np.array([0.0, 0.0, 1.0])
+_I3 = np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,27 @@ class PendulumParams:
         """Cumulative sums from below: tail_mass[i] = sum_{j >= i} m_j."""
         return np.cumsum(np.asarray(self.masses)[::-1])[::-1]
 
+    # What the field and the energy read of the parameters, built once.
+
+    @cached_property
+    def _coupling(self) -> np.ndarray:
+        """N x N coefficients M_ij = (sum_{k >= max(i, j)} m_k) L_i L_j."""
+        L = np.asarray(self.lengths)
+        links = np.arange(self.n)
+        return self.tail_mass[np.maximum.outer(links, links)] * np.outer(L, L)
+
+    @cached_property
+    def _off_coupling(self) -> np.ndarray:
+        """The coupling with a zero diagonal."""
+        M = self._coupling.copy()
+        np.fill_diagonal(M, 0.0)
+        return M
+
+    @cached_property
+    def _weight(self) -> np.ndarray:
+        """Gravity weights (sum_{k >= i} m_k) g L_i."""
+        return self.tail_mass * self.gravity * np.asarray(self.lengths)
+
     @classmethod
     def uniform(cls, n: int = 2, mass=1.0, length=1.0, gravity=9.81) -> "PendulumParams":
         return cls(masses=(mass,) * n, lengths=(length,) * n, gravity=gravity)
@@ -71,32 +93,23 @@ def _split(state: np.ndarray, n: int):
     return blocks[:, :3], blocks[:, 3:]
 
 
-def _coupling(params: PendulumParams) -> np.ndarray:
-    """N x N coefficients M_ij = (sum_{k >= max(i, j)} m_k) L_i L_j."""
-    L = np.asarray(params.lengths)
-    links = np.arange(params.n)
-    return params.tail_mass[np.maximum.outer(links, links)] * np.outer(L, L)
-
-
 def pendulum_mass_matrix(params: PendulumParams, q: np.ndarray) -> np.ndarray:
     """Symmetric 3N x 3N matrix of 3 x 3 blocks: diagonal M_ii I,
     off-diagonal M_ij hat(q_i)^T hat(q_j) = M_ij ((q_i . q_j) I - q_j q_i^T)."""
     n = params.n
     # blocks[i, :, j, :] = (q_i . q_j) I - q_j q_i^T
-    blocks = (q @ q.T)[:, None, :, None] * np.eye(3)[None, :, None, :]
+    blocks = (q @ q.T)[:, None, :, None] * _I3[None, :, None, :]
     blocks -= q.T[None, :, :, None] * q[:, None, None, :]
     links = np.arange(n)
-    blocks[links, :, links, :] = np.eye(3)
-    return (_coupling(params)[:, None, :, None] * blocks).reshape(3 * n, 3 * n)
+    blocks[links, :, links, :] = _I3
+    return (params._coupling[:, None, :, None] * blocks).reshape(3 * n, 3 * n)
 
 
 def pendulum_rhs(params: PendulumParams, q: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Stacked right-hand sides
     g_i = q_i x (sum_{j != i} M_ij |w_j|^2 q_j - (sum_{j >= i} m_j) g L_i e3)."""
-    M = _coupling(params)
-    np.fill_diagonal(M, 0.0)
-    weight = params.tail_mass * params.gravity * np.asarray(params.lengths)
-    pull = (M * np.sum(w * w, axis=1)) @ q - np.outer(weight, _E3)
+    pull = (params._off_coupling * np.sum(w * w, axis=1)) @ q
+    pull[:, 2] -= params._weight
     return cross(q.T, pull.T).T.ravel()
 
 
@@ -117,9 +130,7 @@ def pendulum_energy(params: PendulumParams, state: np.ndarray) -> float:
     q, w = _split(state, params.n)
     wflat = w.ravel()
     kinetic = 0.5 * float(wflat @ (pendulum_mass_matrix(params, q) @ wflat))
-    potential = float(
-        np.sum(params.tail_mass * params.gravity * np.asarray(params.lengths) * q[:, 2])
-    )
+    potential = float(np.sum(params._weight * q[:, 2]))
     return kinetic + potential
 
 

@@ -3,8 +3,13 @@
 State (flat, 42 entries): payload position y and velocity v, attitudes
 R_i with body angular velocities Omega_i, link directions q_i in S^2
 with angular velocities omega_i.  The accelerations solve the 18 x 18
-block system A(z) zdot = h(z); thrusts u_i and rotor moments M_i enter
-through a pluggable control interface.
+block system A(z) zdot = h(z) of ``quadrotor_assemble``.  A is the
+identity but for the SPD payload block m_y I + sum_i m_i q_i q_i^T, the
+diagonal inertias J_i and the link rows -hat(q_i) / L_i under the
+payload block, so the field solves it by block elimination on floats:
+one 3 x 3 solve for the payload acceleration, elementwise divides by
+the inertias, then omega_i' = h_i + q_i x v' / L_i.  Thrusts u_i and
+rotor moments M_i enter through a pluggable control interface.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from . import System
 from ..actions import quadrotor_action
-from ..kernels import cross, solve_dense
+from ..kernels import SingularMatrixError, _times, cross
 from ..lie import hat
 
 __all__ = [
@@ -102,7 +107,8 @@ def default_initial() -> np.ndarray:
 
 
 def quadrotor_assemble(params: QuadrotorParams, controls: Controls, t, state):
-    """Block system A(z) zdot = h(z) for z = [y, v, Omega1, Omega2, omega1, omega2]."""
+    """Block system A(z) zdot = h(z) for z = [y, v, Omega1, Omega2, omega1, omega2],
+    as dense arrays: the reference for the block elimination of ``quadrotor_zdot``."""
     q1, q2 = state[_Q1], state[_Q2]
     w1, w2 = state[_W1], state[_W2]
     v = state[_V]
@@ -144,37 +150,75 @@ def quadrotor_assemble(params: QuadrotorParams, controls: Controls, t, state):
     return A, h
 
 
+def _cross(a, b):
+    (a1, a2, a3), (b1, b2, b3) = a, b
+    return [a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1]
+
+
+def _floats_and_zdot(params: QuadrotorParams, controls: Controls, t, state):
+    """The state as floats and zdot (18 floats), A(z) zdot = h(z) solved
+    by block elimination; raises :class:`SingularMatrixError` on a
+    non-finite state."""
+    if not np.isfinite(state).all():
+        raise SingularMatrixError("quadrotor state is not finite")
+    s = state.tolist()
+    c = np.concatenate(controls(t, state)).tolist()  # u1, u2, M1, M2
+    g = params.gravity
+    links = [(m, L, s[i:i + 3], s[i + 3:i + 6], c[j:j + 3]) for m, L, i, j in
+             zip(params.masses, params.lengths, (30, 36), (0, 3))]
+    # payload block m_y I + sum_i m_i q_i q_i^T and its right-hand side
+    a11 = a22 = a33 = params.payload_mass
+    a12 = a13 = a23 = b1 = b2 = 0.0
+    b3 = g * a11
+    for m, L, (q1, q2, q3), (w1, w2, w3), (u1, u2, u3) in links:
+        a11, a22, a33 = a11 + m * q1 * q1, a22 + m * q2 * q2, a33 + m * q3 * q3
+        a12, a13, a23 = a12 + m * q1 * q2, a13 + m * q1 * q3, a23 + m * q2 * q3
+        k = q1 * u1 + q2 * u2 + q3 * u3 + g * m * q3 - m * L * (w1 * w1 + w2 * w2 + w3 * w3)
+        b1, b2, b3 = b1 + k * q1, b2 + k * q2, b3 + k * q3
+    # Cramer's rule: the block is SPD with determinant at least m_y^3
+    c11, c12, c13 = a22 * a33 - a23 * a23, a13 * a23 - a12 * a33, a12 * a23 - a13 * a22
+    c22, c23, c33 = a11 * a33 - a13 * a13, a12 * a13 - a11 * a23, a11 * a22 - a12 * a12
+    det = a11 * c11 + a12 * c12 + a13 * c13
+    vdot = [(c11 * b1 + c12 * b2 + c13 * b3) / det, (c12 * b1 + c22 * b2 + c23 * b3) / det,
+            (c13 * b1 + c23 * b2 + c33 * b3) / det]
+    zdot = s[3:6] + vdot
+    # J Omega' = M - Omega x J Omega
+    for (o1, o2, o3), (j1, j2, j3), (M1, M2, M3) in (
+        (s[15:18], params.inertia1, c[6:9]), (s[27:30], params.inertia2, c[9:12])
+    ):
+        zdot += [(M1 - (o2 * j3 * o3 - o3 * j2 * o2)) / j1,
+                 (M2 - (o3 * j1 * o1 - o1 * j3 * o3)) / j2,
+                 (M3 - (o1 * j2 * o2 - o2 * j1 * o1)) / j3]
+    # omega' = h + q x v' / L = q x (v' - u / m - g e3) / L
+    for m, L, q, _, (u1, u2, u3) in links:
+        zdot += _cross(q, [(vdot[0] - u1 / m) / L, (vdot[1] - u2 / m) / L,
+                           (vdot[2] - u3 / m - g) / L])
+    return s, zdot
+
+
 def quadrotor_zdot(params, controls, t, state) -> np.ndarray:
-    A, h = quadrotor_assemble(params, controls, t, state)
-    return solve_dense(A, h)
+    """zdot = [ydot, vdot, Omega1dot, Omega2dot, omega1dot, omega2dot]
+    by block elimination of A(z) zdot = h(z)."""
+    return np.array(_floats_and_zdot(params, controls, t, state)[1])
 
 
 def quadrotor_f(params: QuadrotorParams, controls: Controls, t, state) -> np.ndarray:
-    """Frozen field in the 30-dimensional algebra: accelerations from the
-    block solve, spatial twists R_i Omega_i for the attitudes, and per-link
-    (omega_i, q_i x hbar_i) pairs."""
-    zd = quadrotor_zdot(params, controls, t, state)
-    R1 = state[_R1].reshape(3, 3)
-    R2 = state[_R2].reshape(3, 3)
-    q1, q2 = state[_Q1], state[_Q2]
-    return np.concatenate(
-        [
-            zd[0:3],  # ydot
-            zd[3:6],  # vdot
-            R1 @ state[_O1],
-            zd[6:9],  # Omega1dot
-            R2 @ state[_O2],
-            zd[9:12],  # Omega2dot
-            state[_W1],
-            cross(q1, zd[12:15]),
-            state[_W2],
-            cross(q2, zd[15:18]),
-        ]
-    )
+    """Frozen field in the 30-dimensional algebra: accelerations by block
+    elimination, spatial twists R_i Omega_i for the attitudes, and
+    per-link (omega_i, q_i x omega_i') pairs, on floats."""
+    s, zd = _floats_and_zdot(params, controls, t, state)
+    return np.array([
+        *zd[0:6],  # ydot, vdot
+        *_times((s[6:9], s[9:12], s[12:15]), *s[15:18]), *zd[6:9],
+        *_times((s[18:21], s[21:24], s[24:27]), *s[27:30]), *zd[9:12],
+        *s[33:36], *_cross(s[30:33], zd[12:15]),
+        *s[39:42], *_cross(s[36:39], zd[15:18]),
+    ])
 
 
 def quadrotor_ambient_rhs(params, controls, t, state) -> np.ndarray:
-    """Direct time derivative of the flat state (kinematics + block solve)."""
+    """Direct time derivative of the flat state: kinematics, with the
+    accelerations by block elimination."""
     zd = quadrotor_zdot(params, controls, t, state)
     R1 = state[_R1].reshape(3, 3)
     R2 = state[_R2].reshape(3, 3)

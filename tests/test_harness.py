@@ -415,6 +415,21 @@ def test_cli_reports_integrator_failure(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("geomint: error: ")
 
 
+@pytest.mark.parametrize("system", ["quadrotor", "pendulum"])
+def test_cli_non_finite_multibody_state_exits_nonzero(tmp_path, system, capsys):
+    # gravity at the top of the float range overflows the first field
+    # evaluation; the next one sees a non-finite state and must raise
+    cfgfile = tmp_path / "huge.cfg"
+    cfgfile.write_text(
+        f"system = {system}\nmethod = rkmk4\nh = 0.01\nt-end = 0.05\ngravity = 1e308\n"
+        f"out = {tmp_path / 'huge'}\n"
+    )
+    with np.errstate(all="ignore"):
+        assert cli_main(["simulate", "--config", str(cfgfile)]) == 1
+    assert "not finite" in capsys.readouterr().err
+    assert not (tmp_path / "huge.trajectory.csv").exists()
+
+
 def test_cli_missing_output_path_fails(capsys):
     rc = cli_main(["simulate", "--system", "pendulum", "--method", "rkmk4", "--h", "0.1"])
     assert rc == 1

@@ -56,6 +56,16 @@ def test_benchmark_parameters():
     )
 
 
+def test_parameter_arrays_are_built_once_and_read_only():
+    params = HeavyTopParams(inertia=(1.0, 2.0, 4.0), mass=1.0, length=1.0)
+    for name in ("inertia_inv", "chi", "g0"):
+        a = getattr(params, name)
+        assert getattr(params, name) is a
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    np.testing.assert_array_equal(params.inertia_inv, [1.0, 0.5, 0.25])
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         HeavyTopParams(inertia=(1.0, -1.0, 1.0), mass=1.0, length=1.0)

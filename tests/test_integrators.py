@@ -238,6 +238,30 @@ def test_adaptive_rejects_branch_error_in_the_embedded_part():
     assert res.ts[-1] == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("tol,h0", [(1e-3, 0.1), (1e-9, 0.5)])
+def test_adaptive_rkmk54_evaluates_the_shared_stage_once(tol, h0):
+    # DOPRI54's seventh stage is f(y1), the next trial's first stage: an
+    # accepted step followed by another accepted step costs 6 evaluations
+    f = lambda mu: np.array([1.0, 0.5, 2.0]) * mu
+    action, field, counts = _counted(coadjoint_so3_action(), f)
+    y0 = np.array([0.3, -1.1, 0.8])
+    res = adaptive_integrate(action, field, rkmk54_step, y0, 0.0, 2.0, h0,
+                             ControllerConfig(tol=tol, alpha=0.2))
+    log = res.step_log
+    if res.rejects == 0:
+        assert counts["f"] == 7 + 6 * (len(log) - 1)
+    else:  # a trial after a reject starts with a fresh f(y)
+        after_reject = sum(1 for a, b in zip(log, log[1:]) if not a.accepted)
+        assert counts["f"] == 7 * (1 + after_reject) + 6 * (len(log) - 1 - after_reject)
+    # the memo changes no number: replay the accepted steps without it
+    y, ys = y0, [y0]
+    for attempt in log:
+        if attempt.accepted:
+            y = rkmk54_step(coadjoint_so3_action(), f, y, attempt.h).y_next
+            ys.append(y)
+    np.testing.assert_array_equal(res.ys, np.array(ys))
+
+
 def test_rkmk54_error_estimate_scales_at_order_five():
     action = coadjoint_so3_action()
     iinv = np.array([1.0, 0.5, 2.0])

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.linalg import lu_factor, lu_solve
 
 from geomint.kernels import SingularMatrixError, cross, solve_dense
 
@@ -34,6 +37,25 @@ def test_solve_dense_matches_numpy():
     A = rng.normal(size=(9, 9)) + 9 * np.eye(9)
     b = rng.normal(size=9)
     np.testing.assert_allclose(solve_dense(A, b), np.linalg.solve(A, b), rtol=1e-12)
+
+
+def _wrapped_lu_solve(A, b):
+    """The scipy-wrapper body solve_dense had before it called LAPACK directly."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        lu, piv = lu_factor(A, check_finite=False)
+    return lu_solve((lu, piv), b, check_finite=False)
+
+
+@pytest.mark.parametrize("n", [3, 9, 12, 18, 24])
+def test_solve_dense_equals_the_scipy_wrappers_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        A = rng.normal(size=(n, n)) + np.sqrt(n) * np.eye(n)
+        for b in (rng.normal(size=n), np.eye(n), rng.normal(size=(n, 2))):
+            got, ref = solve_dense(A, b), _wrapped_lu_solve(A, b)
+            assert got.shape == ref.shape
+            np.testing.assert_array_equal(got, ref)
 
 
 def test_solve_dense_singular_raises():

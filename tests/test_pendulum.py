@@ -10,6 +10,7 @@ from geomint.lie import hat
 from geomint.systems import get_system
 from geomint.systems.pendulum import (
     PendulumParams,
+    build_pendulum,
     default_initial,
     pendulum_accelerations,
     pendulum_energy,
@@ -231,3 +232,44 @@ def test_array_assembly_matches_loop_reference(n):
         assert got.shape == ref.shape
         tol = 1e-13 * max(1.0, np.max(np.abs(ref)))
         np.testing.assert_allclose(got, ref, rtol=0, atol=tol)
+
+
+# -- the array forms before the constants were built once --------------------------
+# The same whole-array expressions, recomputing every parameter-only
+# array on each call; the built system must agree with them bit for bit.
+
+
+def _ref_array_f_and_energy(params, state):
+    n = params.n
+    L = np.asarray(params.lengths)
+    links = np.arange(n)
+    coupling = params.tail_mass[np.maximum.outer(links, links)] * np.outer(L, L)
+    q, w = state.reshape(n, 6)[:, :3], state.reshape(n, 6)[:, 3:]
+    blocks = (q @ q.T)[:, None, :, None] * np.eye(3)[None, :, None, :]
+    blocks -= q.T[None, :, :, None] * q[:, None, None, :]
+    blocks[links, :, links, :] = np.eye(3)
+    R = (coupling[:, None, :, None] * blocks).reshape(3 * n, 3 * n)
+    off = coupling.copy()
+    np.fill_diagonal(off, 0.0)
+    weight = params.tail_mass * params.gravity * L
+    pull = (off * np.sum(w * w, axis=1)) @ q - np.outer(weight, _E3)
+    h = solve_dense(R, cross(q.T, pull.T).T.ravel()).reshape(n, 3)
+    f = np.hstack([w, cross(q.T, h.T).T]).ravel()
+    wflat = w.ravel()
+    energy = 0.5 * float(wflat @ (R @ wflat)) + float(np.sum(weight * q[:, 2]))
+    return f, energy
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 10])
+def test_built_field_and_energy_equal_the_array_forms_bit_for_bit(n):
+    p = PendulumParams(
+        masses=tuple(rng.uniform(0.5, 3.0, n)), lengths=tuple(rng.uniform(0.4, 1.6, n))
+    )
+    system = build_pendulum(p)
+    for _ in range(5):
+        q, w = _random_links(n)
+        state = np.hstack([q, w]).ravel()
+        f, energy = _ref_array_f_and_energy(p, state)
+        np.testing.assert_array_equal(system.field(state), f)
+        np.testing.assert_array_equal(pendulum_f(p, state), f)
+        assert system.energy(state) == energy == pendulum_energy(p, state)

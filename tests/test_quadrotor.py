@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from geomint.integrators import METHODS, fixed_integrate
-from geomint.kernels import solve_dense
+from geomint.kernels import SingularMatrixError, solve_dense
 from geomint.systems import get_system
 from geomint.systems.quadrotor import (
     QuadrotorParams,
@@ -73,6 +73,43 @@ def test_block_system_invertible_at_random_states():
             state[off : off + 3] = q / np.linalg.norm(q)
         A, h = quadrotor_assemble(PARAMS, zero_controls, 0.0, state)
         solve_dense(A, h)  # must not raise SingularMatrixError
+
+
+def _random_setup():
+    """Unequal masses, lengths and inertias, a random state with unit
+    q_i, and non-zero constant controls."""
+    params = QuadrotorParams(
+        payload_mass=rng.uniform(0.5, 2.0),
+        masses=tuple(rng.uniform(0.5, 3.0, 2)),
+        lengths=tuple(rng.uniform(0.3, 2.0, 2)),
+        inertia1=tuple(rng.uniform(0.01, 0.1, 3)),
+        inertia2=tuple(rng.uniform(0.01, 0.1, 3)),
+    )
+    controls = constant_controls(*(5.0 * rng.normal(size=(4, 3))))
+    state = rng.normal(size=42)
+    for off in (30, 36):
+        state[off : off + 3] /= np.linalg.norm(state[off : off + 3])
+    return params, controls, state
+
+
+def test_block_elimination_matches_the_assembled_solve():
+    for _ in range(200):
+        params, controls, state = _random_setup()
+        ref = solve_dense(*quadrotor_assemble(params, controls, 0.0, state))
+        got = quadrotor_zdot(params, controls, 0.0, state)
+        assert got.shape == (18,)
+        tol = 1e-13 * np.max(np.abs(ref))
+        np.testing.assert_allclose(got, ref, rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("index", [0, 4, 10, 16, 22, 28, 31, 34, 38, 41])
+def test_non_finite_state_raises(bad, index):
+    # index 0 is the payload position, which the field does not read
+    params, controls, state = _random_setup()
+    state[index] = bad
+    with pytest.raises(SingularMatrixError):
+        quadrotor_f(params, controls, 0.0, state)
 
 
 def test_thrust_decomposition_identities():
