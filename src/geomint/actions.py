@@ -3,7 +3,9 @@
 Each concrete action is packaged as a :class:`HomogeneousAction` record:
 the integrators are written once against this interface and never see
 the underlying group.  Manifold points are flat float64 arrays; group
-elements are whatever structure the action finds convenient.
+elements are whatever structure the action finds convenient.  The
+schemes only make group elements with ``exp`` and apply them with
+``act``, so no action carries a group product, identity or inverse.
 
 Every system's action is a direct product built by
 :func:`product_action` from a few factor types: ``R^n`` translation,
@@ -13,7 +15,9 @@ coadjoint actions.  Algebra and point blocks of the factors are laid end
 to end; a product's group elements are lists with one entry per factor.
 
 The generator of every action equals the t-derivative of
-``act(exp(t xi), m)`` at ``t = 0`` (finite-difference tested).
+``act(exp(t xi), m)`` at ``t = 0`` (finite-difference tested).  The
+SE(3) action on TS^2 checks every point it moves and raises ValueError
+off the manifold.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -33,8 +37,6 @@ from .lie import (
     exp_so3,
     hat,
     se3_bracket,
-    se3_compose,
-    se3_inverse,
     so3_bracket,
 )
 
@@ -65,7 +67,10 @@ class HomogeneousAction:
     moves a flat manifold point, ``generator`` returns the flat ambient
     tangent vector.  ``dexpinv`` is the exact inverse differential of
     exp, ``dexpinv(u, v) = sum_k (B_k/k!) ad_u^k v`` summed in closed
-    form, with ``ad_u = bracket(u, .)``.
+    form, with ``ad_u = bracket(u, .)``.  The steppers read ``exp``,
+    ``act``, ``dexpinv``, ``bracket`` and ``algebra_dim``; ``generator``
+    gives the ambient vector field for the classical RK4 control and
+    the field tests.
     """
 
     name: str
@@ -75,11 +80,7 @@ class HomogeneousAction:
     act: Callable[[Any, np.ndarray], np.ndarray]
     generator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bracket: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    compose: Callable[[Any, Any], Any]
-    identity: Any
     dexpinv: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    inverse: Callable[[Any], Any]
-    check: Optional[Callable[[np.ndarray], None]] = None
 
 
 # ---------------------------------------------------------------------------
@@ -89,20 +90,14 @@ _SO3 = dict(
     algebra_dim=3,
     exp=exp_so3,
     bracket=so3_bracket,
-    compose=lambda g1, g2: g1 @ g2,
-    identity=np.eye(3),
     dexpinv=dexpinv_so3,
-    inverse=lambda g: g.T,
 )
 
 _SE3 = dict(
     algebra_dim=6,
     exp=exp_se3,
     bracket=se3_bracket,
-    compose=se3_compose,
-    identity=(np.eye(3), np.zeros(3)),
     dexpinv=dexpinv_se3,
-    inverse=se3_inverse,
 )
 
 
@@ -118,11 +113,10 @@ def _blocks(dims) -> list:
 def product_action(name: str, factors: Sequence[HomogeneousAction]) -> HomogeneousAction:
     """Direct product of ``factors`` acting blockwise on the product of
     their manifolds.  Every map applies the matching factor callable to
-    that factor's slice, so each factor must provide inverse; a group
-    element with the wrong number of factors raises ValueError."""
+    that factor's algebra or point slice; ``act`` raises ValueError on a
+    group element with the wrong number of factors."""
     alg = _blocks(f.algebra_dim for f in factors)
     pts = _blocks(f.point_dim for f in factors)
-    checks = [(f.check, p) for f, p in zip(factors, pts) if f.check is not None]
 
     def act(g, m):
         return np.concatenate(
@@ -137,18 +131,8 @@ def product_action(name: str, factors: Sequence[HomogeneousAction]) -> Homogeneo
     def bracket(x, y):
         return np.concatenate([f.bracket(x[a], y[a]) for f, a in zip(factors, alg)])
 
-    def compose(g1, g2):
-        return [f.compose(a, b) for f, a, b in zip(factors, g1, g2, strict=True)]
-
     def dexpinv(u, v):
         return np.concatenate([f.dexpinv(u[a], v[a]) for f, a in zip(factors, alg)])
-
-    def inverse(g):
-        return [f.inverse(gi) for f, gi in zip(factors, g, strict=True)]
-
-    def check(m):
-        for c, p in checks:
-            c(m[p])
 
     return HomogeneousAction(
         name=name,
@@ -158,11 +142,7 @@ def product_action(name: str, factors: Sequence[HomogeneousAction]) -> Homogeneo
         act=act,
         generator=generator,
         bracket=bracket,
-        compose=compose,
-        identity=[f.identity for f in factors],
         dexpinv=dexpinv,
-        inverse=inverse,
-        check=check if checks else None,
     )
 
 
@@ -181,10 +161,7 @@ def translation_action(n: int) -> HomogeneousAction:
         act=lambda g, m: m + g,
         generator=lambda xi, m: np.asarray(xi, dtype=float),
         bracket=lambda x, y: np.zeros(n),
-        compose=lambda g1, g2: g1 + g2,
-        identity=np.zeros(n),
         dexpinv=lambda u, v: np.asarray(v, dtype=float),
-        inverse=lambda g: -g,
     )
 
 
@@ -219,11 +196,7 @@ def so3_right_action() -> HomogeneousAction:
         act=lambda g, m: (m.reshape(3, 3) @ g).ravel(),
         generator=lambda xi, m: (m.reshape(3, 3) @ hat(xi)).ravel(),
         bracket=lambda x, y: -cross(x, y),
-        # right multiplication is a left action of the opposite group
-        compose=lambda g1, g2: g2 @ g1,
-        identity=np.eye(3),
         dexpinv=lambda u, v: dexpinv_so3(-u, v),
-        inverse=lambda g: g.T,
     )
 
 
@@ -282,7 +255,6 @@ def se3_ts2_action() -> HomogeneousAction:
         point_dim=6,
         act=act_ts2,
         generator=generator_ts2,
-        check=_check_ts2,
         **_SE3,
     )
 

@@ -346,7 +346,6 @@ class CotangentGroup:
     length ``dual_dim``; algebra elements flat arrays of ``algebra_dim``.
     """
 
-    name: str
     algebra_dim: int
     dual_dim: int
     exp: Callable[[np.ndarray], Any]
@@ -358,7 +357,6 @@ class CotangentGroup:
 def so3_cotangent_group() -> CotangentGroup:
     """SO(3) x so(3)*: Ad*_R mu = R^T mu."""
     return CotangentGroup(
-        name="so3-cotangent",
         algebra_dim=3,
         dual_dim=3,
         exp=exp_so3,
@@ -390,7 +388,6 @@ def so3r3_cotangent_group() -> CotangentGroup:
         return np.array(_dexp_star(x, y, z, *_floats(mu)))
 
     return CotangentGroup(
-        name="so3r3-cotangent",
         algebra_dim=6,
         dual_dim=6,
         exp=expmap,
@@ -546,16 +543,13 @@ class ControllerConfig:
             raise ValueError("h_min exceeds h_max")
 
 
-def controller_update(
-    h: float, e: float, cfg: ControllerConfig, exponent: Optional[float] = None
-) -> float:
+def controller_update(h: float, e: float, cfg: ControllerConfig) -> float:
     """h_next = clamp(theta (tol/e)^alpha h); e = 0 maps to h_max."""
     if e < 0:
         raise ValueError("error estimate must be nonnegative")
     if e == 0.0:
         return cfg.h_max
-    a = cfg.alpha if exponent is None else exponent
-    return min(max(cfg.theta * (cfg.tol / e) ** a * h, cfg.h_min), cfg.h_max)
+    return min(max(cfg.theta * (cfg.tol / e) ** cfg.alpha * h, cfg.h_min), cfg.h_max)
 
 
 @dataclass(frozen=True)
@@ -657,7 +651,10 @@ def fixed_integrate(
     T: float,
     n_steps: int,
 ):
-    """Uniform-step driver; returns (times, states) with n_steps + 1 rows."""
+    """Uniform-step driver; returns (times, states) with n_steps + 1 rows.
+
+    A run that leaves a non-finite state raises ValueError naming the
+    first such step."""
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     h = (T - t0) / n_steps
@@ -665,6 +662,9 @@ def fixed_integrate(
     ys[0] = y0
     for n in range(n_steps):
         ys[n + 1] = stepper(action, f, ys[n], h).y_next
+    bad = np.flatnonzero(~np.isfinite(ys).all(axis=1))
+    if bad.size:
+        raise ValueError(f"state not finite after step {bad[0]} of {n_steps}")
     ts = t0 + h * np.arange(n_steps + 1)
     ts[-1] = T
     return ts, ys

@@ -28,8 +28,6 @@ __all__ = [
     "hat",
     "exp_so3",
     "exp_se3",
-    "se3_compose",
-    "se3_inverse",
     "so3_bracket",
     "se3_bracket",
     "ad_bracket",
@@ -191,15 +189,6 @@ def exp_se3(x):
         qt * a3 + p * (x * a2 - y * a1) + qa * z,
     )
     return g[:9].reshape(3, 3), g[9:]
-
-
-def se3_compose(g1, g2):
-    """SE(3) product (g1 g2, g1 u2 + u1)."""
-    return g1[0] @ g2[0], g1[0] @ g2[1] + g1[1]
-
-
-def se3_inverse(g):
-    return g[0].T, -(g[0].T @ g[1])
 
 
 def so3_bracket(u, v):

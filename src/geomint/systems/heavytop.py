@@ -272,8 +272,8 @@ def _orthogonality_error(m: np.ndarray) -> float:
     return float(np.linalg.norm(Q.T @ Q - np.eye(3)))
 
 
-def build_body(params: HeavyTopParams, pi0=None):
-    pi0 = bruls_momentum(params) if pi0 is None else np.asarray(pi0, dtype=float)
+def build_body(params: HeavyTopParams):
+    pi0 = bruls_momentum(params)
     initial = np.concatenate([np.eye(3).ravel(), pi0])  # Q(0) = I so Pi(0) = pi(0)
     return System(
         name="heavytop-body",
@@ -287,8 +287,8 @@ def build_body(params: HeavyTopParams, pi0=None):
     )
 
 
-def build_spatial(params: HeavyTopParams, pi0=None):
-    pi0 = bruls_momentum(params) if pi0 is None else np.asarray(pi0, dtype=float)
+def build_spatial(params: HeavyTopParams):
+    pi0 = bruls_momentum(params)
     initial = np.concatenate([np.eye(3).ravel(), pi0])
     g0 = params.g0
     f = heavytop_spatial_f_pair(params)
@@ -311,8 +311,8 @@ def build_spatial(params: HeavyTopParams, pi0=None):
     )
 
 
-def build_liepoisson(params: HeavyTopParams, pi0=None):
-    pi0 = bruls_momentum(params) if pi0 is None else np.asarray(pi0, dtype=float)
+def build_liepoisson(params: HeavyTopParams):
+    pi0 = bruls_momentum(params)
     initial = np.concatenate([pi0, params.g0])  # Q(0) = I: Pi = pi, Gamma = Gamma0
     return System(
         name="heavytop-lp",
@@ -327,8 +327,8 @@ def build_liepoisson(params: HeavyTopParams, pi0=None):
     )
 
 
-def build_ext(params: HeavyTopParams, pi0=None):
-    pi0 = bruls_momentum(params) if pi0 is None else np.asarray(pi0, dtype=float)
+def build_ext(params: HeavyTopParams):
+    pi0 = bruls_momentum(params)
     initial = np.concatenate([np.eye(3).ravel(), pi0, ext_initial_p(params), np.zeros(3)])
     g0 = params.g0
     f = heavytop_ext_f_pair(params)

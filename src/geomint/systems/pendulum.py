@@ -134,9 +134,8 @@ def pendulum_energy(params: PendulumParams, state: np.ndarray) -> float:
     return kinetic + potential
 
 
-def build_pendulum(params: PendulumParams, initial=None):
+def build_pendulum(params: PendulumParams):
     n = params.n
-    initial = default_initial(n) if initial is None else np.asarray(initial, dtype=float)
 
     def max_norm_error(state):
         q, _ = _split(state, n)
@@ -150,7 +149,7 @@ def build_pendulum(params: PendulumParams, initial=None):
         name=f"pendulum-{n}",
         action=ts2_action(n),
         field=lambda m: pendulum_f(params, m),
-        initial=initial,
+        initial=default_initial(n),
         invariants={
             "energy": lambda m: pendulum_energy(params, m),
             "max_q_norm_error": max_norm_error,

@@ -260,9 +260,7 @@ def quadrotor_energy(params: QuadrotorParams, state: np.ndarray) -> float:
     return kinetic + potential
 
 
-def build_quadrotor(params: QuadrotorParams, controls: Controls = zero_controls, initial=None):
-    initial = default_initial() if initial is None else np.asarray(initial, dtype=float)
-
+def build_quadrotor(params: QuadrotorParams, controls: Controls = zero_controls):
     def max_q_norm_error(state):
         return max(
             abs(float(np.linalg.norm(state[_Q1])) - 1.0),
@@ -282,7 +280,7 @@ def build_quadrotor(params: QuadrotorParams, controls: Controls = zero_controls,
         name="quadrotor",
         action=quadrotor_action(),
         field=lambda m: quadrotor_f(params, controls, 0.0, m),
-        initial=initial,
+        initial=default_initial(),
         invariants={
             "energy": lambda m: quadrotor_energy(params, m),
             "max_q_norm_error": max_q_norm_error,

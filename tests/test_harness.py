@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -430,6 +432,21 @@ def test_cli_non_finite_multibody_state_exits_nonzero(tmp_path, system, capsys):
     assert not (tmp_path / "huge.trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("system", ["quadrotor", "pendulum"])
+def test_cli_non_finite_last_step_exits_nonzero(tmp_path, system, capsys):
+    # one lie-euler step makes the state non-finite, and no later stage
+    # reads it, so only the end-state check of the driver can catch it
+    cfgfile = tmp_path / "last.cfg"
+    cfgfile.write_text(
+        f"system = {system}\nmethod = lie-euler\nsteps = 1\nt-end = 0.01\ngravity = 1e308\n"
+        f"out = {tmp_path / 'last'}\n"
+    )
+    with np.errstate(all="ignore"):
+        assert cli_main(["simulate", "--config", str(cfgfile)]) == 1
+    assert "state not finite after step 1" in capsys.readouterr().err
+    assert not (tmp_path / "last.trajectory.csv").exists()
+
+
 def test_cli_missing_output_path_fails(capsys):
     rc = cli_main(["simulate", "--system", "pendulum", "--method", "rkmk4", "--h", "0.1"])
     assert rc == 1
@@ -445,3 +462,26 @@ def test_importing_the_harness_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_perfbench_imports_resolve():
+    # the benchmark imports these names from the package; a deletion that
+    # removes one would otherwise break it without a failing test
+    root = Path(__file__).resolve().parents[1] / "perfbench"
+    scripts = sorted(root.glob("*.py"))
+    assert scripts
+    missing = []
+    for script in scripts:
+        for node in ast.walk(ast.parse(script.read_text(), filename=str(script))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("geomint"):
+                module = importlib.import_module(node.module)
+                missing += [
+                    f"{script.name}: {node.module}.{alias.name}"
+                    for alias in node.names
+                    if not hasattr(module, alias.name)
+                ]
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("geomint"):
+                        importlib.import_module(alias.name)
+    assert not missing

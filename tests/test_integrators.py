@@ -485,7 +485,6 @@ def test_so3r3_group_blocks():
 # numpy maps of the (SO(3) x R^3) cotangent group before they were written
 # on floats, kept as the reference for the closed forms
 _REFERENCE_SO3R3 = CotangentGroup(
-    name="so3r3-reference",
     algebra_dim=6,
     dual_dim=6,
     exp=lambda xi: (exp_so3(xi[:3]), np.asarray(xi[3:6], dtype=float)),

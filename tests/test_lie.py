@@ -18,8 +18,6 @@ from geomint.lie import (
     exp_so3,
     hat,
     se3_bracket,
-    se3_compose,
-    se3_inverse,
 )
 
 rng = np.random.default_rng(42)
@@ -196,19 +194,6 @@ def test_exp_se3_matches_expm(x):
     np.testing.assert_allclose(r, M[:3, 3], atol=1e-12)
 
 
-def test_se3_group_axioms():
-    g1 = exp_se3(rng.normal(size=6))
-    g2 = exp_se3(rng.normal(size=6))
-    g3 = exp_se3(rng.normal(size=6))
-    lhs = se3_compose(se3_compose(g1, g2), g3)
-    rhs = se3_compose(g1, se3_compose(g2, g3))
-    np.testing.assert_allclose(lhs[0], rhs[0], atol=1e-13)
-    np.testing.assert_allclose(lhs[1], rhs[1], atol=1e-13)
-    e = se3_compose(g1, se3_inverse(g1))
-    np.testing.assert_allclose(e[0], np.eye(3), atol=1e-13)
-    np.testing.assert_allclose(e[1], np.zeros(3), atol=1e-13)
-
-
 # -- brackets ----------------------------------------------------------------
 
 
@@ -272,8 +257,12 @@ def test_dexpinv_so3_inverts_dexp(u, v):
 
 
 def test_dexpinv_se3_inverts_dexp():
+    # rotation angles capped at 6: at the branch edge 2 pi dexpinv is
+    # singular (BranchError beyond it), and near it the round trip loses
+    # digits for any seed
     for _ in range(20):
         u, v = 2.0 * rng.normal(size=6), rng.normal(size=6)
+        u[:3] *= min(1.0, 6.0 / np.linalg.norm(u[:3]))
         np.testing.assert_allclose(dexp_se3(u, dexpinv_se3(u, v)), v, atol=1e-10)
 
 
