@@ -5,7 +5,9 @@ Runge--Kutta--Munthe-Kaas schemes, which integrate the pulled-back
 equation sigma' = dexpinv_sigma(f(act(exp(sigma), y))) in the algebra,
 and commutator-free schemes, which compose several exponentials per
 step.  A separate implicit one-parameter family provides symplectic
-steps on right-trivialized cotangent groups G x g*.
+steps on right-trivialized cotangent groups G x g*; its nonlinear
+equation is solved by one simplified-Newton loop, of which fixed-point
+iteration is the case J = I.
 
 Every stepper is pure: ``stepper(action, f, y, h) -> StepResult`` where
 ``f`` maps a flat manifold point to a flat algebra element.
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
@@ -39,8 +41,6 @@ __all__ = [
     "cf32_step_A",
     "cf32_step_B",
     "cf43_step",
-    "rkmk54_step",
-    "make_rkmk_stepper",
     "METHODS",
     "MethodInfo",
     "CotangentGroup",
@@ -291,20 +291,6 @@ def cf43_step(action, f, y, h) -> StepResult:
     return _cf_pair(y1, aux)
 
 
-def rkmk54_step(action, f, y, h) -> StepResult:
-    """RKMK pair built on the Dormand--Prince 5(4) tableau; the error
-    estimate is the algebra norm of the difference of the two updates."""
-    return rkmk_step(action, f, y, h, tableau=DOPRI54)
-
-
-def make_rkmk_stepper(tableau: Tableau):
-    def stepper(action, f, y, h):
-        return rkmk_step(action, f, y, h, tableau=tableau)
-
-    stepper.__name__ = f"rkmk_{tableau.name}_step"
-    return stepper
-
-
 @dataclass(frozen=True)
 class MethodInfo:
     """Registry entry: the stepper plus its (main, auxiliary) orders."""
@@ -321,15 +307,15 @@ class MethodInfo:
 METHODS = {
     "lie-euler": MethodInfo(lie_euler_step, 1),
     "heun": MethodInfo(lie_euler_heun_step, 2),
-    "rkmk3": MethodInfo(make_rkmk_stepper(KUTTA3), 3),
-    "rkmk4": MethodInfo(make_rkmk_stepper(RK4), 4),
+    "rkmk3": MethodInfo(partial(rkmk_step, tableau=KUTTA3), 3),
+    "rkmk4": MethodInfo(partial(rkmk_step, tableau=RK4), 4),
     "rkmk4-2c": MethodInfo(rkmk4_two_commutator_step, 4),
     "cf4": MethodInfo(cf4_step, 4),
     "cf32a": MethodInfo(cf32_step_A, 3, 2),
     "cf32b": MethodInfo(cf32_step_B, 3, 2),
     "cf43": MethodInfo(cf43_step, 4, 3),
-    "rkmk54": MethodInfo(rkmk54_step, 5, 4),
-    "rkmk5": MethodInfo(rkmk54_step, 5),
+    "rkmk54": MethodInfo(partial(rkmk_step, tableau=DOPRI54), 5, 4),
+    "rkmk5": MethodInfo(partial(rkmk_step, tableau=DOPRI54), 5),
 }
 
 
@@ -403,7 +389,7 @@ class SolveConfig:
 
     tol: float = 1e-13
     max_iter: int = 100
-    method: str = "fixed-point"  # or "newton"
+    method: str = "fixed-point"  # J = I, or "newton": J by forward differences
 
     def __post_init__(self):
         if not (self.tol > 0 and math.isfinite(self.tol)):
@@ -442,39 +428,43 @@ _FD_STEP = math.sqrt(np.finfo(float).eps)
 
 def _simplified_newton(G, n: int, solve: SolveConfig) -> np.ndarray:
     """Solves x = G(x) on R^n by simplified Newton (Hairer, Lubich and
-    Wanner, GNI VIII.6): predictor x0 = G(0), J = I - dG/dx formed once by
-    forward differences at x0, then x <- x - J^-1 (x - G(x)) until the
-    update is below tol (1 + |x|).  Returns that last update, not G(x):
-    near the solution the update contracts the error and G may amplify
-    it, which on the heavy top shows as drift of the conserved Gamma0.pi."""
+    Wanner, GNI VIII.6): predictor x0 = G(0), then x <- x - J^-1 (x - G(x))
+    until the update is below tol (1 + |x|).  ``method = "newton"`` forms
+    J = I - dG/dx once by forward differences at x0 and returns the last
+    update, not G(x): near the solution the update contracts the error and
+    G may amplify it, which on the heavy top shows as drift of the
+    conserved Gamma0.pi.  ``"fixed-point"`` is the case J = I, whose
+    update is G(x) itself."""
     x = G(np.zeros(n))
     if not np.isfinite(x).all():
-        raise NonConvergenceError("newton predictor is not finite")
+        raise NonConvergenceError(f"{solve.method} predictor is not finite")
     gx = G(x)
-    # column j of dG/dx from the step along x_j, the rows of xs
-    xs = np.tile(x, (n, 1))
-    xs.flat[:: n + 1] += _FD_STEP * np.maximum(1.0, np.abs(x))
-    J = np.eye(n) - (np.array([G(xj) for xj in xs]) - gx).T / (xs.diagonal() - x)
-    try:
-        J_inv = solve_dense(J, np.eye(n))
-    except SingularMatrixError as exc:
-        raise NonConvergenceError(f"newton Jacobian is singular: {exc}") from None
+    J_inv = None
+    if solve.method == "newton":
+        # column j of dG/dx from the step along x_j, the rows of xs
+        xs = np.tile(x, (n, 1))
+        xs.flat[:: n + 1] += _FD_STEP * np.maximum(1.0, np.abs(x))
+        J = np.eye(n) - (np.array([G(xj) for xj in xs]) - gx).T / (xs.diagonal() - x)
+        try:
+            J_inv = solve_dense(J, np.eye(n))
+        except SingularMatrixError as exc:
+            raise NonConvergenceError(f"newton Jacobian is singular: {exc}") from None
     for _ in range(solve.max_iter):
         r = x - gx
-        dx = J_inv @ r
+        dx = r if J_inv is None else J_inv @ r
         if not np.isfinite(dx).all():
-            raise NonConvergenceError("newton iterate is not finite")
+            raise NonConvergenceError(f"{solve.method} iterate is not finite")
         # sqrt(v @ v) is np.linalg.norm of a real vector
         bound = solve.tol * (1.0 + math.sqrt(x @ x))
+        x = gx if J_inv is None else x - dx
         if math.sqrt(dx @ dx) <= bound:
             r_norm = math.sqrt(r @ r)
             if r_norm > 100.0 * bound:
                 raise NonConvergenceError(f"newton residual {r_norm:.3e} above tolerance")
-            return x - dx
-        x = x - dx
+            return x
         gx = G(x)
     raise NonConvergenceError(
-        f"newton solve did not converge in {solve.max_iter} iterations"
+        f"{solve.method} solve did not converge in {solve.max_iter} iterations"
     )
 
 
@@ -497,21 +487,7 @@ def symplectic_step(
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
     G = _symplectic_residual_map(group, f, g0, mu0, h, theta)
-    n = group.algebra_dim + group.dual_dim
-
-    if solve.method == "fixed-point":
-        x = np.zeros(n)
-        for _ in range(solve.max_iter):
-            x, x_old = G(x), x
-            if np.linalg.norm(x - x_old) <= solve.tol * (1.0 + np.linalg.norm(x)):
-                break
-        else:
-            raise NonConvergenceError(
-                f"fixed-point iteration stalled after {solve.max_iter} sweeps "
-                f"(h = {h:.3e} likely too large)"
-            )
-    else:
-        x = _simplified_newton(G, n, solve)
+    x = _simplified_newton(G, group.algebra_dim + group.dual_dim, solve)
     xi, nbar = x[: group.algebra_dim], x[group.algebra_dim :]
 
     g1 = group.compose(group.exp(xi), g0)
@@ -592,16 +568,22 @@ def adaptive_integrate(
     A trial step that raises :class:`BranchError` (logged with estimate
     inf) or returns a non-finite estimate is a rejection that halves h.
 
-    f is memoised on the identity of its last argument, so the last stage
-    of a first-same-as-last pair, f(y1), is also the next trial's first."""
+    f is memoised on the identity of its argument, for the current point
+    and the last one evaluated: the last stage of a first-same-as-last
+    pair, f(y1), is also the next trial's first, and a trial after a
+    reject reuses f(y) from the rejected one."""
     if T <= t0:
         raise ValueError("T must exceed t0")
-    last = (None, None)
+    last = base = (None, None)
 
     def f_memo(m):
-        nonlocal last
+        nonlocal last, base
+        if m is base[0]:
+            return base[1]
         if m is not last[0]:
             last = (m, f(m))
+        if m is y:
+            base = last
         return last[1]
 
     t, y = t0, np.asarray(y0, dtype=float)

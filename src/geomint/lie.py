@@ -34,7 +34,6 @@ __all__ = [
     "dexpinv_series",
     "dexpinv_so3",
     "dexpinv_se3",
-    "dexp_so3_matrix",
     "dexp_star_so3",
 ]
 
@@ -137,12 +136,6 @@ def exp_so3(xi):
     """Rodrigues rotation matrix exp(hat(xi))."""
     x, y, z = _floats(xi)
     return _identity_plus_hat(x, y, z, *_exp_coeffs(x * x + y * y + z * z)).reshape(3, 3)
-
-
-def dexp_so3_matrix(u):
-    """3x3 matrix of dexp_u on so(3): I + cosc(a) hat(u) + g2(a) hat(u)^2."""
-    x, y, z = _floats(u)
-    return _identity_plus_hat(x, y, z, *_dexp_coeffs(x * x + y * y + z * z)).reshape(3, 3)
 
 
 def dexp_star_so3(u, mu):

@@ -37,10 +37,8 @@ __all__ = [
     "BRULS_TOP",
     "bruls_momentum",
     "heavytop_body_f",
-    "heavytop_spatial_f",
     "heavytop_spatial_f_pair",
     "heavytop_liepoisson_f",
-    "heavytop_ext_f",
     "heavytop_ext_f_pair",
     "body_energy",
     "spatial_energy",
@@ -165,11 +163,6 @@ def heavytop_spatial_f_pair(params: HeavyTopParams):
     return f
 
 
-def heavytop_spatial_f(params: HeavyTopParams, m: np.ndarray) -> np.ndarray:
-    """Frozen field on SO(3) x so(3)*: (omega, Mgl Gamma0 x QX + pi x omega)."""
-    return np.concatenate(heavytop_spatial_f_pair(params)(*unpack_spatial(m)))
-
-
 def spatial_energy(params: HeavyTopParams, m: np.ndarray) -> float:
     Q = m[:9].reshape(3, 3)
     return body_energy(params, np.concatenate([m[:9], Q.T @ m[9:12]]))
@@ -234,11 +227,6 @@ def heavytop_ext_f_pair(params: HeavyTopParams):
 def _ext_field(pair, m: np.ndarray) -> np.ndarray:
     f1, f2 = pair(*unpack_ext(m))
     return np.concatenate([f1[:3], f2, f1[3:]])
-
-
-def heavytop_ext_f(params: HeavyTopParams, m: np.ndarray) -> np.ndarray:
-    """Frozen field on the ext-top action, algebra order (omega, pi', p', q')."""
-    return _ext_field(heavytop_ext_f_pair(params), m)
 
 
 def ext_energy(params: HeavyTopParams, m: np.ndarray) -> float:

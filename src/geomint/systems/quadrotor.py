@@ -31,7 +31,6 @@ __all__ = [
     "constant_controls",
     "default_initial",
     "quadrotor_assemble",
-    "quadrotor_zdot",
     "quadrotor_f",
     "quadrotor_energy",
     "build_quadrotor",
@@ -108,7 +107,7 @@ def default_initial() -> np.ndarray:
 
 def quadrotor_assemble(params: QuadrotorParams, controls: Controls, t, state):
     """Block system A(z) zdot = h(z) for z = [y, v, Omega1, Omega2, omega1, omega2],
-    as dense arrays: the reference for the block elimination of ``quadrotor_zdot``."""
+    as dense arrays: the reference for the block elimination of ``quadrotor_f``."""
     q1, q2 = state[_Q1], state[_Q2]
     w1, w2 = state[_W1], state[_W2]
     v = state[_V]
@@ -196,12 +195,6 @@ def _floats_and_zdot(params: QuadrotorParams, controls: Controls, t, state):
     return s, zdot
 
 
-def quadrotor_zdot(params, controls, t, state) -> np.ndarray:
-    """zdot = [ydot, vdot, Omega1dot, Omega2dot, omega1dot, omega2dot]
-    by block elimination of A(z) zdot = h(z)."""
-    return np.array(_floats_and_zdot(params, controls, t, state)[1])
-
-
 def quadrotor_f(params: QuadrotorParams, controls: Controls, t, state) -> np.ndarray:
     """Frozen field in the 30-dimensional algebra: accelerations by block
     elimination, spatial twists R_i Omega_i for the attitudes, and
@@ -214,28 +207,6 @@ def quadrotor_f(params: QuadrotorParams, controls: Controls, t, state) -> np.nda
         *s[33:36], *_cross(s[30:33], zd[12:15]),
         *s[39:42], *_cross(s[36:39], zd[15:18]),
     ])
-
-
-def quadrotor_ambient_rhs(params, controls, t, state) -> np.ndarray:
-    """Direct time derivative of the flat state: kinematics, with the
-    accelerations by block elimination."""
-    zd = quadrotor_zdot(params, controls, t, state)
-    R1 = state[_R1].reshape(3, 3)
-    R2 = state[_R2].reshape(3, 3)
-    return np.concatenate(
-        [
-            zd[0:3],
-            zd[3:6],
-            (R1 @ hat(state[_O1])).ravel(),
-            zd[6:9],
-            (R2 @ hat(state[_O2])).ravel(),
-            zd[9:12],
-            cross(state[_W1], state[_Q1]),
-            zd[12:15],
-            cross(state[_W2], state[_Q2]),
-            zd[15:18],
-        ]
-    )
 
 
 def quadrotor_energy(params: QuadrotorParams, state: np.ndarray) -> float:

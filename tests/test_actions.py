@@ -80,7 +80,7 @@ def test_identity_acts_trivially(case):
     action, point = case
     m = point()
     e = action.exp(np.zeros(action.algebra_dim))
-    np.testing.assert_allclose(action.act(e, m), m, atol=1e-14)
+    np.testing.assert_allclose(action.act(e, m), m, rtol=0, atol=1e-14)
 
 
 def test_action_compatible_with_composition(case):
@@ -92,7 +92,7 @@ def test_action_compatible_with_composition(case):
     s, t = 0.3, 0.7
     lhs = action.act(action.exp(s * xi), action.act(action.exp(t * xi), m))
     rhs = action.act(action.exp((s + t) * xi), m)
-    np.testing.assert_allclose(lhs, rhs, atol=1e-11)
+    np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-11)
 
 
 def test_inverse_undoes_action(case):
@@ -100,7 +100,7 @@ def test_inverse_undoes_action(case):
     m = point()
     xi = _random_algebra(action)
     np.testing.assert_allclose(
-        action.act(action.exp(-xi), action.act(action.exp(xi), m)), m, atol=1e-11
+        action.act(action.exp(-xi), action.act(action.exp(xi), m)), m, rtol=0, atol=1e-11
     )
 
 
@@ -112,7 +112,7 @@ def test_generator_matches_finite_difference(case):
     fd = (action.act(action.exp(t * xi), m) - action.act(action.exp(-t * xi), m)) / (
         2.0 * t
     )
-    np.testing.assert_allclose(fd, action.generator(xi, m), atol=5e-8)
+    np.testing.assert_allclose(fd, action.generator(xi, m), rtol=0, atol=5e-8)
 
 
 def test_generator_finite_difference_is_second_order(case):

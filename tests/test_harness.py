@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -465,10 +466,12 @@ def test_importing_the_harness_leaves_scipy_optimize_unloaded():
 
 
 def test_perfbench_imports_resolve():
-    # the benchmark imports these names from the package; a deletion that
-    # removes one would otherwise break it without a failing test
-    root = Path(__file__).resolve().parents[1] / "perfbench"
-    scripts = sorted(root.glob("*.py"))
+    # the benchmark and the scripts import these names from the package,
+    # and no test runs the scripts; a deletion that removes one, or leaves
+    # it in a module's __all__, would otherwise break them without a
+    # failing test
+    root = Path(__file__).resolve().parents[1]
+    scripts = sorted(root.glob("perfbench/*.py")) + sorted(root.glob("scripts/*.py"))
     assert scripts
     missing = []
     for script in scripts:
@@ -484,4 +487,8 @@ def test_perfbench_imports_resolve():
                 for alias in node.names:
                     if alias.name.startswith("geomint"):
                         importlib.import_module(alias.name)
+    for info in pkgutil.walk_packages(geomint.__path__, prefix="geomint."):
+        module = importlib.import_module(info.name)
+        missing += [f"{info.name}.{name}" for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
     assert not missing

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,14 +20,14 @@ from geomint.systems.heavytop import (
     BRULS_TOP,
     HeavyTopParams,
     body_energy,
+    build_ext,
+    build_spatial,
     bruls_momentum,
     ext_energy,
     ext_initial_p,
     heavytop_body_f,
-    heavytop_ext_f,
     heavytop_ext_f_pair,
     heavytop_liepoisson_f,
-    heavytop_spatial_f,
     heavytop_spatial_f_pair,
     pack_ext,
     pack_spatial,
@@ -112,8 +114,8 @@ def test_spatial_field_consistent_with_body_form():
     pi_dot_expected = Q_dot @ Pi + Q @ Pi_dot
 
     spatial = np.concatenate([Q.ravel(), Q @ Pi])
-    fs = heavytop_spatial_f(params, spatial)
-    system = get_system("heavytop-spatial")
+    system = build_spatial(params)
+    fs = system.field(spatial)
     dm = system.action.generator(fs, spatial)
     np.testing.assert_allclose(dm[:9].reshape(3, 3), Q_dot, atol=1e-11)
     np.testing.assert_allclose(dm[9:12], pi_dot_expected, atol=1e-11)
@@ -136,7 +138,7 @@ def test_ext_field_keeps_p_frozen():
     params = BRULS_TOP
     Q, pi = _random_state()
     m = np.concatenate([Q.ravel(), pi, ext_initial_p(params), rng.normal(size=3)])
-    out = heavytop_ext_f(params, m)
+    out = build_ext(params).field(m)
     np.testing.assert_array_equal(out[6:9], np.zeros(3))
 
 
@@ -338,6 +340,16 @@ def test_symplectic_newton_field_evaluations_per_step(system_id, bound):
         before = len(calls)
         g, mu = symplectic_step(ct.group, counted, g, mu, 0.01, 0.5, SolveConfig(method="newton"))
         assert len(calls) - before <= bound
+
+
+def test_symplectic_fixed_point_field_evaluations_per_step():
+    # the J = I solve: the predictor G(0), then one evaluation per sweep;
+    # 13 per step at theta = 1/2, h = 0.00125
+    system = get_system("heavytop-ext")
+    ct, calls = system.cotangent, []
+    f = lambda g, mu: calls.append(None) or ct.f(g, mu)
+    symplectic_integrate(replace(system, cotangent=replace(ct, f=f)), 0.5, 0.00125, 80)
+    assert len(calls) == 13 * 80
 
 
 @pytest.mark.parametrize("h0", [0.5, 2.0])

@@ -23,9 +23,7 @@ from geomint.integrators import (
     fixed_integrate,
     lie_euler_heun_step,
     lie_euler_step,
-    make_rkmk_stepper,
     rkmk4_two_commutator_step,
-    rkmk54_step,
     rkmk_step,
     so3_cotangent_group,
     so3r3_cotangent_group,
@@ -34,6 +32,7 @@ from geomint.integrators import (
 from geomint.lie import BranchError, dexp_star_so3, dexpinv_series, exp_so3
 
 rng = np.random.default_rng(99)
+RKMK54 = METHODS["rkmk54"].stepper
 
 
 # -- tableaux ----------------------------------------------------------------
@@ -154,7 +153,7 @@ def test_series_dexpinv_matches_exact_for_small_steps():
     h = 1e-3
     y0 = np.array([0.3, -1.1, 0.8])
     exact = rkmk_step(action, euler_field, y0, h, tableau=RK4)
-    series = make_rkmk_stepper(RK4)(series_action, euler_field, y0, h)
+    series = METHODS["rkmk4"].stepper(series_action, euler_field, y0, h)
     np.testing.assert_allclose(series.y_next, exact.y_next, atol=1e-12)
 
 
@@ -229,7 +228,7 @@ def test_adaptive_rejects_branch_error_in_the_embedded_part():
 
     f = lambda mu: np.array([1.0, 0.5, 2.0]) * mu
     cfg = ControllerConfig(tol=1e-6, alpha=0.2)
-    res = adaptive_integrate(replace(action, dexpinv=dexpinv), f, rkmk54_step,
+    res = adaptive_integrate(replace(action, dexpinv=dexpinv), f, RKMK54,
                              np.array([0.3, -1.1, 0.8]), 0.0, 0.5, 0.1, cfg)
     first, second = res.step_log[:2]
     assert first.error_estimate == np.inf and not first.accepted
@@ -240,24 +239,22 @@ def test_adaptive_rejects_branch_error_in_the_embedded_part():
 
 @pytest.mark.parametrize("tol,h0", [(1e-3, 0.1), (1e-9, 0.5)])
 def test_adaptive_rkmk54_evaluates_the_shared_stage_once(tol, h0):
-    # DOPRI54's seventh stage is f(y1), the next trial's first stage: an
-    # accepted step followed by another accepted step costs 6 evaluations
+    # DOPRI54's seventh stage is f(y1), the next trial's first stage, and
+    # a trial after a reject reuses f(y) from the rejected one: every
+    # trial but the first costs 6 evaluations
     f = lambda mu: np.array([1.0, 0.5, 2.0]) * mu
     action, field, counts = _counted(coadjoint_so3_action(), f)
     y0 = np.array([0.3, -1.1, 0.8])
-    res = adaptive_integrate(action, field, rkmk54_step, y0, 0.0, 2.0, h0,
+    res = adaptive_integrate(action, field, RKMK54, y0, 0.0, 2.0, h0,
                              ControllerConfig(tol=tol, alpha=0.2))
     log = res.step_log
-    if res.rejects == 0:
-        assert counts["f"] == 7 + 6 * (len(log) - 1)
-    else:  # a trial after a reject starts with a fresh f(y)
-        after_reject = sum(1 for a, b in zip(log, log[1:]) if not a.accepted)
-        assert counts["f"] == 7 * (1 + after_reject) + 6 * (len(log) - 1 - after_reject)
+    assert counts["f"] == 7 + 6 * (len(log) - 1)
+    assert res.rejects == (h0 == 0.5)  # the second case covers a reject
     # the memo changes no number: replay the accepted steps without it
     y, ys = y0, [y0]
     for attempt in log:
         if attempt.accepted:
-            y = rkmk54_step(coadjoint_so3_action(), f, y, attempt.h).y_next
+            y = RKMK54(coadjoint_so3_action(), f, y, attempt.h).y_next
             ys.append(y)
     np.testing.assert_array_equal(res.ys, np.array(ys))
 
@@ -267,8 +264,8 @@ def test_rkmk54_error_estimate_scales_at_order_five():
     iinv = np.array([1.0, 0.5, 2.0])
     f = lambda mu: iinv * mu
     y0 = np.array([0.3, -1.1, 0.8])
-    e1 = rkmk54_step(action, f, y0, 0.1).error_estimate
-    e2 = rkmk54_step(action, f, y0, 0.05).error_estimate
+    e1 = RKMK54(action, f, y0, 0.1).error_estimate
+    e2 = RKMK54(action, f, y0, 0.05).error_estimate
     assert 20.0 < e1 / e2 < 50.0
 
 
@@ -327,7 +324,7 @@ def test_fixed_integrate_shapes_and_endpoint():
 def test_adaptive_accepts_below_tolerance_and_lands_on_T():
     cfg = ControllerConfig(tol=1e-8, alpha=0.2)
     res = adaptive_integrate(
-        ACTION2, _linear_field, rkmk54_step, Y0, 0.0, 3.0, 0.1, cfg
+        ACTION2, _linear_field, RKMK54, Y0, 0.0, 3.0, 0.1, cfg
     )
     assert isinstance(res, AdaptiveResult)
     assert res.ts[0] == 0.0 and res.ts[-1] == pytest.approx(3.0, abs=1e-12)
@@ -351,7 +348,7 @@ def test_adaptive_requires_embedded_stepper():
 def test_adaptive_rejects_non_finite_estimate_and_halves_h():
     # a trial step longer than 0.05 reports a NaN estimate
     def stepper(action, f, y, h):
-        res = rkmk54_step(action, f, y, h)
+        res = RKMK54(action, f, y, h)
         return replace(res, _embedded=lambda: (res.y_aux, np.nan)) if h > 0.05 else res
 
     cfg = ControllerConfig(tol=1e-8, alpha=0.2)
@@ -368,7 +365,7 @@ def test_adaptive_step_underflow():
     stiff = translation_action(1)
     with pytest.raises(StepSizeUnderflowError):
         adaptive_integrate(
-            stiff, lambda y: -1e6 * y, rkmk54_step, np.array([1.0]), 0.0, 1.0, 0.1, cfg
+            stiff, lambda y: -1e6 * y, RKMK54, np.array([1.0]), 0.0, 1.0, 0.1, cfg
         )
 
 
@@ -408,7 +405,11 @@ def test_solve_config_rejects_unusable_solve(kwargs):
 
 @pytest.mark.parametrize("method", ["fixed-point", "newton"])
 def test_symplectic_nan_field_does_not_converge(method):
+    # both solves check the predictor, so neither sweeps max_iter times
+    calls = []
+
     def nan_field(g, mu):
+        calls.append(None)
         _, torque = _free_rigid_body(g, mu)
         return np.full(3, np.nan), torque
 
@@ -418,6 +419,7 @@ def test_symplectic_nan_field_does_not_converge(method):
             group, nan_field, np.eye(3), np.array([0.4, -1.0, 0.7]), 0.02, 0.5,
             SolveConfig(method=method),
         )
+    assert len(calls) <= 2
 
 
 def test_symplectic_fixed_point_diverges_for_huge_steps():
