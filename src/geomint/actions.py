@@ -7,12 +7,14 @@ elements are whatever structure the action finds convenient.  The
 schemes only make group elements with ``exp`` and apply them with
 ``act``, so no action carries a group product, identity or inverse.
 
-Every system's action is a direct product built by
-:func:`product_action` from a few factor types: ``R^n`` translation,
-SO(3) multiplying a 3x3 rotation block from the left or from the right,
-SE(3) on TS^2, the cotangent group SO(3) x so(3)* on (Q, pi), and the
-coadjoint actions.  Algebra and point blocks of the factors are laid end
-to end; a product's group elements are lists with one entry per factor.
+Every action is a direct product of factor records: ``R^n``
+translation, SO(3) multiplying a 3x3 rotation block from the left or
+from the right, SE(3) on TS^2, the cotangent group SO(3) x so(3)* on
+(Q, pi), and the coadjoint actions, with their blocks laid end to end.
+Factors work on Python floats, so a product map converts its arguments
+once and builds one array at the end.  A group element is a list with
+one entry per factor (a 3x3 array for SO(3), 12 floats for SE(3)), or
+that entry alone for a one-factor action.
 
 The generator of every action equals the t-derivative of
 ``act(exp(t xi), m)`` at ``t = 0`` (finite-difference tested).  The
@@ -31,10 +33,11 @@ import numpy as np
 
 from .kernels import cross
 from .lie import (
-    dexpinv_se3,
-    dexpinv_so3,
-    exp_se3,
-    exp_so3,
+    _dexpinv_se3,
+    _dexpinv_so3,
+    _exp_se3,
+    _exp_so3,
+    _floats,
     hat,
     se3_bracket,
     so3_bracket,
@@ -70,7 +73,7 @@ class HomogeneousAction:
     form, with ``ad_u = bracket(u, .)``.  The steppers read ``exp``,
     ``act``, ``dexpinv``, ``bracket`` and ``algebra_dim``; ``generator``
     gives the ambient vector field for the classical RK4 control and
-    the field tests.
+    the field tests.  ``factors`` lists its factor records.
     """
 
     name: str
@@ -81,28 +84,45 @@ class HomogeneousAction:
     generator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bracket: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dexpinv: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    factors: tuple
 
 
-# ---------------------------------------------------------------------------
-# Group data shared by the factors over SO(3) and over SE(3)
+@dataclass(frozen=True)
+class _Factor:
+    """One factor of a direct product.  ``exp``, ``act`` and ``dexpinv``
+    take and return sequences of Python floats; with ``view`` set, ``act``
+    takes its point block as an array view instead.  ``generator`` and
+    ``bracket`` work on arrays."""
 
-_SO3 = dict(
-    algebra_dim=3,
-    exp=exp_so3,
-    bracket=so3_bracket,
-    dexpinv=dexpinv_so3,
-)
+    algebra_dim: int
+    point_dim: int
+    exp: Callable
+    act: Callable
+    dexpinv: Callable
+    generator: Callable
+    bracket: Callable
+    view: bool = False
 
-_SE3 = dict(
-    algebra_dim=6,
-    exp=exp_se3,
-    bracket=se3_bracket,
-    dexpinv=dexpinv_se3,
-)
+
+# Group data of the factors over SO(3) and SE(3).  An SO(3) element is a
+# 3x3 array acting by numpy's matmul on an array view of its block, which
+# float sums would not match bit for bit; an SE(3) element is the 12
+# floats of _exp_se3, R row by row and then r.
+
+_SO3 = dict(algebra_dim=3, exp=_exp_so3, dexpinv=_dexpinv_so3, bracket=so3_bracket, view=True)
+_SE3 = dict(algebra_dim=6, exp=_exp_se3, dexpinv=_dexpinv_se3, bracket=se3_bracket)
 
 
 # ---------------------------------------------------------------------------
 # Direct products
+
+
+def _entries(v, n):
+    """The n components of v as floats; ValueError on any other length."""
+    vs = _floats(v)
+    if len(vs) != n:
+        raise ValueError(f"expected {n} entries, got {len(vs)}")
+    return vs
 
 
 def _blocks(dims) -> list:
@@ -110,40 +130,59 @@ def _blocks(dims) -> list:
     return [slice(a, b) for a, b in zip(ends, ends[1:])]
 
 
-def product_action(name: str, factors: Sequence[HomogeneousAction]) -> HomogeneousAction:
-    """Direct product of ``factors`` acting blockwise on the product of
-    their manifolds.  Every map applies the matching factor callable to
-    that factor's algebra or point slice; ``act`` raises ValueError on a
-    group element with the wrong number of factors."""
+def _action(name: str, factors: Sequence[_Factor]) -> HomogeneousAction:
+    """The direct product of ``factors`` as one action."""
+    factors = tuple(factors)
     alg = _blocks(f.algebra_dim for f in factors)
     pts = _blocks(f.point_dim for f in factors)
+    algebra_dim, point_dim = alg[-1].stop, pts[-1].stop
+    acts = [(f.act, f.view, p) for f, p in zip(factors, pts)]
+
+    def exp(xi):
+        xs = _entries(xi, algebra_dim)
+        return [f.exp(xs[a]) for f, a in zip(factors, alg)]
 
     def act(g, m):
-        return np.concatenate(
-            [f.act(gi, m[p]) for f, gi, p in zip(factors, g, pts, strict=True)]
-        )
+        ms = _entries(m, point_dim)
+        out = []
+        for (f, view, p), gi in zip(acts, g, strict=True):
+            out += f(gi, (m if view else ms)[p])
+        return np.array(out)
+
+    def dexpinv(u, v):
+        us, vs = _entries(u, algebra_dim), _entries(v, algebra_dim)
+        out = []
+        for f, a in zip(factors, alg):
+            out += f.dexpinv(us[a], vs[a])
+        return np.array(out)
 
     def generator(xi, m):
-        return np.concatenate(
-            [f.generator(xi[a], m[p]) for f, a, p in zip(factors, alg, pts)]
-        )
+        return np.concatenate([f.generator(xi[a], m[p]) for f, a, p in zip(factors, alg, pts)])
 
     def bracket(x, y):
         return np.concatenate([f.bracket(x[a], y[a]) for f, a in zip(factors, alg)])
 
-    def dexpinv(u, v):
-        return np.concatenate([f.dexpinv(u[a], v[a]) for f, a in zip(factors, alg)])
-
+    if len(factors) > 1:
+        return HomogeneousAction(name, algebra_dim, point_dim, exp, act, generator, bracket,
+                                 dexpinv, factors)
+    # one factor: the group elements are the factor's own; call its maps directly
+    (f,) = factors
     return HomogeneousAction(
-        name=name,
-        algebra_dim=alg[-1].stop,
-        point_dim=pts[-1].stop,
-        exp=lambda xi: [f.exp(xi[a]) for f, a in zip(factors, alg)],
-        act=act,
-        generator=generator,
-        bracket=bracket,
-        dexpinv=dexpinv,
+        name, algebra_dim, point_dim, lambda xi: f.exp(_entries(xi, algebra_dim)),
+        lambda g, m: np.array(f.act(g, m if f.view else _entries(m, point_dim))),
+        f.generator, f.bracket,
+        lambda u, v: np.array(f.dexpinv(_entries(u, algebra_dim), _entries(v, algebra_dim))),
+        factors,
     )
+
+
+def product_action(name: str, factors: Sequence[HomogeneousAction]) -> HomogeneousAction:
+    """Direct product of ``factors``, their algebra and point blocks laid
+    end to end; a group element is a list with one entry per factor.  Each
+    map converts its arguments to floats once and builds one array at the
+    end.  ValueError on a group element with the wrong number of factors
+    or an argument of the wrong length."""
+    return _action(name, [f for action in factors for f in action.factors])
 
 
 # ---------------------------------------------------------------------------
@@ -153,16 +192,13 @@ def product_action(name: str, factors: Sequence[HomogeneousAction]) -> Homogeneo
 def translation_action(n: int) -> HomogeneousAction:
     """R^n acting on itself by translation; every Lie scheme collapses
     to its classical counterpart under this action."""
-    return HomogeneousAction(
-        name=f"translation-{n}",
-        algebra_dim=n,
-        point_dim=n,
-        exp=lambda xi: np.asarray(xi, dtype=float),
-        act=lambda g, m: m + g,
+    return _action(f"translation-{n}", [_Factor(
+        n, n, exp=lambda xs: xs,
+        act=lambda g, m: [a + b for a, b in zip(m, g)],
+        dexpinv=lambda u, v: v,
         generator=lambda xi, m: np.asarray(xi, dtype=float),
         bracket=lambda x, y: np.zeros(n),
-        dexpinv=lambda u, v: np.asarray(v, dtype=float),
-    )
+    )])
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +207,12 @@ def translation_action(n: int) -> HomogeneousAction:
 
 def so3_left_action() -> HomogeneousAction:
     """SO(3) on a rotation block Q by left multiplication, A.Q = A Q."""
-    return HomogeneousAction(
-        name="so3-left",
+    return _action("so3-left", [_Factor(
         point_dim=9,
-        act=lambda g, m: (g @ m.reshape(3, 3)).ravel(),
+        act=lambda g, m: (g @ m.reshape(3, 3)).ravel().tolist(),
         generator=lambda xi, m: (hat(xi) @ m.reshape(3, 3)).ravel(),
         **_SO3,
-    )
+    )])
 
 
 # Right multiplication A.Q = Q A has generator Q hat(xi) and is a left
@@ -188,16 +223,14 @@ def so3_left_action() -> HomogeneousAction:
 
 def so3_right_action() -> HomogeneousAction:
     """The opposite group of SO(3) on a rotation block Q, A.Q = Q A."""
-    return HomogeneousAction(
-        name="so3-right",
-        algebra_dim=3,
-        point_dim=9,
-        exp=exp_so3,
-        act=lambda g, m: (m.reshape(3, 3) @ g).ravel(),
+    return _action("so3-right", [_Factor(
+        3, 9, _exp_so3,
+        act=lambda g, m: (m.reshape(3, 3) @ g).ravel().tolist(),
+        dexpinv=lambda u, v: _dexpinv_so3([-c for c in u], v),
         generator=lambda xi, m: (m.reshape(3, 3) @ hat(xi)).ravel(),
         bracket=lambda x, y: -cross(x, y),
-        dexpinv=lambda u, v: dexpinv_so3(-u, v),
-    )
+        view=True,
+    )])
 
 
 # ---------------------------------------------------------------------------
@@ -206,23 +239,9 @@ def so3_right_action() -> HomogeneousAction:
 _TS2_TOL = 1e-9
 
 
-def _check_ts2(m):
-    """The floats (q, w) of a point m; ValueError unless m is on TS^2."""
-    q1, q2, q3, w1, w2, w3 = m.tolist()
-    qq = q1 * q1 + q2 * q2 + q3 * q3
-    if abs(qq - 1.0) > 2.0 * _TS2_TOL:
-        raise ValueError(f"|q| off the unit sphere by {abs(math.sqrt(qq) - 1.0):.2e}")
-    qw = q1 * w1 + q2 * w2 + q3 * w3
-    if abs(qw) > _TS2_TOL * max(1.0, math.sqrt(w1 * w1 + w2 * w2 + w3 * w3)):
-        raise ValueError(f"omega not tangent: q.omega = {qw:.2e}")
-    return q1, q2, q3, w1, w2, w3
-
-
 def _shifted_rotation(g, x1, x2, x3, y1, y2, y3):
     """R x + r x R y and R y for g = (R, r), as six floats."""
-    R, r = g
-    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = R.tolist()
-    t1, t2, t3 = r.tolist()
+    a1, a2, a3, b1, b2, b3, c1, c2, c3, t1, t2, t3 = g
     p1 = a1 * y1 + a2 * y2 + a3 * y3
     p2 = b1 * y1 + b2 * y2 + b3 * y3
     p3 = c1 * y1 + c2 * y2 + c3 * y3
@@ -234,11 +253,23 @@ def _shifted_rotation(g, x1, x2, x3, y1, y2, y3):
     )
 
 
+def _act_ts2(g, m):
+    """act_ts2 on floats; ValueError unless m is on TS^2."""
+    q1, q2, q3, w1, w2, w3 = m
+    qq = q1 * q1 + q2 * q2 + q3 * q3
+    # both checks are written so that NaN fails them
+    if not abs(qq - 1.0) <= 2.0 * _TS2_TOL:
+        raise ValueError(f"|q| off the unit sphere by {abs(math.sqrt(qq) - 1.0):.2e}")
+    qw = q1 * w1 + q2 * w2 + q3 * w3
+    if not abs(qw) <= _TS2_TOL * max(1.0, math.sqrt(w1 * w1 + w2 * w2 + w3 * w3)):
+        raise ValueError(f"omega not tangent: q.omega = {qw:.2e}")
+    s1, s2, s3, p1, p2, p3 = _shifted_rotation(g, w1, w2, w3, q1, q2, q3)
+    return p1, p2, p3, s1, s2, s3
+
+
 def act_ts2(g, m):
     """SE(3) on TS^2: ((A,a),(q,w)) -> (Aq, Aw + a x Aq)."""
-    q1, q2, q3, w1, w2, w3 = _check_ts2(m)
-    s1, s2, s3, p1, p2, p3 = _shifted_rotation(g, w1, w2, w3, q1, q2, q3)
-    return np.array([p1, p2, p3, s1, s2, s3])
+    return np.array(_act_ts2([*np.ravel(g[0]).tolist(), *np.ravel(g[1]).tolist()], _floats(m)))
 
 
 def generator_ts2(xi, m):
@@ -250,13 +281,8 @@ def generator_ts2(xi, m):
 
 def se3_ts2_action() -> HomogeneousAction:
     """SE(3) on one TS^2 = {(q, w) : |q| = 1, q.w = 0}."""
-    return HomogeneousAction(
-        name="se3-ts2",
-        point_dim=6,
-        act=act_ts2,
-        generator=generator_ts2,
-        **_SE3,
-    )
+    return _action("se3-ts2", [_Factor(point_dim=6, act=_act_ts2, generator=generator_ts2,
+                                       **_SE3)])
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +291,12 @@ def se3_ts2_action() -> HomogeneousAction:
 
 def coadjoint_so3_action() -> HomogeneousAction:
     """SO(3) on so(3)* by g.mu = Ad*_{g^-1} mu = g mu (spherical shells)."""
-    return HomogeneousAction(
-        name="coadjoint-so3",
+    return _action("coadjoint-so3", [_Factor(
         point_dim=3,
-        act=lambda g, mu: g @ mu,
+        act=lambda g, mu: (g @ mu).tolist(),
         generator=lambda xi, mu: cross(xi, mu),
         **_SO3,
-    )
+    )])
 
 
 def coadjoint_se3_action() -> HomogeneousAction:
@@ -281,7 +306,7 @@ def coadjoint_se3_action() -> HomogeneousAction:
 
     def act(g, mu):
         # (R Pi + u x R Gamma, R Gamma)
-        return np.array(_shifted_rotation(g, *mu.tolist()))
+        return _shifted_rotation(g, *mu)
 
     def generator(xi, mu):
         # -ad*_(xi,v) mu
@@ -289,9 +314,7 @@ def coadjoint_se3_action() -> HomogeneousAction:
         Pi, Gamma = mu[:3], mu[3:6]
         return np.concatenate([cross(xi[:3], Pi) + cross(v, Gamma), cross(xi[:3], Gamma)])
 
-    return HomogeneousAction(
-        name="coadjoint-se3", point_dim=6, act=act, generator=generator, **_SE3
-    )
+    return _action("coadjoint-se3", [_Factor(point_dim=6, act=act, generator=generator, **_SE3)])
 
 
 # ---------------------------------------------------------------------------
@@ -306,18 +329,16 @@ def cotangent_so3_action() -> HomogeneousAction:
     action behind the spatial heavy top for explicit schemes."""
 
     def act(g, m):
-        A, nu = g
-        (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = A.tolist()
-        q1, q2, q3, q4, q5, q6, q7, q8, q9, p1, p2, p3 = m.tolist()
-        n1, n2, n3 = nu.tolist()
+        a1, a2, a3, b1, b2, b3, c1, c2, c3, n1, n2, n3 = g
+        q1, q2, q3, q4, q5, q6, q7, q8, q9, p1, p2, p3 = m
         # A Q row by row, then nu + A pi
-        return np.array([
+        return (
             a1 * q1 + a2 * q4 + a3 * q7, a1 * q2 + a2 * q5 + a3 * q8, a1 * q3 + a2 * q6 + a3 * q9,
             b1 * q1 + b2 * q4 + b3 * q7, b1 * q2 + b2 * q5 + b3 * q8, b1 * q3 + b2 * q6 + b3 * q9,
             c1 * q1 + c2 * q4 + c3 * q7, c1 * q2 + c2 * q5 + c3 * q8, c1 * q3 + c2 * q6 + c3 * q9,
             n1 + a1 * p1 + a2 * p2 + a3 * p3, n2 + b1 * p1 + b2 * p2 + b3 * p3,
             n3 + c1 * p1 + c2 * p2 + c3 * p3,
-        ])
+        )
 
     def generator(xi, m):
         eta, delta = xi[:3], xi[3:6]
@@ -325,9 +346,7 @@ def cotangent_so3_action() -> HomogeneousAction:
         pi = m[9:12]
         return np.concatenate([(hat(eta) @ Q).ravel(), delta + cross(eta, pi)])
 
-    return HomogeneousAction(
-        name="cotangent-so3", point_dim=12, act=act, generator=generator, **_SE3
-    )
+    return _action("cotangent-so3", [_Factor(point_dim=12, act=act, generator=generator, **_SE3)])
 
 
 # ---------------------------------------------------------------------------

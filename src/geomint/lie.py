@@ -51,11 +51,9 @@ def hat(xi):
 
 
 def _poly_even(z2, coeffs):
-    """Evaluate sum coeffs[k] * z2**k (Horner)."""
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * z2 + c
-    return acc
+    """Evaluate sum coeffs[k] * z2**k for seven coefficients (Horner)."""
+    c0, c1, c2, c3, c4, c5, c6 = coeffs
+    return (((((c6 * z2 + c5) * z2 + c4) * z2 + c3) * z2 + c2) * z2 + c1) * z2 + c0
 
 
 # Taylor coefficients in z**2 (generated symbolically, exact rationals).
@@ -115,27 +113,34 @@ def _dexp_coeffs(a2):
     return (1.0 - c) / a2, (a - s) / (a2 * a)
 
 
-def _identity_plus_hat(x, y, z, p, q, *tail):
+def _rotation(x, y, z, p, q, *tail):
     """I + p hat(v) + q hat(v)^2 for v = (x, y, z), using hat(v)^2 =
-    v v^T - |v|^2 I, row by row and then ``tail``, as one flat array."""
+    v v^T - |v|^2 I, row by row and then ``tail``, as one flat tuple."""
     xy, xz, yz = q * x * y, q * x * z, q * y * z
     xx, yy, zz = x * x, y * y, z * z
     px, py, pz = p * x, p * y, p * z
-    # one flat list: numpy parses it twice as fast as nested rows
-    return np.array(
-        [
-            1.0 - q * (yy + zz), xy - pz, xz + py,
-            xy + pz, 1.0 - q * (xx + zz), yz - px,
-            xz - py, yz + px, 1.0 - q * (xx + yy),
-            *tail,
-        ]
+    return (
+        1.0 - q * (yy + zz), xy - pz, xz + py,
+        xy + pz, 1.0 - q * (xx + zz), yz - px,
+        xz - py, yz + px, 1.0 - q * (xx + yy),
+        *tail,
     )
+
+
+def _identity_plus_hat(*args):
+    """:func:`_rotation` as one flat array."""
+    return np.array(_rotation(*args))
+
+
+def _exp_so3(v):
+    """exp_so3 of three floats."""
+    x, y, z = v
+    return _identity_plus_hat(x, y, z, *_exp_coeffs(x * x + y * y + z * z)).reshape(3, 3)
 
 
 def exp_so3(xi):
     """Rodrigues rotation matrix exp(hat(xi))."""
-    x, y, z = _floats(xi)
-    return _identity_plus_hat(x, y, z, *_exp_coeffs(x * x + y * y + z * z)).reshape(3, 3)
+    return _exp_so3(_floats(xi))
 
 
 def dexp_star_so3(u, mu):
@@ -168,20 +173,25 @@ def exp_se3(x):
     Equals the exponential of the 4x4 homogeneous matrix: r is the so(3)
     dexp matrix applied to a, a + cosc A x a + g2 (A (A . a) - |A|^2 a).
     """
-    x, y, z, a1, a2, a3 = _floats(x)
+    g = np.array(_exp_se3(_floats(x)))
+    return g[:9].reshape(3, 3), g[9:]
+
+
+def _exp_se3(v):
+    """exp_se3 of six floats as twelve: R row by row, then r."""
+    x, y, z, a1, a2, a3 = v
     t2 = x * x + y * y + z * z
     s, p = _exp_coeffs(t2)
     # g2 = (t - sin t)/t^3 = (1 - sinc t)/t^2
     q = _poly_even(t2, _DEXP_G2) if t2 < _SERIES_CUTOFF * _SERIES_CUTOFF else (1.0 - s) / t2
     qa = q * (x * a1 + y * a2 + z * a3)
     qt = 1.0 - q * t2
-    g = _identity_plus_hat(
+    return _rotation(
         x, y, z, s, p,
         qt * a1 + p * (y * a3 - z * a2) + qa * x,
         qt * a2 + p * (z * a1 - x * a3) + qa * y,
         qt * a3 + p * (x * a2 - y * a1) + qa * z,
     )
-    return g[:9].reshape(3, 3), g[9:]
 
 
 def so3_bracket(u, v):
@@ -232,18 +242,23 @@ def dexpinv_series(u, v, order: int, bracket: Callable = ad_bracket):
 def dexpinv_so3(u, v):
     """Exact dexpinv on so(3); principal branch ``||u|| < 2*pi``:
     v - 1/2 u x v + g2 u x (u x v)."""
-    x, y, z = _floats(u)
+    return np.array(_dexpinv_so3(_floats(u), _floats(v)))
+
+
+def _dexpinv_so3(u, v):
+    """dexpinv_so3 of three and three floats, as three floats."""
+    x, y, z = u
     alpha = math.sqrt(x * x + y * y + z * z)
     if alpha >= 2.0 * math.pi:
         raise BranchError("||u|| >= 2*pi")
-    v1, v2, v3 = _floats(v)
+    v1, v2, v3 = v
     w1, w2, w3 = y * v3 - z * v2, z * v1 - x * v3, x * v2 - y * v1
     g = _dexpinv_g2(alpha)
-    return np.array([
+    return (
         v1 - 0.5 * w1 + g * (y * w3 - z * w2),
         v2 - 0.5 * w2 + g * (z * w1 - x * w3),
         v3 - 0.5 * w3 + g * (x * w2 - y * w1),
-    ])
+    )
 
 
 def dexpinv_se3(u, v):
@@ -256,11 +271,16 @@ def dexpinv_se3(u, v):
     W = a x B + A x b,
     where g2 = (1 - (alpha/2) cot(alpha/2)) / alpha^2 and g2~ = g2'/alpha.
     """
-    x, y, z, a1, a2, a3 = _floats(u)
+    return np.array(_dexpinv_se3(_floats(u), _floats(v)))
+
+
+def _dexpinv_se3(u, v):
+    """dexpinv_se3 of six and six floats, as six floats."""
+    x, y, z, a1, a2, a3 = u
     alpha = math.sqrt(x * x + y * y + z * z)
     if alpha >= 2.0 * math.pi:
         raise BranchError("rotational norm >= 2*pi")
-    B1, B2, B3, b1, b2, b3 = _floats(v)
+    B1, B2, B3, b1, b2, b3 = v
     g = _dexpinv_g2(alpha)
     gt = (x * a1 + y * a2 + z * a3) * _dexpinv_g2t(alpha)
     # P = A x B, Q = A x P
@@ -270,9 +290,9 @@ def dexpinv_se3(u, v):
     W1 = a2 * B3 - a3 * B2 + y * b3 - z * b2
     W2 = a3 * B1 - a1 * B3 + z * b1 - x * b3
     W3 = a1 * B2 - a2 * B1 + x * b2 - y * b1
-    return np.array([
+    return (
         B1 - 0.5 * P1 + g * Q1, B2 - 0.5 * P2 + g * Q2, B3 - 0.5 * P3 + g * Q3,
         b1 - 0.5 * W1 + gt * Q1 + g * (a2 * P3 - a3 * P2 + y * W3 - z * W2),
         b2 - 0.5 * W2 + gt * Q2 + g * (a3 * P1 - a1 * P3 + z * W1 - x * W3),
         b3 - 0.5 * W3 + gt * Q3 + g * (a1 * P2 - a2 * P1 + x * W2 - y * W1),
-    ])
+    )

@@ -163,6 +163,77 @@ def test_product_rejects_wrong_factor_count():
         action.act(g[:6], _quadrotor_point())
 
 
+def _reference_product(factors):
+    """exp, act and dexpinv of a direct product, factor by factor with
+    np.concatenate: the definition the fused product maps must match."""
+    alg = np.cumsum([0] + [f.algebra_dim for f in factors])
+    pts = np.cumsum([0] + [f.point_dim for f in factors])
+    blocks = list(zip(factors, zip(alg, alg[1:]), zip(pts, pts[1:])))
+
+    def exp(xi):
+        return [f.exp(xi[a:b]) for f, (a, b), _ in blocks]
+
+    def act(g, m):
+        return np.concatenate([f.act(gi, m[c:d]) for (f, _, (c, d)), gi in zip(blocks, g)])
+
+    def dexpinv(u, v):
+        return np.concatenate([f.dexpinv(u[a:b], v[a:b]) for f, (a, b), _ in blocks])
+
+    return exp, act, dexpinv
+
+
+def _quadrotor_factors():
+    rot, r3, ts2 = so3_left_action(), translation_action(3), se3_ts2_action()
+    return [translation_action(6), rot, r3, rot, r3, ts2, ts2]
+
+
+@pytest.mark.parametrize(
+    "action, factors, point",
+    [
+        (ts2_action(6), [se3_ts2_action()] * 6,
+         lambda: np.concatenate([_ts2_point() for _ in range(6)])),
+        (quadrotor_action(), _quadrotor_factors(), _quadrotor_point),
+        (body_top_action(), [so3_right_action(), translation_action(3)],
+         lambda: _rotation_point(3)),
+        (ext_top_action(), [cotangent_so3_action(), translation_action(6)],
+         lambda: _rotation_point(9)),
+    ],
+    ids=["ts2-6", "quadrotor", "body-top", "ext-top"],
+)
+def test_product_maps_equal_factor_by_factor_definition(action, factors, point):
+    exp, act, dexpinv = _reference_product(factors)
+    for _ in range(5):
+        m = point()
+        xi = _random_algebra(action)
+        v = rng.normal(size=action.algebra_dim)
+        np.testing.assert_array_equal(action.act(action.exp(xi), m), act(exp(xi), m))
+        np.testing.assert_array_equal(action.dexpinv(xi, v), dexpinv(xi, v))
+
+
+@pytest.mark.parametrize("action, point", CASES, ids=IDS)
+def test_maps_reject_arguments_of_the_wrong_length(action, point):
+    m = point()
+    xi = _random_algebra(action)
+    g = action.exp(xi)
+    for bad in (np.append(m, 0.0), m[:-1]):
+        with pytest.raises(ValueError):
+            action.act(g, bad)
+    for bad in (np.append(xi, 0.0), xi[:-1]):
+        with pytest.raises(ValueError):
+            action.exp(bad)
+        with pytest.raises(ValueError):
+            action.dexpinv(bad, bad)
+
+
+def test_short_translation_block_is_rejected():
+    # the translation factor zips its block against the group element,
+    # so only the length check stops a short point
+    action = body_top_action()
+    g = action.exp(_random_algebra(action))
+    with pytest.raises(ValueError):
+        action.act(g, _rotation_point(2))
+
+
 # -- TS^2 specifics ----------------------------------------------------------
 
 
@@ -172,6 +243,19 @@ def test_ts2_rejects_off_manifold_points():
         act_ts2(g, np.array([2.0, 0.0, 0.0, 0.0, 1.0, 0.0]))
     with pytest.raises(ValueError):
         act_ts2(g, np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]))
+
+
+def test_ts2_rejects_nan_points():
+    nan = np.full(6, np.nan)
+    with pytest.raises(ValueError):
+        act_ts2((np.eye(3), np.zeros(3)), nan)
+    action = ts2_action(2)
+    g = action.exp(np.zeros(12))
+    with pytest.raises(ValueError):
+        action.act(g, np.concatenate([_ts2_point(), nan]))
+    # q on the sphere, omega NaN: only the tangency check can catch it
+    with pytest.raises(ValueError):
+        action.act(g, np.concatenate([[1.0, 0.0, 0.0, np.nan, 0.0, 0.0], _ts2_point()]))
 
 
 def test_ts2_action_is_transitive_pair():
