@@ -10,7 +10,9 @@ into a temporary directory.  For each case the script prints
 "byte-identical", or the largest |new - old| / max(1, |old|) over all
 numeric cells and metadata values, whether the row counts match and,
 for adaptive runs, whether the accept flags match.  A converge case
-also prints both fitted slopes.
+also prints both fitted slopes.  The exit status is 0 when every case
+is byte-identical and 1 otherwise, so a refactor's byte-identity check
+is this one command.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ def compare_case(old_paths, new_paths):
     return line
 
 
-def main(argv=None) -> None:
+def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
         sys.exit(__doc__)
@@ -125,9 +127,13 @@ def main(argv=None) -> None:
         new_cases = run_cases(args[1], new_out)
         if [c[0] for c in old_cases] != [c[0] for c in new_cases]:
             sys.exit("the two trees ran different case lists")
+        identical = True
         for i, ((label, old_paths), (_, new_paths)) in enumerate(zip(old_cases, new_cases)):
-            print(f"{i:3d} {label:40s} {compare_case(old_paths, new_paths)}")
+            line = compare_case(old_paths, new_paths)
+            identical &= line == "byte-identical"
+            print(f"{i:3d} {label:40s} {line}")
+    return 0 if identical else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

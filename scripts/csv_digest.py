@@ -4,7 +4,7 @@
 Runs every system with every explicit method at a short t_end, adaptive
 rkmk54 and cf43 runs, symplectic runs (heavytop-ext and heavytop-spatial,
 each at theta 0, 1/2 and 1), one converge ladder, one ``steps`` run, runs
-that set system overrides, a preset, t0 and seed, and pendulum chains of
+that set system overrides, t0 and seed, and pendulum chains of
 one and six links through ``geomint.harness.run`` into a temporary
 directory.  Prints one digest per case (over all files the case
 writes) and one over all cases, so a refactor can be checked for
@@ -48,8 +48,7 @@ def cases():
     yield RunConfig(system="heavytop-spatial", method="heun", mode="converge",
                     t_end=0.2, h=0.2)
     yield RunConfig(system="heavytop-body", method="rkmk4", t_end=0.05, steps=7)
-    yield RunConfig(system="heavytop-lp", method="cf4", t0=0.5, t_end=0.6, h=0.01,
-                    seed=5, preset="bruls-top",
+    yield RunConfig(system="heavytop-lp", method="cf4", t0=0.5, t_end=0.6, h=0.01, seed=5,
                     overrides={"mass": 12.0, "gravity": 0.5, "length": 1.5})
     yield RunConfig(system="pendulum", method="rkmk4", t_end=0.05, h=0.005,
                     overrides={"n": 3, "length": 0.8, "gravity": 9.0})

@@ -32,7 +32,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="output path prefix for CSV files")
     sub.add_argument("--config", help="flat key = value config file")
     sub.add_argument("--seed", type=int, help="seed echoed into output metadata")
-    sub.add_argument("--preset", help="named parameter preset (bruls-top)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -54,7 +54,6 @@ RUN_KEYS: Dict[str, type] = {
     "steps": int,
     "tol": float,
     "theta": float,
-    "preset": str,
     "out": str,
 }
 _KEY_TYPES = {**RUN_KEYS, **OVERRIDES}
@@ -88,7 +87,6 @@ class RunConfig:
     tol: Optional[float] = None
     theta: float = 0.5  # symplectic family parameter
     safety: float = 0.9  # controller safety factor
-    preset: Optional[str] = None
     out: Optional[str] = None
     seed: int = 0
     overrides: Dict[str, float] = field(default_factory=dict)
@@ -130,7 +128,7 @@ class RunConfig:
             raise ConfigError("theta must lie in [0, 1]")
 
     def build_system(self) -> System:
-        return get_system(self.system, preset=self.preset, **self.overrides)
+        return get_system(self.system, **self.overrides)
 
     def echo_items(self) -> List[Tuple[str, str]]:
         items = []
@@ -229,10 +227,6 @@ def _integrate_fixed(cfg: RunConfig, system: System):
     else:
         n = max(1, round((cfg.t_end - cfg.t0) / cfg.h))
     if cfg.method == "symplectic":
-        if system.cotangent is None:
-            raise ConfigError(
-                f"system {cfg.system!r} has no cotangent formulation for 'symplectic'"
-            )
         h = (cfg.t_end - cfg.t0) / n
         # the fixed-point iteration stops contracting for fast tops at
         # moderate steps; the simplified Newton solve handles those
@@ -282,11 +276,22 @@ def reference_state(system: System, t0: float, t_end: float, tol: float = 1e-12)
     return _integrate_adaptive(cfg, system).ys[-1]
 
 
-def run(cfg: RunConfig) -> List[str]:
-    """Execute a fixed or adaptive run; returns the list of files written."""
+def _build(cfg: RunConfig) -> System:
+    """The run's system, once the run has an output path and its method
+    fits the system, so no work is done for a run that cannot finish."""
     if cfg.out is None:
         raise ConfigError("an output path is required")
     system = cfg.build_system()
+    if cfg.method == "symplectic" and system.cotangent is None:
+        raise ConfigError(f"system {cfg.system!r} has no cotangent formulation for 'symplectic'")
+    return system
+
+
+def run(cfg: RunConfig) -> List[str]:
+    """Execute a run in the config's mode; returns the list of files written."""
+    if cfg.mode == "converge":
+        return converge(cfg)
+    system = _build(cfg)
     out_base = str(cfg.out)
 
     if cfg.mode == "fixed":
@@ -295,30 +300,20 @@ def run(cfg: RunConfig) -> List[str]:
         hs = np.full(len(ts), (cfg.t_end - cfg.t0) / max(1, len(ts) - 1))
         return _emit_trajectory(cfg, system, ts, ys, hs, out_base)
 
-    if cfg.mode == "adaptive":
-        res = _integrate_adaptive(cfg, system)
-        hs = np.concatenate([[cfg.h], np.diff(res.ts)])
-        paths = _emit_trajectory(cfg, system, res.ts, res.ys, hs, out_base)
-        steps = out_base + ".steps.csv"
-        rows = [
-            [a.t, a.h, a.error_estimate, int(a.accepted)] for a in res.step_log
-        ]
-        _write_csv(steps, cfg, ["t", "h", "error_estimate", "accepted"], rows)
-        paths.append(steps)
-        return paths
-
-    if cfg.mode == "converge":
-        return converge(cfg)
-
-    raise ConfigError(f"unknown mode {cfg.mode!r}")
+    res = _integrate_adaptive(cfg, system)
+    hs = np.concatenate([[cfg.h], np.diff(res.ts)])
+    paths = _emit_trajectory(cfg, system, res.ts, res.ys, hs, out_base)
+    steps = out_base + ".steps.csv"
+    rows = [[a.t, a.h, a.error_estimate, int(a.accepted)] for a in res.step_log]
+    _write_csv(steps, cfg, ["t", "h", "error_estimate", "accepted"], rows)
+    paths.append(steps)
+    return paths
 
 
 def converge(cfg: RunConfig) -> List[str]:
     """Global-error ladder at T against the tight-tolerance reference,
     with the fitted least-squares slope echoed in the metadata."""
-    if cfg.out is None:
-        raise ConfigError("an output path is required")
-    system = cfg.build_system()
+    system = _build(cfg)
     ref = reference_state(system, cfg.t0, cfg.t_end)
     span = cfg.t_end - cfg.t0
     hs, errs = [], []

@@ -25,7 +25,7 @@ import numpy as np
 from .actions import HomogeneousAction
 from .kernels import SingularMatrixError, solve_dense
 from .lie import BranchError, dexp_star_so3, exp_so3
-from .lie import _dexp_star, _exp_coeffs, _floats, _identity_plus_hat
+from .lie import _dexp_star, _exp_coeffs, _floats, _rotation
 
 __all__ = [
     "Tableau",
@@ -328,12 +328,11 @@ class CotangentGroup:
     """Group data for the implicit symplectic family on G x g*.
 
     ``coad`` is the coadjoint map Ad*_g on the dual, ``dexp_star`` the
-    dual of the differential of exp.  Dual elements are flat arrays of
-    length ``dual_dim``; algebra elements flat arrays of ``algebra_dim``.
+    dual of the differential of exp.  Algebra and dual elements are flat
+    arrays of length ``algebra_dim``, since g* has the dimension of g.
     """
 
     algebra_dim: int
-    dual_dim: int
     exp: Callable[[np.ndarray], Any]
     compose: Callable[[Any, Any], Any]
     coad: Callable[[Any, np.ndarray], np.ndarray]
@@ -344,7 +343,6 @@ def so3_cotangent_group() -> CotangentGroup:
     """SO(3) x so(3)*: Ad*_R mu = R^T mu."""
     return CotangentGroup(
         algebra_dim=3,
-        dual_dim=3,
         exp=exp_so3,
         compose=lambda g1, g2: g1 @ g2,
         coad=lambda g, mu: g.T @ mu,
@@ -359,7 +357,7 @@ def so3r3_cotangent_group() -> CotangentGroup:
 
     def expmap(xi):
         x, y, z, *t = _floats(xi)
-        g = _identity_plus_hat(x, y, z, *_exp_coeffs(x * x + y * y + z * z), *t)
+        g = np.array(_rotation(x, y, z, *_exp_coeffs(x * x + y * y + z * z), *t))
         return g[:9].reshape(3, 3), g[9:]
 
     def coad(g, mu):
@@ -375,7 +373,6 @@ def so3r3_cotangent_group() -> CotangentGroup:
 
     return CotangentGroup(
         algebra_dim=6,
-        dual_dim=6,
         exp=expmap,
         compose=lambda g1, g2: (g1[0] @ g2[0], g1[1] + g2[1]),
         coad=coad,
@@ -383,21 +380,18 @@ def so3r3_cotangent_group() -> CotangentGroup:
     )
 
 
+_SOLVE_TOL = 1e-13
+_SOLVE_MAX_ITER = 100
+
+
 @dataclass(frozen=True)
 class SolveConfig:
-    """Nonlinear-solve settings for the implicit symplectic step."""
+    """The implicit step's solve method; its tolerance and iteration cap
+    are the module constants ``_SOLVE_TOL`` and ``_SOLVE_MAX_ITER``."""
 
-    tol: float = 1e-13
-    max_iter: int = 100
     method: str = "fixed-point"  # J = I, or "newton": J by forward differences
 
     def __post_init__(self):
-        if not (self.tol > 0 and math.isfinite(self.tol)):
-            raise ValueError(
-                f"solve tolerance must be positive and finite, got {self.tol!r}"
-            )
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
         if self.method not in ("fixed-point", "newton"):
             raise ValueError(f"unknown solve method {self.method!r}")
 
@@ -429,7 +423,8 @@ _FD_STEP = math.sqrt(np.finfo(float).eps)
 def _simplified_newton(G, n: int, solve: SolveConfig) -> np.ndarray:
     """Solves x = G(x) on R^n by simplified Newton (Hairer, Lubich and
     Wanner, GNI VIII.6): predictor x0 = G(0), then x <- x - J^-1 (x - G(x))
-    until the update is below tol (1 + |x|).  ``method = "newton"`` forms
+    until the update is below _SOLVE_TOL (1 + |x|), for at most
+    _SOLVE_MAX_ITER iterations.  ``method = "newton"`` forms
     J = I - dG/dx once by forward differences at x0 and returns the last
     update, not G(x): near the solution the update contracts the error and
     G may amplify it, which on the heavy top shows as drift of the
@@ -449,13 +444,13 @@ def _simplified_newton(G, n: int, solve: SolveConfig) -> np.ndarray:
             J_inv = solve_dense(J, np.eye(n))
         except SingularMatrixError as exc:
             raise NonConvergenceError(f"newton Jacobian is singular: {exc}") from None
-    for _ in range(solve.max_iter):
+    for _ in range(_SOLVE_MAX_ITER):
         r = x - gx
         dx = r if J_inv is None else J_inv @ r
         if not np.isfinite(dx).all():
             raise NonConvergenceError(f"{solve.method} iterate is not finite")
         # sqrt(v @ v) is np.linalg.norm of a real vector
-        bound = solve.tol * (1.0 + math.sqrt(x @ x))
+        bound = _SOLVE_TOL * (1.0 + math.sqrt(x @ x))
         x = gx if J_inv is None else x - dx
         if math.sqrt(dx @ dx) <= bound:
             r_norm = math.sqrt(r @ r)
@@ -464,7 +459,7 @@ def _simplified_newton(G, n: int, solve: SolveConfig) -> np.ndarray:
             return x
         gx = G(x)
     raise NonConvergenceError(
-        f"{solve.method} solve did not converge in {solve.max_iter} iterations"
+        f"{solve.method} solve did not converge in {_SOLVE_MAX_ITER} iterations"
     )
 
 
@@ -487,7 +482,7 @@ def symplectic_step(
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
     G = _symplectic_residual_map(group, f, g0, mu0, h, theta)
-    x = _simplified_newton(G, group.algebra_dim + group.dual_dim, solve)
+    x = _simplified_newton(G, 2 * group.algebra_dim, solve)
     xi, nbar = x[: group.algebra_dim], x[group.algebra_dim :]
 
     g1 = group.compose(group.exp(xi), g0)

@@ -17,7 +17,6 @@ the degree-12 polynomials are exact to machine precision on that range.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -30,8 +29,6 @@ __all__ = [
     "exp_se3",
     "so3_bracket",
     "se3_bracket",
-    "ad_bracket",
-    "dexpinv_series",
     "dexpinv_so3",
     "dexpinv_se3",
     "dexp_star_so3",
@@ -127,15 +124,10 @@ def _rotation(x, y, z, p, q, *tail):
     )
 
 
-def _identity_plus_hat(*args):
-    """:func:`_rotation` as one flat array."""
-    return np.array(_rotation(*args))
-
-
 def _exp_so3(v):
     """exp_so3 of three floats."""
     x, y, z = v
-    return _identity_plus_hat(x, y, z, *_exp_coeffs(x * x + y * y + z * z)).reshape(3, 3)
+    return np.array(_rotation(x, y, z, *_exp_coeffs(x * x + y * y + z * z))).reshape(3, 3)
 
 
 def exp_so3(xi):
@@ -202,41 +194,6 @@ def se3_bracket(x, y):
     A, a = x[:3], x[3:6]
     B, b = y[:3], y[3:6]
     return np.concatenate([cross(A, B), cross(A, b) - cross(B, a)])
-
-
-def ad_bracket(x, y):
-    """Bracket dispatched on dimension: 3 -> so(3), 6 -> se(3)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"algebra mismatch: {x.shape} vs {y.shape}")
-    if x.shape == (3,):
-        return so3_bracket(x, y)
-    if x.shape == (6,):
-        return se3_bracket(x, y)
-    raise ValueError(f"no bracket for dimension {x.shape}")
-
-
-# Bernoulli numbers B_k / k! for the dexpinv expansion, k = 0..7.
-_BERNOULLI_COEFFS = (1.0, -1 / 2, 1 / 12, 0.0, -1 / 720, 0.0, 1 / 30240, 0.0)
-
-
-def dexpinv_series(u, v, order: int, bracket: Callable = ad_bracket):
-    """Truncated dexpinv expansion: sum_{k<order} (B_k/k!) ad_u^k v.
-
-    ``order = 1`` returns ``v``; the cap is 8 (coefficients embedded up
-    to the seventh iterated bracket).
-    """
-    if not 1 <= order <= 8:
-        raise ValueError(f"unsupported truncation order {order} (must be 1..8)")
-    out = np.asarray(v, dtype=float).copy()
-    w = v
-    for k in range(1, order):
-        w = bracket(u, w)
-        c = _BERNOULLI_COEFFS[k]
-        if c != 0.0:
-            out = out + c * w
-    return out
 
 
 def dexpinv_so3(u, v):

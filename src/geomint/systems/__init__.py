@@ -5,7 +5,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional
 
 import numpy as np
 
@@ -84,12 +84,12 @@ class _Family:
     record from the overrides given, so the defaults stay those of the
     parameter classes; ``defaults`` maps each override name to its
     default, read from those classes, and the default's type is the
-    override's type."""
+    override's type.  The heavy tops' defaults are those of the benchmark
+    top ``heavytop.BRULS_TOP``."""
 
     builders: Mapping[str, Callable[[Any], System]]
     params: Callable[..., Any]
     defaults: Mapping[str, object]
-    presets: Tuple[str, ...] = ()
 
 
 def _defaults(record, names) -> Dict[str, object]:
@@ -106,7 +106,6 @@ _FAMILIES = (
         },
         params=partial(replace, heavytop.BRULS_TOP),
         defaults=_defaults(heavytop.BRULS_TOP, ("mass", "gravity", "length")),
-        presets=("bruls-top",),
     ),
     _Family(
         builders={"pendulum": pendulum.build_pendulum},
@@ -131,19 +130,15 @@ OVERRIDES: Dict[str, type] = {
 }
 
 
-def get_system(system_id: str, preset: Optional[str] = None, **overrides) -> System:
+def get_system(system_id: str, **overrides) -> System:
     """Build a named benchmark system.
 
     Each override is one of the system's names in ``OVERRIDES``; one left
-    out keeps the default of the system's parameter class.  The only
-    named preset is ``bruls-top`` (the heavy top benchmark parameters,
-    also the default).
+    out keeps the default of the system's parameter class.
     """
     family = next((f for f in _FAMILIES if system_id in f.builders), None)
     if family is None:
         raise ValueError(f"unknown system {system_id!r} (expected one of {SYSTEM_IDS})")
-    if preset not in (None, *family.presets):
-        raise ValueError(f"unknown preset {preset!r} for system {system_id!r}")
     unknown = set(overrides) - set(family.defaults)
     if unknown:
         raise ValueError(

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from _reference import dexpinv_series
 from geomint.actions import coadjoint_so3_action, translation_action
 from geomint.integrators import (
     DOPRI54,
@@ -30,7 +31,6 @@ from geomint.integrators import (
 from geomint.harness import reference_state
 from geomint.lie import (
     dexpinv_se3,
-    dexpinv_series,
     dexpinv_so3,
     exp_se3,
     exp_so3,

@@ -24,7 +24,8 @@ from geomint.actions import (
     translation_action,
     ts2_action,
 )
-from geomint.lie import BranchError, dexpinv_series, dexpinv_so3, exp_so3
+from _reference import dexpinv_series
+from geomint.lie import BranchError, dexpinv_so3, exp_so3
 
 rng = np.random.default_rng(2024)
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import geomint
+from geomint import harness
 from geomint.cli import main as cli_main
 from geomint.harness import (
     ConfigError,
@@ -162,7 +163,7 @@ def test_echo_skips_keys_the_run_ignores():
 def test_echo_follows_key_order_and_defaults(tmp_path):
     p = _write(
         tmp_path,
-        "mass = 12\nout = o\npreset = bruls-top\nseed = 5\nt-end = 0.6\nh = 0.01\n"
+        "mass = 12\nout = o\nseed = 5\nt-end = 0.6\nh = 0.01\n"
         "t0 = 0.5\nmethod = cf4\nsystem = heavytop-lp\ngravity = 0.5\n",
     )
     cfg = parse_config(config_file=p)
@@ -174,7 +175,6 @@ def test_echo_follows_key_order_and_defaults(tmp_path):
         ("t-end", "0.6"),
         ("seed", "5"),
         ("h", "0.01"),
-        ("preset", "bruls-top"),
         ("gravity", "0.5"),
         ("mass", "12.0"),
     ]
@@ -200,12 +200,6 @@ def test_registry_rejects_unknowns():
         get_system("pendulum", payload_mass=2.0)
     with pytest.raises(ValueError):
         get_system("heavytop-lp", preset="fast-top")
-
-
-def test_bruls_preset_is_default():
-    a = get_system("heavytop-lp")
-    b = get_system("heavytop-lp", preset="bruls-top")
-    np.testing.assert_array_equal(a.initial, b.initial)
 
 
 # -- CSV output -------------------------------------------------------------------------
@@ -314,6 +308,18 @@ def test_adaptive_run_writes_step_log(tmp_path):
     assert np.all(accepted[:, 2] < 1e-6)
     _, _, traj = _read_csv(tmp_path / "r.trajectory.csv")
     assert len(accepted) == len(traj) - 1
+
+
+@pytest.mark.parametrize("mode", ["fixed", "converge"])
+def test_symplectic_without_cotangent_form_fails_before_any_work(tmp_path, monkeypatch, mode):
+    # the converge ladder's reference solve is its first piece of work
+    calls = []
+    monkeypatch.setattr(harness, "reference_state", lambda *args: calls.append(args))
+    cfg = RunConfig(system="pendulum", method="symplectic", mode=mode, h=0.1, t_end=2.0,
+                    out=str(tmp_path / "r"))
+    with pytest.raises(ConfigError, match="no cotangent formulation"):
+        run(cfg)
+    assert calls == []
 
 
 def test_converge_writes_slope(tmp_path):
@@ -446,6 +452,19 @@ def test_cli_non_finite_last_step_exits_nonzero(tmp_path, system, capsys):
         assert cli_main(["simulate", "--config", str(cfgfile)]) == 1
     assert "state not finite after step 1" in capsys.readouterr().err
     assert not (tmp_path / "last.trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "converge"])
+def test_cli_symplectic_without_cotangent_form_exits_nonzero(tmp_path, capsys, command):
+    rc = cli_main(
+        [command, "--system", "pendulum", "--method", "symplectic", "--h", "0.1",
+         "--t-end", "2", "--out", str(tmp_path / "p")]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "geomint: error: system 'pendulum' has no cotangent formulation for 'symplectic'\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_missing_output_path_fails(capsys):

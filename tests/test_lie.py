@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+from _reference import dexpinv_series
 from geomint.kernels import cross
 from geomint.lie import (
     BranchError,
-    ad_bracket,
     dexp_star_so3,
     dexpinv_se3,
-    dexpinv_series,
     dexpinv_so3,
     exp_se3,
     exp_so3,
@@ -220,16 +219,6 @@ def test_se3_bracket_matches_matrix_commutator():
     x, y = rng.normal(size=6), rng.normal(size=6)
     M = _homogeneous(x) @ _homogeneous(y) - _homogeneous(y) @ _homogeneous(x)
     np.testing.assert_allclose(_homogeneous(se3_bracket(x, y)), M, atol=1e-13)
-
-
-def test_ad_bracket_dispatch():
-    np.testing.assert_array_equal(
-        ad_bracket(np.array([1.0, 0, 0]), np.array([0, 1.0, 0])), [0, 0, 1.0]
-    )
-    with pytest.raises(ValueError):
-        ad_bracket(np.zeros(4), np.zeros(4))
-    with pytest.raises(ValueError):
-        ad_bracket(np.zeros(3), np.zeros(6))
 
 
 # -- dexp / dexpinv ----------------------------------------------------------
