@@ -277,10 +277,12 @@ def reference_state(system: System, t0: float, t_end: float, tol: float = 1e-12)
 
 
 def _build(cfg: RunConfig) -> System:
-    """The run's system, once the run has an output path and its method
+    """The run's system, once the output directory exists and the method
     fits the system, so no work is done for a run that cannot finish."""
     if cfg.out is None:
         raise ConfigError("an output path is required")
+    if not Path(cfg.out).parent.is_dir():
+        raise ConfigError(f"output directory '{Path(cfg.out).parent}' does not exist")
     system = cfg.build_system()
     if cfg.method == "symplectic" and system.cotangent is None:
         raise ConfigError(f"system {cfg.system!r} has no cotangent formulation for 'symplectic'")

@@ -4,10 +4,11 @@ Two explicit families operate on a :class:`~geomint.actions.HomogeneousAction`:
 Runge--Kutta--Munthe-Kaas schemes, which integrate the pulled-back
 equation sigma' = dexpinv_sigma(f(act(exp(sigma), y))) in the algebra,
 and commutator-free schemes, which compose several exponentials per
-step.  A separate implicit one-parameter family provides symplectic
-steps on right-trivialized cotangent groups G x g*; its nonlinear
-equation is solved by one simplified-Newton loop, of which fixed-point
-iteration is the case J = I.
+step: :func:`cf_step` reads a :class:`CFScheme` table as :func:`rkmk_step`
+reads a Butcher :class:`Tableau`.  A separate implicit one-parameter
+family provides symplectic steps on right-trivialized cotangent groups
+G x g*; its nonlinear equation is solved by one simplified-Newton loop,
+of which fixed-point iteration is the case J = I.
 
 Every stepper is pure: ``stepper(action, f, y, h) -> StepResult`` where
 ``f`` maps a flat manifold point to a flat algebra element.
@@ -33,14 +34,10 @@ __all__ = [
     "KUTTA3",
     "DOPRI54",
     "StepResult",
-    "lie_euler_step",
-    "lie_euler_heun_step",
     "rkmk_step",
     "rkmk4_two_commutator_step",
-    "cf4_step",
-    "cf32_step_A",
-    "cf32_step_B",
-    "cf43_step",
+    "CFScheme",
+    "cf_step",
     "METHODS",
     "MethodInfo",
     "CotangentGroup",
@@ -73,9 +70,7 @@ class Tableau:
     c: Tuple[float, ...]
     a: Tuple[Tuple[float, ...], ...]
     b: Tuple[float, ...]
-    p: int
     b_hat: Optional[Tuple[float, ...]] = None
-    p_hat: Optional[int] = None
 
     def __post_init__(self):
         s = len(self.c)
@@ -99,7 +94,6 @@ RK4 = Tableau(
     c=(0.0, 0.5, 0.5, 1.0),
     a=((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)),
     b=(1 / 6, 1 / 3, 1 / 3, 1 / 6),
-    p=4,
 )
 
 KUTTA3 = Tableau(
@@ -107,7 +101,6 @@ KUTTA3 = Tableau(
     c=(0.0, 0.5, 1.0),
     a=((), (0.5,), (-1.0, 2.0)),
     b=(1 / 6, 2 / 3, 1 / 6),
-    p=3,
 )
 
 # Dormand--Prince 5(4): the first-same-as-last stage doubles as the
@@ -125,7 +118,6 @@ DOPRI54 = Tableau(
         (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
     ),
     b=(35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0),
-    p=5,
     b_hat=(
         5179 / 57600,
         0.0,
@@ -135,7 +127,6 @@ DOPRI54 = Tableau(
         187 / 2100,
         1 / 40,
     ),
-    p_hat=4,
 )
 
 
@@ -162,19 +153,6 @@ FieldMap = Callable[[np.ndarray], np.ndarray]
 
 # ---------------------------------------------------------------------------
 # One-step schemes
-
-
-def lie_euler_step(action: HomogeneousAction, f: FieldMap, y, h: float) -> StepResult:
-    """First order: flow of the field frozen at y, y1 = act(exp(h f(y)), y)."""
-    return StepResult(y_next=action.act(action.exp(h * f(y)), y))
-
-
-def lie_euler_heun_step(action, f, y, h) -> StepResult:
-    """Trapezoidal two-stage variant of the frozen-field Euler step (order 2)."""
-    f1 = f(y)
-    y2 = action.act(action.exp(h * f1), y)
-    f2 = f(y2)
-    return StepResult(y_next=action.act(action.exp(0.5 * h * (f1 + f2)), y))
 
 
 def rkmk_step(
@@ -224,71 +202,90 @@ def rkmk4_two_commutator_step(action, f, y, h) -> StepResult:
     return StepResult(y_next=action.act(action.exp(sigma), y))
 
 
-def _cf4_stages(action, f, y, h):
-    f1 = f(y)
-    y2 = action.act(action.exp(0.5 * h * f1), y)
-    f2 = f(y2)
-    f3 = f(action.act(action.exp(0.5 * h * f2), y))
-    # the second-stage exponential is reused: Y4 = exp(h f3 - h/2 f1) . Y2
-    f4 = f(action.act(action.exp(h * f3 - 0.5 * h * f1), y2))
-    return f1, f2, f3, f4
+# ---------------------------------------------------------------------------
+# Commutator-free schemes
 
 
-def cf4_step(action, f, y, h) -> StepResult:
-    """Commutator-free order 4: two update exponentials through a half point."""
-    f1, f2, f3, f4 = _cf4_stages(action, f, y, h)
-    y_half = action.act(action.exp(h / 12.0 * (3.0 * f1 + 2.0 * f2 + 2.0 * f3 - f4)), y)
-    y1 = action.act(action.exp(h / 12.0 * (-f1 + 2.0 * f2 + 2.0 * f3 + 3.0 * f4)), y_half)
-    return StepResult(y_next=y1)
+@dataclass(frozen=True)
+class CFScheme:
+    """A commutator-free scheme as a table of exponential coefficients
+    (Celledoni, Marthinsen and Owren 2003).  With Y_0 = y, the k-th entry
+    ``(base, row)`` of ``points + aux`` is Y_k = act(exp(h sum_j row[j]
+    F_j), Y_base), where F_j = f(Y_{stages[j]}) is stage j's field.  The
+    last of ``points`` is y_next, the last of ``aux`` y_aux; taking a point
+    as a base reuses its exponentials.  The aux points and their stages
+    run only when the estimate |y_next - y_aux| is read."""
+
+    name: str
+    points: Tuple[Tuple[int, Tuple[float, ...]], ...]
+    stages: Tuple[int, ...]
+    aux: Tuple[Tuple[int, Tuple[float, ...]], ...] = ()
+
+    def __post_init__(self):
+        table = self.points + self.aux
+        if list(self.stages) != sorted(set(self.stages) & set(range(len(table) + 1))):
+            raise ValueError(f"{self.name}: stages must be increasing point indices")
+        weight = [0.0]  # the coefficients summed along the chain from y to Y_k
+        for k, (base, row) in enumerate(table, 1):
+            if not 0 <= base < k:
+                raise ValueError(f"{self.name}: point {k} has base {base}, not an earlier point")
+            if not any(row) or any(row[sum(s < k for s in self.stages):]):
+                raise ValueError(f"{self.name}: point {k} needs the fields of earlier stages")
+            weight.append(weight[base] + sum(row))
+        for k in {len(self.points), len(table)}:
+            if abs(weight[k] - 1.0) > 1e-14:
+                raise ValueError(f"{self.name}: weights up to point {k} do not sum to 1")
+
+    @cached_property
+    def _plan(self):
+        """Per point: its base, its row over earlier stages, and the index
+        of the stage evaluated there (0 for none)."""
+        plan = [(base, np.array(row[: sum(s < k for s in self.stages)]),
+                 self.stages.index(k) if k in self.stages else 0)
+                for k, (base, row) in enumerate(self.points + self.aux, 1)]
+        return plan[: len(self.points)], plan[len(self.points) :]
 
 
-def _cf_pair(y1, aux: Callable[[], np.ndarray]) -> StepResult:
-    """A commutator-free pair's result: ``aux()`` computes y_aux, and the
-    estimate is the ambient distance between the two updates."""
+def cf_step(action: HomogeneousAction, f: FieldMap, y, h: float, scheme: CFScheme) -> StepResult:
+    """One step of any commutator-free scheme; see :class:`CFScheme`."""
+    Y, F = [y], np.empty((len(scheme.stages), action.algebra_dim))
+    F[0] = f(y)  # the first row can only use a stage at y
+    main, aux = scheme._plan
+
+    def advance(plan):
+        for base, row, stage in plan:
+            Y.append(action.act(action.exp(h * row.dot(F[: len(row)])), Y[base]))
+            if stage:
+                F[stage] = f(Y[-1])
+        return Y[-1]
+
+    y1 = advance(main)
+    if not aux:
+        return StepResult(y_next=y1)
 
     def embedded():
-        y_aux = aux()
+        y_aux = advance(aux)
         return y_aux, float(np.linalg.norm(y1 - y_aux))
 
     return StepResult(y_next=y1, _embedded=embedded)
 
 
-def cf32_step_A(action, f, y, h) -> StepResult:
-    """Embedded commutator-free 3(2) pair reusing the second stage
-    exponential in the order-3 update."""
-    f1 = f(y)
-    y2 = action.act(action.exp(h / 3.0 * f1), y)
-    f2 = f(y2)
-    y3 = action.act(action.exp(2.0 * h / 3.0 * f2), y)
-    f3 = f(y3)
-    y1 = action.act(action.exp(h * (-f1 / 12.0 + 0.75 * f3)), y2)
-    return _cf_pair(y1, lambda: action.act(action.exp(0.5 * h * (f2 + f3)), y))
-
-
-def cf32_step_B(action, f, y, h) -> StepResult:
-    """Embedded commutator-free 3(2) pair reusing the third stage
-    exponential in the order-3 update."""
-    f1 = f(y)
-    f2 = f(action.act(action.exp(2.0 * h / 3.0 * f1), y))
-    y3 = action.act(action.exp(h * (5.0 / 12.0 * f1 + 0.25 * f2)), y)
-    f3 = f(y3)
-    y1 = action.act(action.exp(h * (-f1 / 6.0 - 0.5 * f2 + f3)), y3)
-    return _cf_pair(y1, lambda: action.act(action.exp(0.25 * h * (f1 + 3.0 * f3)), y))
-
-
-def cf43_step(action, f, y, h) -> StepResult:
-    """Order 4(3): the commutator-free order-4 step plus one extra stage
-    feeding an order-3 auxiliary update."""
-    f1, f2, f3, f4 = _cf4_stages(action, f, y, h)
-    y_half = action.act(action.exp(h / 12.0 * (3.0 * f1 + 2.0 * f2 + 2.0 * f3 - f4)), y)
-    y1 = action.act(action.exp(h / 12.0 * (-f1 + 2.0 * f2 + 2.0 * f3 + 3.0 * f4)), y_half)
-
-    def aux():
-        f3bar = f(action.act(action.exp(0.75 * h * f2), y))
-        y_third = action.act(action.exp(h / 3.0 * f1), y)
-        return action.act(action.exp(h / 9.0 * (-f1 + 3.0 * f2 + 4.0 * f3bar)), y_third)
-
-    return _cf_pair(y1, aux)
+LIE_EULER = CFScheme("lie-euler", ((0, (1.0,)),), stages=(0,))
+HEUN = CFScheme("heun", ((0, (1.0,)), (0, (0.5, 0.5))), stages=(0, 1))
+# the fourth stage exp(h F_2 - h/2 F_0) . Y_1 reuses the second stage's
+# exponential, and the update runs through the half point Y_4
+_CF4 = ((0, (0.5,)), (0, (0.0, 0.5)), (1, (-0.5, 0.0, 1.0)),
+        (0, (3 / 12, 2 / 12, 2 / 12, -1 / 12)), (4, (-1 / 12, 2 / 12, 2 / 12, 3 / 12)))
+CF4 = CFScheme("cf4", _CF4, stages=(0, 1, 2, 3))
+# embedded 3(2) pairs whose order-3 update reuses the second (A) or the
+# third (B) stage's exponential
+CF32A = CFScheme("cf32a", ((0, (1 / 3,)), (0, (0.0, 2 / 3)), (1, (-1 / 12, 0.0, 3 / 4))),
+                 stages=(0, 1, 2), aux=((0, (0.0, 0.5, 0.5)),))
+CF32B = CFScheme("cf32b", ((0, (2 / 3,)), (0, (5 / 12, 1 / 4)), (2, (-1 / 6, -1 / 2, 1.0))),
+                 stages=(0, 1, 2), aux=((0, (0.25, 0.0, 0.75)),))
+# cf4 plus a stage at exp(3h/4 F_1) . y feeding an order-3 update
+CF43 = CFScheme("cf43", _CF4, stages=(0, 1, 2, 3, 6),
+                aux=((0, (0.0, 0.75)), (0, (1 / 3,)), (7, (-1 / 9, 3 / 9, 0.0, 0.0, 4 / 9))))
 
 
 @dataclass(frozen=True)
@@ -305,15 +302,15 @@ class MethodInfo:
 
 
 METHODS = {
-    "lie-euler": MethodInfo(lie_euler_step, 1),
-    "heun": MethodInfo(lie_euler_heun_step, 2),
+    "lie-euler": MethodInfo(partial(cf_step, scheme=LIE_EULER), 1),
+    "heun": MethodInfo(partial(cf_step, scheme=HEUN), 2),
     "rkmk3": MethodInfo(partial(rkmk_step, tableau=KUTTA3), 3),
     "rkmk4": MethodInfo(partial(rkmk_step, tableau=RK4), 4),
     "rkmk4-2c": MethodInfo(rkmk4_two_commutator_step, 4),
-    "cf4": MethodInfo(cf4_step, 4),
-    "cf32a": MethodInfo(cf32_step_A, 3, 2),
-    "cf32b": MethodInfo(cf32_step_B, 3, 2),
-    "cf43": MethodInfo(cf43_step, 4, 3),
+    "cf4": MethodInfo(partial(cf_step, scheme=CF4), 4),
+    "cf32a": MethodInfo(partial(cf_step, scheme=CF32A), 3, 2),
+    "cf32b": MethodInfo(partial(cf_step, scheme=CF32B), 3, 2),
+    "cf43": MethodInfo(partial(cf_step, scheme=CF43), 4, 3),
     "rkmk54": MethodInfo(partial(rkmk_step, tableau=DOPRI54), 5, 4),
     "rkmk5": MethodInfo(partial(rkmk_step, tableau=DOPRI54), 5),
 }

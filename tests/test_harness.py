@@ -322,6 +322,16 @@ def test_symplectic_without_cotangent_form_fails_before_any_work(tmp_path, monke
     assert calls == []
 
 
+def test_missing_output_directory_fails_before_any_work(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "reference_state", lambda *args: calls.append(args))
+    cfg = RunConfig(system="heavytop-spatial", method="cf4", mode="converge", h=0.05,
+                    t_end=1.0, out=str(tmp_path / "missing" / "cf4"))
+    with pytest.raises(ConfigError, match="output directory .*missing' does not exist"):
+        run(cfg)
+    assert calls == []
+
+
 def test_converge_writes_slope(tmp_path):
     cfg = RunConfig(
         system="pendulum",
@@ -463,6 +473,17 @@ def test_cli_symplectic_without_cotangent_form_exits_nonzero(tmp_path, capsys, c
     assert rc == 1
     assert capsys.readouterr().err == (
         "geomint: error: system 'pendulum' has no cotangent formulation for 'symplectic'\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_missing_output_directory_exits_nonzero(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    rc = cli_main(["converge", "--system", "heavytop-spatial", "--method", "cf4", "--h", "0.05",
+                   "--t-end", "1", "--out", str(missing / "cf4")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"geomint: error: output directory '{missing}' does not exist\n"
     )
     assert list(tmp_path.iterdir()) == []
 

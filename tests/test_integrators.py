@@ -12,6 +12,7 @@ from geomint.integrators import (
     METHODS,
     RK4,
     AdaptiveResult,
+    CFScheme,
     ControllerConfig,
     CotangentGroup,
     NonConvergenceError,
@@ -21,8 +22,6 @@ from geomint.integrators import (
     adaptive_integrate,
     controller_update,
     fixed_integrate,
-    lie_euler_heun_step,
-    lie_euler_step,
     rkmk4_two_commutator_step,
     rkmk_step,
     so3_cotangent_group,
@@ -34,6 +33,7 @@ from geomint.lie import BranchError, dexp_star_so3, exp_so3
 
 rng = np.random.default_rng(99)
 RKMK54 = METHODS["rkmk54"].stepper
+LIE_EULER = METHODS["lie-euler"].stepper
 
 
 # -- tableaux ----------------------------------------------------------------
@@ -41,12 +41,12 @@ RKMK54 = METHODS["rkmk54"].stepper
 
 def test_tableau_rejects_non_explicit():
     with pytest.raises(ValueError):
-        Tableau(name="bad", c=(0.0, 1.0), a=((0.0, 0.5), (1.0, 0.0)), b=(0.5, 0.5), p=2)
+        Tableau(name="bad", c=(0.0, 1.0), a=((0.0, 0.5), (1.0, 0.0)), b=(0.5, 0.5))
 
 
 def test_tableau_rejects_bad_weights():
     with pytest.raises(ValueError):
-        Tableau(name="bad", c=(0.0,), a=((0.0,),), b=(0.7,), p=1)
+        Tableau(name="bad", c=(0.0,), a=((0.0,),), b=(0.7,))
 
 
 def test_dopri54_is_fsal():
@@ -59,7 +59,31 @@ def test_stage_counts():
     assert RK4.stages == 4
     assert KUTTA3.stages == 3
     assert DOPRI54.stages == 7
-    assert DOPRI54.b_hat is not None and DOPRI54.p_hat == 4
+    assert DOPRI54.b_hat is not None and METHODS["rkmk54"].p_hat == 4
+
+
+# -- commutator-free scheme tables ----------------------------------------------
+
+
+def test_cf_scheme_rejects_a_forward_base():
+    with pytest.raises(ValueError, match="not an earlier point"):
+        CFScheme("bad", ((0, (0.5,)), (3, (0.0, 1.0)), (0, (1.0,))), stages=(0, 1))
+
+
+def test_cf_scheme_rejects_an_implicit_row():
+    # point 1 would need the field at point 1 itself
+    with pytest.raises(ValueError, match="fields of earlier stages"):
+        CFScheme("bad", ((0, (0.5, 0.5)),), stages=(0, 1))
+
+
+@pytest.mark.parametrize(
+    "points,aux",
+    [(((0, (0.5,)), (1, (0.4,))), ()), (((0, (1.0,)),), ((0, (0.5,)), (2, (0.4,))))],
+    ids=["main", "aux"],
+)
+def test_cf_scheme_rejects_weights_not_summing_to_one(points, aux):
+    with pytest.raises(ValueError, match="do not sum to 1"):
+        CFScheme("bad", points, stages=(0,), aux=aux)
 
 
 # -- classical reduction on the translation group -----------------------------
@@ -99,27 +123,52 @@ def test_rkmk_collapses_to_classical(tableau):
 
 def test_commutator_free_schemes_collapse_to_classical_rk4():
     # with a trivial bracket the stage exponentials compose additively
-    from geomint.integrators import cf4_step
-
     h = 0.05
     ref, _ = _classical_rk_step(RK4, Y0, h)
-    np.testing.assert_allclose(cf4_step(ACTION2, _linear_field, Y0, h).y_next, ref, atol=1e-13)
+    np.testing.assert_allclose(
+        METHODS["cf4"].stepper(ACTION2, _linear_field, Y0, h).y_next, ref, atol=1e-13
+    )
     np.testing.assert_allclose(
         rkmk4_two_commutator_step(ACTION2, _linear_field, Y0, h).y_next, ref, atol=1e-13
     )
 
 
+# the classical tableaux the embedded pairs collapse to: each pair's
+# stages, its main weights b and its auxiliary weights b_hat; cf43's
+# auxiliary update is Ralston's third-order method on its own stages
+_CF32A_RK = Tableau(name="cf32a", c=(0.0, 1 / 3, 2 / 3), a=((), (1 / 3,), (0.0, 2 / 3)),
+                    b=(0.25, 0.0, 0.75), b_hat=(0.0, 0.5, 0.5))
+_CF32B_RK = Tableau(name="cf32b", c=(0.0, 2 / 3, 2 / 3), a=((), (2 / 3,), (5 / 12, 0.25)),
+                    b=(0.25, -0.25, 1.0), b_hat=(0.25, 0.0, 0.75))
+_RALSTON3 = Tableau(name="ralston3", c=(0.0, 0.5, 0.75), a=((), (0.5,), (0.0, 0.75)),
+                    b=(2 / 9, 1 / 3, 4 / 9))
+
+
+@pytest.mark.parametrize(
+    "method,main,aux",
+    [("cf32a", _CF32A_RK, None), ("cf32b", _CF32B_RK, None), ("cf43", RK4, _RALSTON3)],
+)
+def test_commutator_free_pairs_collapse_to_classical_rk(method, main, aux):
+    h = 0.05
+    ref, ref_aux = _classical_rk_step(main, Y0, h)
+    if aux is not None:
+        ref_aux, _ = _classical_rk_step(aux, Y0, h)
+    res = METHODS[method].stepper(ACTION2, _linear_field, Y0, h)
+    np.testing.assert_allclose(res.y_next, ref, atol=1e-13)
+    np.testing.assert_allclose(res.y_aux, ref_aux, atol=1e-13)
+
+
 def test_lie_euler_collapses_to_euler_and_heun():
     h = 0.05
     np.testing.assert_allclose(
-        lie_euler_step(ACTION2, _linear_field, Y0, h).y_next,
+        LIE_EULER(ACTION2, _linear_field, Y0, h).y_next,
         Y0 + h * _linear_field(Y0),
         atol=1e-15,
     )
     f1 = _linear_field(Y0)
     f2 = _linear_field(Y0 + h * f1)
     np.testing.assert_allclose(
-        lie_euler_heun_step(ACTION2, _linear_field, Y0, h).y_next,
+        METHODS["heun"].stepper(ACTION2, _linear_field, Y0, h).y_next,
         Y0 + 0.5 * h * (f1 + f2),
         atol=1e-15,
     )
@@ -195,7 +244,8 @@ def _counted(action, f):
 # (field evaluations, exps, dexpinvs) per step without and with the estimate
 @pytest.mark.parametrize(
     "method,main,with_estimate",
-    [("rkmk54", (6, 6, 5), (7, 7, 6)), ("cf43", (4, 5, 0), (5, 8, 0))],
+    [("rkmk54", (6, 6, 5), (7, 7, 6)), ("cf43", (4, 5, 0), (5, 8, 0)),
+     ("cf32a", (3, 3, 0), (3, 4, 0)), ("cf32b", (3, 3, 0), (3, 4, 0))],
 )
 def test_fixed_step_runs_skip_the_embedded_part(method, main, with_estimate):
     stepper = METHODS[method].stepper
@@ -213,6 +263,19 @@ def test_fixed_step_runs_skip_the_embedded_part(method, main, with_estimate):
     plain = stepper(coadjoint_so3_action(), f, y0, 0.1)
     np.testing.assert_array_equal(plain.y_next, res.y_next)
     assert res.y_aux is not None
+
+
+# (field evaluations, exps) per step of the schemes without an estimate;
+# cf4's fourth stage reuses the second stage's exponential
+@pytest.mark.parametrize("method,calls", [("lie-euler", (1, 1)), ("heun", (2, 2)),
+                                          ("cf4", (4, 5))])
+def test_commutator_free_evaluation_counts(method, calls):
+    f = lambda mu: np.array([1.0, 0.5, 2.0]) * mu
+    action, field, counts = _counted(coadjoint_so3_action(), f)
+    fixed_integrate(action, field, METHODS[method].stepper, np.array([0.3, -1.1, 0.8]),
+                    0.0, 0.4, 4)
+    assert (counts["f"] / 4, counts["exp"] / 4) == calls
+    assert counts["dexpinv"] == 0
 
 
 def test_adaptive_rejects_branch_error_in_the_embedded_part():
@@ -315,11 +378,11 @@ def test_controller_config_validation():
 
 
 def test_fixed_integrate_shapes_and_endpoint():
-    ts, ys = fixed_integrate(ACTION2, _linear_field, lie_euler_step, Y0, 0.0, 2.0, 10)
+    ts, ys = fixed_integrate(ACTION2, _linear_field, LIE_EULER, Y0, 0.0, 2.0, 10)
     assert ts.shape == (11,) and ys.shape == (11, 2)
     assert ts[0] == 0.0 and ts[-1] == 2.0
     with pytest.raises(ValueError):
-        fixed_integrate(ACTION2, _linear_field, lie_euler_step, Y0, 0.0, 1.0, 0)
+        fixed_integrate(ACTION2, _linear_field, LIE_EULER, Y0, 0.0, 1.0, 0)
 
 
 def test_adaptive_accepts_below_tolerance_and_lands_on_T():
@@ -343,7 +406,7 @@ def test_adaptive_accepts_below_tolerance_and_lands_on_T():
 def test_adaptive_requires_embedded_stepper():
     cfg = ControllerConfig(tol=1e-8, alpha=0.2)
     with pytest.raises(ValueError):
-        adaptive_integrate(ACTION2, _linear_field, lie_euler_step, Y0, 0.0, 1.0, 0.1, cfg)
+        adaptive_integrate(ACTION2, _linear_field, LIE_EULER, Y0, 0.0, 1.0, 0.1, cfg)
 
 
 def test_adaptive_rejects_non_finite_estimate_and_halves_h():
