@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,7 +86,7 @@ class RunConfig:
     steps: Optional[int] = None
     tol: Optional[float] = None
     theta: float = 0.5  # symplectic family parameter
-    safety: float = 0.9  # controller safety factor
+    safety: ClassVar[float] = 0.9  # controller safety factor
     out: Optional[str] = None
     seed: int = 0
     overrides: Dict[str, float] = field(default_factory=dict)
@@ -117,7 +117,7 @@ class RunConfig:
                 raise ConfigError("adaptive mode needs an initial h")
             if self.tol is None:
                 raise ConfigError("adaptive mode needs tol")
-            if self.method == "symplectic" or not METHODS[self.method].embedded:
+            if self.method == "symplectic" or METHODS[self.method].p_hat is None:
                 raise ConfigError(
                     f"method {self.method!r} has no embedded error estimate"
                 )
@@ -243,37 +243,32 @@ def _integrate_fixed(cfg: RunConfig, system: System):
     )
 
 
-def _integrate_adaptive(cfg: RunConfig, system: System):
-    info = METHODS[cfg.method]
+def _integrate_adaptive(
+    system: System, method: str, t0: float, t_end: float, h: float, tol: float
+):
+    info = METHODS[method]
     ctrl = ControllerConfig(
-        tol=cfg.tol,
+        tol=tol,
         alpha=1.0 / (1.0 + min(info.p, info.p_hat)),
-        theta=cfg.safety,
+        theta=RunConfig.safety,
     )
     return adaptive_integrate(
         system.action,
         system.field,
         info.stepper,
         system.initial,
-        cfg.t0,
-        cfg.t_end,
-        cfg.h,
+        t0,
+        t_end,
+        h,
         ctrl,
     )
 
 
-def reference_state(system: System, t0: float, t_end: float, tol: float = 1e-12):
-    """Tight-tolerance end state used as the self-reference solution."""
-    cfg = RunConfig(
-        system=system.name,
-        method="rkmk54",
-        mode="adaptive",
-        t0=t0,
-        t_end=t_end,
-        h=min(1e-3, (t_end - t0) / 10),
-        tol=tol,
-    )
-    return _integrate_adaptive(cfg, system).ys[-1]
+def reference_state(system: System, t0: float, t_end: float):
+    """Tight-tolerance end state used as the self-reference solution:
+    adaptive rkmk54 at tol 1e-12."""
+    h = min(1e-3, (t_end - t0) / 10)
+    return _integrate_adaptive(system, "rkmk54", t0, t_end, h, 1e-12).ys[-1]
 
 
 def _build(cfg: RunConfig) -> System:
@@ -302,7 +297,7 @@ def run(cfg: RunConfig) -> List[str]:
         hs = np.full(len(ts), (cfg.t_end - cfg.t0) / max(1, len(ts) - 1))
         return _emit_trajectory(cfg, system, ts, ys, hs, out_base)
 
-    res = _integrate_adaptive(cfg, system)
+    res = _integrate_adaptive(system, cfg.method, cfg.t0, cfg.t_end, cfg.h, cfg.tol)
     hs = np.concatenate([[cfg.h], np.diff(res.ts)])
     paths = _emit_trajectory(cfg, system, res.ts, res.ys, hs, out_base)
     steps = out_base + ".steps.csv"

@@ -296,10 +296,6 @@ class MethodInfo:
     p: int
     p_hat: Optional[int] = None
 
-    @property
-    def embedded(self) -> bool:
-        return self.p_hat is not None
-
 
 METHODS = {
     "lie-euler": MethodInfo(partial(cf_step, scheme=LIE_EULER), 1),
@@ -312,7 +308,6 @@ METHODS = {
     "cf32b": MethodInfo(partial(cf_step, scheme=CF32B), 3, 2),
     "cf43": MethodInfo(partial(cf_step, scheme=CF43), 4, 3),
     "rkmk54": MethodInfo(partial(rkmk_step, tableau=DOPRI54), 5, 4),
-    "rkmk5": MethodInfo(partial(rkmk_step, tableau=DOPRI54), 5),
 }
 
 
@@ -493,31 +488,34 @@ def symplectic_step(
 # Step-size controller and drivers
 
 
+_H_MIN = 1e-12
+_MAX_REJECTS = 30
+
+
 @dataclass(frozen=True)
 class ControllerConfig:
+    """Tolerance, exponent and safety factor; the step floor and the limit
+    on consecutive rejections are the constants _H_MIN and _MAX_REJECTS."""
+
     tol: float
     alpha: float
     theta: float = 0.9
-    h_min: float = 1e-12
-    h_max: float = math.inf
-    max_rejects: int = 30
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if not 0.0 < self.theta < 1.0:
             raise ValueError("safety factor must lie in (0, 1)")
-        if self.h_min > self.h_max:
-            raise ValueError("h_min exceeds h_max")
 
 
 def controller_update(h: float, e: float, cfg: ControllerConfig) -> float:
-    """h_next = clamp(theta (tol/e)^alpha h); e = 0 maps to h_max."""
+    """h_next = max(theta (tol/e)^alpha h, _H_MIN); e = 0 maps to inf,
+    so the next trial takes the rest of the interval."""
     if e < 0:
         raise ValueError("error estimate must be nonnegative")
     if e == 0.0:
-        return cfg.h_max
-    return min(max(cfg.theta * (cfg.tol / e) ** cfg.alpha * h, cfg.h_min), cfg.h_max)
+        return math.inf
+    return max(cfg.theta * (cfg.tol / e) ** cfg.alpha * h, _H_MIN)
 
 
 @dataclass(frozen=True)
@@ -533,7 +531,6 @@ class AdaptiveResult:
     ts: np.ndarray
     ys: np.ndarray
     step_log: List[StepAttempt]
-    rejects: int
 
 
 class StepSizeUnderflowError(RuntimeError):
@@ -579,13 +576,12 @@ def adaptive_integrate(
         return last[1]
 
     t, y = t0, np.asarray(y0, dtype=float)
-    h = min(h0, cfg.h_max)
+    h = h0
     ts, ys, log = [t], [y], []
-    rejects = 0
     consecutive = 0
     while t < T - 1e-14 * max(1.0, abs(T)):
         h_try = min(h, T - t)
-        if h_try < cfg.h_min:
+        if h_try < _H_MIN:
             raise StepSizeUnderflowError(f"step size underflow at t = {t:.6g}")
         try:
             res = stepper(action, f_memo, y, h_try)
@@ -607,13 +603,12 @@ def adaptive_integrate(
             ys.append(y)
             consecutive = 0
         else:
-            rejects += 1
             consecutive += 1
-            if consecutive > cfg.max_rejects:
+            if consecutive > _MAX_REJECTS:
                 raise TooManyRejectsError(
                     f"{consecutive} consecutive rejections at t = {t:.6g}"
                 )
-    return AdaptiveResult(ts=np.array(ts), ys=np.array(ys), step_log=log, rejects=rejects)
+    return AdaptiveResult(ts=np.array(ts), ys=np.array(ys), step_log=log)
 
 
 def fixed_integrate(

@@ -134,7 +134,8 @@ def get_system(system_id: str, **overrides) -> System:
     """Build a named benchmark system.
 
     Each override is one of the system's names in ``OVERRIDES``; one left
-    out keeps the default of the system's parameter class.
+    out keeps the default of the system's parameter class.  An integer
+    override must have an integral value.
     """
     family = next((f for f in _FAMILIES if system_id in f.builders), None)
     if family is None:
@@ -145,5 +146,10 @@ def get_system(system_id: str, **overrides) -> System:
             f"unknown overrides for system {system_id!r}: {sorted(unknown)} "
             f"(expected some of {sorted(family.defaults)})"
         )
-    params = family.params(**{k: type(family.defaults[k])(v) for k, v in overrides.items()})
-    return family.builders[system_id](params)
+    values = {}
+    for key, value in overrides.items():
+        kind = type(family.defaults[key])
+        if kind is int and not float(value).is_integer():
+            raise ValueError(f"override {key!r} must be an integer, got {value!r}")
+        values[key] = kind(value)
+    return family.builders[system_id](family.params(**values))

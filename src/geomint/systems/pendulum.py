@@ -42,6 +42,8 @@ class PendulumParams:
     def __post_init__(self):
         if len(self.masses) != len(self.lengths):
             raise ValueError("masses and lengths must have equal length")
+        if not self.masses:
+            raise ValueError("a pendulum needs at least one link")
         if not np.isfinite((*self.masses, *self.lengths, self.gravity)).all():
             raise ValueError(f"pendulum parameters must be finite, got {self}")
         if min(self.masses) <= 0 or min(self.lengths) <= 0:

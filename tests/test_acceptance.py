@@ -360,7 +360,7 @@ def test_criterion_6_adaptive_controller():
     # same step budget, fixed grid, fifth-order update: adaptive wins
     ref = _reference("pendulum", 3.0)
     _, ys_fixed = fixed_integrate(
-        system.action, system.field, METHODS["rkmk5"].stepper, system.initial,
+        system.action, system.field, METHODS["rkmk54"].stepper, system.initial,
         0.0, 3.0, len(accepted),
     )
     err_adaptive = float(np.linalg.norm(res.ys[-1] - ref))
@@ -424,7 +424,7 @@ def test_criterion_7_exactness_and_reduction():
 
     worst_red = 0.0
     pairs = [("rkmk3", KUTTA3), ("rkmk4", RK4), ("rkmk4-2c", RK4), ("cf4", RK4),
-             ("rkmk54", DOPRI54), ("rkmk5", DOPRI54)]
+             ("rkmk54", DOPRI54)]
     for method, tableau in pairs:
         yl, yc = y.copy(), y.copy()
         for _ in range(20):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -23,6 +24,7 @@ from geomint.harness import (
     parse_config_file,
     run,
 )
+from geomint.integrators import METHODS
 from geomint.systems import SYSTEM_IDS, get_system
 
 
@@ -200,6 +202,15 @@ def test_registry_rejects_unknowns():
         get_system("pendulum", payload_mass=2.0)
     with pytest.raises(ValueError):
         get_system("heavytop-lp", preset="fast-top")
+
+
+def test_integer_override_must_be_integral():
+    with pytest.raises(ValueError, match="override 'n' must be an integer, got 2.5"):
+        get_system("pendulum", n=2.5)
+    cfg = RunConfig(system="pendulum", method="rkmk4", h=0.1, overrides={"n": 3.7})
+    with pytest.raises(ValueError, match="override 'n' must be an integer, got 3.7"):
+        cfg.build_system()
+    assert get_system("pendulum", n=3.0).initial.shape == (18,)
 
 
 # -- CSV output -------------------------------------------------------------------------
@@ -424,6 +435,17 @@ def test_cli_non_finite_system_parameter_exits_nonzero(tmp_path, capsys):
     assert not (tmp_path / "nan.trajectory.csv").exists()
 
 
+def test_cli_empty_pendulum_chain_exits_nonzero(tmp_path, capsys):
+    cfgfile = tmp_path / "empty.cfg"
+    cfgfile.write_text(
+        "system = pendulum\nmethod = rkmk4\nh = 0.01\nt-end = 0.05\nn = 0\n"
+        f"out = {tmp_path / 'empty'}\n"
+    )
+    assert cli_main(["simulate", "--config", str(cfgfile)]) == 1
+    assert capsys.readouterr().err == "geomint: error: a pendulum needs at least one link\n"
+    assert list(tmp_path.iterdir()) == [cfgfile]
+
+
 def test_cli_reports_integrator_failure(tmp_path, capsys):
     # no step meets tol = 1e-300, so the controller gives up
     rc = cli_main(
@@ -532,3 +554,19 @@ def test_perfbench_imports_resolve():
         missing += [f"{info.name}.{name}" for name in getattr(module, "__all__", ())
                     if not hasattr(module, name)]
     assert not missing
+
+
+def _load_script(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def test_convergence_script_has_a_base_step_per_method():
+    assert sorted(_load_script("heavytop_convergence").BASE_STEPS) == sorted(METHODS)
+
+
+def test_csv_digest_runs_every_method():
+    assert _load_script("csv_digest").METHOD_IDS == tuple(sorted(METHODS))

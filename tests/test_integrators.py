@@ -17,8 +17,11 @@ from geomint.integrators import (
     CotangentGroup,
     NonConvergenceError,
     SolveConfig,
+    StepResult,
     StepSizeUnderflowError,
     Tableau,
+    TooManyRejectsError,
+    _H_MIN,
     adaptive_integrate,
     controller_update,
     fixed_integrate,
@@ -297,7 +300,7 @@ def test_adaptive_rejects_branch_error_in_the_embedded_part():
     first, second = res.step_log[:2]
     assert first.error_estimate == np.inf and not first.accepted
     assert second.h == 0.05
-    assert res.rejects >= 1
+    assert sum(not a.accepted for a in res.step_log) >= 1
     assert res.ts[-1] == pytest.approx(0.5, abs=1e-12)
 
 
@@ -313,7 +316,7 @@ def test_adaptive_rkmk54_evaluates_the_shared_stage_once(tol, h0):
                              ControllerConfig(tol=tol, alpha=0.2))
     log = res.step_log
     assert counts["f"] == 7 + 6 * (len(log) - 1)
-    assert res.rejects == (h0 == 0.5)  # the second case covers a reject
+    assert sum(not a.accepted for a in log) == (h0 == 0.5)  # the second case covers a reject
     # the memo changes no number: replay the accepted steps without it
     y, ys = y0, [y0]
     for attempt in log:
@@ -352,15 +355,15 @@ def test_controller_shrinks_on_rejection():
     assert controller_update(0.1, 16e-6, cfg) == pytest.approx(0.045)
 
 
-def test_controller_zero_error_jumps_to_h_max():
-    cfg = ControllerConfig(tol=1e-6, alpha=0.25, h_max=2.5)
-    assert controller_update(0.1, 0.0, cfg) == 2.5
+def test_controller_zero_error_gives_inf():
+    # the next trial is then truncated to the rest of the interval
+    cfg = ControllerConfig(tol=1e-6, alpha=0.25)
+    assert controller_update(0.1, 0.0, cfg) == np.inf
 
 
 def test_controller_clamps():
-    cfg = ControllerConfig(tol=1e-6, alpha=0.25, h_min=0.05, h_max=0.2)
-    assert controller_update(0.1, 1e6, cfg) == 0.05
-    assert controller_update(0.1, 1e-30, cfg) == 0.2
+    cfg = ControllerConfig(tol=1e-6, alpha=0.25)
+    assert controller_update(1e-11, 1e6, cfg) == _H_MIN
     with pytest.raises(ValueError):
         controller_update(0.1, -1.0, cfg)
 
@@ -370,8 +373,6 @@ def test_controller_config_validation():
         ControllerConfig(tol=-1.0, alpha=0.25)
     with pytest.raises(ValueError):
         ControllerConfig(tol=1e-6, alpha=0.25, theta=1.5)
-    with pytest.raises(ValueError):
-        ControllerConfig(tol=1e-6, alpha=0.25, h_min=1.0, h_max=0.1)
 
 
 # -- drivers ------------------------------------------------------------------
@@ -396,7 +397,6 @@ def test_adaptive_accepts_below_tolerance_and_lands_on_T():
     accepted = [a for a in res.step_log if a.accepted]
     assert len(accepted) == len(res.ts) - 1
     assert all(a.error_estimate < cfg.tol for a in accepted)
-    assert res.rejects == sum(1 for a in res.step_log if not a.accepted)
     # matches the exact flow of the linear system
     from scipy.linalg import expm
 
@@ -424,13 +424,35 @@ def test_adaptive_rejects_non_finite_estimate_and_halves_h():
     assert all(a.h <= 0.05 for a in res.step_log if a.accepted)
 
 
+def _constant_estimate(e, trials):
+    """A stepper that stays put, logs each trial h and reports estimate e."""
+    def stepper(action, f, y, h):
+        trials.append(h)
+        return StepResult(y_next=y, _embedded=lambda: (y, e))
+    return stepper
+
+
 def test_adaptive_step_underflow():
-    cfg = ControllerConfig(tol=1e-8, alpha=0.2, h_min=0.5)
-    stiff = translation_action(1)
+    # a NaN estimate halves h: 1e-11 -> 1.25e-12 in four trials, and the
+    # fifth would fall below the 1e-12 floor
+    trials = []
+    cfg = ControllerConfig(tol=1e-8, alpha=0.2)
     with pytest.raises(StepSizeUnderflowError):
-        adaptive_integrate(
-            stiff, lambda y: -1e6 * y, RKMK54, np.array([1.0]), 0.0, 1.0, 0.1, cfg
-        )
+        adaptive_integrate(translation_action(1), lambda y: y, _constant_estimate(np.nan, trials),
+                           np.array([1.0]), 0.0, 1.0, 1e-11, cfg)
+    assert trials == [1e-11 / 2**k for k in range(4)]
+
+
+def test_adaptive_gives_up_after_thirty_consecutive_rejects():
+    # a finite estimate above tol shrinks h down to the floor, where the
+    # controller keeps it until the 31st trial in a row is rejected
+    trials = []
+    cfg = ControllerConfig(tol=1e-8, alpha=0.2)
+    with pytest.raises(TooManyRejectsError, match="31 consecutive rejections"):
+        adaptive_integrate(translation_action(1), lambda y: y, _constant_estimate(1.0, trials),
+                           np.array([1.0]), 0.0, 1.0, 0.1, cfg)
+    assert len(trials) == 31
+    assert min(trials) == _H_MIN and trials[-1] == _H_MIN
 
 
 # -- symplectic family ---------------------------------------------------------

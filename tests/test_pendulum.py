@@ -43,6 +43,14 @@ def test_params_validation():
             PendulumParams(**{"masses": (1.0,), "lengths": (1.0,), **bad})
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_params_reject_an_empty_chain(n):
+    with pytest.raises(ValueError, match="a pendulum needs at least one link"):
+        PendulumParams.uniform(n)
+    with pytest.raises(ValueError, match="a pendulum needs at least one link"):
+        get_system("pendulum", n=n)
+
+
 def test_tail_mass():
     p = PendulumParams(masses=(1.0, 2.0, 4.0), lengths=(1.0, 1.0, 1.0))
     np.testing.assert_array_equal(p.tail_mass, [7.0, 6.0, 4.0])
