@@ -1,4 +1,4 @@
-"""Transitive group actions and their infinitesimal generators.
+"""Transitive group actions.
 
 Each concrete action is packaged as a :class:`HomogeneousAction` record:
 the integrators are written once against this interface and never see
@@ -10,16 +10,13 @@ schemes only make group elements with ``exp`` and apply them with
 Every action is a direct product of factor records: ``R^n``
 translation, SO(3) multiplying a 3x3 rotation block from the left or
 from the right, SE(3) on TS^2, the cotangent group SO(3) x so(3)* on
-(Q, pi), and the coadjoint actions, with their blocks laid end to end.
-Factors work on Python floats, so a product map converts its arguments
-once and builds one array at the end.  A group element is a list with
-one entry per factor (a 3x3 array for SO(3), 12 floats for SE(3)), or
-that entry alone for a one-factor action.
-
-The generator of every action equals the t-derivative of
-``act(exp(t xi), m)`` at ``t = 0`` (finite-difference tested).  The
-SE(3) action on TS^2 checks every point it moves and raises ValueError
-off the manifold.
+(Q, pi), and the coadjoint action of SE(3), with their blocks laid end
+to end.  Factors work on Python floats, so a product map converts its
+arguments once and builds one array at the end.  A group element is a
+list with one entry per factor (9 floats for SO(3), R row by row; 12
+for SE(3), R and then r), or that entry alone for a one-factor action.
+The SE(3) action on TS^2 checks every point it moves and raises
+ValueError off the manifold.
 """
 
 from __future__ import annotations
@@ -31,16 +28,14 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .kernels import cross
+from .kernels import _cross, _product
 from .lie import (
     _dexpinv_se3,
     _dexpinv_so3,
     _exp_se3,
     _exp_so3,
     _floats,
-    hat,
-    se3_bracket,
-    so3_bracket,
+    _se3_bracket,
 )
 
 __all__ = [
@@ -51,9 +46,6 @@ __all__ = [
     "so3_right_action",
     "se3_ts2_action",
     "ts2_action",
-    "act_ts2",
-    "generator_ts2",
-    "coadjoint_so3_action",
     "coadjoint_se3_action",
     "body_top_action",
     "cotangent_so3_action",
@@ -67,13 +59,11 @@ class HomogeneousAction:
     """A transitive action together with the data integrators consume.
 
     ``exp`` maps a flat algebra element to a group element, ``act``
-    moves a flat manifold point, ``generator`` returns the flat ambient
-    tangent vector.  ``dexpinv`` is the exact inverse differential of
-    exp, ``dexpinv(u, v) = sum_k (B_k/k!) ad_u^k v`` summed in closed
-    form, with ``ad_u = bracket(u, .)``.  The steppers read ``exp``,
-    ``act``, ``dexpinv``, ``bracket`` and ``algebra_dim``; ``generator``
-    gives the ambient vector field for the classical RK4 control and
-    the field tests.  ``factors`` lists its factor records.
+    moves a flat manifold point.  ``dexpinv`` is the exact inverse
+    differential of exp, ``dexpinv(u, v) = sum_k (B_k/k!) ad_u^k v``
+    summed in closed form, with ``ad_u = bracket(u, .)``.  The steppers
+    read ``exp``, ``act``, ``dexpinv``, ``bracket`` and ``algebra_dim``.
+    ``factors`` lists its factor records.
     """
 
     name: str
@@ -81,7 +71,6 @@ class HomogeneousAction:
     point_dim: int
     exp: Callable[[np.ndarray], Any]
     act: Callable[[Any, np.ndarray], np.ndarray]
-    generator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bracket: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dexpinv: Callable[[np.ndarray, np.ndarray], np.ndarray]
     factors: tuple
@@ -89,28 +78,22 @@ class HomogeneousAction:
 
 @dataclass(frozen=True)
 class _Factor:
-    """One factor of a direct product.  ``exp``, ``act`` and ``dexpinv``
-    take and return sequences of Python floats; with ``view`` set, ``act``
-    takes its point block as an array view instead.  ``generator`` and
-    ``bracket`` work on arrays."""
+    """One factor of a direct product: its block sizes and four maps that
+    take and return sequences of Python floats (``act`` takes the
+    factor's group element first)."""
 
     algebra_dim: int
     point_dim: int
     exp: Callable
     act: Callable
     dexpinv: Callable
-    generator: Callable
     bracket: Callable
-    view: bool = False
 
 
-# Group data of the factors over SO(3) and SE(3).  An SO(3) element is a
-# 3x3 array acting by numpy's matmul on an array view of its block, which
-# float sums would not match bit for bit; an SE(3) element is the 12
-# floats of _exp_se3, R row by row and then r.
+# Group data of the factors over SE(3): an element is the 12 floats of
+# _exp_se3, R row by row and then r.
 
-_SO3 = dict(algebra_dim=3, exp=_exp_so3, dexpinv=_dexpinv_so3, bracket=so3_bracket, view=True)
-_SE3 = dict(algebra_dim=6, exp=_exp_se3, dexpinv=_dexpinv_se3, bracket=se3_bracket)
+_SE3 = dict(algebra_dim=6, exp=_exp_se3, dexpinv=_dexpinv_se3, bracket=_se3_bracket)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +119,7 @@ def _action(name: str, factors: Sequence[_Factor]) -> HomogeneousAction:
     alg = _blocks(f.algebra_dim for f in factors)
     pts = _blocks(f.point_dim for f in factors)
     algebra_dim, point_dim = alg[-1].stop, pts[-1].stop
-    acts = [(f.act, f.view, p) for f, p in zip(factors, pts)]
+    acts = [(f.act, p) for f, p in zip(factors, pts)]
 
     def exp(xi):
         xs = _entries(xi, algebra_dim)
@@ -145,34 +128,34 @@ def _action(name: str, factors: Sequence[_Factor]) -> HomogeneousAction:
     def act(g, m):
         ms = _entries(m, point_dim)
         out = []
-        for (f, view, p), gi in zip(acts, g, strict=True):
-            out += f(gi, (m if view else ms)[p])
+        for (f, p), gi in zip(acts, g, strict=True):
+            out += f(gi, ms[p])
         return np.array(out)
 
-    def dexpinv(u, v):
-        us, vs = _entries(u, algebra_dim), _entries(v, algebra_dim)
-        out = []
-        for f, a in zip(factors, alg):
-            out += f.dexpinv(us[a], vs[a])
-        return np.array(out)
-
-    def generator(xi, m):
-        return np.concatenate([f.generator(xi[a], m[p]) for f, a, p in zip(factors, alg, pts)])
-
-    def bracket(x, y):
-        return np.concatenate([f.bracket(x[a], y[a]) for f, a in zip(factors, alg)])
+    def pairwise(maps):
+        """One map of two algebra elements, factor by factor."""
+        def apply(u, v):
+            us, vs = _entries(u, algebra_dim), _entries(v, algebra_dim)
+            out = []
+            for f, a in zip(maps, alg):
+                out += f(us[a], vs[a])
+            return np.array(out)
+        return apply
 
     if len(factors) > 1:
-        return HomogeneousAction(name, algebra_dim, point_dim, exp, act, generator, bracket,
-                                 dexpinv, factors)
+        return HomogeneousAction(name, algebra_dim, point_dim, exp, act,
+                                 pairwise([f.bracket for f in factors]),
+                                 pairwise([f.dexpinv for f in factors]), factors)
     # one factor: the group elements are the factor's own; call its maps directly
     (f,) = factors
+
+    def one(fn):
+        return lambda u, v: np.array(fn(_entries(u, algebra_dim), _entries(v, algebra_dim)))
+
     return HomogeneousAction(
         name, algebra_dim, point_dim, lambda xi: f.exp(_entries(xi, algebra_dim)),
-        lambda g, m: np.array(f.act(g, m if f.view else _entries(m, point_dim))),
-        f.generator, f.bracket,
-        lambda u, v: np.array(f.dexpinv(_entries(u, algebra_dim), _entries(v, algebra_dim))),
-        factors,
+        lambda g, m: np.array(f.act(g, _entries(m, point_dim))),
+        one(f.bracket), one(f.dexpinv), factors,
     )
 
 
@@ -196,23 +179,18 @@ def translation_action(n: int) -> HomogeneousAction:
         n, n, exp=lambda xs: xs,
         act=lambda g, m: [a + b for a, b in zip(m, g)],
         dexpinv=lambda u, v: v,
-        generator=lambda xi, m: np.asarray(xi, dtype=float),
-        bracket=lambda x, y: np.zeros(n),
+        bracket=lambda x, y: [0.0] * n,
     )])
 
 
 # ---------------------------------------------------------------------------
-# SO(3) on a flat 3x3 rotation block, from the left or from the right
+# SO(3) on a flat 3x3 rotation block, from the left or from the right; a
+# group element is the 9 floats of _exp_so3, R row by row
 
 
 def so3_left_action() -> HomogeneousAction:
     """SO(3) on a rotation block Q by left multiplication, A.Q = A Q."""
-    return _action("so3-left", [_Factor(
-        point_dim=9,
-        act=lambda g, m: (g @ m.reshape(3, 3)).ravel().tolist(),
-        generator=lambda xi, m: (hat(xi) @ m.reshape(3, 3)).ravel(),
-        **_SO3,
-    )])
+    return _action("so3-left", [_Factor(3, 9, _exp_so3, _product, _dexpinv_so3, _cross)])
 
 
 # Right multiplication A.Q = Q A has generator Q hat(xi) and is a left
@@ -225,11 +203,9 @@ def so3_right_action() -> HomogeneousAction:
     """The opposite group of SO(3) on a rotation block Q, A.Q = Q A."""
     return _action("so3-right", [_Factor(
         3, 9, _exp_so3,
-        act=lambda g, m: (m.reshape(3, 3) @ g).ravel().tolist(),
+        act=lambda g, m: _product(m, g),
         dexpinv=lambda u, v: _dexpinv_so3([-c for c in u], v),
-        generator=lambda xi, m: (m.reshape(3, 3) @ hat(xi)).ravel(),
-        bracket=lambda x, y: -cross(x, y),
-        view=True,
+        bracket=lambda x, y: _cross(y, x),
     )])
 
 
@@ -267,36 +243,13 @@ def _act_ts2(g, m):
     return p1, p2, p3, s1, s2, s3
 
 
-def act_ts2(g, m):
-    """SE(3) on TS^2: ((A,a),(q,w)) -> (Aq, Aw + a x Aq)."""
-    return np.array(_act_ts2([*np.ravel(g[0]).tolist(), *np.ravel(g[1]).tolist()], _floats(m)))
-
-
-def generator_ts2(xi, m):
-    """Generator (u,v) -> (u x q, u x w + v x q)."""
-    u, v = xi[:3], xi[3:6]
-    q, omega = m[:3], m[3:6]
-    return np.concatenate([cross(u, q), cross(u, omega) + cross(v, q)])
-
-
 def se3_ts2_action() -> HomogeneousAction:
     """SE(3) on one TS^2 = {(q, w) : |q| = 1, q.w = 0}."""
-    return _action("se3-ts2", [_Factor(point_dim=6, act=_act_ts2, generator=generator_ts2,
-                                       **_SE3)])
+    return _action("se3-ts2", [_Factor(point_dim=6, act=_act_ts2, **_SE3)])
 
 
 # ---------------------------------------------------------------------------
 # Coadjoint actions
-
-
-def coadjoint_so3_action() -> HomogeneousAction:
-    """SO(3) on so(3)* by g.mu = Ad*_{g^-1} mu = g mu (spherical shells)."""
-    return _action("coadjoint-so3", [_Factor(
-        point_dim=3,
-        act=lambda g, mu: (g @ mu).tolist(),
-        generator=lambda xi, mu: cross(xi, mu),
-        **_SO3,
-    )])
 
 
 def coadjoint_se3_action() -> HomogeneousAction:
@@ -304,17 +257,9 @@ def coadjoint_se3_action() -> HomogeneousAction:
     orbits, hence the Casimirs |Gamma| and Pi.Gamma, regardless of the
     integrator's accuracy."""
 
-    def act(g, mu):
-        # (R Pi + u x R Gamma, R Gamma)
-        return _shifted_rotation(g, *mu)
-
-    def generator(xi, mu):
-        # -ad*_(xi,v) mu
-        v = xi[3:6]
-        Pi, Gamma = mu[:3], mu[3:6]
-        return np.concatenate([cross(xi[:3], Pi) + cross(v, Gamma), cross(xi[:3], Gamma)])
-
-    return _action("coadjoint-se3", [_Factor(point_dim=6, act=act, generator=generator, **_SE3)])
+    # act: (R Pi + u x R Gamma, R Gamma)
+    return _action("coadjoint-se3", [_Factor(
+        point_dim=6, act=lambda g, mu: _shifted_rotation(g, *mu), **_SE3)])
 
 
 # ---------------------------------------------------------------------------
@@ -329,24 +274,16 @@ def cotangent_so3_action() -> HomogeneousAction:
     action behind the spatial heavy top for explicit schemes."""
 
     def act(g, m):
+        # A Q, then nu + A pi
         a1, a2, a3, b1, b2, b3, c1, c2, c3, n1, n2, n3 = g
-        q1, q2, q3, q4, q5, q6, q7, q8, q9, p1, p2, p3 = m
-        # A Q row by row, then nu + A pi
+        p1, p2, p3 = m[9:]
         return (
-            a1 * q1 + a2 * q4 + a3 * q7, a1 * q2 + a2 * q5 + a3 * q8, a1 * q3 + a2 * q6 + a3 * q9,
-            b1 * q1 + b2 * q4 + b3 * q7, b1 * q2 + b2 * q5 + b3 * q8, b1 * q3 + b2 * q6 + b3 * q9,
-            c1 * q1 + c2 * q4 + c3 * q7, c1 * q2 + c2 * q5 + c3 * q8, c1 * q3 + c2 * q6 + c3 * q9,
+            *_product(g[:9], m[:9]),
             n1 + a1 * p1 + a2 * p2 + a3 * p3, n2 + b1 * p1 + b2 * p2 + b3 * p3,
             n3 + c1 * p1 + c2 * p2 + c3 * p3,
         )
 
-    def generator(xi, m):
-        eta, delta = xi[:3], xi[3:6]
-        Q = m[:9].reshape(3, 3)
-        pi = m[9:12]
-        return np.concatenate([(hat(eta) @ Q).ravel(), delta + cross(eta, pi)])
-
-    return _action("cotangent-so3", [_Factor(point_dim=12, act=act, generator=generator, **_SE3)])
+    return _action("cotangent-so3", [_Factor(point_dim=12, act=act, **_SE3)])
 
 
 # ---------------------------------------------------------------------------

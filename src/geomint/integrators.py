@@ -580,9 +580,10 @@ def adaptive_integrate(
     ts, ys, log = [t], [y], []
     consecutive = 0
     while t < T - 1e-14 * max(1.0, abs(T)):
-        h_try = min(h, T - t)
-        if h_try < _H_MIN:
+        # the floor applies to the controller's h, not to a last step T cuts short
+        if h < _H_MIN:
             raise StepSizeUnderflowError(f"step size underflow at t = {t:.6g}")
+        h_try = min(h, T - t)
         try:
             res = stepper(action, f_memo, y, h_try)
             # read inside the try: the embedded part runs here

@@ -31,6 +31,24 @@ def cross(a, b):
     )
 
 
+def _cross(u, v):
+    """u x v of two 3-vectors as three floats."""
+    x, y, z = u
+    a, b, c = v
+    return y * c - z * b, z * a - x * c, x * b - y * a
+
+
+def _product(a, q):
+    """A Q for 3x3 matrices given as nine floats row by row, as nine floats."""
+    a1, a2, a3, b1, b2, b3, c1, c2, c3 = a
+    q1, q2, q3, q4, q5, q6, q7, q8, q9 = q
+    return (
+        a1 * q1 + a2 * q4 + a3 * q7, a1 * q2 + a2 * q5 + a3 * q8, a1 * q3 + a2 * q6 + a3 * q9,
+        b1 * q1 + b2 * q4 + b3 * q7, b1 * q2 + b2 * q5 + b3 * q8, b1 * q3 + b2 * q6 + b3 * q9,
+        c1 * q1 + c2 * q4 + c3 * q7, c1 * q2 + c2 * q5 + c3 * q8, c1 * q3 + c2 * q6 + c3 * q9,
+    )
+
+
 def _times(rows, v1, v2, v3):
     """M v as three floats, for M given by its rows."""
     (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = rows

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .kernels import cross
+from .kernels import _cross, cross
 
 __all__ = [
     "BranchError",
@@ -125,14 +125,14 @@ def _rotation(x, y, z, p, q, *tail):
 
 
 def _exp_so3(v):
-    """exp_so3 of three floats."""
+    """exp_so3 of three floats as nine, row by row."""
     x, y, z = v
-    return np.array(_rotation(x, y, z, *_exp_coeffs(x * x + y * y + z * z))).reshape(3, 3)
+    return _rotation(x, y, z, *_exp_coeffs(x * x + y * y + z * z))
 
 
 def exp_so3(xi):
     """Rodrigues rotation matrix exp(hat(xi))."""
-    return _exp_so3(_floats(xi))
+    return np.array(_exp_so3(_floats(xi))).reshape(3, 3)
 
 
 def dexp_star_so3(u, mu):
@@ -191,9 +191,14 @@ def so3_bracket(u, v):
 
 
 def se3_bracket(x, y):
-    A, a = x[:3], x[3:6]
-    B, b = y[:3], y[3:6]
-    return np.concatenate([cross(A, B), cross(A, b) - cross(B, a)])
+    return np.array(_se3_bracket(_floats(x), _floats(y)))
+
+
+def _se3_bracket(x, y):
+    """se3_bracket of six and six floats, as six floats."""
+    A, a, B, b = x[:3], x[3:], y[:3], y[3:]
+    p, q = _cross(A, b), _cross(B, a)
+    return (*_cross(A, B), p[0] - q[0], p[1] - q[1], p[2] - q[2])
 
 
 def dexpinv_so3(u, v):

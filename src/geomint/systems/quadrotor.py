@@ -28,7 +28,6 @@ __all__ = [
     "QuadrotorParams",
     "Controls",
     "zero_controls",
-    "constant_controls",
     "default_initial",
     "quadrotor_assemble",
     "quadrotor_f",
@@ -68,12 +67,6 @@ class QuadrotorParams:
 def zero_controls(t, state):
     z = np.zeros(3)
     return z, z, z, z
-
-
-def constant_controls(u1, u2, m1, m2) -> Controls:
-    u1, u2 = np.asarray(u1, dtype=float), np.asarray(u2, dtype=float)
-    m1, m2 = np.asarray(m1, dtype=float), np.asarray(m2, dtype=float)
-    return lambda t, state: (u1, u2, m1, m2)
 
 
 # Flat layout offsets

@@ -2,16 +2,21 @@
 
 The truncated Bernoulli series of dexpinv is exact only in the limit, so
 no integrator uses it; the tests compare every action's closed-form
-``dexpinv`` with it.  This module holds no random state.
+``dexpinv`` with it.  The infinitesimal generators give each action's
+ambient vector field, for the classical RK4 control and the field tests;
+no stepper reads them.  This module holds no random state.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
 
-from geomint.lie import se3_bracket, so3_bracket
+from geomint.actions import HomogeneousAction
+from geomint.kernels import cross
+from geomint.lie import dexpinv_so3, exp_so3, hat, se3_bracket, so3_bracket
 
 
 def ad_bracket(x, y):
@@ -47,3 +52,86 @@ def dexpinv_series(u, v, order: int, bracket: Callable = ad_bracket):
         if c != 0.0:
             out = out + c * w
     return out
+
+
+def coadjoint_so3_action() -> HomogeneousAction:
+    """SO(3) on so(3)* by g.mu = Ad*_{g^-1} mu = g mu (spherical shells),
+    on the public array kernels; a group element is a 3x3 array."""
+    return HomogeneousAction("coadjoint-so3", 3, 3, exp=exp_so3, act=lambda g, mu: g @ mu,
+                             bracket=so3_bracket, dexpinv=dexpinv_so3, factors=())
+
+
+# ---------------------------------------------------------------------------
+# Infinitesimal generators: xi, m -> d/dt act(exp(t xi), m) at t = 0
+
+
+def generator_translation(xi, m):
+    return np.asarray(xi, dtype=float)
+
+
+def generator_so3_left(xi, m):
+    return (hat(xi) @ m.reshape(3, 3)).ravel()
+
+
+def generator_so3_right(xi, m):
+    return (m.reshape(3, 3) @ hat(xi)).ravel()
+
+
+def generator_ts2(xi, m):
+    """Generator (u,v) -> (u x q, u x w + v x q)."""
+    u, v = xi[:3], xi[3:6]
+    q, omega = m[:3], m[3:6]
+    return np.concatenate([cross(u, q), cross(u, omega) + cross(v, q)])
+
+
+def generator_coadjoint_so3(xi, mu):
+    return cross(xi, mu)
+
+
+def generator_coadjoint_se3(xi, mu):
+    # -ad*_(xi,v) mu
+    v = xi[3:6]
+    Pi, Gamma = mu[:3], mu[3:6]
+    return np.concatenate([cross(xi[:3], Pi) + cross(v, Gamma), cross(xi[:3], Gamma)])
+
+
+def generator_cotangent_so3(xi, m):
+    eta, delta = xi[:3], xi[3:6]
+    Q = m[:9].reshape(3, 3)
+    pi = m[9:12]
+    return np.concatenate([(hat(eta) @ Q).ravel(), delta + cross(eta, pi)])
+
+
+# the factor generators of each named action, in its factor order
+_GENERATORS = {
+    "so3-left": [generator_so3_left],
+    "so3-right": [generator_so3_right],
+    "se3-ts2": [generator_ts2],
+    "coadjoint-so3": [generator_coadjoint_so3],
+    "coadjoint-se3": [generator_coadjoint_se3],
+    "cotangent-so3": [generator_cotangent_so3],
+    "body-top": [generator_so3_right, generator_translation],
+    "ext-top": [generator_cotangent_so3, generator_translation],
+    "quadrotor": [generator_translation, generator_so3_left, generator_translation,
+                  generator_so3_left, generator_translation, generator_ts2, generator_ts2],
+}
+
+
+def generator(action: HomogeneousAction) -> Callable:
+    """The generator of a named action: its factors' generators on their
+    algebra and point blocks, laid end to end."""
+    family = action.name.rsplit("-", 1)[0]
+    if family == "translation":
+        return generator_translation
+    if family == "ts2":
+        gens = [generator_ts2] * len(action.factors)
+    else:
+        gens = _GENERATORS[action.name]
+    if len(gens) == 1:
+        return gens[0]
+    if len(gens) != len(action.factors):
+        raise ValueError(f"{action.name}: {len(action.factors)} factors, {len(gens)} generators")
+    alg = list(accumulate((f.algebra_dim for f in action.factors), initial=0))
+    pts = list(accumulate((f.point_dim for f in action.factors), initial=0))
+    blocks = list(zip(gens, alg, alg[1:], pts, pts[1:]))
+    return lambda xi, m: np.concatenate([g(xi[a:b], m[c:d]) for g, a, b, c, d in blocks])

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from _reference import dexpinv_series
-from geomint.actions import coadjoint_so3_action, translation_action
+from _reference import coadjoint_so3_action, dexpinv_series, generator
+from geomint.actions import translation_action
 from geomint.integrators import (
     DOPRI54,
     KUTTA3,
@@ -192,7 +192,7 @@ def test_criterion_2_pendulum_manifold_preservation():
 
     # classical RK4 control on the flat ambient coordinates
     ambient = translation_action(12)
-    amb_f = lambda y: system.action.generator(system.field(y), y)
+    amb_f = lambda y: generator(system.action)(system.field(y), y)
     _, ys = fixed_integrate(
         ambient, amb_f, METHODS["rkmk4"].stepper, _nonplanar_initial(), 0.0, T, n
     )

@@ -1,7 +1,7 @@
 """Shared axioms for every registered action, stated on exp and act
 alone: exp(0) acts trivially, act(exp(t xi), .) is a flow in t, exp(-xi)
-undoes exp(xi), generator = d/dt act(exp(t xi), m) at 0, and the exact
-dexpinv agrees with the bracket series."""
+undoes exp(xi), the reference generator is d/dt act(exp(t xi), m) at 0,
+and the exact dexpinv agrees with the bracket series."""
 
 from __future__ import annotations
 
@@ -10,13 +10,10 @@ import pytest
 
 from geomint.actions import (
     HomogeneousAction,
-    act_ts2,
     body_top_action,
     coadjoint_se3_action,
-    coadjoint_so3_action,
     cotangent_so3_action,
     ext_top_action,
-    generator_ts2,
     quadrotor_action,
     se3_ts2_action,
     so3_left_action,
@@ -24,7 +21,7 @@ from geomint.actions import (
     translation_action,
     ts2_action,
 )
-from _reference import dexpinv_series
+from _reference import coadjoint_so3_action, dexpinv_series, generator, generator_ts2
 from geomint.lie import BranchError, dexpinv_so3, exp_so3
 
 rng = np.random.default_rng(2024)
@@ -113,14 +110,14 @@ def test_generator_matches_finite_difference(case):
     fd = (action.act(action.exp(t * xi), m) - action.act(action.exp(-t * xi), m)) / (
         2.0 * t
     )
-    np.testing.assert_allclose(fd, action.generator(xi, m), rtol=0, atol=5e-8)
+    np.testing.assert_allclose(fd, generator(action)(xi, m), rtol=0, atol=5e-8)
 
 
 def test_generator_finite_difference_is_second_order(case):
     action, point = case
     m = point()
     xi = _random_algebra(action, scale=1.0)
-    gen = action.generator(xi, m)
+    gen = generator(action)(xi, m)
 
     def err(t):
         fd = (
@@ -132,6 +129,13 @@ def test_generator_finite_difference_is_second_order(case):
     if e1 < 1e-12:
         pytest.skip("generator exact for this action")
     assert 3.0 < e1 / e2 < 5.0
+
+
+def test_act_accepts_a_point_given_as_a_list(case):
+    action, point = case
+    m = point()
+    g = action.exp(_random_algebra(action))
+    np.testing.assert_array_equal(action.act(g, m.tolist()), action.act(g, m))
 
 
 def test_dexpinv_matches_bracket_series(case):
@@ -238,18 +242,21 @@ def test_short_translation_block_is_rejected():
 # -- TS^2 specifics ----------------------------------------------------------
 
 
+_TS2_IDENTITY = [*np.eye(3).ravel(), 0.0, 0.0, 0.0]
+
+
 def test_ts2_rejects_off_manifold_points():
-    g = (np.eye(3), np.zeros(3))
+    act = se3_ts2_action().act
     with pytest.raises(ValueError):
-        act_ts2(g, np.array([2.0, 0.0, 0.0, 0.0, 1.0, 0.0]))
+        act(_TS2_IDENTITY, np.array([2.0, 0.0, 0.0, 0.0, 1.0, 0.0]))
     with pytest.raises(ValueError):
-        act_ts2(g, np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]))
+        act(_TS2_IDENTITY, np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]))
 
 
 def test_ts2_rejects_nan_points():
     nan = np.full(6, np.nan)
     with pytest.raises(ValueError):
-        act_ts2((np.eye(3), np.zeros(3)), nan)
+        se3_ts2_action().act(_TS2_IDENTITY, nan)
     action = ts2_action(2)
     g = action.exp(np.zeros(12))
     with pytest.raises(ValueError):
@@ -261,9 +268,9 @@ def test_ts2_rejects_nan_points():
 
 def test_ts2_action_is_transitive_pair():
     # rotating by 90 deg about e3 and shifting omega via the translation slot
-    g = (exp_so3([0.0, 0.0, np.pi / 2]), np.array([0.0, 0.0, 1.0]))
+    g = [*exp_so3([0.0, 0.0, np.pi / 2]).ravel(), 0.0, 0.0, 1.0]
     m = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 1.0])
-    out = act_ts2(g, m)
+    out = se3_ts2_action().act(g, m)
     np.testing.assert_allclose(out[:3], [0.0, 1.0, 0.0], atol=1e-15)
     # A w + a x (Aq) = e3 + e3 x e2 = (-1, 0, 1)
     np.testing.assert_allclose(out[3:], [-1.0, 0.0, 1.0], atol=1e-15)
@@ -278,6 +285,25 @@ def test_generator_ts2_stays_tangent():
     # d/dt |q|^2 = 0 and d/dt (q.w) = 0 along the generator
     assert abs(q @ dq) < 1e-12
     assert abs(dq @ w + q @ dw) < 1e-12
+
+
+# -- SO(3) factors -------------------------------------------------------------
+
+
+def test_so3_factors_match_the_array_kernel():
+    # the factors multiply on floats; numpy's matmul may round the last
+    # bit differently
+    left, right = so3_left_action(), so3_right_action()
+    for _ in range(50):
+        xi = rng.normal(size=3)
+        Q = exp_so3(rng.normal(size=3))
+        A = exp_so3(xi)
+        np.testing.assert_array_equal(left.exp(xi), A.ravel())
+        np.testing.assert_array_equal(right.exp(xi), A.ravel())
+        np.testing.assert_allclose(left.act(left.exp(xi), Q.ravel()), (A @ Q).ravel(),
+                                   rtol=0, atol=2e-15)
+        np.testing.assert_allclose(right.act(right.exp(xi), Q.ravel()), (Q @ A).ravel(),
+                                   rtol=0, atol=2e-15)
 
 
 # -- SO(3) from the right ----------------------------------------------------

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from geomint.actions import coadjoint_so3_action, translation_action
+from geomint.actions import translation_action
 from geomint.integrators import (
     DOPRI54,
     KUTTA3,
@@ -31,7 +31,7 @@ from geomint.integrators import (
     so3r3_cotangent_group,
     symplectic_step,
 )
-from _reference import dexpinv_series
+from _reference import coadjoint_so3_action, dexpinv_series
 from geomint.lie import BranchError, dexp_star_so3, exp_so3
 
 rng = np.random.default_rng(99)
@@ -441,6 +441,18 @@ def test_adaptive_step_underflow():
         adaptive_integrate(translation_action(1), lambda y: y, _constant_estimate(np.nan, trials),
                            np.array([1.0]), 0.0, 1.0, 1e-11, cfg)
     assert trials == [1e-11 / 2**k for k in range(4)]
+
+
+def test_adaptive_last_step_below_the_floor_lands_on_T():
+    # the first step leaves T - t = 5e-13, under _H_MIN but above the
+    # loop's end tolerance; the floor is on h, so the short last step runs
+    cfg = ControllerConfig(tol=1e-6, alpha=0.2)
+    res = adaptive_integrate(translation_action(1), lambda y: np.zeros(1),
+                             METHODS["rkmk54"].stepper, np.array([1.0]), 0.0, 1.0,
+                             1.0 - 5e-13, cfg)
+    assert res.ts[-1] == 1.0
+    assert all(attempt.accepted for attempt in res.step_log)
+    np.testing.assert_array_equal(res.ys[-1], [1.0])
 
 
 def test_adaptive_gives_up_after_thirty_consecutive_rejects():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from _reference import generator
 from geomint.integrators import METHODS, fixed_integrate
 from geomint.kernels import cross, solve_dense
 from geomint.lie import hat
@@ -142,7 +143,7 @@ def test_energy_directional_derivative_vanishes():
     p = PendulumParams.uniform(4)
     system = get_system("pendulum", n=4)
     y = system.initial
-    dy = system.action.generator(system.field(y), y)
+    dy = generator(system.action)(system.field(y), y)
     eps = 1e-7
     d = (pendulum_energy(p, y + eps * dy) - pendulum_energy(p, y - eps * dy)) / (2 * eps)
     assert abs(d) < 1e-6

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from _reference import generator
 from geomint.integrators import METHODS, fixed_integrate
 from geomint.kernels import SingularMatrixError, solve_dense
 from geomint.lie import hat
@@ -10,7 +11,6 @@ from geomint.systems import get_system
 from geomint.systems.quadrotor import (
     QuadrotorParams,
     build_quadrotor,
-    constant_controls,
     default_initial,
     quadrotor_assemble,
     quadrotor_energy,
@@ -26,6 +26,12 @@ ACTION = get_system("quadrotor").action
 _Z = np.r_[0:6, 15:18, 27:30, 33:36, 39:42]
 
 
+def constant_controls(u1, u2, m1, m2):
+    u1, u2 = np.asarray(u1, dtype=float), np.asarray(u2, dtype=float)
+    m1, m2 = np.asarray(m1, dtype=float), np.asarray(m2, dtype=float)
+    return lambda t, state: (u1, u2, m1, m2)
+
+
 def quadrotor_ambient_rhs(params, controls, t, state):
     """Reference time derivative of the flat state: kinematics, with the
     accelerations from a dense solve of the assembled block system."""
@@ -39,7 +45,7 @@ def quadrotor_ambient_rhs(params, controls, t, state):
 
 def _field_zdot(params, controls, state):
     """zdot as the field's generator gives it."""
-    return ACTION.generator(quadrotor_f(params, controls, 0.0, state), state)[_Z]
+    return generator(ACTION)(quadrotor_f(params, controls, 0.0, state), state)[_Z]
 
 
 def test_params_validation():
@@ -144,7 +150,7 @@ def test_thrust_decomposition_identities():
 
 def test_field_matches_ambient_rhs_through_generator():
     state = default_initial()
-    dm = ACTION.generator(quadrotor_f(PARAMS, zero_controls, 0.0, state), state)
+    dm = generator(ACTION)(quadrotor_f(PARAMS, zero_controls, 0.0, state), state)
     np.testing.assert_allclose(
         dm, quadrotor_ambient_rhs(PARAMS, zero_controls, 0.0, state), atol=1e-11
     )
@@ -171,7 +177,7 @@ def test_static_equilibrium_under_balancing_thrust():
 def test_energy_directional_derivative_vanishes_without_controls():
     state = default_initial()
     system = get_system("quadrotor")
-    dy = system.action.generator(system.field(state), state)
+    dy = generator(system.action)(system.field(state), state)
     eps = 1e-7
     d = (quadrotor_energy(PARAMS, state + eps * dy) - quadrotor_energy(PARAMS, state - eps * dy)) / (
         2 * eps
