@@ -8,7 +8,9 @@ directory.  Each tree runs every case of ``csv_digest.cases()`` (the
 case list of the checkout this script sits in) in its own subprocess,
 into a temporary directory.  For each case the script prints
 "byte-identical", or the largest |new - old| / max(1, |old|) over all
-numeric cells and metadata values, whether the row counts match and,
+numeric cells and metadata values with the file and column where it
+occurs (``invariants:energy``, or ``steps:# tol`` for a metadata
+value), whether the row counts match and,
 for adaptive runs, whether the accept flags match.  A converge case
 also prints both fitted slopes.  The exit status is 0 when every case
 is byte-identical and 1 otherwise, so a refactor's byte-identity check
@@ -96,22 +98,27 @@ def compare_case(old_paths, new_paths):
         return "byte-identical"
     if [Path(p).suffixes for p in old_paths] != [Path(p).suffixes for p in new_paths]:
         return "different files written"
-    worst, rows_match, flags_match, slopes = 0.0, True, True, None
+    worst, where, rows_match, flags_match, slopes = 0.0, None, True, True, None
     for old_path, new_path in zip(old_paths, new_paths):
         om, oh, orows = _parse(old_path)
         nm, nh, nrows = _parse(new_path)
         rows_match &= len(orows) == len(nrows) and oh == nh and om.keys() == nm.keys()
-        for key in om.keys() & nm.keys():
-            worst = max(worst, _rel(om[key], nm[key]))
+        cells = [(f"# {key}", om[key], nm[key]) for key in om.keys() & nm.keys()]
         for orow, nrow in zip(orows, nrows):
             rows_match &= len(orow) == len(nrow)
-            worst = max([worst] + [_rel(a, b) for a, b in zip(orow, nrow)])
+            cells += zip(oh, orow, nrow)
+        kind = Path(old_path).stem.rsplit(".", 1)[-1]  # case0.invariants -> invariants
+        for column, a, b in cells:
+            d = _rel(a, b)
+            if d > worst:
+                worst, where = d, f"{kind}:{column}"
         if oh == nh and "accepted" in oh:
             col = oh.index("accepted")
             flags_match &= [r[col] for r in orows] == [r[col] for r in nrows]
         if "fitted_slope" in om and "fitted_slope" in nm:
             slopes = (float(om["fitted_slope"]), float(nm["fitted_slope"]))
-    line = (f"max rel diff {worst:.1e}, rows {'match' if rows_match else 'DIFFER'}, "
+    line = (f"max rel diff {worst:.1e}{f' at {where}' if where else ''}, "
+            f"rows {'match' if rows_match else 'DIFFER'}, "
             f"accept flags {'match' if flags_match else 'DIFFER'}")
     if slopes is not None:
         line += f", fitted slope {slopes[0]:.6g} -> {slopes[1]:.6g}"

@@ -6,11 +6,19 @@ the endpoints theta = 0 and 1 drift linearly."""
 from __future__ import annotations
 
 import argparse
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
-from geomint.integrators import SolveConfig
-from geomint.systems import get_system, symplectic_integrate
+from geomint.harness import RunConfig, run
+
+
+def _columns(path):
+    """The named columns of a harness CSV, as float arrays."""
+    lines = Path(path).read_text().splitlines()
+    header, *rows = (line for line in lines if not line.startswith("#"))
+    return dict(zip(header.split(","), np.array([r.split(",") for r in rows], dtype=float).T))
 
 
 def main() -> None:
@@ -20,17 +28,17 @@ def main() -> None:
     ap.add_argument("--thetas", type=float, nargs="*", default=[0.0, 0.5, 1.0])
     args = ap.parse_args()
 
-    system = get_system("heavytop-ext")
-    solve = SolveConfig(method="newton")
     for theta in args.thetas:
-        ts, ys = symplectic_integrate(system, theta, args.h, args.steps, solve=solve)
-        e = np.array([system.energy(y) for y in ys])
-        err = np.abs(e - e[0])
+        with tempfile.TemporaryDirectory() as out:
+            cfg = RunConfig(system="heavytop-ext", method="symplectic", t_end=args.h * args.steps,
+                            steps=args.steps, theta=theta, out=f"{out}/run")
+            inv = _columns(run(cfg)[1])
+        err = np.abs(inv["energy"] - inv["energy"][0])
         half = len(err) // 2
         print(
             f"theta = {theta:4.2f}: max |dE| first half {err[:half].max():.3e}, "
             f"second half {err[half:].max():.3e}, "
-            f"final |p|-30 = {abs(np.linalg.norm(ys[-1][12:15]) - 30.0):.3e}"
+            f"final |p|-30 = {abs(inv['p_norm'][-1] - 30.0):.3e}"
         )
 
 

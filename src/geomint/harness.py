@@ -86,7 +86,7 @@ class RunConfig:
     steps: Optional[int] = None
     tol: Optional[float] = None
     theta: float = 0.5  # symplectic family parameter
-    safety: ClassVar[float] = 0.9  # controller safety factor
+    safety: ClassVar[float] = ControllerConfig.theta  # controller safety factor
     out: Optional[str] = None
     seed: int = 0
     overrides: Dict[str, float] = field(default_factory=dict)
@@ -247,11 +247,7 @@ def _integrate_adaptive(
     system: System, method: str, t0: float, t_end: float, h: float, tol: float
 ):
     info = METHODS[method]
-    ctrl = ControllerConfig(
-        tol=tol,
-        alpha=1.0 / (1.0 + min(info.p, info.p_hat)),
-        theta=RunConfig.safety,
-    )
+    ctrl = ControllerConfig(tol=tol, alpha=1.0 / (1.0 + min(info.p, info.p_hat)))
     return adaptive_integrate(
         system.action,
         system.field,

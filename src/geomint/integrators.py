@@ -24,7 +24,7 @@ from typing import Any, Callable, List, Optional, Tuple
 import numpy as np
 
 from .actions import HomogeneousAction
-from .kernels import SingularMatrixError, solve_dense
+from .kernels import SingularMatrixError, _times, solve_dense
 from .lie import BranchError, dexp_star_so3, exp_so3
 from .lie import _dexp_star, _exp_coeffs, _floats, _rotation
 
@@ -354,10 +354,8 @@ def so3r3_cotangent_group() -> CotangentGroup:
 
     def coad(g, mu):
         # R^T m on the rotational block
-        (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = g[0].tolist()
         m1, m2, m3, *t = _floats(mu)
-        return np.array([a1 * m1 + b1 * m2 + c1 * m3, a2 * m1 + b2 * m2 + c2 * m3,
-                         a3 * m1 + b3 * m2 + c3 * m3, *t])
+        return np.array([*_times(g[0].T.tolist(), m1, m2, m3), *t])
 
     def dexp_star(u, mu):
         x, y, z = _floats(u)[:3]
@@ -510,7 +508,10 @@ class ControllerConfig:
 
 def controller_update(h: float, e: float, cfg: ControllerConfig) -> float:
     """h_next = max(theta (tol/e)^alpha h, _H_MIN); e = 0 maps to inf,
-    so the next trial takes the rest of the interval."""
+    so the next trial takes the rest of the interval, and a non-finite e
+    (NaN, or inf from a branch error) halves h."""
+    if not math.isfinite(e):
+        return 0.5 * h
     if e < 0:
         raise ValueError("error estimate must be nonnegative")
     if e == 0.0:
@@ -555,7 +556,8 @@ def adaptive_integrate(
     controller formula, truncate the last step to land exactly on T.
 
     A trial step that raises :class:`BranchError` (logged with estimate
-    inf) or returns a non-finite estimate is a rejection that halves h.
+    inf) or returns a non-finite estimate is a rejection, and
+    :func:`controller_update` halves h.
 
     f is memoised on the identity of its argument, for the current point
     and the last one evaluated: the last stage of a first-same-as-last
@@ -593,10 +595,9 @@ def adaptive_integrate(
         else:
             if e is None:
                 raise ValueError("adaptive integration requires an embedded stepper")
-        finite = math.isfinite(e)
-        accepted = finite and e < cfg.tol
+        accepted = math.isfinite(e) and e < cfg.tol
         log.append(StepAttempt(t=t, h=h_try, error_estimate=e, accepted=accepted))
-        h = controller_update(h_try, e, cfg) if finite else 0.5 * h_try
+        h = controller_update(h_try, e, cfg)
         if accepted:
             t = t + h_try
             y = np.asarray(res.y_next, dtype=float)

@@ -20,14 +20,13 @@ import math
 
 import numpy as np
 
-from .kernels import _cross, cross
+from .kernels import _cross
 
 __all__ = [
     "BranchError",
     "hat",
     "exp_so3",
     "exp_se3",
-    "so3_bracket",
     "se3_bracket",
     "dexpinv_so3",
     "dexpinv_se3",
@@ -184,10 +183,6 @@ def _exp_se3(v):
         qt * a2 + p * (z * a1 - x * a3) + qa * y,
         qt * a3 + p * (x * a2 - y * a1) + qa * z,
     )
-
-
-def so3_bracket(u, v):
-    return cross(u, v)
 
 
 def se3_bracket(x, y):

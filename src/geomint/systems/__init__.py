@@ -48,6 +48,27 @@ class System:
         return self.invariants["energy"]
 
 
+def _rotation_error(*starts) -> Callable[[np.ndarray], float]:
+    """The largest |R^T R - I| over the 3x3 blocks stored row by row from
+    each of ``starts``."""
+
+    def error(m):
+        blocks = (m[i:i + 9].reshape(3, 3) for i in starts)
+        return max(float(np.linalg.norm(R.T @ R - np.eye(3))) for R in blocks)
+
+    return error
+
+
+def _ts2_errors(start: int, n: int) -> Dict[str, Callable[[np.ndarray], float]]:
+    """The largest ||q| - 1| and |q . w| over ``n`` links (q, w) of six
+    entries each, laid end to end from ``start``."""
+    links = [(slice(i, i + 3), slice(i + 3, i + 6)) for i in range(start, start + 6 * n, 6)]
+    return {
+        "max_q_norm_error": lambda m: max(abs(float(np.linalg.norm(m[q])) - 1.0) for q, _ in links),
+        "max_tangency_error": lambda m: max(abs(float(m[q] @ m[w])) for q, w in links),
+    }
+
+
 def symplectic_integrate(
     system: System,
     theta: float,

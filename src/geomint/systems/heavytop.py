@@ -22,7 +22,7 @@ from typing import Tuple
 
 import numpy as np
 
-from . import CotangentForm, System
+from . import CotangentForm, System, _rotation_error
 from ..actions import (
     body_top_action,
     coadjoint_se3_action,
@@ -124,21 +124,19 @@ def heavytop_body_f(params: HeavyTopParams, m: np.ndarray) -> np.ndarray:
 
 
 def body_energy(params: HeavyTopParams, m: np.ndarray) -> float:
+    """The Lie--Poisson energy at (Pi, Q^T Gamma0)."""
     Q = m[:9].reshape(3, 3)
-    Pi = m[9:12]
-    return 0.5 * float(Pi @ (params.inertia_inv * Pi)) + params.mgl * float(
-        (Q.T @ params.g0) @ params.chi
-    )
+    return liepoisson_energy(params, np.concatenate([m[9:12], Q.T @ params.g0]))
 
 
 # ---------------------------------------------------------------------------
 # Spatial form, state [Q.ravel(), pi]
 
 
-def _omega_and_torque(Q, inertia_inv, p1, p2, p3, gamma, v):
-    """omega = Q I^-1 Q^T pi and Gamma x Qv + pi x omega, as float lists."""
-    rows = Q.tolist()
-    w1, w2, w3 = _times(Q.T.tolist(), p1, p2, p3)
+def _omega_and_torque(rows, cols, inertia_inv, p1, p2, p3, gamma, v):
+    """omega = Q I^-1 Q^T pi and Gamma x Qv + pi x omega, as float lists,
+    for Q given by its rows and its columns."""
+    w1, w2, w3 = _times(cols, p1, p2, p3)
     i1, i2, i3 = inertia_inv
     o1, o2, o3 = _times(rows, i1 * w1, i2 * w2, i3 * w3)
     e1, e2, e3 = _times(rows, *v)
@@ -157,7 +155,9 @@ def heavytop_spatial_f_pair(params: HeavyTopParams):
     mgl_chi = (params.mgl * params.chi).tolist()
 
     def f(g, mu):
-        omega, torque = _omega_and_torque(g, inertia_inv, *mu.tolist(), g0, mgl_chi)
+        omega, torque = _omega_and_torque(
+            g.tolist(), g.T.tolist(), inertia_inv, *mu.tolist(), g0, mgl_chi
+        )
         return np.array(omega), np.array(torque)
 
     return f
@@ -215,10 +215,10 @@ def heavytop_ext_f_pair(params: HeavyTopParams):
     inertia_inv, g0 = params.inertia_inv.tolist(), params.g0.tolist()
 
     def f(g, mu):
-        Q = g[0]
+        rows, cols = g[0].tolist(), g[0].T.tolist()
         p1, p2, p3, s1, s2, s3 = mu.tolist()
-        omega, torque = _omega_and_torque(Q, inertia_inv, p1, p2, p3, g0, (-s1, -s2, -s3))
-        r1, r2, r3 = _times(Q.T.tolist(), *g0)
+        omega, torque = _omega_and_torque(rows, cols, inertia_inv, p1, p2, p3, g0, (-s1, -s2, -s3))
+        r1, r2, r3 = _times(cols, *g0)
         return np.array([*omega, s1 - r1, s2 - r2, s3 - r3]), np.array([*torque, 0.0, 0.0, 0.0])
 
     return f
@@ -255,11 +255,6 @@ def unpack_ext(m: np.ndarray):
 # Assembled System records
 
 
-def _orthogonality_error(m: np.ndarray) -> float:
-    Q = m[:9].reshape(3, 3)
-    return float(np.linalg.norm(Q.T @ Q - np.eye(3)))
-
-
 def build_body(params: HeavyTopParams):
     pi0 = bruls_momentum(params)
     initial = np.concatenate([np.eye(3).ravel(), pi0])  # Q(0) = I so Pi(0) = pi(0)
@@ -270,7 +265,7 @@ def build_body(params: HeavyTopParams):
         initial=initial,
         invariants={
             "energy": lambda m: body_energy(params, m),
-            "orthogonality": _orthogonality_error,
+            "orthogonality": _rotation_error(0),
         },
     )
 
@@ -287,7 +282,7 @@ def build_spatial(params: HeavyTopParams):
         initial=initial,
         invariants={
             "energy": lambda m: spatial_energy(params, m),
-            "orthogonality": _orthogonality_error,
+            "orthogonality": _rotation_error(0),
             "gamma0_dot_pi": lambda m: float(g0 @ m[9:12]),
         },
         cotangent=CotangentForm(
@@ -327,7 +322,7 @@ def build_ext(params: HeavyTopParams):
         initial=initial,
         invariants={
             "energy": lambda m: ext_energy(params, m),
-            "orthogonality": _orthogonality_error,
+            "orthogonality": _rotation_error(0),
             "p_norm": lambda m: float(np.linalg.norm(m[12:15])),
             "gamma0_dot_pi": lambda m: float(g0 @ m[9:12]),
         },

@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from . import System
+from . import System, _ts2_errors
 from ..actions import ts2_action
 from ..kernels import cross, solve_dense
 
@@ -138,15 +138,6 @@ def pendulum_energy(params: PendulumParams, state: np.ndarray) -> float:
 
 def build_pendulum(params: PendulumParams):
     n = params.n
-
-    def max_norm_error(state):
-        q, _ = _split(state, n)
-        return float(np.max(np.abs(np.linalg.norm(q, axis=1) - 1.0)))
-
-    def max_tangency_error(state):
-        q, w = _split(state, n)
-        return float(np.max(np.abs(np.sum(q * w, axis=1))))
-
     return System(
         name=f"pendulum-{n}",
         action=ts2_action(n),
@@ -154,7 +145,6 @@ def build_pendulum(params: PendulumParams):
         initial=default_initial(n),
         invariants={
             "energy": lambda m: pendulum_energy(params, m),
-            "max_q_norm_error": max_norm_error,
-            "max_tangency_error": max_tangency_error,
+            **_ts2_errors(0, n),
         },
     )

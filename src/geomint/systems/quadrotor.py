@@ -19,9 +19,9 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from . import System
+from . import System, _rotation_error, _ts2_errors
 from ..actions import quadrotor_action
-from ..kernels import SingularMatrixError, _times, cross
+from ..kernels import SingularMatrixError, _cross, _times, cross
 from ..lie import hat
 
 __all__ = [
@@ -142,11 +142,6 @@ def quadrotor_assemble(params: QuadrotorParams, controls: Controls, t, state):
     return A, h
 
 
-def _cross(a, b):
-    (a1, a2, a3), (b1, b2, b3) = a, b
-    return [a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1]
-
-
 def _floats_and_zdot(params: QuadrotorParams, controls: Controls, t, state):
     """The state as floats and zdot (18 floats), A(z) zdot = h(z) solved
     by block elimination; raises :class:`SingularMatrixError` on a
@@ -225,21 +220,6 @@ def quadrotor_energy(params: QuadrotorParams, state: np.ndarray) -> float:
 
 
 def build_quadrotor(params: QuadrotorParams, controls: Controls = zero_controls):
-    def max_q_norm_error(state):
-        return max(
-            abs(float(np.linalg.norm(state[_Q1])) - 1.0),
-            abs(float(np.linalg.norm(state[_Q2])) - 1.0),
-        )
-
-    def max_tangency_error(state):
-        return max(abs(float(state[_Q1] @ state[_W1])), abs(float(state[_Q2] @ state[_W2])))
-
-    def max_orthogonality_error(state):
-        return max(
-            float(np.linalg.norm(state[_R1].reshape(3, 3).T @ state[_R1].reshape(3, 3) - np.eye(3))),
-            float(np.linalg.norm(state[_R2].reshape(3, 3).T @ state[_R2].reshape(3, 3) - np.eye(3))),
-        )
-
     return System(
         name="quadrotor",
         action=quadrotor_action(),
@@ -247,8 +227,7 @@ def build_quadrotor(params: QuadrotorParams, controls: Controls = zero_controls)
         initial=default_initial(),
         invariants={
             "energy": lambda m: quadrotor_energy(params, m),
-            "max_q_norm_error": max_q_norm_error,
-            "max_tangency_error": max_tangency_error,
-            "max_orthogonality_error": max_orthogonality_error,
+            **_ts2_errors(_Q1.start, 2),
+            "max_orthogonality_error": _rotation_error(_R1.start, _R2.start),
         },
     )

@@ -16,7 +16,7 @@ import numpy as np
 
 from geomint.actions import HomogeneousAction
 from geomint.kernels import cross
-from geomint.lie import dexpinv_so3, exp_so3, hat, se3_bracket, so3_bracket
+from geomint.lie import dexpinv_so3, exp_so3, hat, se3_bracket
 
 
 def ad_bracket(x, y):
@@ -26,7 +26,7 @@ def ad_bracket(x, y):
     if x.shape != y.shape:
         raise ValueError(f"algebra mismatch: {x.shape} vs {y.shape}")
     if x.shape == (3,):
-        return so3_bracket(x, y)
+        return cross(x, y)
     if x.shape == (6,):
         return se3_bracket(x, y)
     raise ValueError(f"no bracket for dimension {x.shape}")
@@ -58,7 +58,7 @@ def coadjoint_so3_action() -> HomogeneousAction:
     """SO(3) on so(3)* by g.mu = Ad*_{g^-1} mu = g mu (spherical shells),
     on the public array kernels; a group element is a 3x3 array."""
     return HomogeneousAction("coadjoint-so3", 3, 3, exp=exp_so3, act=lambda g, mu: g @ mu,
-                             bracket=so3_bracket, dexpinv=dexpinv_so3, factors=())
+                             bracket=cross, dexpinv=dexpinv_so3, factors=())
 
 
 # ---------------------------------------------------------------------------

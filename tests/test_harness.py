@@ -570,3 +570,21 @@ def test_convergence_script_has_a_base_step_per_method():
 
 def test_csv_digest_runs_every_method():
     assert _load_script("csv_digest").METHOD_IDS == tuple(sorted(METHODS))
+
+
+def test_csv_compare_names_the_file_and_column_of_the_largest_difference(tmp_path):
+    compare_case = _load_script("csv_compare").compare_case
+    files = {
+        "trajectory": "# system = pendulum\nt,h,x0\n0.0,0.5,1.0\n0.5,0.5,2.0\n",
+        "invariants": "# system = pendulum\nt,energy,max_q_norm_error\n0.0,3.0,0.0\n0.5,3.0,0.0\n",
+    }
+    paths = {}
+    for tree in ("old", "new"):
+        (tmp_path / tree).mkdir()
+        paths[tree] = [tmp_path / tree / f"case0.{kind}.csv" for kind in files]
+        for path, text in zip(paths[tree], files.values()):
+            if tree == "new" and "invariants" in path.name:
+                text = text.replace("0.5,3.0,0.0", "0.5,3.0,2.0e-16")
+            path.write_text(text)
+    line = compare_case(paths["old"], paths["new"])
+    assert line.startswith("max rel diff 2.0e-16 at invariants:max_q_norm_error, rows match")

@@ -361,6 +361,12 @@ def test_controller_zero_error_gives_inf():
     assert controller_update(0.1, 0.0, cfg) == np.inf
 
 
+def test_controller_halves_h_on_a_non_finite_estimate():
+    cfg = ControllerConfig(tol=1e-6, alpha=0.25)
+    assert controller_update(0.1, np.nan, cfg) == 0.05
+    assert controller_update(0.1, np.inf, cfg) == 0.05
+
+
 def test_controller_clamps():
     cfg = ControllerConfig(tol=1e-6, alpha=0.25)
     assert controller_update(1e-11, 1e6, cfg) == _H_MIN
