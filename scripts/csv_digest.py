@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""SHA-256 digests of the harness CSVs over a fixed list of 79 cases.
+"""SHA-256 digests of the harness CSVs over a fixed list of 80 cases.
 
 Runs every system with every explicit method at a short t_end, adaptive
 rkmk54 and cf43 runs, symplectic runs (heavytop-ext and heavytop-spatial,
 each at theta 0, 1/2 and 1), one converge ladder, one ``steps`` run, runs
 that set system overrides, t0 and seed, and pendulum chains of
-one and six links through ``geomint.harness.run`` into a temporary
+one, six and forty links through ``geomint.harness.run`` into a temporary
 directory.  Prints one digest per case (over all files the case
 writes) and one over all cases, so a refactor can be checked for
 byte-identical output:
@@ -56,7 +56,7 @@ def cases():
                     overrides={"mass": 12.0, "gravity": 0.5, "length": 1.5})
     yield RunConfig(system="pendulum", method="rkmk4", t_end=0.05, h=0.005,
                     overrides={"n": 3, "length": 0.8, "gravity": 9.0})
-    for n in (1, 6):
+    for n in (1, 6, 40):
         yield RunConfig(system="pendulum", method="rkmk4", t_end=0.05, h=0.005,
                         overrides={"n": n})
     yield RunConfig(system="quadrotor", method="rkmk4", t_end=0.05, h=0.005,

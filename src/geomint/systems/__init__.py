@@ -48,13 +48,24 @@ class System:
         return self.invariants["energy"]
 
 
+def _largest(errors: list) -> float:
+    """The largest of the non-negative ``errors``, or NaN when one is NaN.
+    The builtin max keeps a NaN only when it comes first; a sum of
+    non-negative floats is NaN exactly when one of them is."""
+    total = sum(errors)
+    return max(errors) if total == total else total
+
+
 def _rotation_error(*starts) -> Callable[[np.ndarray], float]:
     """The largest |R^T R - I| over the 3x3 blocks stored row by row from
     each of ``starts``."""
 
     def error(m):
-        blocks = (m[i:i + 9].reshape(3, 3) for i in starts)
-        return max(float(np.linalg.norm(R.T @ R - np.eye(3))) for R in blocks)
+        errors = []
+        for i in starts:
+            R = m[i:i + 9].reshape(3, 3)
+            errors.append(float(np.linalg.norm(R.T @ R - np.eye(3))))
+        return _largest(errors)
 
     return error
 
@@ -64,8 +75,9 @@ def _ts2_errors(start: int, n: int) -> Dict[str, Callable[[np.ndarray], float]]:
     entries each, laid end to end from ``start``."""
     links = [(slice(i, i + 3), slice(i + 3, i + 6)) for i in range(start, start + 6 * n, 6)]
     return {
-        "max_q_norm_error": lambda m: max(abs(float(np.linalg.norm(m[q])) - 1.0) for q, _ in links),
-        "max_tangency_error": lambda m: max(abs(float(m[q] @ m[w])) for q, w in links),
+        "max_q_norm_error":
+            lambda m: _largest([abs(float(np.linalg.norm(m[q])) - 1.0) for q, _ in links]),
+        "max_tangency_error": lambda m: _largest([abs(float(m[q] @ m[w])) for q, w in links]),
     }
 
 

@@ -3,28 +3,52 @@
 Each link i carries a unit direction q_i and an angular velocity
 omega_i with q_i . omega_i = 0, so q_i' = omega_i x q_i.  The angular
 accelerations solve R(q) h = g(q, omega) with the symmetric block mass
-matrix R(q); the frozen field per link is the se(3) element
-(omega_i, q_i x h_i).
+matrix R(q) of ``pendulum_mass_matrix``; the frozen field per link is
+the se(3) element (omega_i, u_i) with u_i = q_i x h_i.
+
+The field never builds R(q).  Each h_i is tangent at q_i, so
+h_i = u_i x q_i, and R(q) h = g becomes
+
+    sum_j M_ij u_j = -p_i + lambda_i q_i,    q_i . u_i = 0,
+
+with the N x N coupling M = L C L, C_ij = c_max(i,j), c_i the mass of
+links i to N, p_i the ``pull`` of ``pendulum_rhs`` and one multiplier
+lambda_i per link.  The pull is M applied to |omega_j|^2 q_j (its j = i
+term, which ``pendulum_rhs`` leaves out, lies along q_i and moves only
+lambda_i), less the weights c_i g L_i e3.  So K = M^-1 needs no pull:
+
+    (K p)_i = |omega_i|^2 q_i - (K weight)_i e3,
+
+with K weight built once per parameter set: (g / L_1, 0, ..., 0) to
+rounding, since the weights are M applied to g / L_1 at the first link.
+
+K is tridiagonal in closed form (C is a one-pair, or Green's, matrix),
+u = K (lambda q) - K p, and the constraints q_i . u_i = 0 are the
+tridiagonal system sum_j K_ij (q_i . q_j) lambda_j = q_i . (K p)_i,
+symmetric positive definite by the Schur product theorem and solved by
+the Thomas algorithm without pivoting.  The field thus costs O(N) on
+Python floats, as does the kinetic energy
+1/2 sum_k m_k |sum_{i <= k} L_i q_i x omega_i|^2, one pass down the chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import isfinite
 from typing import Tuple
 
 import numpy as np
 
 from . import System, _ts2_errors
 from ..actions import ts2_action
-from ..kernels import cross, solve_dense
+from ..kernels import SingularMatrixError, cross
 
 __all__ = [
     "PendulumParams",
     "default_initial",
     "pendulum_mass_matrix",
     "pendulum_rhs",
-    "pendulum_accelerations",
     "pendulum_f",
     "pendulum_energy",
     "build_pendulum",
@@ -79,6 +103,37 @@ class PendulumParams:
         """Gravity weights (sum_{k >= i} m_k) g L_i."""
         return self.tail_mass * self.gravity * np.asarray(self.lengths)
 
+    @cached_property
+    def _chain(self) -> Tuple[list, list, list]:
+        """The masses m_i, lengths L_i and weights (sum_{k >= i} m_k) g L_i
+        as lists of floats."""
+        return ([float(m) for m in self.masses], [float(L) for L in self.lengths],
+                self._weight.tolist())
+
+    @cached_property
+    def _inverse_coupling(self) -> Tuple[list, list]:
+        """K = M^-1 in closed form, as floats: the diagonal
+        K_ii = (1/m_i + 1/m_{i-1}) / L_i^2, with no 1/m_{i-1} for the
+        first link, and the N + 1 entries K_{i-1,i} = -1/(m_{i-1} L_{i-1} L_i),
+        with a zero at either end for the links the chain does not have."""
+        m, L, _ = self._chain
+        diag = [(1.0 / m[i] + (1.0 / m[i - 1] if i else 0.0)) / (L[i] * L[i])
+                for i in range(self.n)]
+        off = [0.0, *(-1.0 / (m[i] * L[i] * L[i + 1]) for i in range(self.n - 1)), 0.0]
+        return diag, off
+
+    @cached_property
+    def _inverse_weight(self) -> list:
+        """K applied to the weights, sum_j K_ij c_j g L_j: g / L_1 at the
+        first link and 0 below it, to rounding.  Taken from the weights that
+        ``pendulum_rhs`` uses, not written in that closed form, so that a
+        parameter set whose weights overflow gives a non-finite field, as
+        the dense solve did."""
+        diag, off = self._inverse_coupling
+        _, _, w = self._chain
+        return [a * w0 + b * w1 + c * w2 for a, b, c, w0, w1, w2
+                in zip(off, diag, off[1:], [0.0, *w], w, [*w[1:], 0.0])]
+
     @classmethod
     def uniform(cls, n: int = 2, mass=1.0, length=1.0, gravity=9.81) -> "PendulumParams":
         return cls(masses=(mass,) * n, lengths=(length,) * n, gravity=gravity)
@@ -88,11 +143,6 @@ def default_initial(n: int) -> np.ndarray:
     """Every link tilted 45 degrees in the x-z plane, swinging about e2."""
     s = np.sqrt(2.0) / 2.0
     return np.tile([s, 0.0, s, 0.0, 1.0, 0.0], n)
-
-
-def _split(state: np.ndarray, n: int):
-    blocks = state.reshape(n, 6)
-    return blocks[:, :3], blocks[:, 3:]
 
 
 def pendulum_mass_matrix(params: PendulumParams, q: np.ndarray) -> np.ndarray:
@@ -115,25 +165,83 @@ def pendulum_rhs(params: PendulumParams, q: np.ndarray, w: np.ndarray) -> np.nda
     return cross(q.T, pull.T).T.ravel()
 
 
-def pendulum_accelerations(params: PendulumParams, q, w) -> np.ndarray:
-    """Solve R(q) h = g; each h_i is tangent at q_i."""
-    return solve_dense(pendulum_mass_matrix(params, q), pendulum_rhs(params, q, w))
+def _links(params: PendulumParams, s: list):
+    """The links (q_i, omega_i) of the state's floats, six to a tuple."""
+    if len(s) != 6 * params.n:
+        raise ValueError(f"a {params.n}-link pendulum state has {6 * params.n} entries, "
+                         f"got {len(s)}")
+    entries = iter(s)
+    return list(zip(*[entries] * 6))
+
+
+def _multiples(params: PendulumParams, links, kp):
+    """lambda_i q_i, where the multipliers lambda solve A lambda = b with
+    A_ij = K_ij (q_i . q_j) and b_i = q_i . (K p)_i.  A is tridiagonal,
+    symmetric and positive definite, so the Thomas algorithm solves it
+    without pivoting."""
+    diag, off = params._inverse_coupling
+    sweep = []  # A_{i-1,i}, the pivot and the eliminated b_i per link
+    pivot, rhs = 1.0, 0.0  # read only with A_{i-1,i} = 0 at the first link
+    for k, e, (x0, y0, z0, _, _, _), (x, y, z, _, _, _), (a, b, c) in zip(
+        diag, off, [(0.0,) * 6, *links], links, kp
+    ):
+        e *= x0 * x + y0 * y + z0 * z
+        f = e / pivot
+        pivot = k * (x * x + y * y + z * z) - f * e
+        # written so that a NaN pivot fails it; only a zero q_i gives a zero one
+        if not pivot > 0.0:
+            raise SingularMatrixError(f"pendulum multiplier pivot {pivot:.3e}")
+        rhs = x * a + y * b + z * c - f * rhs
+        sweep.append((e, pivot, rhs))
+    lq = []
+    e = lam = 0.0
+    for (e_i, pivot, rhs), (x, y, z, _, _, _) in zip(reversed(sweep), reversed(links)):
+        lam = (rhs - e * lam) / pivot
+        lq.append((lam * x, lam * y, lam * z))
+        e = e_i
+    lq.reverse()
+    return lq
 
 
 def pendulum_f(params: PendulumParams, state: np.ndarray) -> np.ndarray:
-    """Frozen field in se(3)^N: per link (omega_i, q_i x h_i)."""
-    n = params.n
-    q, w = _split(state, n)
-    h = pendulum_accelerations(params, q, w).reshape(n, 3)
-    return np.hstack([w, cross(q.T, h.T).T]).ravel()
+    """Frozen field in se(3)^N: per link (omega_i, u_i), u_i = q_i x h_i,
+    in O(N) on floats (see the module docstring).  Raises
+    :class:`SingularMatrixError` on a non-finite state."""
+    s = state.tolist()
+    if not all(map(isfinite, s)):
+        raise SingularMatrixError("pendulum state is not finite")
+    links = _links(params, s)
+    # (K p)_i = |omega_i|^2 q_i - (K weight)_i e3
+    kp = []
+    for (x, y, z, u, v, t), g in zip(links, params._inverse_weight):
+        k = u * u + v * v + t * t
+        kp.append((k * x, k * y, k * z - g))
+    lq = _multiples(params, links, kp)
+    # u_i = sum_{|j - i| <= 1} K_ij lambda_j q_j - (K p)_i
+    diag, off = params._inverse_coupling
+    zero = (0.0, 0.0, 0.0)
+    out = []
+    for a, b, c, (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (_, _, _, u, v, t), (kx, ky, kz) in zip(
+        off, diag, off[1:], [zero, *lq], lq, [*lq[1:], zero], links, kp
+    ):
+        out += (u, v, t, a * x0 + b * x1 + c * x2 - kx, a * y0 + b * y1 + c * y2 - ky,
+                a * z0 + b * z1 + c * z2 - kz)
+    return np.array(out)
 
 
 def pendulum_energy(params: PendulumParams, state: np.ndarray) -> float:
-    q, w = _split(state, params.n)
-    wflat = w.ravel()
-    kinetic = 0.5 * float(wflat @ (pendulum_mass_matrix(params, q) @ wflat))
-    potential = float(np.sum(params._weight * q[:, 2]))
-    return kinetic + potential
+    """Kinetic 1/2 sum_k m_k |sum_{i <= k} L_i q_i x omega_i|^2, the link
+    velocities summed down the chain, plus potential sum_i weight_i q_i,z."""
+    masses, L, weight = params._chain
+    vx = vy = vz = kinetic = potential = 0.0
+    links = _links(params, state.tolist())
+    for m, l, g, (x, y, z, a, b, c) in zip(masses, L, weight, links):
+        vx += l * (y * c - z * b)
+        vy += l * (z * a - x * c)
+        vz += l * (x * b - y * a)
+        kinetic += m * (vx * vx + vy * vy + vz * vz)
+        potential += g * z
+    return 0.5 * kinetic + potential
 
 
 def build_pendulum(params: PendulumParams):

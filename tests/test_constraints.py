@@ -4,7 +4,8 @@ One block of a system's initial state is moved off its manifold by
 DELTA, and the invariant that watches that block must report the size
 of the move, while it reads at most 1e-15 on the state left as it was.
 An invariant that reads the wrong offset, or only some of the links or
-rotations, fails here, although it stays small along every run.
+rotations, fails here, although it stays small along every run.  A NaN
+in a block after the first must also reach the invariant's value.
 """
 
 from __future__ import annotations
@@ -64,3 +65,21 @@ def test_constraint_invariant_reports_a_move_of_its_own_block(
     state = system.initial.copy()
     expected = move(state, start)
     assert invariant(state) == pytest.approx(expected, rel=0.1)
+
+
+NAN_CASES = [
+    ("pendulum", {"n": 3}, ("max_q_norm_error", "max_tangency_error"), 12),
+    ("quadrotor", {}, ("max_orthogonality_error",), 18),
+    ("quadrotor", {}, ("max_q_norm_error", "max_tangency_error"), 36),
+]
+
+
+@pytest.mark.parametrize(
+    "system_id, overrides, names, start", NAN_CASES, ids=[f"{c[0]}-{c[3]}" for c in NAN_CASES]
+)
+def test_constraint_invariant_reads_nan_in_a_later_block(system_id, overrides, names, start):
+    system = get_system(system_id, **overrides)
+    state = system.initial.copy()
+    state[start] = math.nan
+    for name in names:
+        assert math.isnan(system.invariants[name](state)), name

@@ -5,15 +5,16 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from _reference import generator
+import geomint.systems.pendulum as pendulum_module
+from geomint import kernels
 from geomint.integrators import METHODS, fixed_integrate
-from geomint.kernels import cross, solve_dense
+from geomint.kernels import SingularMatrixError, cross, solve_dense
 from geomint.lie import hat
 from geomint.systems import get_system
 from geomint.systems.pendulum import (
     PendulumParams,
     build_pendulum,
     default_initial,
-    pendulum_accelerations,
     pendulum_energy,
     pendulum_f,
     pendulum_mass_matrix,
@@ -21,6 +22,11 @@ from geomint.systems.pendulum import (
 )
 
 rng = np.random.default_rng(17)
+
+
+def pendulum_accelerations(params, q, w):
+    """The dense reference: solve R(q) h = g by LU; each h_i is tangent at q_i."""
+    return solve_dense(pendulum_mass_matrix(params, q), pendulum_rhs(params, q, w))
 
 
 def _random_links(n):
@@ -245,7 +251,9 @@ def test_array_assembly_matches_loop_reference(n):
 
 # -- the array forms before the constants were built once --------------------------
 # The same whole-array expressions, recomputing every parameter-only
-# array on each call; the built system must agree with them bit for bit.
+# array on each call.  The built system must equal pendulum_f and
+# pendulum_energy bit for bit; these solve the same equations in O(N),
+# so they agree with the array forms to rounding.
 
 
 def _ref_array_f_and_energy(params, state):
@@ -270,7 +278,7 @@ def _ref_array_f_and_energy(params, state):
 
 
 @pytest.mark.parametrize("n", [1, 3, 6, 10])
-def test_built_field_and_energy_equal_the_array_forms_bit_for_bit(n):
+def test_built_field_and_energy_equal_the_functions_bit_for_bit(n):
     p = PendulumParams(
         masses=tuple(rng.uniform(0.5, 3.0, n)), lengths=tuple(rng.uniform(0.4, 1.6, n))
     )
@@ -279,6 +287,95 @@ def test_built_field_and_energy_equal_the_array_forms_bit_for_bit(n):
         q, w = _random_links(n)
         state = np.hstack([q, w]).ravel()
         f, energy = _ref_array_f_and_energy(p, state)
-        np.testing.assert_array_equal(system.field(state), f)
-        np.testing.assert_array_equal(pendulum_f(p, state), f)
-        assert system.energy(state) == energy == pendulum_energy(p, state)
+        np.testing.assert_array_equal(system.field(state), pendulum_f(p, state))
+        assert system.energy(state) == pendulum_energy(p, state)
+        np.testing.assert_allclose(pendulum_f(p, state), f, rtol=0, atol=1e-13 * np.max(np.abs(f)))
+        # |potential| <= sum_i weight_i, so |kinetic| + |potential| <= scale
+        scale = abs(energy) + 2.0 * float(np.sum(p._weight))
+        assert abs(pendulum_energy(p, state) - energy) <= 1e-13 * scale
+
+
+# -- the O(N) field and energy against the dense block system ---------------------
+
+
+def _unequal_params(n):
+    """Unequal masses and lengths, so that a wrong index into K shows."""
+    return PendulumParams(
+        masses=tuple(rng.uniform(0.5, 3.0, n)), lengths=tuple(rng.uniform(0.4, 1.6, n))
+    )
+
+
+@pytest.mark.parametrize(
+    "n, tol", [(1, 1e-13), (2, 1e-13), (3, 1e-13), (6, 1e-13), (10, 1e-13), (40, 1e-12)]
+)
+def test_field_solves_the_dense_block_system(n, tol):
+    p = _unequal_params(n)
+    for _ in range(20):
+        q, w = _random_links(n)
+        u = pendulum_f(p, np.hstack([q, w]).ravel()).reshape(n, 6)[:, 3:]
+        h = np.cross(u, q).ravel()  # h_i = u_i x q_i, tangent at q_i
+        R, g = pendulum_mass_matrix(p, q), pendulum_rhs(p, q, w)
+        scale = np.linalg.norm(R, 2) * np.linalg.norm(h) + np.linalg.norm(g)
+        assert np.linalg.norm(R @ h - g) <= tol * scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 10])
+def test_closed_form_inverse_coupling(n):
+    p = _unequal_params(n)
+    diag, off = p._inverse_coupling
+    assert len(off) == n + 1 and off[0] == off[-1] == 0.0
+    K = np.diag(diag) + np.diag(off[1:-1], 1) + np.diag(off[1:-1], -1)
+    ref = np.linalg.inv(p._coupling)
+    np.testing.assert_allclose(K, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+    # the weights are M applied to g / L_1 at the first link
+    top = p.gravity / p.lengths[0]
+    np.testing.assert_allclose(p._inverse_weight, [top] + [0.0] * (n - 1), rtol=0, atol=1e-13 * top)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 10, 40])
+def test_energy_equals_the_dense_quadratic_form(n):
+    p = _unequal_params(n)
+    for _ in range(20):
+        q, w = _random_links(n)
+        wflat = w.ravel()
+        kinetic = 0.5 * float(wflat @ (pendulum_mass_matrix(p, q) @ wflat))
+        potential = float(np.sum(p._weight * q[:, 2]))
+        energy = pendulum_energy(p, np.hstack([q, w]).ravel())
+        assert abs(energy - (kinetic + potential)) <= 1e-14 * (abs(kinetic) + abs(potential))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [4, 14])  # omega_1 and q_3 of a 3-link chain
+def test_field_rejects_a_non_finite_state(bad, entry):
+    state = default_initial(3)
+    state[entry] = bad
+    with pytest.raises(SingularMatrixError, match="not finite"):
+        pendulum_f(_unequal_params(3), state)
+
+
+def test_field_rejects_a_zero_link_direction():
+    # the multiplier system has a zero row and column for a zero q_i
+    state = default_initial(3)
+    state[6:9] = 0.0
+    with pytest.raises(SingularMatrixError, match="pivot"):
+        pendulum_f(PendulumParams.uniform(3), state)
+
+
+def test_field_and_energy_reject_a_state_of_the_wrong_length():
+    p = PendulumParams.uniform(3)
+    for state in (default_initial(2), default_initial(4), np.append(default_initial(3), 0.0)):
+        for fn in (pendulum_f, pendulum_energy):
+            with pytest.raises(ValueError, match="3-link pendulum state has 18 entries"):
+                fn(p, state)
+
+
+def test_field_runs_without_the_dense_solve(monkeypatch):
+    def refuse(A, b):
+        raise AssertionError("the pendulum field called solve_dense")
+
+    monkeypatch.setattr(kernels, "solve_dense", refuse)
+    monkeypatch.setattr(pendulum_module, "solve_dense", refuse, raising=False)
+    p = _unequal_params(6)
+    q, w = _random_links(6)
+    state = np.hstack([q, w]).ravel()
+    assert np.isfinite(build_pendulum(p).field(state)).all()
