@@ -8,7 +8,9 @@ step: :func:`cf_step` reads a :class:`CFScheme` table as :func:`rkmk_step`
 reads a Butcher :class:`Tableau`.  A separate implicit one-parameter
 family provides symplectic steps on right-trivialized cotangent groups
 G x g*; its nonlinear equation is solved by one simplified-Newton loop,
-of which fixed-point iteration is the case J = I.
+of which fixed-point iteration is the case J = I.  The Newton J is the
+exact one when the group record carries a ``jacobian`` (the heavy tops'
+do), and comes from forward differences otherwise.
 
 Every stepper is pure: ``stepper(action, f, y, h) -> StepResult`` where
 ``f`` maps a flat manifold point to a flat algebra element.
@@ -322,6 +324,12 @@ class CotangentGroup:
     ``coad`` is the coadjoint map Ad*_g on the dual, ``dexp_star`` the
     dual of the differential of exp.  Algebra and dual elements are flat
     arrays of length ``algebra_dim``, since g* has the dimension of g.
+
+    ``jacobian(g0, mu0, h, theta, x)``, when given, is the exact dG/dx of
+    the step's residual map G (:func:`_symplectic_residual_map`) for the
+    one field the group is built with; a system attaches it with
+    ``dataclasses.replace``.  Without it the Newton solve forms dG/dx by
+    forward differences.
     """
 
     algebra_dim: int
@@ -329,6 +337,7 @@ class CotangentGroup:
     compose: Callable[[Any, Any], Any]
     coad: Callable[[Any, np.ndarray], np.ndarray]
     dexp_star: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    jacobian: Optional[Callable[..., np.ndarray]] = None
 
 
 def so3_cotangent_group() -> CotangentGroup:
@@ -379,7 +388,9 @@ class SolveConfig:
     """The implicit step's solve method; its tolerance and iteration cap
     are the module constants ``_SOLVE_TOL`` and ``_SOLVE_MAX_ITER``."""
 
-    method: str = "fixed-point"  # J = I, or "newton": J by forward differences
+    # J = I, or "newton": J = I - dG/dx from the group's exact jacobian,
+    # or by forward differences when it has none
+    method: str = "fixed-point"
 
     def __post_init__(self):
         if self.method not in ("fixed-point", "newton"):
@@ -410,15 +421,16 @@ def _symplectic_residual_map(group, f, g0, mu0, h, theta):
 _FD_STEP = math.sqrt(np.finfo(float).eps)
 
 
-def _simplified_newton(G, n: int, solve: SolveConfig) -> np.ndarray:
+def _simplified_newton(G, n: int, solve: SolveConfig, dG=None) -> np.ndarray:
     """Solves x = G(x) on R^n by simplified Newton (Hairer, Lubich and
     Wanner, GNI VIII.6): predictor x0 = G(0), then x <- x - J^-1 (x - G(x))
     until the update is below _SOLVE_TOL (1 + |x|), for at most
     _SOLVE_MAX_ITER iterations.  ``method = "newton"`` forms
-    J = I - dG/dx once by forward differences at x0 and returns the last
-    update, not G(x): near the solution the update contracts the error and
-    G may amplify it, which on the heavy top shows as drift of the
-    conserved Gamma0.pi.  ``"fixed-point"`` is the case J = I, whose
+    J = I - dG/dx once at x0, from ``dG(x0)`` when ``dG`` is given and by
+    forward differences (n more evaluations of G) otherwise, and returns
+    the last update, not G(x): near the solution the update contracts the
+    error and G may amplify it, which on the heavy top shows as drift of
+    the conserved Gamma0.pi.  ``"fixed-point"`` is the case J = I, whose
     update is G(x) itself."""
     x = G(np.zeros(n))
     if not np.isfinite(x).all():
@@ -426,10 +438,14 @@ def _simplified_newton(G, n: int, solve: SolveConfig) -> np.ndarray:
     gx = G(x)
     J_inv = None
     if solve.method == "newton":
-        # column j of dG/dx from the step along x_j, the rows of xs
-        xs = np.tile(x, (n, 1))
-        xs.flat[:: n + 1] += _FD_STEP * np.maximum(1.0, np.abs(x))
-        J = np.eye(n) - (np.array([G(xj) for xj in xs]) - gx).T / (xs.diagonal() - x)
+        if dG is None:
+            # column j of dG/dx from the step along x_j, the rows of xs
+            xs = np.tile(x, (n, 1))
+            xs.flat[:: n + 1] += _FD_STEP * np.maximum(1.0, np.abs(x))
+            dG_x = (np.array([G(xj) for xj in xs]) - gx).T / (xs.diagonal() - x)
+        else:
+            dG_x = dG(x)
+        J = np.eye(n) - dG_x
         try:
             J_inv = solve_dense(J, np.eye(n))
         except SingularMatrixError as exc:
@@ -472,7 +488,8 @@ def symplectic_step(
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
     G = _symplectic_residual_map(group, f, g0, mu0, h, theta)
-    x = _simplified_newton(G, 2 * group.algebra_dim, solve)
+    dG = None if group.jacobian is None else partial(group.jacobian, g0, mu0, h, theta)
+    x = _simplified_newton(G, 2 * group.algebra_dim, solve, dG)
     xi, nbar = x[: group.algebra_dim], x[group.algebra_dim :]
 
     g1 = group.compose(group.exp(xi), g0)

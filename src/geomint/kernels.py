@@ -49,6 +49,23 @@ def _product(a, q):
     )
 
 
+def _transpose(a):
+    """A^T for A given as nine floats row by row, as nine floats."""
+    a1, a2, a3, b1, b2, b3, c1, c2, c3 = a
+    return a1, b1, c1, a2, b2, c2, a3, b3, c3
+
+
+def _times_hat(a, x, y, z):
+    """A hat(v) for A given as nine floats row by row and v = (x, y, z), as
+    nine floats: row i is row i of A crossed with v."""
+    a1, a2, a3, b1, b2, b3, c1, c2, c3 = a
+    return (
+        a2 * z - a3 * y, a3 * x - a1 * z, a1 * y - a2 * x,
+        b2 * z - b3 * y, b3 * x - b1 * z, b1 * y - b2 * x,
+        c2 * z - c3 * y, c3 * x - c1 * z, c1 * y - c2 * x,
+    )
+
+
 def _times(rows, v1, v2, v3):
     """M v as three floats, for M given by its rows."""
     (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = rows

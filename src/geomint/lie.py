@@ -60,6 +60,12 @@ _DEXPINV_G2 = (1 / 12, 1 / 720, 1 / 30240, 1 / 1209600, 1 / 47900160, 691 / 1307
 _DEXPINV_G2T = (1 / 360, 1 / 7560, 1 / 201600, 1 / 5987520, 691 / 130767436800, 1 / 6227020800, 3617 / 762187345920000)
 
 
+# d/d(z**2) of the _COSC and _DEXP_G2 polynomials, coefficients k * c_k,
+# with the next Taylor term 7 * c_7 (c_7 = -1/16! and -1/17!) as the seventh
+_COSC_D = tuple(k * c for k, c in enumerate(_COSC))[1:] + (-7 / 20922789888000,)
+_DEXP_G2_D = tuple(k * c for k, c in enumerate(_DEXP_G2))[1:] + (-7 / 355687428096000,)
+
+
 def _dexpinv_g2(z):
     # (1 - (z/2) cot(z/2)) / z**2
     if abs(z) < _SERIES_CUTOFF:
@@ -109,6 +115,16 @@ def _dexp_coeffs(a2):
     return (1.0 - c) / a2, (a - s) / (a2 * a)
 
 
+def _dexp_slopes(a2):
+    """The derivatives of :func:`_dexp_coeffs` with respect to a**2."""
+    if a2 < _SERIES_CUTOFF * _SERIES_CUTOFF:
+        return _poly_even(a2, _COSC_D), _poly_even(a2, _DEXP_G2_D)
+    a = math.sqrt(a2)
+    s, c = _sin_cos(a)
+    a4 = 2.0 * a2 * a2
+    return (a * s - 2.0 * (1.0 - c)) / a4, (a * (1.0 - c) - 3.0 * (a - s)) / (a4 * a)
+
+
 def _rotation(x, y, z, p, q, *tail):
     """I + p hat(v) + q hat(v)^2 for v = (x, y, z), using hat(v)^2 =
     v v^T - |v|^2 I, row by row and then ``tail``, as one flat tuple."""
@@ -155,6 +171,37 @@ def _dexp_star(x, y, z, m1, m2, m3, *tail):
         qa2 * m2 - p * (z * m1 - x * m3) + um * y,
         qa2 * m3 - p * (x * m2 - y * m1) + um * z,
         *tail,
+    )
+
+
+def _dexp_matrix(x, y, z):
+    """The right-trivialised dexp at u = (x, y, z), I + p hat(u) + q hat(u)^2
+    with (p, q) of :func:`_dexp_coeffs`, as nine floats row by row.  Its
+    transpose applied to m is ``_dexp_star(u, m)``; that transpose is the
+    matrix at -u."""
+    return _rotation(x, y, z, *_dexp_coeffs(x * x + y * y + z * z))
+
+
+def _dexp_star_jacobian(x, y, z, m1, m2, m3):
+    """The derivative in u of ``_dexp_star(u, m)`` at u = (x, y, z), as nine
+    floats row by row: p hat(m) + q ((u.m) I + u m^T - 2 m u^T) + r u^T with
+    r = 2 q' (u (u.m) - |u|^2 m) - 2 p' u x m, where ' is d/d|u|^2."""
+    a2 = x * x + y * y + z * z
+    p, q = _dexp_coeffs(a2)
+    dp, dq = _dexp_slopes(a2)
+    um = x * m1 + y * m2 + z * m3
+    # entry (i, j) is p hat(m)_ij + q (u.m) delta_ij + u_i t_j + s_i u_j
+    # with t = q m and s = r - 2 q m
+    dp, dq, q2 = 2.0 * dp, 2.0 * dq, 2.0 * q
+    s1 = dq * (x * um - a2 * m1) - dp * (y * m3 - z * m2) - q2 * m1
+    s2 = dq * (y * um - a2 * m2) - dp * (z * m1 - x * m3) - q2 * m2
+    s3 = dq * (z * um - a2 * m3) - dp * (x * m2 - y * m1) - q2 * m3
+    t1, t2, t3 = q * m1, q * m2, q * m3
+    p1, p2, p3, d = p * m1, p * m2, p * m3, q * um
+    return (
+        d + x * t1 + s1 * x, x * t2 + s1 * y - p3, x * t3 + s1 * z + p2,
+        y * t1 + s2 * x + p3, d + y * t2 + s2 * y, y * t3 + s2 * z - p1,
+        z * t1 + s3 * x - p2, z * t2 + s3 * y + p1, d + z * t3 + s3 * z,
     )
 
 

@@ -9,6 +9,10 @@ action that makes its equations a frozen-field assembly:
 * extended form (Q, pi, p, q) with a quadratic Hamiltonian, where the
   constant momentum p = -M g l X absorbs the gravitational torque.
 
+The spatial and extended forms also carry, on their cotangent group
+record, the exact Jacobian of the implicit symplectic step's residual
+map, which the Newton solve uses in place of forward differences.
+
 Gravity enters through gamma0, the upward spatial axis scaled by the
 gravitational acceleration; the ``gravity`` field is a further
 multiplier kept at 1 for the standard benchmark parameters.
@@ -16,7 +20,7 @@ multiplier kept at 1 for the standard benchmark parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Tuple
 
@@ -30,7 +34,8 @@ from ..actions import (
     ext_top_action,
 )
 from ..integrators import so3_cotangent_group, so3r3_cotangent_group
-from ..kernels import _times, cross
+from ..kernels import _product, _times, _times_hat, _transpose, cross
+from ..lie import _dexp_matrix, _dexp_star_jacobian, _exp_so3
 
 __all__ = [
     "HeavyTopParams",
@@ -252,6 +257,127 @@ def unpack_ext(m: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
+# Exact Jacobian of the implicit step's residual map
+#
+# The symplectic step solves x = G(x) = h f(exp(theta xi) g0, M_theta)
+# (integrators._symplectic_residual_map).  On the rotational block, with
+# u = theta xi, R = exp(u) and D the right-trivialised dexp
+# (lie._dexp_matrix), a move dxi turns R into hat(w) R with w = theta D(u)
+# dxi; a = R^T nbar moves by hat(a) R^T w + R^T dnbar, and
+# M_theta = D(xi)(mu0 + a) - theta D(u) a, since dexp*_{-v} is D(v).
+# Matrices are nine floats row by row.
+
+
+def _momentum_blocks(q0, mu0, theta, xi, nbar):
+    """Q = exp(theta xi) Q0 and the rotational M_theta, with A = theta D(u),
+    which maps dxi to w, and the derivatives of M_theta in xi and nbar."""
+    x, y, z = xi
+    u1, u2, u3 = theta * x, theta * y, theta * z
+    R = _exp_so3((u1, u2, u3))
+    Rt = _transpose(R)
+    a1, a2, a3 = _times((Rt[:3], Rt[3:6], Rt[6:]), *nbar)
+    b1, b2, b3 = mu0[0] + a1, mu0[1] + a2, mu0[2] + a3
+    D = _dexp_matrix(x, y, z)
+    A = [theta * d for d in _dexp_matrix(u1, u2, u3)]
+    B = [d - e for d, e in zip(D, A)]
+    m = [d - e for d, e in zip(_times((D[:3], D[3:6], D[6:]), b1, b2, b3),
+                               _times((A[:3], A[3:6], A[6:]), a1, a2, a3))]
+    # hat(a) R^T = (R hat(-a))^T
+    da = _product(B, _product(_transpose(_times_hat(R, -a1, -a2, -a3)), A))
+    t2 = theta * theta
+    dm_dxi = [t2 * p - q + c for p, q, c in zip(
+        _dexp_star_jacobian(-u1, -u2, -u3, a1, a2, a3),
+        _dexp_star_jacobian(-x, -y, -z, b1, b2, b3), da)]
+    return _product(R, q0), m, A, dm_dxi, _product(B, Rt)
+
+
+def _field_blocks(Q, m, A, dm_dxi, dm_dn, inertia_inv, gamma, v):
+    """The derivatives in (xi, nbar) of omega = W m, W = Q I^-1 Q^T, and of
+    the torque Gamma x Qv + m x omega: omega moves by (W hat(m) - hat(omega))
+    w + W dm and the torque by (hat(Gamma) hat(Qv)^T + hat(m)(W hat(m) -
+    hat(omega))) w + (hat(m) W - hat(omega)) dm."""
+    r1, r2, r3, r4, r5, r6, r7, r8, r9 = Q
+    i1, i2, i3 = inertia_inv
+    s1, s2, s3, s4, s5, s6 = i1 * r1, i2 * r2, i3 * r3, i1 * r4, i2 * r5, i3 * r6
+    w12 = s1 * r4 + s2 * r5 + s3 * r6
+    w13 = s1 * r7 + s2 * r8 + s3 * r9
+    w23 = s4 * r7 + s5 * r8 + s6 * r9
+    W = (s1 * r1 + s2 * r2 + s3 * r3, w12, w13,
+         w12, s4 * r4 + s5 * r5 + s6 * r6, w23,
+         w13, w23, i1 * r7 * r7 + i2 * r8 * r8 + i3 * r9 * r9)
+    m1, m2, m3 = m
+    o1, o2, o3 = _times((W[:3], W[3:6], W[6:]), m1, m2, m3)
+    e1, e2, e3 = _times((Q[:3], Q[3:6], Q[6:]), *v)
+    k1, k2, k3, k4, k5, k6, k7, k8, k9 = _times_hat(W, m1, m2, m3)
+    K = (k1, k2 + o3, k3 - o2, k4 - o3, k5, k6 + o1, k7 + o2, k8 - o1, k9)
+    # hat(m) W - hat(omega) = -K^T, and hat(m) K = (-K^T hat(m))^T
+    Kt = [-k for k in _transpose(K)]
+    p1, p2, p3, p4, p5, p6, p7, p8, p9 = _transpose(_times_hat(Kt, m1, m2, m3))
+    g1, g2, g3 = gamma
+    ge = g1 * e1 + g2 * e2 + g3 * e3
+    T = (ge - e1 * g1 + p1, p2 - e1 * g2, p3 - e1 * g3,
+         p4 - e2 * g1, ge - e2 * g2 + p5, p6 - e2 * g3,
+         p7 - e3 * g1, p8 - e3 * g2, ge - e3 * g3 + p9)
+    return (
+        [a + b for a, b in zip(_product(K, A), _product(W, dm_dxi))],
+        _product(W, dm_dn),
+        [a + b for a, b in zip(_product(T, A), _product(Kt, dm_dxi))],
+        _product(Kt, dm_dn),
+    )
+
+
+_ZERO = (0.0,) * 9
+
+
+def _assemble(blocks, h):
+    """h times the square matrix of 3x3 blocks, each nine floats row by row."""
+    k = len(blocks)
+    return h * np.array(blocks).reshape(k, k, 3, 3).swapaxes(1, 2).reshape(3 * k, 3 * k)
+
+
+def _spatial_jacobian(params: HeavyTopParams):
+    """dG/dx of the spatial top's implicit step, x = (xi, nbar)."""
+    inertia_inv, g0 = params.inertia_inv.tolist(), params.g0.tolist()
+    mgl_chi = (params.mgl * params.chi).tolist()
+
+    def jacobian(q0, mu0, h, theta, x):
+        x = x.tolist()
+        Q, m, A, dm_dxi, dm_dn = _momentum_blocks(
+            q0.ravel().tolist(), mu0.tolist(), theta, x[:3], x[3:])
+        w_xi, w_n, t_xi, t_n = _field_blocks(Q, m, A, dm_dxi, dm_dn, inertia_inv, g0, mgl_chi)
+        return _assemble([[w_xi, w_n], [t_xi, t_n]], h)
+
+    return jacobian
+
+
+def _ext_jacobian(params: HeavyTopParams):
+    """dG/dx of the extended top's implicit step, x = (xi, xi_t, nbar, nbar_t).
+    The field does not read the translation, and its momentum is
+    s = mu0_t + (1 - theta) nbar_t."""
+    inertia_inv, g0 = params.inertia_inv.tolist(), params.g0.tolist()
+    g1, g2, g3 = g0
+
+    def jacobian(g, mu0, h, theta, x):
+        x, mu0 = x.tolist(), mu0.tolist()
+        Q, m, A, dm_dxi, dm_dn = _momentum_blocks(
+            g[0].ravel().tolist(), mu0, theta, x[:3], x[6:9])
+        c = 1.0 - theta
+        v = [-s - c * n for s, n in zip(mu0[3:], x[9:])]
+        w_xi, w_n, t_xi, t_n = _field_blocks(Q, m, A, dm_dxi, dm_dn, inertia_inv, g0, v)
+        # E = -Q^T hat(Gamma0) is the derivative of -Q^T Gamma0 in w, and
+        # the torque's in s is -hat(Gamma0) Q = -E^T
+        E = _times_hat(_transpose(Q), -g1, -g2, -g3)
+        return _assemble([
+            [w_xi, _ZERO, w_n, _ZERO],
+            [_product(E, A), _ZERO, _ZERO, (c, 0.0, 0.0, 0.0, c, 0.0, 0.0, 0.0, c)],
+            [t_xi, _ZERO, t_n, [-c * e for e in _transpose(E)]],
+            [_ZERO] * 4,
+        ], h)
+
+    return jacobian
+
+
+# ---------------------------------------------------------------------------
 # Assembled System records
 
 
@@ -286,7 +412,7 @@ def build_spatial(params: HeavyTopParams):
             "gamma0_dot_pi": lambda m: float(g0 @ m[9:12]),
         },
         cotangent=CotangentForm(
-            group=so3_cotangent_group(),
+            group=replace(so3_cotangent_group(), jacobian=_spatial_jacobian(params)),
             f=f,
             pack=pack_spatial,
             unpack=unpack_spatial,
@@ -327,7 +453,7 @@ def build_ext(params: HeavyTopParams):
             "gamma0_dot_pi": lambda m: float(g0 @ m[9:12]),
         },
         cotangent=CotangentForm(
-            group=so3r3_cotangent_group(),
+            group=replace(so3r3_cotangent_group(), jacobian=_ext_jacobian(params)),
             f=f,
             pack=pack_ext,
             unpack=unpack_ext,

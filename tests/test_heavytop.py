@@ -9,7 +9,9 @@ from _reference import generator
 from geomint.integrators import (
     METHODS,
     ControllerConfig,
+    NonConvergenceError,
     SolveConfig,
+    _symplectic_residual_map,
     adaptive_integrate,
     fixed_integrate,
     symplectic_step,
@@ -351,6 +353,74 @@ def test_symplectic_fixed_point_field_evaluations_per_step():
     f = lambda g, mu: calls.append(None) or ct.f(g, mu)
     symplectic_integrate(replace(system, cotangent=replace(ct, f=f)), 0.5, 0.00125, 80)
     assert len(calls) == 13 * 80
+
+
+@pytest.mark.parametrize("system_id", ["heavytop-spatial", "heavytop-ext"])
+def test_symplectic_newton_with_the_exact_jacobian_makes_at_most_10_evaluations(system_id):
+    # predictor, its residual and a few simplified Newton iterations; the
+    # forward-difference J added 6 on spatial and 12 on ext
+    system = get_system(system_id)
+    ct = system.cotangent
+    calls = []
+    f = lambda g, mu: calls.append(None) or ct.f(g, mu)
+    g, mu = ct.unpack(system.initial)
+    for _ in range(10):
+        before = len(calls)
+        g, mu = symplectic_step(ct.group, f, g, mu, 0.01, 0.5, SolveConfig(method="newton"))
+        assert len(calls) - before <= 10
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0, 0.3])
+@pytest.mark.parametrize("system_id", ["heavytop-spatial", "heavytop-ext"])
+def test_exact_jacobian_matches_central_differences(system_id, theta):
+    # random steps with |xi| and |theta xi| on both sides of the series
+    # cutoff 0.5; tolerance fixed beforehand: 1e-6 of the largest entry
+    system = get_system(system_id)
+    ct = system.cotangent
+    n = 2 * ct.group.algebra_dim
+    _, mu_start = ct.unpack(system.initial)
+    for angle in (0.3, 0.8, 2.0):
+        Q0 = exp_so3(rng.normal(size=3))
+        g0 = Q0 if n == 6 else (Q0, rng.normal(size=3))
+        mu0 = mu_start + rng.normal(size=n // 2)
+        x = rng.normal(size=n)
+        x[:3] *= angle / np.linalg.norm(x[:3])
+        G = _symplectic_residual_map(ct.group, ct.f, g0, mu0, 0.01, theta)
+        eps = 1e-6
+        expected = np.array([(G(x + e) - G(x - e)) / (2.0 * eps) for e in eps * np.eye(n)]).T
+        J = ct.group.jacobian(g0, mu0, 0.01, theta, x)
+        np.testing.assert_allclose(J, expected, rtol=0, atol=1e-6 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("system_id", ["heavytop-spatial", "heavytop-ext"])
+def test_newton_through_a_rebuilt_group_record_gives_the_same_states(system_id):
+    # a caller that rebuilds the group with dataclasses.replace, wrapping
+    # each map, and wraps the field (as a traced benchmark pass does) keeps
+    # the exact Jacobian, so its states equal the driver's bit for bit
+    system = get_system(system_id)
+    ct = system.cotangent
+    w = lambda fn: lambda *args: fn(*args)
+    group = replace(ct.group, exp=w(ct.group.exp), coad=w(ct.group.coad),
+                    dexp_star=w(ct.group.dexp_star), compose=w(ct.group.compose))
+    solve = SolveConfig("newton")
+    g, mu = ct.unpack(system.initial)
+    ys = [ct.pack(g, mu)]
+    for _ in range(20):
+        g, mu = symplectic_step(group, lambda g, mu: ct.f(g, mu), g, mu, 0.01, 0.5, solve)
+        ys.append(ct.pack(g, mu))
+    _, expected = symplectic_integrate(system, 0.5, 0.01, 20, solve=solve)
+    np.testing.assert_array_equal(np.array(ys), expected)
+
+
+@pytest.mark.parametrize("system_id", ["heavytop-spatial", "heavytop-ext"])
+def test_symplectic_newton_with_a_nan_jacobian_does_not_converge(system_id):
+    system = get_system(system_id)
+    ct = system.cotangent
+    n = 2 * ct.group.algebra_dim
+    group = replace(ct.group, jacobian=lambda *args: np.full((n, n), np.nan))
+    g, mu = ct.unpack(system.initial)
+    with pytest.raises(NonConvergenceError):
+        symplectic_step(group, ct.f, g, mu, 0.01, 0.5, SolveConfig(method="newton"))
 
 
 @pytest.mark.parametrize("h0", [0.5, 2.0])

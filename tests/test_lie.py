@@ -9,6 +9,10 @@ from _reference import dexpinv_series
 from geomint.kernels import cross
 from geomint.lie import (
     BranchError,
+    _dexp_matrix,
+    _dexp_slopes,
+    _dexp_star,
+    _dexp_star_jacobian,
     dexp_star_so3,
     dexpinv_se3,
     dexpinv_so3,
@@ -442,3 +446,40 @@ def test_branch_errors():
 def test_dexp_star_so3_is_transpose():
     u, mu, v = rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)
     assert abs(dexp_star_so3(u, mu) @ v - mu @ (dexp_so3_matrix(u) @ v)) < 1e-12
+
+
+# -- derivative kernels of the implicit step's Jacobian -----------------------
+
+
+@pytest.mark.parametrize("angle", [0.2, 0.49, 0.51, 2.0, 6.0])
+def test_dexp_matrix_transpose_is_dexp_star(angle):
+    # tolerance fixed beforehand: 1e-15 relative to |D| |m|, the scale of
+    # the rounding of a 3x3 product
+    for _ in range(200):
+        u = rng.normal(size=3)
+        u *= angle / np.linalg.norm(u)
+        m = 50.0 * rng.normal(size=3)
+        D = np.array(_dexp_matrix(*u)).reshape(3, 3)
+        err = np.abs(D.T @ m - np.array(_dexp_star(*u, *m))).max()
+        assert err <= 1e-15 * np.linalg.norm(D) * np.linalg.norm(m)
+
+
+def test_dexp_slopes_series_and_closed_forms_agree_at_cutoff():
+    # just below a^2 = 0.25 the Taylor polynomials, at it the closed forms
+    series = _dexp_slopes(np.nextafter(0.25, 0.0))
+    closed = _dexp_slopes(0.25)
+    np.testing.assert_allclose(series, closed, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("angle", [0.2, 0.49, 0.51, 2.0, 5.0])
+def test_dexp_star_jacobian_matches_central_differences(angle):
+    for _ in range(20):
+        u = rng.normal(size=3)
+        u *= angle / np.linalg.norm(u)
+        m = rng.normal(size=3)
+        eps = 1e-6
+        columns = [(np.array(_dexp_star(*(u + e), *m)) - np.array(_dexp_star(*(u - e), *m)))
+                   / (2.0 * eps) for e in eps * np.eye(3)]
+        expected = np.array(columns).T
+        P = np.array(_dexp_star_jacobian(*u, *m)).reshape(3, 3)
+        np.testing.assert_allclose(P, expected, rtol=0, atol=1e-7 * np.abs(expected).max())
