@@ -19,7 +19,6 @@ import numpy as np
 from .integrators import (
     METHODS,
     ControllerConfig,
-    SolveConfig,
     adaptive_integrate,
     fixed_integrate,
 )
@@ -228,10 +227,7 @@ def _integrate_fixed(cfg: RunConfig, system: System):
         n = max(1, round((cfg.t_end - cfg.t0) / cfg.h))
     if cfg.method == "symplectic":
         h = (cfg.t_end - cfg.t0) / n
-        # the fixed-point iteration stops contracting for fast tops at
-        # moderate steps; the simplified Newton solve handles those
-        solve = SolveConfig(method="newton")
-        return symplectic_integrate(system, cfg.theta, h, n, t0=cfg.t0, solve=solve)
+        return symplectic_integrate(system, cfg.theta, h, n, t0=cfg.t0)
     return fixed_integrate(
         system.action,
         system.field,

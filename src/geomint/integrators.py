@@ -7,10 +7,9 @@ and commutator-free schemes, which compose several exponentials per
 step: :func:`cf_step` reads a :class:`CFScheme` table as :func:`rkmk_step`
 reads a Butcher :class:`Tableau`.  A separate implicit one-parameter
 family provides symplectic steps on right-trivialized cotangent groups
-G x g*; its nonlinear equation is solved by one simplified-Newton loop,
-of which fixed-point iteration is the case J = I.  The Newton J is the
-exact one when the group record carries a ``jacobian`` (the heavy tops'
-do), and comes from forward differences otherwise.
+G x g*; its nonlinear equation is solved by one simplified-Newton loop
+whose J = I - dG/dx comes from the group record's ``jacobian`` (the heavy
+tops' carry one) and is I for a group without one.
 
 Every stepper is pure: ``stepper(action, f, y, h) -> StepResult`` where
 ``f`` maps a flat manifold point to a flat algebra element.
@@ -328,8 +327,8 @@ class CotangentGroup:
     ``jacobian(g0, mu0, h, theta, x)``, when given, is the exact dG/dx of
     the step's residual map G (:func:`_symplectic_residual_map`) for the
     one field the group is built with; a system attaches it with
-    ``dataclasses.replace``.  Without it the Newton solve forms dG/dx by
-    forward differences.
+    ``dataclasses.replace``.  The solve takes J = I - dG/dx from it, and
+    J = I without it.
     """
 
     algebra_dim: int
@@ -385,15 +384,15 @@ _SOLVE_MAX_ITER = 100
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """The implicit step's solve method; its tolerance and iteration cap
-    are the module constants ``_SOLVE_TOL`` and ``_SOLVE_MAX_ITER``."""
+    """Accepted by the symplectic drivers and unused: the one solve is
+    :func:`_simplified_newton`, so ``method`` can only be ``"newton"``.
+    Its tolerance and iteration cap are the module constants
+    ``_SOLVE_TOL`` and ``_SOLVE_MAX_ITER``."""
 
-    # J = I, or "newton": J = I - dG/dx from the group's exact jacobian,
-    # or by forward differences when it has none
-    method: str = "fixed-point"
+    method: str = "newton"
 
     def __post_init__(self):
-        if self.method not in ("fixed-point", "newton"):
+        if self.method != "newton":
             raise ValueError(f"unknown solve method {self.method!r}")
 
 
@@ -417,55 +416,41 @@ def _symplectic_residual_map(group, f, g0, mu0, h, theta):
     return gmap
 
 
-# Forward-difference step of the Newton Jacobian, relative to max(1, |x_j|).
-_FD_STEP = math.sqrt(np.finfo(float).eps)
-
-
-def _simplified_newton(G, n: int, solve: SolveConfig, dG=None) -> np.ndarray:
+def _simplified_newton(G, n: int, dG=None) -> np.ndarray:
     """Solves x = G(x) on R^n by simplified Newton (Hairer, Lubich and
-    Wanner, GNI VIII.6): predictor x0 = G(0), then x <- x - J^-1 (x - G(x))
-    until the update is below _SOLVE_TOL (1 + |x|), for at most
-    _SOLVE_MAX_ITER iterations.  ``method = "newton"`` forms
-    J = I - dG/dx once at x0, from ``dG(x0)`` when ``dG`` is given and by
-    forward differences (n more evaluations of G) otherwise, and returns
-    the last update, not G(x): near the solution the update contracts the
-    error and G may amplify it, which on the heavy top shows as drift of
-    the conserved Gamma0.pi.  ``"fixed-point"`` is the case J = I, whose
+    Wanner, GNI VIII.6): predictor x0 = G(0), J = I - dG(x0) formed once
+    there, then x <- x - J^-1 (x - G(x)) until the update is below
+    _SOLVE_TOL (1 + |x|), for at most _SOLVE_MAX_ITER iterations.  It
+    returns the last update, not G(x): near the solution the update
+    contracts the error and G may amplify it, which on the heavy top shows
+    as drift of the conserved Gamma0.pi.  Without ``dG``, J = I and the
     update is G(x) itself."""
     x = G(np.zeros(n))
     if not np.isfinite(x).all():
-        raise NonConvergenceError(f"{solve.method} predictor is not finite")
+        raise NonConvergenceError("implicit solve: predictor is not finite")
     gx = G(x)
     J_inv = None
-    if solve.method == "newton":
-        if dG is None:
-            # column j of dG/dx from the step along x_j, the rows of xs
-            xs = np.tile(x, (n, 1))
-            xs.flat[:: n + 1] += _FD_STEP * np.maximum(1.0, np.abs(x))
-            dG_x = (np.array([G(xj) for xj in xs]) - gx).T / (xs.diagonal() - x)
-        else:
-            dG_x = dG(x)
-        J = np.eye(n) - dG_x
+    if dG is not None:
         try:
-            J_inv = solve_dense(J, np.eye(n))
+            J_inv = solve_dense(np.eye(n) - dG(x), np.eye(n))
         except SingularMatrixError as exc:
-            raise NonConvergenceError(f"newton Jacobian is singular: {exc}") from None
+            raise NonConvergenceError(f"implicit solve: Jacobian is singular: {exc}") from None
     for _ in range(_SOLVE_MAX_ITER):
         r = x - gx
         dx = r if J_inv is None else J_inv @ r
         if not np.isfinite(dx).all():
-            raise NonConvergenceError(f"{solve.method} iterate is not finite")
+            raise NonConvergenceError("implicit solve: iterate is not finite")
         # sqrt(v @ v) is np.linalg.norm of a real vector
         bound = _SOLVE_TOL * (1.0 + math.sqrt(x @ x))
         x = gx if J_inv is None else x - dx
         if math.sqrt(dx @ dx) <= bound:
             r_norm = math.sqrt(r @ r)
             if r_norm > 100.0 * bound:
-                raise NonConvergenceError(f"newton residual {r_norm:.3e} above tolerance")
+                raise NonConvergenceError(f"implicit solve: residual {r_norm:.3e} above tolerance")
             return x
         gx = G(x)
     raise NonConvergenceError(
-        f"{solve.method} solve did not converge in {_SOLVE_MAX_ITER} iterations"
+        f"implicit solve did not converge in {_SOLVE_MAX_ITER} iterations"
     )
 
 
@@ -483,13 +468,14 @@ def symplectic_step(
     Solves (xi, nbar) = h f(exp(theta xi) g0, M_theta) and updates by the
     cotangent-group product, so mu1 = Ad*_{exp((theta-1)xi)} nbar +
     Ad*_{exp(-xi)} mu0.  ``f`` maps (group element, dual element) to an
-    (algebra, dual) pair.
+    (algebra, dual) pair.  ``solve`` is accepted and unused; see
+    :class:`SolveConfig`.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
     G = _symplectic_residual_map(group, f, g0, mu0, h, theta)
     dG = None if group.jacobian is None else partial(group.jacobian, g0, mu0, h, theta)
-    x = _simplified_newton(G, 2 * group.algebra_dim, solve, dG)
+    x = _simplified_newton(G, 2 * group.algebra_dim, dG)
     xi, nbar = x[: group.algebra_dim], x[group.algebra_dim :]
 
     g1 = group.compose(group.exp(xi), g0)

@@ -90,7 +90,10 @@ def symplectic_integrate(
     solve: SolveConfig = SolveConfig(),
 ):
     """Uniform-step driver for the implicit symplectic family, working on
-    the system's flat state layout."""
+    the system's flat state layout; ``solve`` is unused (see
+    :class:`~geomint.integrators.SolveConfig`)."""
+    if n_steps < 1:
+        raise ValueError("n_steps must be at least 1")
     if system.cotangent is None:
         raise ValueError(f"system {system.name} has no cotangent formulation")
     ct = system.cotangent
@@ -98,7 +101,7 @@ def symplectic_integrate(
     ys = np.empty((n_steps + 1, system.initial.shape[0]))
     ys[0] = ct.pack(g, mu)
     for n in range(n_steps):
-        g, mu = symplectic_step(ct.group, ct.f, g, mu, h, theta, solve)
+        g, mu = symplectic_step(ct.group, ct.f, g, mu, h, theta)
         ys[n + 1] = ct.pack(g, mu)
     ts = t0 + h * np.arange(n_steps + 1)
     return ts, ys

@@ -11,7 +11,7 @@ action that makes its equations a frozen-field assembly:
 
 The spatial and extended forms also carry, on their cotangent group
 record, the exact Jacobian of the implicit symplectic step's residual
-map, which the Newton solve uses in place of forward differences.
+map, from which the simplified-Newton solve forms its J.
 
 Gravity enters through gamma0, the upward spatial axis scaled by the
 gravitational acceleration; the ``gravity`` field is a further

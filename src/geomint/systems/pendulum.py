@@ -142,7 +142,7 @@ class PendulumParams:
 def default_initial(n: int) -> np.ndarray:
     """Every link tilted 45 degrees in the x-z plane, swinging about e2."""
     s = np.sqrt(2.0) / 2.0
-    return np.tile([s, 0.0, s, 0.0, 1.0, 0.0], n)
+    return np.array([s, 0.0, s, 0.0, 1.0, 0.0] * n)
 
 
 def pendulum_mass_matrix(params: PendulumParams, q: np.ndarray) -> np.ndarray:

@@ -306,12 +306,17 @@ def test_symplectic_spatial_short_run_conserves_momentum_component():
     assert abs(e[-1] - e[0]) < 1e-2 * max(1.0, abs(e[0]))
 
 
+def _without_jacobian(system):
+    """The system with the Jacobian taken off its cotangent group, so the
+    implicit solve runs the J = I sweep."""
+    ct = system.cotangent
+    return replace(system, cotangent=replace(ct, group=replace(ct.group, jacobian=None)))
+
+
 def test_symplectic_ext_newton_matches_fixed_point():
     system = get_system("heavytop-ext")
-    _, ys_fp = symplectic_integrate(system, 0.5, 0.001, 20)
-    _, ys_nw = symplectic_integrate(
-        system, 0.5, 0.001, 20, solve=SolveConfig(method="newton")
-    )
+    _, ys_fp = symplectic_integrate(_without_jacobian(system), 0.5, 0.001, 20)
+    _, ys_nw = symplectic_integrate(system, 0.5, 0.001, 20)
     np.testing.assert_allclose(ys_fp[-1], ys_nw[-1], atol=1e-9)
 
 
@@ -319,46 +324,51 @@ def test_symplectic_ext_newton_matches_fixed_point():
 @pytest.mark.parametrize("system_id", ["heavytop-spatial", "heavytop-ext"])
 def test_symplectic_newton_agrees_with_fixed_point_on_both_groups(system_id, theta):
     system = get_system(system_id)
-    _, ys_fp = symplectic_integrate(system, theta, 1e-3, 10)
-    _, ys_nw = symplectic_integrate(
-        system, theta, 1e-3, 10, solve=SolveConfig(method="newton")
-    )
+    _, ys_fp = symplectic_integrate(_without_jacobian(system), theta, 1e-3, 10)
+    _, ys_nw = symplectic_integrate(system, theta, 1e-3, 10)
     np.testing.assert_allclose(ys_nw, ys_fp, rtol=0.0, atol=1e-11)
 
 
-@pytest.mark.parametrize("system_id,bound", [("heavytop-spatial", 18), ("heavytop-ext", 24)])
-def test_symplectic_newton_field_evaluations_per_step(system_id, bound):
-    # predictor, Jacobian base and one column per unknown, then a few
-    # simplified Newton iterations: 6 unknowns on spatial, 12 on ext
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("system_id", ["heavytop-spatial", "heavytop-ext"])
+def test_symplectic_default_solve_converges_at_the_benchmark_step(system_id, theta):
+    # the J = I sweep stops contracting on both tops at theta = 1/2 and
+    # h = 0.01; the default solve uses the group's exact Jacobian
     system = get_system(system_id)
-    ct = system.cotangent
-    calls = []
+    _, ys = symplectic_integrate(system, theta, 0.01, 10)
+    assert max(system.invariants["orthogonality"](y) for y in ys) <= 1e-12
 
-    def counted(g, mu):
-        calls.append(None)
-        return ct.f(g, mu)
 
-    g, mu = ct.unpack(system.initial)
-    for _ in range(10):
-        before = len(calls)
-        g, mu = symplectic_step(ct.group, counted, g, mu, 0.01, 0.5, SolveConfig(method="newton"))
-        assert len(calls) - before <= bound
+@pytest.mark.parametrize("n_steps", [0, -1, -2])
+def test_symplectic_integrate_rejects_fewer_than_one_step(n_steps):
+    # as fixed_integrate does; 0 used to return the initial row alone
+    with pytest.raises(ValueError, match="n_steps must be at least 1"):
+        symplectic_integrate(get_system("heavytop-spatial"), 0.5, 0.01, n_steps)
+
+
+def _count_field_calls(system, h, n_steps):
+    """Field evaluations of an implicit midpoint run on ``system``."""
+    ct, calls = system.cotangent, []
+    f = lambda g, mu: calls.append(None) or ct.f(g, mu)
+    symplectic_integrate(replace(system, cotangent=replace(ct, f=f)), 0.5, h, n_steps)
+    return len(calls)
 
 
 def test_symplectic_fixed_point_field_evaluations_per_step():
     # the J = I solve: the predictor G(0), then one evaluation per sweep;
     # 13 per step at theta = 1/2, h = 0.00125
-    system = get_system("heavytop-ext")
-    ct, calls = system.cotangent, []
-    f = lambda g, mu: calls.append(None) or ct.f(g, mu)
-    symplectic_integrate(replace(system, cotangent=replace(ct, f=f)), 0.5, 0.00125, 80)
-    assert len(calls) == 13 * 80
+    system = _without_jacobian(get_system("heavytop-ext"))
+    assert _count_field_calls(system, 0.00125, 80) == 13 * 80
+
+
+def test_symplectic_default_field_evaluations_per_step():
+    # the exact-Jacobian Newton solve at the same theta and h: 5 per step
+    assert _count_field_calls(get_system("heavytop-ext"), 0.00125, 80) == 5 * 80
 
 
 @pytest.mark.parametrize("system_id", ["heavytop-spatial", "heavytop-ext"])
 def test_symplectic_newton_with_the_exact_jacobian_makes_at_most_10_evaluations(system_id):
-    # predictor, its residual and a few simplified Newton iterations; the
-    # forward-difference J added 6 on spatial and 12 on ext
+    # predictor, its residual and a few simplified Newton iterations
     system = get_system(system_id)
     ct = system.cotangent
     calls = []
@@ -366,7 +376,7 @@ def test_symplectic_newton_with_the_exact_jacobian_makes_at_most_10_evaluations(
     g, mu = ct.unpack(system.initial)
     for _ in range(10):
         before = len(calls)
-        g, mu = symplectic_step(ct.group, f, g, mu, 0.01, 0.5, SolveConfig(method="newton"))
+        g, mu = symplectic_step(ct.group, f, g, mu, 0.01, 0.5)
         assert len(calls) - before <= 10
 
 
@@ -420,7 +430,7 @@ def test_symplectic_newton_with_a_nan_jacobian_does_not_converge(system_id):
     group = replace(ct.group, jacobian=lambda *args: np.full((n, n), np.nan))
     g, mu = ct.unpack(system.initial)
     with pytest.raises(NonConvergenceError):
-        symplectic_step(group, ct.f, g, mu, 0.01, 0.5, SolveConfig(method="newton"))
+        symplectic_step(group, ct.f, g, mu, 0.01, 0.5)
 
 
 @pytest.mark.parametrize("h0", [0.5, 2.0])
@@ -445,6 +455,6 @@ def test_symplectic_newton_keeps_gamma0_pi(system_id):
     # the solve error enters Gamma0.pi directly; returning G(x) at the last
     # Newton iterate instead of the update drifted up to 1.5e-10 here
     system = get_system(system_id, mass=13.875)
-    _, ys = symplectic_integrate(system, 0.5, 0.01, 50, solve=SolveConfig(method="newton"))
+    _, ys = symplectic_integrate(system, 0.5, 0.01, 50)
     pg = ys[:, 9:12] @ BRULS_TOP.g0
     assert np.max(np.abs(pg - pg[0])) <= 1e-11

@@ -22,6 +22,7 @@ from geomint.integrators import (
     Tableau,
     TooManyRejectsError,
     _H_MIN,
+    _symplectic_residual_map,
     adaptive_integrate,
     controller_update,
     fixed_integrate,
@@ -33,6 +34,7 @@ from geomint.integrators import (
 )
 from _reference import coadjoint_so3_action, dexpinv_series
 from geomint.lie import BranchError, dexp_star_so3, exp_so3
+from geomint.systems import get_system
 
 rng = np.random.default_rng(99)
 RKMK54 = METHODS["rkmk54"].stepper
@@ -484,6 +486,12 @@ def _free_rigid_body(g, mu):
     return omega, np.cross(mu, omega)
 
 
+def _free_rigid_body_r3(g, mu):
+    """The free body on (SO(3) x R^3) x dual; the translational part is still."""
+    omega, torque = _free_rigid_body(g[0], mu[:3])
+    return np.concatenate([omega, np.zeros(3)]), np.concatenate([torque, np.zeros(3)])
+
+
 def test_symplectic_theta_validation():
     group = so3_cotangent_group()
     with pytest.raises(ValueError):
@@ -491,8 +499,9 @@ def test_symplectic_theta_validation():
 
 
 def test_solve_config_validation():
-    with pytest.raises(ValueError):
-        SolveConfig(method="bisection")
+    for method in ("bisection", "fixed-point"):
+        with pytest.raises(ValueError):
+            SolveConfig(method=method)
 
 
 def test_symplectic_fixed_point_gives_up_after_100_iterations():
@@ -518,22 +527,37 @@ def test_symplectic_fixed_point_gives_up_after_100_iterations():
     assert len(calls) == 102
 
 
-@pytest.mark.parametrize("method", ["fixed-point", "newton"])
-def test_symplectic_nan_field_does_not_converge(method):
-    # both solves check the predictor, so neither sweeps max_iter times
+def _heavy_top_case(system_id):
+    """(group with its exact Jacobian, field, g0, mu0) of a heavy top."""
+    system = get_system(system_id)
+    return (system.cotangent.group, system.cotangent.f, *system.cotangent.unpack(system.initial))
+
+
+# the free body on groups without a Jacobian (J = I), and the heavy tops
+# on groups carrying their exact J
+_STEP_CASES = [
+    (so3_cotangent_group(), _free_rigid_body, exp_so3([0.3, -0.2, 0.9]),
+     np.array([0.4, -1.0, 0.7])),
+    (so3r3_cotangent_group(), _free_rigid_body_r3, (exp_so3([0.3, -0.2, 0.9]), np.ones(3)),
+     np.array([0.4, -1.0, 0.7, 0.0, 0.0, 0.0])),
+    _heavy_top_case("heavytop-spatial"),
+    _heavy_top_case("heavytop-ext"),
+]
+_STEP_IDS = ["so3", "so3r3", "heavytop-spatial", "heavytop-ext"]
+
+
+@pytest.mark.parametrize("group, field, g0, mu0", _STEP_CASES, ids=_STEP_IDS)
+def test_symplectic_nan_field_does_not_converge(group, field, g0, mu0):
+    # the solve checks the predictor, so it does not sweep max_iter times
     calls = []
 
     def nan_field(g, mu):
         calls.append(None)
-        _, torque = _free_rigid_body(g, mu)
-        return np.full(3, np.nan), torque
+        xi, torque = field(g, mu)
+        return np.full(len(xi), np.nan), torque
 
-    group = so3_cotangent_group()
     with pytest.raises(NonConvergenceError):
-        symplectic_step(
-            group, nan_field, np.eye(3), np.array([0.4, -1.0, 0.7]), 0.02, 0.5,
-            SolveConfig(method=method),
-        )
+        symplectic_step(group, nan_field, g0, mu0, 0.02, 0.5)
     assert len(calls) <= 2
 
 
@@ -558,11 +582,18 @@ def test_symplectic_midpoint_is_time_reversible():
 
 
 def test_symplectic_newton_agrees_with_fixed_point():
+    # the J = I sweep against Newton on a J the group record supplies,
+    # here central differences of the residual map
     group = so3_cotangent_group()
+
+    def jacobian(g0, mu0, h, theta, x):
+        G = _symplectic_residual_map(group, _free_rigid_body, g0, mu0, h, theta)
+        return np.array([(G(x + e) - G(x - e)) / 2e-6 for e in 1e-6 * np.eye(6)]).T
+
     g0, mu0 = np.eye(3), np.array([0.4, -1.0, 0.7])
     g_a, mu_a = symplectic_step(group, _free_rigid_body, g0, mu0, 0.02, 0.3)
     g_b, mu_b = symplectic_step(
-        group, _free_rigid_body, g0, mu0, 0.02, 0.3, SolveConfig(method="newton")
+        replace(group, jacobian=jacobian), _free_rigid_body, g0, mu0, 0.02, 0.3
     )
     np.testing.assert_allclose(g_a, g_b, atol=1e-11)
     np.testing.assert_allclose(mu_a, mu_b, atol=1e-11)
@@ -630,30 +661,17 @@ def test_so3r3_group_matches_numpy_reference():
         close(group.dexp_star(u, mu), ref.dexp_star(u, mu))
 
 
-def _free_rigid_body_r3(g, mu):
-    """The free body on (SO(3) x R^3) x dual; the translational part is still."""
-    omega, torque = _free_rigid_body(g[0], mu[:3])
-    return np.concatenate([omega, np.zeros(3)]), np.concatenate([torque, np.zeros(3)])
-
-
-@pytest.mark.parametrize("method", ["fixed-point", "newton"])
-@pytest.mark.parametrize(
-    "group, field, g0, mu0",
-    [(so3_cotangent_group(), _free_rigid_body, exp_so3([0.3, -0.2, 0.9]),
-      np.array([0.4, -1.0, 0.7])),
-     (so3r3_cotangent_group(), _free_rigid_body_r3, (exp_so3([0.3, -0.2, 0.9]), np.ones(3)),
-      np.array([0.4, -1.0, 0.7, 0.0, 0.0, 0.0]))],
-    ids=["so3", "so3r3"],
-)
-def test_symplectic_step_accepts_a_field_returning_lists(method, group, field, g0, mu0):
+@pytest.mark.parametrize("group, field, g0, mu0", _STEP_CASES, ids=_STEP_IDS)
+def test_symplectic_step_accepts_a_field_returning_lists(group, field, g0, mu0):
     def as_lists(g, mu):
         return tuple(a.tolist() for a in field(g, mu))
 
     def flat(g):
         return np.concatenate([np.ravel(a) for a in (g if isinstance(g, tuple) else (g,))])
 
-    solve = SolveConfig(method=method)
-    g1, mu1 = symplectic_step(group, as_lists, g0, mu0, 0.05, 0.5, solve)
-    g2, mu2 = symplectic_step(group, field, g0, mu0, 0.05, 0.5, solve)
+    # h = 0.01: the heavy tops' benchmark step; at 0.05 the fast top
+    # leaves the exp branch
+    g1, mu1 = symplectic_step(group, as_lists, g0, mu0, 0.01, 0.5)
+    g2, mu2 = symplectic_step(group, field, g0, mu0, 0.01, 0.5)
     np.testing.assert_array_equal(flat(g1), flat(g2))
     np.testing.assert_array_equal(mu1, mu2)
