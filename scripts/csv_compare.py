@@ -12,9 +12,11 @@ numeric cells and metadata values with the file and column where it
 occurs (``invariants:energy``, or ``steps:# tol`` for a metadata
 value), whether the row counts match and,
 for adaptive runs, whether the accept flags match.  A converge case
-also prints both fitted slopes.  The exit status is 0 when every case
-is byte-identical and 1 otherwise, so a refactor's byte-identity check
-is this one command.
+also prints both fitted slopes.  The line ends with the kinds of file
+that differ (trajectory, invariants, steps or orders), and the output
+with a count, per kind, of the files that are byte-identical.  The exit
+status is 0 when every case is byte-identical and 1 otherwise, so a
+refactor's byte-identity check is this one command.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent
@@ -90,14 +93,23 @@ def _rel(old: str, new: str) -> float:
     return d if math.isfinite(d) else math.inf
 
 
+def _kind(path) -> str:
+    return Path(path).stem.rsplit(".", 1)[-1]  # case0.invariants -> invariants
+
+
+def identical_files(old_paths, new_paths):
+    """[(kind, whether the two files are byte-identical)] for a case's files."""
+    return [(_kind(a), Path(a).read_bytes() == Path(b).read_bytes())
+            for a, b in zip(old_paths, new_paths)]
+
+
 def compare_case(old_paths, new_paths):
     """One summary line for a case's files."""
-    old_bytes = [Path(p).read_bytes() for p in old_paths]
-    new_bytes = [Path(p).read_bytes() for p in new_paths]
-    if old_bytes == new_bytes:
-        return "byte-identical"
     if [Path(p).suffixes for p in old_paths] != [Path(p).suffixes for p in new_paths]:
         return "different files written"
+    differ = [kind for kind, same in identical_files(old_paths, new_paths) if not same]
+    if not differ:
+        return "byte-identical"
     worst, where, rows_match, flags_match, slopes = 0.0, None, True, True, None
     for old_path, new_path in zip(old_paths, new_paths):
         om, oh, orows = _parse(old_path)
@@ -107,7 +119,7 @@ def compare_case(old_paths, new_paths):
         for orow, nrow in zip(orows, nrows):
             rows_match &= len(orow) == len(nrow)
             cells += zip(oh, orow, nrow)
-        kind = Path(old_path).stem.rsplit(".", 1)[-1]  # case0.invariants -> invariants
+        kind = _kind(old_path)
         for column, a, b in cells:
             d = _rel(a, b)
             if d > worst:
@@ -122,7 +134,7 @@ def compare_case(old_paths, new_paths):
             f"accept flags {'match' if flags_match else 'DIFFER'}")
     if slopes is not None:
         line += f", fitted slope {slopes[0]:.6g} -> {slopes[1]:.6g}"
-    return line
+    return f"{line}; differ: {' '.join(differ)}"
 
 
 def main(argv=None) -> int:
@@ -134,11 +146,16 @@ def main(argv=None) -> int:
         new_cases = run_cases(args[1], new_out)
         if [c[0] for c in old_cases] != [c[0] for c in new_cases]:
             sys.exit("the two trees ran different case lists")
-        identical = True
+        identical, files, same = True, Counter(), Counter()
         for i, ((label, old_paths), (_, new_paths)) in enumerate(zip(old_cases, new_cases)):
             line = compare_case(old_paths, new_paths)
             identical &= line == "byte-identical"
             print(f"{i:3d} {label:40s} {line}")
+            for kind, equal in identical_files(old_paths, new_paths):
+                files[kind] += 1
+                same[kind] += equal
+        counts = ", ".join(f"{kind} {same[kind]}/{n}" for kind, n in files.items())
+        print(f"byte-identical files: {counts}")
     return 0 if identical else 1
 
 

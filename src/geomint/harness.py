@@ -211,8 +211,8 @@ def _emit_trajectory(cfg, system, ts, ys, hs, out_base) -> List[str]:
     rows = [[t, h, *y] for t, h, y in zip(ts.tolist(), hs.tolist(), ys.tolist())]
     _write_csv(traj, cfg, ["t", "h"] + [f"x{i}" for i in range(ys.shape[1])], rows)
     names = list(system.invariants)
-    rows = [[t] + [float(system.invariants[n](y)) for n in names] for t, y in zip(ts.tolist(), ys)]
-    _write_csv(inv, cfg, ["t"] + names, rows)
+    table = np.column_stack([ts] + [system.invariants[n](ys) for n in names])
+    _write_csv(inv, cfg, ["t"] + names, table.tolist())
     return [traj, inv]
 
 

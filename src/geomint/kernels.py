@@ -21,7 +21,7 @@ class SingularMatrixError(np.linalg.LinAlgError):
 
 def cross(a, b):
     """Cross product of two 3-vectors (faster than np.cross for scalars);
-    on ``(3, n)`` arrays it crosses column by column."""
+    on ``(3, ...)`` arrays it crosses along the first axis."""
     return np.array(
         [
             a[1] * b[2] - a[2] * b[1],
@@ -29,6 +29,13 @@ def cross(a, b):
             a[0] * b[1] - a[1] * b[0],
         ]
     )
+
+
+def _dot(a, b):
+    """a . b over the last axis of arrays of vectors, each row rounded as
+    the 1-D ``a @ b`` is (one BLAS dot), which ``np.sum(a * b, -1)`` is not;
+    a scalar for two vectors."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0][()]
 
 
 def _cross(u, v):

@@ -27,7 +27,6 @@ __all__ = [
     "hat",
     "exp_so3",
     "exp_se3",
-    "se3_bracket",
     "dexpinv_so3",
     "dexpinv_se3",
     "dexp_star_so3",
@@ -232,12 +231,8 @@ def _exp_se3(v):
     )
 
 
-def se3_bracket(x, y):
-    return np.array(_se3_bracket(_floats(x), _floats(y)))
-
-
 def _se3_bracket(x, y):
-    """se3_bracket of six and six floats, as six floats."""
+    """The se(3) bracket of six and six floats, as six floats."""
     A, a, B, b = x[:3], x[3:], y[:3], y[3:]
     p, q = _cross(A, b), _cross(B, a)
     return (*_cross(A, B), p[0] - q[0], p[1] - q[1], p[2] - q[2])

@@ -11,6 +11,7 @@ import numpy as np
 
 from ..actions import HomogeneousAction
 from ..integrators import CotangentGroup, SolveConfig, symplectic_step
+from ..kernels import _dot
 
 __all__ = [
     "System",
@@ -35,50 +36,50 @@ class CotangentForm:
 
 @dataclass(frozen=True)
 class System:
+    """Each of the named ``invariants`` maps an array of states over its
+    leading axes: one state to a scalar, a whole trajectory to a column."""
+
     name: str
     action: HomogeneousAction
     field: Callable[[np.ndarray], np.ndarray]
     initial: np.ndarray
-    invariants: Mapping[str, Callable[[np.ndarray], float]]
+    invariants: Mapping[str, Callable[[np.ndarray], np.ndarray]]
     cotangent: Optional[CotangentForm] = None
 
     @property
-    def energy(self) -> Callable[[np.ndarray], float]:
+    def energy(self) -> Callable[[np.ndarray], np.ndarray]:
         """The ``"energy"`` invariant, which every system has."""
         return self.invariants["energy"]
 
 
-def _largest(errors: list) -> float:
-    """The largest of the non-negative ``errors``, or NaN when one is NaN.
-    The builtin max keeps a NaN only when it comes first; a sum of
-    non-negative floats is NaN exactly when one of them is."""
-    total = sum(errors)
-    return max(errors) if total == total else total
-
-
-def _rotation_error(*starts) -> Callable[[np.ndarray], float]:
+def _rotation_error(*starts) -> Callable[[np.ndarray], np.ndarray]:
     """The largest |R^T R - I| over the 3x3 blocks stored row by row from
-    each of ``starts``."""
+    each of ``starts``; NaN when any block holds a NaN."""
 
     def error(m):
-        errors = []
-        for i in starts:
-            R = m[i:i + 9].reshape(3, 3)
-            errors.append(float(np.linalg.norm(R.T @ R - np.eye(3))))
-        return _largest(errors)
+        R = np.stack([m[..., i:i + 9].reshape(m.shape[:-1] + (3, 3)) for i in starts], axis=-3)
+        E = (np.swapaxes(R, -1, -2) @ R - np.eye(3)).reshape(R.shape[:-2] + (9,))
+        return np.sqrt(_dot(E, E)).max(axis=-1)
 
     return error
 
 
-def _ts2_errors(start: int, n: int) -> Dict[str, Callable[[np.ndarray], float]]:
+def _ts2_errors(start: int, n: int) -> Dict[str, Callable[[np.ndarray], np.ndarray]]:
     """The largest ||q| - 1| and |q . w| over ``n`` links (q, w) of six
     entries each, laid end to end from ``start``."""
-    links = [(slice(i, i + 3), slice(i + 3, i + 6)) for i in range(start, start + 6 * n, 6)]
-    return {
-        "max_q_norm_error":
-            lambda m: _largest([abs(float(np.linalg.norm(m[q])) - 1.0) for q, _ in links]),
-        "max_tangency_error": lambda m: _largest([abs(float(m[q] @ m[w])) for q, w in links]),
-    }
+
+    def links(m):
+        return m[..., start:start + 6 * n].reshape(m.shape[:-1] + (n, 6))
+
+    def q_norm_error(m):
+        q = links(m)[..., :3]
+        return np.abs(np.sqrt(_dot(q, q)) - 1.0).max(axis=-1)
+
+    def tangency_error(m):
+        qw = links(m)
+        return np.abs(_dot(qw[..., :3], qw[..., 3:])).max(axis=-1)
+
+    return {"max_q_norm_error": q_norm_error, "max_tangency_error": tangency_error}
 
 
 def symplectic_integrate(

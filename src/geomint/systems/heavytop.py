@@ -34,7 +34,7 @@ from ..actions import (
     ext_top_action,
 )
 from ..integrators import so3_cotangent_group, so3r3_cotangent_group
-from ..kernels import _product, _times, _times_hat, _transpose, cross
+from ..kernels import _dot, _product, _times, _times_hat, _transpose, cross
 from ..lie import _dexp_matrix, _dexp_star_jacobian, _exp_so3
 
 __all__ = [
@@ -128,10 +128,17 @@ def heavytop_body_f(params: HeavyTopParams, m: np.ndarray) -> np.ndarray:
     )
 
 
-def body_energy(params: HeavyTopParams, m: np.ndarray) -> float:
+def _transpose_times(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Q^T v for Q stored row by row in the first nine entries of m, over
+    the leading axes of m and v."""
+    Q = m[..., :9].reshape(m.shape[:-1] + (3, 3))
+    return (np.swapaxes(Q, -1, -2) @ v[..., None])[..., 0]
+
+
+def body_energy(params: HeavyTopParams, m: np.ndarray) -> np.ndarray:
     """The Lie--Poisson energy at (Pi, Q^T Gamma0)."""
-    Q = m[:9].reshape(3, 3)
-    return liepoisson_energy(params, np.concatenate([m[9:12], Q.T @ params.g0]))
+    return liepoisson_energy(
+        params, np.concatenate([m[..., 9:12], _transpose_times(m, params.g0)], axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +175,9 @@ def heavytop_spatial_f_pair(params: HeavyTopParams):
     return f
 
 
-def spatial_energy(params: HeavyTopParams, m: np.ndarray) -> float:
-    Q = m[:9].reshape(3, 3)
-    return body_energy(params, np.concatenate([m[:9], Q.T @ m[9:12]]))
+def spatial_energy(params: HeavyTopParams, m: np.ndarray) -> np.ndarray:
+    return body_energy(
+        params, np.concatenate([m[..., :9], _transpose_times(m, m[..., 9:12])], axis=-1))
 
 
 def pack_spatial(g, mu) -> np.ndarray:
@@ -196,11 +203,9 @@ def heavytop_liepoisson_f(params: HeavyTopParams, mu: np.ndarray) -> np.ndarray:
     return np.concatenate([-params.inertia_inv * mu[:3], -params.mgl * params.chi])
 
 
-def liepoisson_energy(params: HeavyTopParams, mu: np.ndarray) -> float:
-    Pi, gamma = mu[:3], mu[3:6]
-    return 0.5 * float(Pi @ (params.inertia_inv * Pi)) + params.mgl * float(
-        gamma @ params.chi
-    )
+def liepoisson_energy(params: HeavyTopParams, mu: np.ndarray) -> np.ndarray:
+    Pi, gamma = mu[..., :3], mu[..., 3:6]
+    return 0.5 * _dot(Pi, params.inertia_inv * Pi) + params.mgl * _dot(gamma, params.chi)
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +239,10 @@ def _ext_field(pair, m: np.ndarray) -> np.ndarray:
     return np.concatenate([f1[:3], f2, f1[3:]])
 
 
-def ext_energy(params: HeavyTopParams, m: np.ndarray) -> float:
-    Q = m[:9].reshape(3, 3)
-    pi, p = m[9:12], m[12:15]
-    Pi = Q.T @ pi
-    r = p - Q.T @ params.g0
-    return (
-        0.5 * float(Pi @ (params.inertia_inv * Pi))
-        + 0.5 * float(r @ r)
-        - 0.5 * float(params.g0 @ params.g0)
-    )
+def ext_energy(params: HeavyTopParams, m: np.ndarray) -> np.ndarray:
+    Pi = _transpose_times(m, m[..., 9:12])
+    r = m[..., 12:15] - _transpose_times(m, params.g0)
+    return 0.5 * (_dot(Pi, params.inertia_inv * Pi) + _dot(r, r) - float(params.g0 @ params.g0))
 
 
 def pack_ext(g, mu) -> np.ndarray:
@@ -409,7 +408,7 @@ def build_spatial(params: HeavyTopParams):
         invariants={
             "energy": lambda m: spatial_energy(params, m),
             "orthogonality": _rotation_error(0),
-            "gamma0_dot_pi": lambda m: float(g0 @ m[9:12]),
+            "gamma0_dot_pi": lambda m: _dot(g0, m[..., 9:12]),
         },
         cotangent=CotangentForm(
             group=replace(so3_cotangent_group(), jacobian=_spatial_jacobian(params)),
@@ -430,8 +429,8 @@ def build_liepoisson(params: HeavyTopParams):
         initial=initial,
         invariants={
             "energy": lambda mu: liepoisson_energy(params, mu),
-            "gamma_norm": lambda mu: float(np.linalg.norm(mu[3:6])),
-            "pi_dot_gamma": lambda mu: float(mu[:3] @ mu[3:6]),
+            "gamma_norm": lambda mu: np.sqrt(_dot(mu[..., 3:6], mu[..., 3:6])),
+            "pi_dot_gamma": lambda mu: _dot(mu[..., :3], mu[..., 3:6]),
         },
     )
 
@@ -449,8 +448,8 @@ def build_ext(params: HeavyTopParams):
         invariants={
             "energy": lambda m: ext_energy(params, m),
             "orthogonality": _rotation_error(0),
-            "p_norm": lambda m: float(np.linalg.norm(m[12:15])),
-            "gamma0_dot_pi": lambda m: float(g0 @ m[9:12]),
+            "p_norm": lambda m: np.sqrt(_dot(m[..., 12:15], m[..., 12:15])),
+            "gamma0_dot_pi": lambda m: _dot(g0, m[..., 9:12]),
         },
         cotangent=CotangentForm(
             group=replace(so3r3_cotangent_group(), jacobian=_ext_jacobian(params)),

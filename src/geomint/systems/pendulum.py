@@ -27,8 +27,8 @@ u = K (lambda q) - K p, and the constraints q_i . u_i = 0 are the
 tridiagonal system sum_j K_ij (q_i . q_j) lambda_j = q_i . (K p)_i,
 symmetric positive definite by the Schur product theorem and solved by
 the Thomas algorithm without pivoting.  The field thus costs O(N) on
-Python floats, as does the kinetic energy
-1/2 sum_k m_k |sum_{i <= k} L_i q_i x omega_i|^2, one pass down the chain.
+Python floats; the kinetic energy
+1/2 sum_k m_k |sum_{i <= k} L_i q_i x omega_i|^2 is a running sum down the chain.
 """
 
 from __future__ import annotations
@@ -165,11 +165,14 @@ def pendulum_rhs(params: PendulumParams, q: np.ndarray, w: np.ndarray) -> np.nda
     return cross(q.T, pull.T).T.ravel()
 
 
+def _check_length(params: PendulumParams, d: int) -> None:
+    if d != 6 * params.n:
+        raise ValueError(f"a {params.n}-link pendulum state has {6 * params.n} entries, got {d}")
+
+
 def _links(params: PendulumParams, s: list):
     """The links (q_i, omega_i) of the state's floats, six to a tuple."""
-    if len(s) != 6 * params.n:
-        raise ValueError(f"a {params.n}-link pendulum state has {6 * params.n} entries, "
-                         f"got {len(s)}")
+    _check_length(params, len(s))
     entries = iter(s)
     return list(zip(*[entries] * 6))
 
@@ -229,19 +232,18 @@ def pendulum_f(params: PendulumParams, state: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
-def pendulum_energy(params: PendulumParams, state: np.ndarray) -> float:
+def pendulum_energy(params: PendulumParams, state: np.ndarray) -> np.ndarray:
     """Kinetic 1/2 sum_k m_k |sum_{i <= k} L_i q_i x omega_i|^2, the link
-    velocities summed down the chain, plus potential sum_i weight_i q_i,z."""
-    masses, L, weight = params._chain
-    vx = vy = vz = kinetic = potential = 0.0
-    links = _links(params, state.tolist())
-    for m, l, g, (x, y, z, a, b, c) in zip(masses, L, weight, links):
-        vx += l * (y * c - z * b)
-        vy += l * (z * a - x * c)
-        vz += l * (x * b - y * a)
-        kinetic += m * (vx * vx + vy * vy + vz * vz)
-        potential += g * z
-    return 0.5 * kinetic + potential
+    velocities summed down the chain, plus potential sum_i weight_i q_i,z,
+    over the state's leading axes."""
+    _check_length(params, state.shape[-1])
+    links = state.reshape(state.shape[:-1] + (params.n, 6))
+    q = links[..., :3]
+    # running sums down the chain, the last of each being the total
+    v = np.cumsum(np.asarray(params.lengths)[:, None] * cross(q.T, links[..., 3:].T).T, axis=-2)
+    kinetic = np.cumsum(np.asarray(params.masses) * np.sum(v * v, axis=-1), axis=-1)
+    potential = np.cumsum(params._weight * q[..., 2], axis=-1)
+    return 0.5 * kinetic[..., -1] + potential[..., -1]
 
 
 def build_pendulum(params: PendulumParams):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import System, _rotation_error, _ts2_errors
 from ..actions import quadrotor_action
-from ..kernels import SingularMatrixError, _cross, _times, cross
+from ..kernels import SingularMatrixError, _cross, _dot, _times, cross
 from ..lie import hat
 
 __all__ = [
@@ -197,25 +197,19 @@ def quadrotor_f(params: QuadrotorParams, controls: Controls, t, state) -> np.nda
     ])
 
 
-def quadrotor_energy(params: QuadrotorParams, state: np.ndarray) -> float:
-    """Total energy T + U; conserved along the zero-control flow."""
-    v = state[_V]
-    y = state[_Y]
-    m1, m2 = params.masses
-    L1, L2 = params.lengths
-    J1, J2 = params.inertias
-    my = params.payload_mass
-    g = params.gravity
-
-    kinetic = 0.5 * my * float(v @ v)
-    potential = -my * g * float(_E3 @ y)
-    for m, L, J, q, w, O in (
-        (m1, L1, J1, state[_Q1], state[_W1], state[_O1]),
-        (m2, L2, J2, state[_Q2], state[_W2], state[_O2]),
-    ):
-        vi = v - L * cross(w, q)
-        kinetic += 0.5 * m * float(vi @ vi) + 0.5 * float(O @ (J @ O))
-        potential -= m * g * float(_E3 @ (y - L * q))
+def quadrotor_energy(params: QuadrotorParams, state: np.ndarray) -> np.ndarray:
+    """Total energy T + U over the state's leading axes; conserved along
+    the zero-control flow."""
+    v, height = state[..., _V], state[..., _Y.start + 2]
+    my, g = params.payload_mass, params.gravity
+    kinetic = 0.5 * my * _dot(v, v)
+    potential = -my * g * height
+    links = ((_Q1, _W1, _O1, params.inertia1), (_Q2, _W2, _O2, params.inertia2))
+    for m, L, (q, w, O, J) in zip(params.masses, params.lengths, links):
+        q, w, O = state[..., q], state[..., w], state[..., O]
+        vi = v - L * cross(w.T, q.T).T
+        kinetic += 0.5 * m * _dot(vi, vi) + 0.5 * _dot(O, np.asarray(J) * O)
+        potential -= m * g * (height - L * q[..., 2])
     return kinetic + potential
 
 

@@ -16,7 +16,14 @@ import numpy as np
 
 from geomint.actions import HomogeneousAction
 from geomint.kernels import cross
-from geomint.lie import dexpinv_so3, exp_so3, hat, se3_bracket
+from geomint.lie import dexpinv_so3, exp_so3, hat
+
+
+def se3_bracket(x, y):
+    """[(A, a), (B, b)] = (A x B, A x b - B x a) on flat se(3) vectors."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return np.concatenate([cross(x[:3], y[:3]), cross(x[:3], y[3:]) - cross(y[:3], x[3:])])
 
 
 def ad_bracket(x, y):

@@ -588,3 +588,6 @@ def test_csv_compare_names_the_file_and_column_of_the_largest_difference(tmp_pat
             path.write_text(text)
     line = compare_case(paths["old"], paths["new"])
     assert line.startswith("max rel diff 2.0e-16 at invariants:max_q_norm_error, rows match")
+    assert line.endswith("; differ: invariants")
+    identical = _load_script("csv_compare").identical_files(paths["old"], paths["new"])
+    assert identical == [("trajectory", True), ("invariants", False)]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from _reference import dexpinv_series
+from _reference import dexpinv_series, se3_bracket
 from geomint.kernels import cross
 from geomint.lie import (
     BranchError,
@@ -13,13 +13,13 @@ from geomint.lie import (
     _dexp_slopes,
     _dexp_star,
     _dexp_star_jacobian,
+    _se3_bracket,
     dexp_star_so3,
     dexpinv_se3,
     dexpinv_so3,
     exp_se3,
     exp_so3,
     hat,
-    se3_bracket,
 )
 
 rng = np.random.default_rng(42)
@@ -223,6 +223,7 @@ def test_se3_bracket_matches_matrix_commutator():
     x, y = rng.normal(size=6), rng.normal(size=6)
     M = _homogeneous(x) @ _homogeneous(y) - _homogeneous(y) @ _homogeneous(x)
     np.testing.assert_allclose(_homogeneous(se3_bracket(x, y)), M, atol=1e-13)
+    np.testing.assert_allclose(_se3_bracket(x.tolist(), y.tolist()), se3_bracket(x, y), atol=1e-15)
 
 
 # -- dexp / dexpinv ----------------------------------------------------------

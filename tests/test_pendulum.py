@@ -344,6 +344,28 @@ def test_energy_equals_the_dense_quadratic_form(n):
         assert abs(energy - (kinetic + potential)) <= 1e-14 * (abs(kinetic) + abs(potential))
 
 
+def _loop_energy(params, state):
+    """The energy as one pass down the chain, link by link on floats."""
+    vx = vy = vz = kinetic = potential = 0.0
+    links = state.reshape(params.n, 6).tolist()
+    for m, L, g, (x, y, z, a, b, c) in zip(
+        params.masses, params.lengths, params._weight.tolist(), links
+    ):
+        vx += L * (y * c - z * b)
+        vy += L * (z * a - x * c)
+        vz += L * (x * b - y * a)
+        kinetic += m * (vx * vx + vy * vy + vz * vz)
+        potential += g * z
+    return 0.5 * kinetic + potential
+
+
+@pytest.mark.parametrize("n", [1, 3, 10, 40])
+def test_energy_of_a_stack_equals_the_per_link_loop_bit_for_bit(n):
+    p = _unequal_params(n)
+    states = np.array([np.hstack(_random_links(n)).ravel() for _ in range(5)])
+    np.testing.assert_array_equal(pendulum_energy(p, states), [_loop_energy(p, s) for s in states])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("entry", [4, 14])  # omega_1 and q_3 of a 3-link chain
 def test_field_rejects_a_non_finite_state(bad, entry):
