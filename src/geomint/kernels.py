@@ -1,22 +1,18 @@
-"""Small dense linear algebra shared by every other module.
-
-Vectors and matrices are plain float64 numpy arrays: ``Vec3`` is shape
-``(3,)``, ``Mat3`` is shape ``(3, 3)``.  :func:`solve_dense` calls
-LAPACK's ``dgetrf`` and ``dgetrs`` directly, the routines behind
-``scipy.linalg.lu_factor`` and ``lu_solve``.
+"""The float helpers shared by the other modules, and the one dense
+solve, on numpy alone.  Arrays are plain float64 numpy arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lapack
 
 __all__ = ["SingularMatrixError", "cross", "solve_dense"]
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
-    """Raised when a pivot falls below the relative singularity threshold,
-    or when the matrix, or the state a system solves at, is not finite."""
+    """Raised when a matrix's condition number ``||A||_F ||A^-1||_F`` is not
+    below ``1e12``, or when the matrix, or the state a system solves at, is
+    not finite."""
 
 
 def cross(a, b):
@@ -80,18 +76,19 @@ def _times(rows, v1, v2, v3):
 
 
 def solve_dense(A, b):
-    """Solve ``A x = b`` for a square float ndarray ``A`` by LU with
-    partial pivoting.  Raises :class:`SingularMatrixError` when ``A`` is
-    zero or not finite, or a pivot magnitude drops below ``1e-13 * ||A||``.
+    """Solve ``A x = b`` for a square float ndarray ``A`` as ``A^-1 b``.
+    Raises :class:`SingularMatrixError` unless ``A`` is finite and
+    invertible with ``||A||_F ||A^-1||_F < 1e12``.  For ``n <= 12`` that
+    rejects every matrix whose smallest LU pivot is below ``1e-13 ||A||_F``.
     """
-    scale = np.linalg.norm(A)
-    # dgetrf's info flags an exactly zero pivot; the check below covers it
-    lu, piv, _ = lapack.dgetrf(A)
-    pivots = np.abs(np.diag(lu))
-    # written so that a NaN norm or pivot fails it
-    if not (0.0 < scale < np.inf and np.min(pivots) >= 1e-13 * scale):
+    try:
+        A_inv = np.linalg.inv(A)
+        cond = np.linalg.norm(A) * np.linalg.norm(A_inv)
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    # written so that a NaN condition number fails it
+    if not cond < 1e12:
         raise SingularMatrixError(
-            f"matrix numerically singular or not finite: "
-            f"min pivot {np.min(pivots):.3e}, norm {scale:.3e}"
+            f"matrix numerically singular or not finite: condition number {cond:.3e}"
         )
-    return lapack.dgetrs(lu, piv, b)[0]
+    return A_inv @ b

@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -515,16 +516,48 @@ def test_cli_missing_output_path_fails(capsys):
     assert rc == 1
 
 
-def test_importing_the_harness_leaves_scipy_optimize_unloaded():
+_NO_SCIPY_RUN = """
+import sys
+import geomint.cli, geomint.harness
+from geomint.integrators import symplectic_step
+from geomint.systems import SYSTEM_IDS, get_system
+systems = {name: get_system(name) for name in SYSTEM_IDS}
+top = systems["heavytop-ext"]
+symplectic_step(top.cotangent.group, top.cotangent.f, *top.cotangent.unpack(top.initial),
+                0.01, 0.5)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_the_harness_cli_systems_and_implicit_step_load_no_scipy():
     # a fresh interpreter: other tests import scipy modules into this one
     src = str(Path(geomint.__file__).resolve().parents[1])
-    code = "import sys, geomint.harness; print('scipy.optimize' in sys.modules)"
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", _NO_SCIPY_RUN], env=env, capture_output=True, text=True,
+        check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+def test_runtime_dependencies_are_exactly_the_third_party_imports():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    declared = {
+        re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0].lower()
+        for dep in project["dependencies"]
+    }
+    imported = set()
+    for path in (root / "src" / "geomint").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"geomint"}
+    assert third_party == declared
 
 
 def test_perfbench_imports_resolve():

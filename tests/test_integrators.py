@@ -599,6 +599,18 @@ def test_symplectic_newton_agrees_with_fixed_point():
     np.testing.assert_allclose(mu_a, mu_b, atol=1e-11)
 
 
+@pytest.mark.parametrize("last_pivot", [0.0, 1e-14], ids=["singular", "near-singular"])
+def test_symplectic_singular_jacobian_does_not_converge(last_pivot):
+    # dG = I - J for J = diag(1, ..., 1, last_pivot)
+    def jacobian(g0, mu0, h, theta, x):
+        return np.diag([0.0] * 5 + [1.0 - last_pivot])
+
+    group = replace(so3_cotangent_group(), jacobian=jacobian)
+    with pytest.raises(NonConvergenceError, match="Jacobian is singular"):
+        symplectic_step(group, _free_rigid_body, np.eye(3), np.array([0.4, -1.0, 0.7]),
+                        0.02, 0.5)
+
+
 def test_symplectic_conserves_free_energy():
     group = so3_cotangent_group()
     g, mu = np.eye(3), np.array([0.4, -1.0, 0.7])
