@@ -76,14 +76,17 @@ def _times(rows, v1, v2, v3):
 
 
 def solve_dense(A, b):
-    """Solve ``A x = b`` for a square float ndarray ``A`` as ``A^-1 b``.
-    Raises :class:`SingularMatrixError` unless ``A`` is finite and
-    invertible with ``||A||_F ||A^-1||_F < 1e12``.  For ``n <= 12`` that
-    rejects every matrix whose smallest LU pivot is below ``1e-13 ||A||_F``.
-    """
+    """Solve ``A x = b`` for a square float ndarray ``A`` by numpy's LU
+    solve, solving for ``A^-1`` on the same factors.  Raises
+    :class:`SingularMatrixError` unless ``A`` is finite with
+    ``||A||_F ||A^-1||_F < 1e12``.  For ``n <= 12`` this condition-number
+    rule rejects every matrix whose smallest LU pivot is below
+    ``1e-13 ||A||_F``; it also rejects some with no small pivot, more so
+    as ``n`` grows."""
+    n = len(A)
     try:
-        A_inv = np.linalg.inv(A)
-        cond = np.linalg.norm(A) * np.linalg.norm(A_inv)
+        X = np.linalg.solve(A, np.column_stack((b, np.eye(n))))
+        cond = np.linalg.norm(A) * np.linalg.norm(X[:, -n:])
     except np.linalg.LinAlgError:
         cond = np.inf
     # written so that a NaN condition number fails it
@@ -91,4 +94,4 @@ def solve_dense(A, b):
         raise SingularMatrixError(
             f"matrix numerically singular or not finite: condition number {cond:.3e}"
         )
-    return A_inv @ b
+    return X[:, :-n].reshape(np.shape(b))

@@ -29,17 +29,32 @@ def test_cross_basis():
     np.testing.assert_array_equal(cross(e[2], e[0]), e[1])
 
 
-@pytest.mark.parametrize("n", [3, 9, 12, 18, 24])
-def test_solve_dense_matches_numpy(n):
+def _first_system():
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(9, 9)) + 9 * np.eye(9)
+    return [(A, rng.normal(size=9))]
+
+
+def _random_systems(n):
+    """20 seeded n x n matrices, each with a vector, I and an n x 2 block."""
     rng = np.random.default_rng(n)
+    systems = []
     for _ in range(20):
         A = rng.normal(size=(n, n)) + np.sqrt(n) * np.eye(n)
-        for b in (rng.normal(size=n), np.eye(n), rng.normal(size=(n, 2))):
-            got, ref = solve_dense(A, b), np.linalg.solve(A, b)
-            assert got.shape == b.shape
-            # A^-1 b and LU round differently; a component near zero is
-            # held to 1e-12 of the largest one
-            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        systems += [(A, b) for b in (rng.normal(size=n), np.eye(n), rng.normal(size=(n, 2)))]
+    return systems
+
+
+@pytest.mark.parametrize(
+    "systems",
+    [_first_system(), *map(_random_systems, [3, 9, 12, 18, 24])],
+    ids=["9x9-seed3", "n3", "n9", "n12", "n18", "n24"],
+)
+def test_solve_dense_matches_numpy(systems):
+    for A, b in systems:
+        got = solve_dense(A, b)
+        assert got.shape == b.shape
+        np.testing.assert_allclose(got, np.linalg.solve(A, b), rtol=1e-12)
 
 
 def test_solve_dense_singular_raises():
