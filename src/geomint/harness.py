@@ -208,7 +208,7 @@ def _write_csv(path, cfg: RunConfig, header: Sequence[str], rows, meta=()) -> No
 
 def _emit_trajectory(cfg, system, ts, ys, hs, out_base) -> List[str]:
     traj, inv = out_base + ".trajectory.csv", out_base + ".invariants.csv"
-    rows = [[t, h, *y] for t, h, y in zip(ts.tolist(), hs.tolist(), ys.tolist())]
+    rows = np.column_stack([ts, hs, ys]).tolist()
     _write_csv(traj, cfg, ["t", "h"] + [f"x{i}" for i in range(ys.shape[1])], rows)
     names = list(system.invariants)
     table = np.column_stack([ts] + [system.invariants[n](ys) for n in names])

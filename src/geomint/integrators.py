@@ -8,8 +8,8 @@ step: :func:`cf_step` reads a :class:`CFScheme` table as :func:`rkmk_step`
 reads a Butcher :class:`Tableau`.  A separate implicit one-parameter
 family provides symplectic steps on right-trivialized cotangent groups
 G x g*; its nonlinear equation is solved by one simplified-Newton loop
-whose J = I - dG/dx comes from the group record's ``jacobian`` (the heavy
-tops' carry one) and is I for a group without one.
+whose J = I - dG/dx takes dG/dx from the group record's ``jacobian`` (the
+heavy tops' carry one) and dG/dx = 0 for a group without one.
 
 Every stepper is pure: ``stepper(action, f, y, h) -> StepResult`` where
 ``f`` maps a flat manifold point to a flat algebra element.
@@ -327,8 +327,9 @@ class CotangentGroup:
     ``jacobian(g0, mu0, h, theta, x)``, when given, is the exact dG/dx of
     the step's residual map G (:func:`_symplectic_residual_map`) for the
     one field the group is built with; a system attaches it with
-    ``dataclasses.replace``.  The solve takes J = I - dG/dx from it, and
-    J = I without it.
+    ``dataclasses.replace``.  The solve takes J = I - dG/dx from it; without
+    it, dG/dx = 0 and J = I, so the one Newton update is the sweep
+    x <- G(x) to rounding.
     """
 
     algebra_dim: int
@@ -416,33 +417,30 @@ def _symplectic_residual_map(group, f, g0, mu0, h, theta):
     return gmap
 
 
-def _simplified_newton(G, n: int, dG=None) -> np.ndarray:
-    """Solves x = G(x) on R^n by simplified Newton (Hairer, Lubich and
-    Wanner, GNI VIII.6): predictor x0 = G(0), J = I - dG(x0) formed once
-    there, then x <- x - J^-1 (x - G(x)) until the update is below
-    _SOLVE_TOL (1 + |x|), for at most _SOLVE_MAX_ITER iterations.  It
-    returns the last update, not G(x): near the solution the update
-    contracts the error and G may amplify it, which on the heavy top shows
-    as drift of the conserved Gamma0.pi.  Without ``dG``, J = I and the
-    update is G(x) itself."""
+def _simplified_newton(G, n: int, dG) -> np.ndarray:
+    """Solves x = G(x) on R^n by simplified Newton (Hairer, Lubich and Wanner,
+    GNI VIII.6): predictor x0 = G(0), J = I - dG(x0) formed once there, then
+    x <- x - J^-1 (x - G(x)) until the update is below _SOLVE_TOL (1 + |x|),
+    for at most _SOLVE_MAX_ITER iterations; dG = 0 gives J = I and the sweep
+    x <- G(x) to rounding.  It returns the last update, not G(x): near the
+    solution the update contracts the error and G may amplify it, which on
+    the heavy top shows as drift of the conserved Gamma0.pi."""
     x = G(np.zeros(n))
     if not np.isfinite(x).all():
         raise NonConvergenceError("implicit solve: predictor is not finite")
     gx = G(x)
-    J_inv = None
-    if dG is not None:
-        try:
-            J_inv = solve_dense(np.eye(n) - dG(x), np.eye(n))
-        except SingularMatrixError as exc:
-            raise NonConvergenceError(f"implicit solve: Jacobian is singular: {exc}") from None
+    try:
+        J_inv = solve_dense(np.eye(n) - dG(x), np.eye(n))
+    except SingularMatrixError as exc:
+        raise NonConvergenceError(f"implicit solve: Jacobian is singular: {exc}") from None
     for _ in range(_SOLVE_MAX_ITER):
         r = x - gx
-        dx = r if J_inv is None else J_inv @ r
+        dx = J_inv @ r
         if not np.isfinite(dx).all():
             raise NonConvergenceError("implicit solve: iterate is not finite")
         # sqrt(v @ v) is np.linalg.norm of a real vector
         bound = _SOLVE_TOL * (1.0 + math.sqrt(x @ x))
-        x = gx if J_inv is None else x - dx
+        x = x - dx
         if math.sqrt(dx @ dx) <= bound:
             r_norm = math.sqrt(r @ r)
             if r_norm > 100.0 * bound:
@@ -474,8 +472,8 @@ def symplectic_step(
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
     G = _symplectic_residual_map(group, f, g0, mu0, h, theta)
-    dG = None if group.jacobian is None else partial(group.jacobian, g0, mu0, h, theta)
-    x = _simplified_newton(G, 2 * group.algebra_dim, dG)
+    jacobian = group.jacobian or (lambda *args: 0.0)
+    x = _simplified_newton(G, 2 * group.algebra_dim, partial(jacobian, g0, mu0, h, theta))
     xi, nbar = x[: group.algebra_dim], x[group.algebra_dim :]
 
     g1 = group.compose(group.exp(xi), g0)
@@ -503,8 +501,8 @@ class ControllerConfig:
     theta: float = 0.9
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (0.0 < self.tol < math.inf and 0.0 < self.alpha < math.inf):  # NaN fails
+            raise ValueError("tol and alpha must be positive and finite")
         if not 0.0 < self.theta < 1.0:
             raise ValueError("safety factor must lie in (0, 1)")
 
@@ -568,6 +566,8 @@ def adaptive_integrate(
     reject reuses f(y) from the rejected one."""
     if T <= t0:
         raise ValueError("T must exceed t0")
+    if not h0 > 0.0:
+        raise ValueError(f"h0 must be positive, got {h0}")
     last = base = (None, None)
 
     def f_memo(m):

@@ -10,7 +10,7 @@ from typing import Any, Callable, Dict, Mapping, Optional
 import numpy as np
 
 from ..actions import HomogeneousAction
-from ..integrators import CotangentGroup, SolveConfig, symplectic_step
+from ..integrators import CotangentGroup, SolveConfig, StepResult, fixed_integrate, symplectic_step
 from ..kernels import _dot
 
 __all__ = [
@@ -90,22 +90,18 @@ def symplectic_integrate(
     t0: float = 0.0,
     solve: SolveConfig = SolveConfig(),
 ):
-    """Uniform-step driver for the implicit symplectic family, working on
-    the system's flat state layout; ``solve`` is unused (see
-    :class:`~geomint.integrators.SolveConfig`)."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    if system.cotangent is None:
+    """The implicit symplectic family on the shared uniform-step driver:
+    ``fixed_integrate`` to t0 + n_steps h over ``symplectic_step`` on the flat
+    state.  Each step takes ``h`` itself, which the driver's (T - t0) / n_steps
+    can miss by an ulp when t0 != 0.  ``solve`` is unused (see ``SolveConfig``)."""
+    if (ct := system.cotangent) is None:
         raise ValueError(f"system {system.name} has no cotangent formulation")
-    ct = system.cotangent
-    g, mu = ct.unpack(np.asarray(system.initial, dtype=float))
-    ys = np.empty((n_steps + 1, system.initial.shape[0]))
-    ys[0] = ct.pack(g, mu)
-    for n in range(n_steps):
-        g, mu = symplectic_step(ct.group, ct.f, g, mu, h, theta)
-        ys[n + 1] = ct.pack(g, mu)
-    ts = t0 + h * np.arange(n_steps + 1)
-    return ts, ys
+
+    def step(action, f, y, _):
+        return StepResult(ct.pack(*symplectic_step(ct.group, f, *ct.unpack(y), h, theta)))
+
+    return fixed_integrate(system.action, ct.f, step, system.initial, t0, t0 + n_steps * h,
+                           n_steps)
 
 
 # ---------------------------------------------------------------------------

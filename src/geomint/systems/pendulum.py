@@ -92,13 +92,6 @@ class PendulumParams:
         return self.tail_mass[np.maximum.outer(links, links)] * np.outer(L, L)
 
     @cached_property
-    def _off_coupling(self) -> np.ndarray:
-        """The coupling with a zero diagonal."""
-        M = self._coupling.copy()
-        np.fill_diagonal(M, 0.0)
-        return M
-
-    @cached_property
     def _weight(self) -> np.ndarray:
         """Gravity weights (sum_{k >= i} m_k) g L_i."""
         return self.tail_mass * self.gravity * np.asarray(self.lengths)
@@ -160,7 +153,7 @@ def pendulum_mass_matrix(params: PendulumParams, q: np.ndarray) -> np.ndarray:
 def pendulum_rhs(params: PendulumParams, q: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Stacked right-hand sides
     g_i = q_i x (sum_{j != i} M_ij |w_j|^2 q_j - (sum_{j >= i} m_j) g L_i e3)."""
-    pull = (params._off_coupling * np.sum(w * w, axis=1)) @ q
+    pull = (params._coupling * (1 - np.eye(params.n)) * np.sum(w * w, axis=1)) @ q
     pull[:, 2] -= params._weight
     return cross(q.T, pull.T).T.ravel()
 

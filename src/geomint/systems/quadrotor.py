@@ -59,10 +59,6 @@ class QuadrotorParams:
         if min(self.inertia1) <= 0 or min(self.inertia2) <= 0:
             raise ValueError("inertia diagonals must be positive")
 
-    @property
-    def inertias(self):
-        return np.diag(self.inertia1), np.diag(self.inertia2)
-
 
 def zero_controls(t, state):
     z = np.zeros(3)
@@ -106,7 +102,7 @@ def quadrotor_assemble(params: QuadrotorParams, controls: Controls, t, state):
     v = state[_V]
     m1, m2 = params.masses
     L1, L2 = params.lengths
-    J1, J2 = params.inertias
+    J1, J2 = np.diag(params.inertia1), np.diag(params.inertia2)
     O1, O2 = state[_O1], state[_O2]
     u1, u2, mom1, mom2 = controls(t, state)
 

@@ -8,6 +8,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -587,6 +588,31 @@ def test_perfbench_imports_resolve():
         missing += [f"{info.name}.{name}" for name in getattr(module, "__all__", ())
                     if not hasattr(module, name)]
     assert not missing
+
+
+def test_perfbench_replays_run(monkeypatch):
+    # a name can resolve while what the benchmark passes it no longer fits:
+    # run the traced driver on one shortened case per (system, method) of
+    # each workload, then call every replayed callable on its arguments
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    cases, tracing = importlib.import_module("cases"), importlib.import_module("tracing")
+    short = {}
+    for workload in cases.WORKLOADS:
+        for cfg in cases.build_cases(workload, seed=1):
+            short.setdefault((cfg.system, cfg.method), replace(cfg, t_end=cfg.t0 + 3 * cfg.h))
+    short = list(short.values())
+    tracer, systems = tracing.Tracer(), {}
+    for i, cfg in enumerate(short):
+        systems[i] = cfg.build_system()
+        tracer.start_case(i)
+        ys, steps = tracing.drive(cfg, systems[i], tracer)
+        assert steps >= 1 and np.isfinite(ys).all()
+    calls = tracing.replay_args(short, systems, tracer.samples)
+    calls.update(tracing.kernel_args(short, tracer.samples))
+    assert all(calls.values())
+    for arg_sets in calls.values():
+        for fn, args in arg_sets:
+            fn(*args)
 
 
 def _load_script(name):

@@ -346,6 +346,19 @@ def test_symplectic_integrate_rejects_fewer_than_one_step(n_steps):
         symplectic_integrate(get_system("heavytop-spatial"), 0.5, 0.01, n_steps)
 
 
+def test_symplectic_integrate_steps_by_h_itself_from_any_t0():
+    # from t0 = 1, (t0 + 70 h - t0) / 70 is h + 1 ulp at h = 0.01; the
+    # states must still be those of 70 steps of exactly h
+    system = get_system("heavytop-spatial")
+    ct = system.cotangent
+    ts, ys = symplectic_integrate(system, 0.5, 0.01, 70, t0=1.0)
+    g, mu = ct.unpack(system.initial)
+    for _ in range(70):
+        g, mu = symplectic_step(ct.group, ct.f, g, mu, 0.01, 0.5)
+    np.testing.assert_array_equal(ys[-1], ct.pack(g, mu))
+    assert ts[0] == 1.0 and ts[-1] == 1.0 + 70 * 0.01
+
+
 def _count_field_calls(system, h, n_steps):
     """Field evaluations of an implicit midpoint run on ``system``."""
     ct, calls = system.cotangent, []

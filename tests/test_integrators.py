@@ -383,6 +383,19 @@ def test_controller_config_validation():
         ControllerConfig(tol=1e-6, alpha=0.25, theta=1.5)
 
 
+@pytest.mark.parametrize("tol, alpha, h0", [
+    (np.nan, 0.2, 0.1), (np.inf, 0.2, 0.1),
+    (1e-6, np.nan, 0.1), (1e-6, -1.0, 0.1), (1e-6, 0.0, 0.1), (1e-6, np.inf, 0.1),
+    (1e-6, 0.2, -0.01), (1e-6, 0.2, 0.0), (1e-6, 0.2, np.nan),
+])
+def test_adaptive_settings_are_checked_at_the_call(tol, alpha, h0):
+    # the interval is short so that, unchecked, each setting ends at once
+    # (in rejections, an underflow or at T) instead of stepping at the floor
+    with pytest.raises(ValueError, match="must be positive"):
+        adaptive_integrate(ACTION2, _linear_field, RKMK54, Y0, 0.0, 0.01, h0,
+                           ControllerConfig(tol=tol, alpha=alpha))
+
+
 # -- drivers ------------------------------------------------------------------
 
 
