@@ -193,16 +193,14 @@ def parse_config(
 # CSV emission
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.16e}"
-
-
-def _write_csv(path, cfg: RunConfig, header: Sequence[str], rows, meta=()) -> None:
-    """Echoes the config, then the extra ``(key, value)`` metadata."""
+def _write_csv(path, cfg: RunConfig, header: Sequence[str], rows, meta=(), fmt=None) -> None:
+    """Echoes the config, then the extra ``(key, value)`` metadata; each
+    row is written with the one ``%`` format ``fmt``, ``%.16e`` per
+    column by default."""
+    fmt = fmt or ",".join(["%.16e"] * len(header))
     lines = [f"# {k} = {v}" for k, v in [*cfg.echo_items(), *meta]]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row))
+    lines += [fmt % tuple(r) for r in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -286,15 +284,16 @@ def run(cfg: RunConfig) -> List[str]:
     if cfg.mode == "fixed":
         ts, ys = _integrate_fixed(cfg, system)
         ts[-1] = cfg.t_end  # the symplectic driver's t0 + n*h may round past it
-        hs = np.full(len(ts), (cfg.t_end - cfg.t0) / max(1, len(ts) - 1))
+        hs = np.full(len(ts), (cfg.t_end - cfg.t0) / (len(ts) - 1))
         return _emit_trajectory(cfg, system, ts, ys, hs, out_base)
 
     res = _integrate_adaptive(system, cfg.method, cfg.t0, cfg.t_end, cfg.h, cfg.tol)
     hs = np.concatenate([[cfg.h], np.diff(res.ts)])
     paths = _emit_trajectory(cfg, system, res.ts, res.ys, hs, out_base)
     steps = out_base + ".steps.csv"
-    rows = [[a.t, a.h, a.error_estimate, int(a.accepted)] for a in res.step_log]
-    _write_csv(steps, cfg, ["t", "h", "error_estimate", "accepted"], rows)
+    rows = [(a.t, a.h, a.error_estimate, a.accepted) for a in res.step_log]
+    _write_csv(steps, cfg, ["t", "h", "error_estimate", "accepted"], rows,
+               fmt="%.16e,%.16e,%.16e,%d")
     paths.append(steps)
     return paths
 
@@ -315,6 +314,6 @@ def converge(cfg: RunConfig) -> List[str]:
         errs.append(err)
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     out = str(cfg.out) + ".orders.csv"
-    meta = [("fitted_slope", _fmt(slope))]
+    meta = [("fitted_slope", "%.16e" % slope)]
     _write_csv(out, cfg, ["h", "global_error"], zip(hs, errs), meta=meta)
     return [out]

@@ -556,8 +556,9 @@ def adaptive_integrate(
     """Accept/reject loop: accept when e < tol, always update h by the
     controller formula, truncate the last step to land exactly on T.
 
-    A trial step that raises :class:`BranchError` (logged with estimate
-    inf) or returns a non-finite estimate is a rejection, and
+    A trial step that raises :class:`BranchError` or, from a field at a
+    non-finite stage, :class:`SingularMatrixError` (either logged with
+    estimate inf), or returns a non-finite estimate, is a rejection, and
     :func:`controller_update` halves h.
 
     f is memoised on the identity of its argument, for the current point
@@ -593,7 +594,7 @@ def adaptive_integrate(
             res = stepper(action, f_memo, y, h_try)
             # read inside the try: the embedded part runs here
             e = res.error_estimate
-        except BranchError:
+        except (BranchError, SingularMatrixError):
             e = math.inf
         else:
             if e is None:

@@ -97,19 +97,12 @@ class PendulumParams:
         return self.tail_mass * self.gravity * np.asarray(self.lengths)
 
     @cached_property
-    def _chain(self) -> Tuple[list, list, list]:
-        """The masses m_i, lengths L_i and weights (sum_{k >= i} m_k) g L_i
-        as lists of floats."""
-        return ([float(m) for m in self.masses], [float(L) for L in self.lengths],
-                self._weight.tolist())
-
-    @cached_property
     def _inverse_coupling(self) -> Tuple[list, list]:
         """K = M^-1 in closed form, as floats: the diagonal
         K_ii = (1/m_i + 1/m_{i-1}) / L_i^2, with no 1/m_{i-1} for the
         first link, and the N + 1 entries K_{i-1,i} = -1/(m_{i-1} L_{i-1} L_i),
         with a zero at either end for the links the chain does not have."""
-        m, L, _ = self._chain
+        m, L = [float(x) for x in self.masses], [float(x) for x in self.lengths]
         diag = [(1.0 / m[i] + (1.0 / m[i - 1] if i else 0.0)) / (L[i] * L[i])
                 for i in range(self.n)]
         off = [0.0, *(-1.0 / (m[i] * L[i] * L[i + 1]) for i in range(self.n - 1)), 0.0]
@@ -123,7 +116,7 @@ class PendulumParams:
         parameter set whose weights overflow gives a non-finite field, as
         the dense solve did."""
         diag, off = self._inverse_coupling
-        _, _, w = self._chain
+        w = self._weight.tolist()
         return [a * w0 + b * w1 + c * w2 for a, b, c, w0, w1, w2
                 in zip(off, diag, off[1:], [0.0, *w], w, [*w[1:], 0.0])]
 
@@ -163,13 +156,6 @@ def _check_length(params: PendulumParams, d: int) -> None:
         raise ValueError(f"a {params.n}-link pendulum state has {6 * params.n} entries, got {d}")
 
 
-def _links(params: PendulumParams, s: list):
-    """The links (q_i, omega_i) of the state's floats, six to a tuple."""
-    _check_length(params, len(s))
-    entries = iter(s)
-    return list(zip(*[entries] * 6))
-
-
 def _multiples(params: PendulumParams, links, kp):
     """lambda_i q_i, where the multipliers lambda solve A lambda = b with
     A_ij = K_ij (q_i . q_j) and b_i = q_i . (K p)_i.  A is tridiagonal,
@@ -201,12 +187,13 @@ def _multiples(params: PendulumParams, links, kp):
 
 def pendulum_f(params: PendulumParams, state: np.ndarray) -> np.ndarray:
     """Frozen field in se(3)^N: per link (omega_i, u_i), u_i = q_i x h_i,
-    in O(N) on floats (see the module docstring).  Raises
-    :class:`SingularMatrixError` on a non-finite state."""
+    in O(N) on floats read six to a link (see the module docstring).
+    Raises :class:`SingularMatrixError` on a non-finite state."""
     s = state.tolist()
     if not all(map(isfinite, s)):
         raise SingularMatrixError("pendulum state is not finite")
-    links = _links(params, s)
+    _check_length(params, len(s))
+    links = list(zip(*[iter(s)] * 6))
     # (K p)_i = |omega_i|^2 q_i - (K weight)_i e3
     kp = []
     for (x, y, z, u, v, t), g in zip(links, params._inverse_weight):

@@ -138,10 +138,11 @@ def quadrotor_assemble(params: QuadrotorParams, controls: Controls, t, state):
     return A, h
 
 
-def _floats_and_zdot(params: QuadrotorParams, controls: Controls, t, state):
-    """The state as floats and zdot (18 floats), A(z) zdot = h(z) solved
-    by block elimination; raises :class:`SingularMatrixError` on a
-    non-finite state."""
+def quadrotor_f(params: QuadrotorParams, controls: Controls, t, state) -> np.ndarray:
+    """Frozen field in the 30-dimensional algebra, on floats and in order:
+    v and v' (A(z) zdot = h(z) by block elimination), per rotor R_i Omega_i
+    and Omega_i', per link omega_i and q_i x omega_i'.  Raises
+    :class:`SingularMatrixError` on a non-finite state."""
     if not np.isfinite(state).all():
         raise SingularMatrixError("quadrotor state is not finite")
     s = state.tolist()
@@ -164,33 +165,21 @@ def _floats_and_zdot(params: QuadrotorParams, controls: Controls, t, state):
     det = a11 * c11 + a12 * c12 + a13 * c13
     vdot = [(c11 * b1 + c12 * b2 + c13 * b3) / det, (c12 * b1 + c22 * b2 + c23 * b3) / det,
             (c13 * b1 + c23 * b2 + c33 * b3) / det]
-    zdot = s[3:6] + vdot
-    # J Omega' = M - Omega x J Omega
-    for (o1, o2, o3), (j1, j2, j3), (M1, M2, M3) in (
-        (s[15:18], params.inertia1, c[6:9]), (s[27:30], params.inertia2, c[9:12])
-    ):
-        zdot += [(M1 - (o2 * j3 * o3 - o3 * j2 * o2)) / j1,
-                 (M2 - (o3 * j1 * o1 - o1 * j3 * o3)) / j2,
-                 (M3 - (o1 * j2 * o2 - o2 * j1 * o1)) / j3]
-    # omega' = h + q x v' / L = q x (v' - u / m - g e3) / L
-    for m, L, q, _, (u1, u2, u3) in links:
-        zdot += _cross(q, [(vdot[0] - u1 / m) / L, (vdot[1] - u2 / m) / L,
-                           (vdot[2] - u3 / m - g) / L])
-    return s, zdot
-
-
-def quadrotor_f(params: QuadrotorParams, controls: Controls, t, state) -> np.ndarray:
-    """Frozen field in the 30-dimensional algebra: accelerations by block
-    elimination, spatial twists R_i Omega_i for the attitudes, and
-    per-link (omega_i, q_i x omega_i') pairs, on floats."""
-    s, zd = _floats_and_zdot(params, controls, t, state)
-    return np.array([
-        *zd[0:6],  # ydot, vdot
-        *_times((s[6:9], s[9:12], s[12:15]), *s[15:18]), *zd[6:9],
-        *_times((s[18:21], s[21:24], s[24:27]), *s[27:30]), *zd[9:12],
-        *s[33:36], *_cross(s[30:33], zd[12:15]),
-        *s[39:42], *_cross(s[36:39], zd[15:18]),
-    ])
+    out = s[3:6] + vdot
+    # R Omega, then J Omega' = M - Omega x J Omega
+    for i, (j1, j2, j3), (M1, M2, M3) in ((6, params.inertia1, c[6:9]),
+                                          (18, params.inertia2, c[9:12])):
+        o1, o2, o3 = s[i + 9:i + 12]
+        out += _times((s[i:i + 3], s[i + 3:i + 6], s[i + 6:i + 9]), o1, o2, o3)
+        out += [(M1 - (o2 * j3 * o3 - o3 * j2 * o2)) / j1,
+                (M2 - (o3 * j1 * o1 - o1 * j3 * o3)) / j2,
+                (M3 - (o1 * j2 * o2 - o2 * j1 * o1)) / j3]
+    # omega, then q x omega' with omega' = h + q x v' / L = q x (v' - u / m - g e3) / L
+    for m, L, q, w, (u1, u2, u3) in links:
+        out += w
+        out += _cross(q, _cross(q, [(vdot[0] - u1 / m) / L, (vdot[1] - u2 / m) / L,
+                                    (vdot[2] - u3 / m - g) / L]))
+    return np.array(out)
 
 
 def quadrotor_energy(params: QuadrotorParams, state: np.ndarray) -> np.ndarray:

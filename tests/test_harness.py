@@ -323,6 +323,17 @@ def test_adaptive_run_writes_step_log(tmp_path):
     assert len(accepted) == len(traj) - 1
 
 
+def test_step_log_writes_a_rejected_trial_as_inf_and_0(tmp_path):
+    # the first trial, cut to h = 0.2 by t-end, leaves the exp branch: estimate inf
+    cfg = RunConfig(system="heavytop-spatial", method="rkmk54", mode="adaptive", h=0.5,
+                    tol=1e-6, t_end=0.2, out=str(tmp_path / "r"))
+    run(cfg)
+    rows = [line for line in (tmp_path / "r.steps.csv").read_text().splitlines()
+            if not line.startswith("#")]
+    assert rows[:2] == ["t,h,error_estimate,accepted",
+                        "0.0000000000000000e+00,2.0000000000000001e-01,inf,0"]
+
+
 @pytest.mark.parametrize("mode", ["fixed", "converge"])
 def test_symplectic_without_cotangent_form_fails_before_any_work(tmp_path, monkeypatch, mode):
     # the converge ladder's reference solve is its first piece of work
@@ -650,3 +661,35 @@ def test_csv_compare_names_the_file_and_column_of_the_largest_difference(tmp_pat
     assert line.endswith("; differ: invariants")
     identical = _load_script("csv_compare").identical_files(paths["old"], paths["new"])
     assert identical == [("trajectory", True), ("invariants", False)]
+
+
+_FLOAT = r"[-+]?\d+\.\d+(?:e[-+]\d+)?"
+
+
+@pytest.mark.parametrize(
+    "name,argv,patterns",
+    [
+        ("adaptive_pendulum", ["--t-end", "0.3", "--out", "{tmp}/p"],
+         [r"(\d+) accepted steps, (\d+) rejected",
+          rf"smallest accepted step h = ({_FLOAT}) at t = ({_FLOAT})",
+          r"(.+\.trajectory\.csv)", r"(.+\.invariants\.csv)", r"(.+\.steps\.csv)"]),
+        ("heavytop_convergence", ["--methods", "heun", "--t-end", "0.05", "--out", "{tmp}/h"],
+         [rf"heun +slope +({_FLOAT})  -> (.+\.orders\.csv)"]),
+        ("symplectic_energy", ["--steps", "40", "--thetas", "0.5"],
+         [rf"theta = 0\.50: max \|dE\| first half ({_FLOAT}), second half ({_FLOAT}), "
+          rf"final \|p\|-30 = ({_FLOAT}), max \|d Gamma0\.pi\| ({_FLOAT})"]),
+    ],
+)
+def test_paper_scripts_print_lines_that_parse(tmp_path, monkeypatch, capsys, name, argv,
+                                               patterns):
+    # each script reads the harness CSVs by hand; run its main() on a short case
+    script = _load_script(name)
+    monkeypatch.setattr(sys, "argv", [name] + [a.format(tmp=tmp_path) for a in argv])
+    script.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(patterns)
+    for line, pattern in zip(lines, patterns):
+        match = re.fullmatch(pattern, line)
+        assert match, line
+        for value in match.groups():
+            assert Path(value).is_file() if value.endswith(".csv") else np.isfinite(float(value))

@@ -33,6 +33,7 @@ from geomint.integrators import (
     symplectic_step,
 )
 from _reference import coadjoint_so3_action, dexpinv_series
+from geomint.kernels import SingularMatrixError
 from geomint.lie import BranchError, dexp_star_so3, exp_so3
 from geomint.systems import get_system
 
@@ -443,6 +444,26 @@ def test_adaptive_rejects_non_finite_estimate_and_halves_h():
     assert second.h == 0.04
     assert res.ts[-1] == pytest.approx(1.0, abs=1e-12)
     assert all(a.h <= 0.05 for a in res.step_log if a.accepted)
+
+
+@pytest.mark.parametrize("method,accepted", [("rkmk54", 68), ("cf43", 224)])
+def test_adaptive_rejects_a_singular_field_and_halves_h(method, accepted):
+    # the pendulum and quadrotor fields raise SingularMatrixError at a
+    # non-finite stage; here the field raises once a stage leaves |y| <= 10
+    def f(y):
+        if abs(y[0]) > 10.0:
+            raise SingularMatrixError("stage left the field's domain")
+        return -y
+
+    cfg = ControllerConfig(tol=1e-8, alpha=0.2)
+    res = adaptive_integrate(translation_action(1), f, METHODS[method].stepper,
+                             np.array([1.0]), 0.0, 50.0, 50.0, cfg)
+    first = res.step_log[0]
+    assert (first.h, first.error_estimate, first.accepted) == (50.0, np.inf, False)
+    assert res.step_log[1].h == 25.0
+    assert len(res.ts) - 1 == accepted
+    assert sum(not a.accepted for a in res.step_log) == 8
+    assert res.ts[-1] == pytest.approx(50.0, abs=1e-12)
 
 
 def _constant_estimate(e, trials):
