@@ -64,6 +64,7 @@ def main(argv=None) -> int:
         ConfigError,
         ValueError,
         OSError,
+        MemoryError,
         NonConvergenceError,
         StepSizeUnderflowError,
         TooManyRejectsError,

@@ -10,7 +10,7 @@ are reproducible and plottable without a bundled renderer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
@@ -136,7 +136,7 @@ class RunConfig:
             if value is None or not _ECHO_WHEN.get(key, lambda cfg: True)(self):
                 continue
             items.append((key, repr(value) if kind is float else str(value)))
-        items.extend((k, repr(v)) for k, v in sorted(self.overrides.items()))
+        items.extend((k, repr(OVERRIDES[k](v))) for k, v in sorted(self.overrides.items()))
         return items
 
 
@@ -218,14 +218,17 @@ def _emit_trajectory(cfg, system, ts, ys, hs, out_base) -> List[str]:
 # Drivers
 
 
-def _integrate_fixed(cfg: RunConfig, system: System):
-    if cfg.steps is not None:
-        n = cfg.steps
-    else:
-        n = max(1, round((cfg.t_end - cfg.t0) / cfg.h))
+def _steps(cfg: RunConfig, h: float) -> int:
+    """The step count of a fixed run of step about h over [t0, t-end]."""
+    n = (cfg.t_end - cfg.t0) / h
+    if not math.isfinite(n):
+        raise ConfigError(f"the step count (t-end - t0) / h = {n} is not finite")
+    return max(1, round(n))
+
+
+def _integrate_fixed(cfg: RunConfig, system: System, n: int):
     if cfg.method == "symplectic":
-        h = (cfg.t_end - cfg.t0) / n
-        return symplectic_integrate(system, cfg.theta, h, n, t0=cfg.t0)
+        return symplectic_integrate(system, cfg.theta, (cfg.t_end - cfg.t0) / n, n, t0=cfg.t0)
     return fixed_integrate(
         system.action,
         system.field,
@@ -266,8 +269,9 @@ def _build(cfg: RunConfig) -> System:
     fits the system, so no work is done for a run that cannot finish."""
     if cfg.out is None:
         raise ConfigError("an output path is required")
-    if not Path(cfg.out).parent.is_dir():
-        raise ConfigError(f"output directory '{Path(cfg.out).parent}' does not exist")
+    directory = Path(f"{cfg.out}.csv").parent  # every file written starts with out
+    if not directory.is_dir():
+        raise ConfigError(f"output directory '{directory}' does not exist")
     system = cfg.build_system()
     if cfg.method == "symplectic" and system.cotangent is None:
         raise ConfigError(f"system {cfg.system!r} has no cotangent formulation for 'symplectic'")
@@ -282,9 +286,10 @@ def run(cfg: RunConfig) -> List[str]:
     out_base = str(cfg.out)
 
     if cfg.mode == "fixed":
-        ts, ys = _integrate_fixed(cfg, system)
+        n = cfg.steps or _steps(cfg, cfg.h)
+        ts, ys = _integrate_fixed(cfg, system, n)
         ts[-1] = cfg.t_end  # the symplectic driver's t0 + n*h may round past it
-        hs = np.full(len(ts), (cfg.t_end - cfg.t0) / (len(ts) - 1))
+        hs = np.full(n + 1, (cfg.t_end - cfg.t0) / n)
         return _emit_trajectory(cfg, system, ts, ys, hs, out_base)
 
     res = _integrate_adaptive(system, cfg.method, cfg.t0, cfg.t_end, cfg.h, cfg.tol)
@@ -302,16 +307,10 @@ def converge(cfg: RunConfig) -> List[str]:
     """Global-error ladder at T against the tight-tolerance reference,
     with the fitted least-squares slope echoed in the metadata."""
     system = _build(cfg)
+    ns = [_steps(cfg, cfg.h * 2.0**-k) for k in LADDER_EXPONENTS]
     ref = reference_state(system, cfg.t0, cfg.t_end)
-    span = cfg.t_end - cfg.t0
-    hs, errs = [], []
-    for k in LADDER_EXPONENTS:
-        h = cfg.h * 2.0**-k
-        n = max(1, round(span / h))
-        ts, ys = _integrate_fixed(replace(cfg, mode="fixed", h=None, steps=n), system)
-        err = float(np.linalg.norm(ys[-1] - ref))
-        hs.append(span / n)
-        errs.append(err)
+    hs = [(cfg.t_end - cfg.t0) / n for n in ns]
+    errs = [float(np.linalg.norm(_integrate_fixed(cfg, system, n)[1][-1] - ref)) for n in ns]
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     out = str(cfg.out) + ".orders.csv"
     meta = [("fitted_slope", "%.16e" % slope)]

@@ -585,11 +585,12 @@ def adaptive_integrate(
     h = h0
     ts, ys, log = [t], [y], []
     consecutive = 0
-    while t < T - 1e-14 * max(1.0, abs(T)):
+    while t < T:
         # the floor applies to the controller's h, not to a last step T cuts short
         if h < _H_MIN:
             raise StepSizeUnderflowError(f"step size underflow at t = {t:.6g}")
-        h_try = min(h, T - t)
+        final = t + h >= T
+        h_try = T - t if final else h
         try:
             res = stepper(action, f_memo, y, h_try)
             # read inside the try: the embedded part runs here
@@ -603,7 +604,7 @@ def adaptive_integrate(
         log.append(StepAttempt(t=t, h=h_try, error_estimate=e, accepted=accepted))
         h = controller_update(h_try, e, cfg)
         if accepted:
-            t = t + h_try
+            t = T if final else t + h_try
             y = np.asarray(res.y_next, dtype=float)
             ts.append(t)
             ys.append(y)

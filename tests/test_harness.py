@@ -261,6 +261,20 @@ def test_symplectic_run_ends_exactly_at_t_end(tmp_path):
     assert data[-1, 0] == 0.7 and inv[-1, 0] == 0.7
 
 
+def test_adaptive_run_ends_exactly_at_t_end(tmp_path):
+    # the first step stops 5e-15 short of t-end; a second step of the
+    # remainder lands on it
+    cfg = RunConfig(system="heavytop-lp", method="rkmk54", mode="adaptive", h=0.001 - 5e-15,
+                    tol=1e-6, t_end=0.001, out=str(tmp_path / "r"))
+    run(cfg)
+    for kind in ("trajectory", "invariants"):
+        last = (tmp_path / f"r.{kind}.csv").read_text().splitlines()[-1]
+        assert last.split(",")[0] == "1.0000000000000000e-03"
+    _, _, log = _read_csv(tmp_path / "r.steps.csv")
+    assert log[:, 3].tolist() == [1.0, 1.0]
+    assert log[1, 1] == pytest.approx(5e-15, rel=0.01)
+
+
 def test_csv_has_17_significant_digits(tmp_path):
     cfg = RunConfig(
         system="heavytop-lp", method="rkmk4", steps=2, t_end=0.02, out=str(tmp_path / "r")
@@ -301,6 +315,18 @@ def test_output_is_deterministic(tmp_path):
     a = (tmp_path / "a.trajectory.csv").read_text().replace("/a.", "/b.")
     b = (tmp_path / "b.trajectory.csv").read_text()
     assert a == b
+
+
+@pytest.mark.parametrize("system,key,a,b", [("pendulum", "n", 3, 3.0),
+                                            ("heavytop-lp", "mass", 15, 15.0)])
+def test_equal_overrides_write_identical_files(tmp_path, system, key, a, b):
+    # each override is echoed as the system reads it, so 3 and 3.0 echo alike
+    for name, value in (("a", a), ("b", b)):
+        run(RunConfig(system=system, method="rkmk4", steps=2, t_end=0.02,
+                      overrides={key: value}, out=str(tmp_path / name)))
+    for kind in ("trajectory", "invariants"):
+        first, second = ((tmp_path / f"{name}.{kind}.csv").read_bytes() for name in "ab")
+        assert first == second
 
 
 def test_adaptive_run_writes_step_log(tmp_path):
@@ -346,14 +372,42 @@ def test_symplectic_without_cotangent_form_fails_before_any_work(tmp_path, monke
     assert calls == []
 
 
-def test_missing_output_directory_fails_before_any_work(tmp_path, monkeypatch):
+@pytest.mark.parametrize("out", ["missing/cf4", "missing/"])
+def test_missing_output_directory_fails_before_any_work(tmp_path, monkeypatch, out):
     calls = []
     monkeypatch.setattr(harness, "reference_state", lambda *args: calls.append(args))
     cfg = RunConfig(system="heavytop-spatial", method="cf4", mode="converge", h=0.05,
-                    t_end=1.0, out=str(tmp_path / "missing" / "cf4"))
+                    t_end=1.0, out=f"{tmp_path}/{out}")
     with pytest.raises(ConfigError, match="output directory .*missing' does not exist"):
         run(cfg)
     assert calls == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "converge"])
+def test_cli_step_count_with_no_finite_value_fails_before_any_work(tmp_path, monkeypatch,
+                                                                  capsys, command):
+    # (1e300 - 0) / 1e-300 overflows to inf, which has no whole number of steps
+    calls = []
+    monkeypatch.setattr(harness, "reference_state", lambda *args: calls.append(args))
+    monkeypatch.setattr(harness, "fixed_integrate", lambda *args: calls.append(args))
+    rc = cli_main([command, "--system", "heavytop-lp", "--method", "rkmk4", "--h", "1e-300",
+                   "--t-end", "1e300", "--out", str(tmp_path / "r")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "geomint: error: the step count (t-end - t0) / h = inf is not finite\n"
+    )
+    assert calls == []
+
+
+@pytest.mark.parametrize("plan", [["--steps", str(10**15)], ["--h", "1e-15", "--t-end", "1"]])
+def test_cli_step_count_beyond_memory_exits_nonzero(tmp_path, capsys, plan):
+    # 10**15 steps of 6 floats need 48 PB, more than any 64-bit address
+    # space, so the allocation fails at once
+    rc = cli_main(["simulate", "--system", "heavytop-lp", "--method", "rkmk4", *plan,
+                   "--out", str(tmp_path / "r")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("geomint: error: Unable to allocate ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_converge_writes_slope(tmp_path):
@@ -574,9 +628,9 @@ def test_runtime_dependencies_are_exactly_the_third_party_imports():
 
 def test_perfbench_imports_resolve():
     # the benchmark and the scripts import these names from the package,
-    # and no test runs the scripts; a deletion that removes one, or leaves
-    # it in a module's __all__, would otherwise break them without a
-    # failing test
+    # and the tests that run them take only a few of their paths; a
+    # deletion that removes a name, or leaves it in a module's __all__,
+    # could otherwise break one without a failing test
     root = Path(__file__).resolve().parents[1]
     scripts = sorted(root.glob("perfbench/*.py")) + sorted(root.glob("scripts/*.py"))
     assert scripts

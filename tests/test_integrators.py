@@ -414,7 +414,7 @@ def test_adaptive_accepts_below_tolerance_and_lands_on_T():
         ACTION2, _linear_field, RKMK54, Y0, 0.0, 3.0, 0.1, cfg
     )
     assert isinstance(res, AdaptiveResult)
-    assert res.ts[0] == 0.0 and res.ts[-1] == pytest.approx(3.0, abs=1e-12)
+    assert res.ts[0] == 0.0 and res.ts[-1] == 3.0
     assert np.all(np.diff(res.ts) > 0)
     accepted = [a for a in res.step_log if a.accepted]
     assert len(accepted) == len(res.ts) - 1
@@ -495,6 +495,16 @@ def test_adaptive_last_step_below_the_floor_lands_on_T():
     assert res.ts[-1] == 1.0
     assert all(attempt.accepted for attempt in res.step_log)
     np.testing.assert_array_equal(res.ys[-1], [1.0])
+
+
+def test_adaptive_run_ends_on_T_from_5e_15_short():
+    # the first step stops 5e-15 short of T; the trial that T cuts short
+    # sets t to T, so the run does not end that far short of it
+    cfg = ControllerConfig(tol=1e-6, alpha=0.2)
+    res = adaptive_integrate(translation_action(1), lambda y: 0 * y,
+                             METHODS["rkmk54"].stepper, np.array([1.0]), 0.0, 1.0,
+                             1.0 - 5e-15, cfg)
+    assert res.ts[-1] == 1.0
 
 
 def test_adaptive_gives_up_after_thirty_consecutive_rejects():
