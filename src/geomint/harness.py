@@ -22,7 +22,7 @@ from .integrators import (
     adaptive_integrate,
     fixed_integrate,
 )
-from .systems import OVERRIDES, System, get_system, symplectic_integrate
+from .systems import OVERRIDES, System, as_int, get_system, symplectic_integrate
 
 __all__ = [
     "RunConfig",
@@ -41,7 +41,8 @@ LADDER_EXPONENTS = tuple(range(4, 10))
 # Run keys in CSV echo order, each with the type its value parses to; the
 # RunConfig field of a key is its name with '-' read as '_'.  A key is
 # echoed when its value is set and _ECHO_WHEN holds.  System overrides
-# follow, sorted by name.
+# follow, sorted by name.  _KEY_TYPES is the one list of keys, which the
+# config file, the flags dict and the command line all read.
 RUN_KEYS: Dict[str, type] = {
     "system": str,
     "method": str,
@@ -91,6 +92,9 @@ class RunConfig:
     overrides: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("steps", "seed"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, as_int(name, getattr(self, name)))
         if self.mode not in _MODES:
             raise ConfigError(f"unknown mode {self.mode!r} (expected one of {_MODES})")
         if self.t_end <= self.t0:
@@ -130,23 +134,25 @@ class RunConfig:
         return get_system(self.system, **self.overrides)
 
     def echo_items(self) -> List[Tuple[str, str]]:
-        items = []
-        for key, kind in RUN_KEYS.items():
-            value = getattr(self, _field(key))
-            if value is None or not _ECHO_WHEN.get(key, lambda cfg: True)(self):
-                continue
-            items.append((key, repr(value) if kind is float else str(value)))
-        items.extend((k, repr(OVERRIDES[k](v))) for k, v in sorted(self.overrides.items()))
-        return items
+        values = {key: getattr(self, _field(key)) for key in RUN_KEYS
+                  if _ECHO_WHEN.get(key, lambda cfg: True)(self)}
+        values.update(sorted(self.overrides.items()))
+        return [(key, str(_typed(key, v))) for key, v in values.items() if v is not None]
 
 
 def _field(key: str) -> str:
     return key.replace("-", "_")
 
 
+def _typed(key: str, value):
+    """``value`` as ``key``'s type; an int key reads it by ``as_int``."""
+    kind = _KEY_TYPES[key]
+    return as_int(key, value) if kind is int else kind(value)
+
+
 def _parse_value(key: str, raw, where: str):
     try:
-        return _KEY_TYPES[key](raw)
+        return _typed(key, raw)
     except (TypeError, ValueError):
         raise ConfigError(f"{where}: cannot parse value {raw!r} for key {key!r}") from None
 
@@ -162,7 +168,6 @@ def parse_config_file(path) -> Dict[str, object]:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        key = key.replace("_", "-") if key == "t_end" else key
         if key not in _KEY_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
@@ -244,7 +249,7 @@ def _integrate_adaptive(
     system: System, method: str, t0: float, t_end: float, h: float, tol: float
 ):
     info = METHODS[method]
-    ctrl = ControllerConfig(tol=tol, alpha=1.0 / (1.0 + min(info.p, info.p_hat)))
+    ctrl = ControllerConfig(tol=tol, alpha=info.alpha)
     return adaptive_integrate(
         system.action,
         system.field,

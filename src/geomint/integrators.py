@@ -297,6 +297,12 @@ class MethodInfo:
     p: int
     p_hat: Optional[int] = None
 
+    @property
+    def alpha(self) -> Optional[float]:
+        """The controller exponent 1 / (1 + min(p, p_hat)) of an embedded
+        pair; None without an auxiliary order."""
+        return None if self.p_hat is None else 1.0 / (1.0 + min(self.p, self.p_hat))
+
 
 METHODS = {
     "lie-euler": MethodInfo(partial(cf_step, scheme=LIE_EULER), 1),
@@ -586,8 +592,9 @@ def adaptive_integrate(
     ts, ys, log = [t], [y], []
     consecutive = 0
     while t < T:
-        # the floor applies to the controller's h, not to a last step T cuts short
-        if h < _H_MIN:
+        # the floor applies to the controller's h, not to a last step T cuts
+        # short; a step too short to move t is refused at any size
+        if h < _H_MIN or t + h == t:
             raise StepSizeUnderflowError(f"step size underflow at t = {t:.6g}")
         final = t + h >= T
         h_try = T - t if final else h

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Any, Callable, Dict, Mapping, Optional
@@ -20,6 +21,7 @@ __all__ = [
     "SYSTEM_IDS",
     "OVERRIDES",
     "get_system",
+    "as_int",
 ]
 
 
@@ -163,12 +165,24 @@ OVERRIDES: Dict[str, type] = {
 }
 
 
+def as_int(name: str, value) -> int:
+    """``value`` as an int when it is exactly a whole number, as 3, 3.0,
+    "3" and "3.0" are; ValueError "<name> must be an integer" otherwise."""
+    try:
+        whole = float(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = math.nan
+    if not whole.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value if type(value) is int else int(whole)
+
+
 def get_system(system_id: str, **overrides) -> System:
     """Build a named benchmark system.
 
     Each override is one of the system's names in ``OVERRIDES``; one left
     out keeps the default of the system's parameter class.  An integer
-    override must have an integral value.
+    override is read by :func:`as_int`.
     """
     family = next((f for f in _FAMILIES if system_id in f.builders), None)
     if family is None:
@@ -179,10 +193,6 @@ def get_system(system_id: str, **overrides) -> System:
             f"unknown overrides for system {system_id!r}: {sorted(unknown)} "
             f"(expected some of {sorted(family.defaults)})"
         )
-    values = {}
-    for key, value in overrides.items():
-        kind = type(family.defaults[key])
-        if kind is int and not float(value).is_integer():
-            raise ValueError(f"override {key!r} must be an integer, got {value!r}")
-        values[key] = kind(value)
+    values = {key: as_int(f"override {key!r}", value) if OVERRIDES[key] is int
+              else OVERRIDES[key](value) for key, value in overrides.items()}
     return family.builders[system_id](family.params(**values))

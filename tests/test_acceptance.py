@@ -333,7 +333,7 @@ def test_criterion_6_adaptive_controller():
     for system_id in ("heavytop-spatial", "pendulum", "quadrotor"):
         system = get_system(system_id)
         for tol in (1e-4, 1e-6):
-            cfg = ControllerConfig(tol=tol, alpha=1.0 / (1.0 + min(info.p, info.p_hat)))
+            cfg = ControllerConfig(tol=tol, alpha=info.alpha)
             res = adaptive_integrate(
                 system.action, system.field, info.stepper, system.initial,
                 0.0, 3.0, 0.01, cfg,

@@ -253,6 +253,18 @@ def test_ts2_rejects_off_manifold_points():
         act(_TS2_IDENTITY, np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("off, on_manifold", [(1e-8, False), (1e-10, True)])
+def test_ts2_check_holds_points_to_1e_9(off, on_manifold):
+    # ||q| - 1| = off, then q.w = off with |w| = 1
+    act = se3_ts2_action().act
+    for m in ([1.0 + off, 0.0, 0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, off, 1.0, 0.0]):
+        if on_manifold:
+            act(_TS2_IDENTITY, np.array(m))
+        else:
+            with pytest.raises(ValueError):
+                act(_TS2_IDENTITY, np.array(m))
+
+
 def test_ts2_rejects_nan_points():
     nan = np.full(6, np.nan)
     with pytest.raises(ValueError):

@@ -27,7 +27,7 @@ from geomint.harness import (
     run,
 )
 from geomint.integrators import METHODS
-from geomint.systems import SYSTEM_IDS, get_system
+from geomint.systems import OVERRIDES, SYSTEM_IDS, get_system
 
 
 # -- config files ------------------------------------------------------------------
@@ -215,6 +215,69 @@ def test_integer_override_must_be_integral():
     assert get_system("pendulum", n=3.0).initial.shape == (18,)
 
 
+def test_run_config_reads_seed_as_an_integer():
+    with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+        RunConfig(system="heavytop-lp", method="rkmk4", h=0.1, seed=1.5)
+    assert RunConfig(system="heavytop-lp", method="rkmk4", h=0.1, seed="7.0").seed == 7
+
+
+# -- one integer rule on every route ----------------------------------------------------
+#
+# Each route takes a pendulum run with n or steps set to a value and returns
+# the value the run echoes (get_system, which echoes nothing, returns its
+# link count); a value the route refuses raises ConfigError or ValueError.
+
+
+def _keys(key, value):
+    plan = {"h": "0.005"} if key == "n" else {}
+    return {"system": "pendulum", "method": "rkmk4", "t-end": "0.01", **plan, key: value}
+
+
+def _by_cli(tmp_path, capsys, key, value):
+    argv = [arg for k, v in _keys(key, value).items() for arg in (f"--{k}", str(v))]
+    rc = cli_main(["simulate", *argv, "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    if rc == 1 and err.startswith("geomint: error: "):
+        raise ConfigError(err)
+    assert rc == 0
+    meta, _, _ = _read_csv(tmp_path / "r.trajectory.csv")
+    return dict(line[2:].split(" = ") for line in meta)[key]
+
+
+def _by_file(tmp_path, capsys, key, value):
+    text = "".join(f"{k} = {v}\n" for k, v in _keys(key, value).items())
+    return dict(parse_config(config_file=_write(tmp_path, text)).echo_items())[key]
+
+
+def _by_flags(tmp_path, capsys, key, value):
+    return dict(parse_config(_keys(key, value)).echo_items())[key]
+
+
+def _by_run_config(tmp_path, capsys, key, value):
+    kwargs = {"overrides": {"n": value}, "h": 0.005} if key == "n" else {"steps": value}
+    cfg = RunConfig(system="pendulum", method="rkmk4", t_end=0.01, **kwargs)
+    return dict(cfg.echo_items())[key]
+
+
+def _by_get_system(tmp_path, capsys, key, value):
+    return str(get_system("pendulum", n=value).initial.size // 6)
+
+
+_ROUTES = [(route, key) for route in (_by_cli, _by_file, _by_flags, _by_run_config)
+           for key in ("n", "steps")] + [(_by_get_system, "n")]
+
+
+@pytest.mark.parametrize("route,key", _ROUTES,
+                         ids=[f"{route.__name__[4:]}-{key}" for route, key in _ROUTES])
+@pytest.mark.parametrize("value", [3, 3.0, "3.0", 2.7, "2.7"], ids=repr)
+def test_every_route_reads_an_integer_key_alike(tmp_path, capsys, route, key, value):
+    if float(value) == 3:
+        assert route(tmp_path, capsys, key, value) == "3"
+    else:
+        with pytest.raises(ValueError):  # ConfigError is a ValueError
+            route(tmp_path, capsys, key, value)
+
+
 # -- CSV output -------------------------------------------------------------------------
 
 
@@ -349,6 +412,17 @@ def test_adaptive_run_writes_step_log(tmp_path):
     assert len(accepted) == len(traj) - 1
 
 
+def test_adaptive_run_takes_the_controller_exponent_from_the_lower_order(tmp_path):
+    # rkmk54 is a 5(4) pair, so the second trial is 0.9 (tol / e1)^(1/5) h1
+    cfg = RunConfig(system="heavytop-lp", method="rkmk54", mode="adaptive", h=0.01,
+                    tol=1e-6, t_end=1.0, out=str(tmp_path / "r"))
+    run(cfg)
+    _, _, log = _read_csv(tmp_path / "r.steps.csv")
+    (_, h1, e1, _), (_, h2, _, _) = log[:2]
+    assert abs(np.log10(e1 / cfg.tol)) > 1  # far enough from tol to tell 1/5 from 1/6
+    assert h2 == pytest.approx(0.9 * (cfg.tol / e1) ** (1 / 5) * h1, rel=1e-14)
+
+
 def test_step_log_writes_a_rejected_trial_as_inf_and_0(tmp_path):
     # the first trial, cut to h = 0.2 by t-end, leaves the exp branch: estimate inf
     cfg = RunConfig(system="heavytop-spatial", method="rkmk54", mode="adaptive", h=0.5,
@@ -451,6 +525,35 @@ def test_cli_simulate_exit_zero(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out.splitlines()
     assert out == [str(tmp_path / "cli.trajectory.csv"), str(tmp_path / "cli.invariants.csv")]
+
+
+def test_cli_sets_t0_and_system_overrides(tmp_path, capsys):
+    rc = cli_main(["simulate", "--system", "pendulum", "--method", "rkmk4", "--n", "3",
+                   "--t0", "0.5", "--t-end", "0.6", "--h", "0.01", "--out", str(tmp_path / "r")])
+    assert rc == 0
+    meta, header, data = _read_csv(tmp_path / "r.trajectory.csv")
+    assert header[2:] == [f"x{i}" for i in range(18)]
+    assert "# t0 = 0.5" in meta and "# n = 3" in meta
+    assert data[0, 0] == 0.5
+
+
+def test_cli_bad_flag_value_exits_1_as_a_bad_file_line_does(tmp_path, capsys):
+    rc = cli_main(["simulate", "--system", "heavytop-lp", "--method", "rkmk4", "--h", "fast",
+                   "--out", str(tmp_path / "r")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "geomint: error: flags: cannot parse value 'fast' for key 'h'\n"
+    )
+
+
+def test_cli_adaptive_step_that_cannot_move_t_exits_1(tmp_path, capsys):
+    # at t = 1e5, t + 1e-12 == t: the first trial would move the state, not t
+    rc = cli_main(["adapt", "--system", "heavytop-lp", "--method", "rkmk54", "--t0", "1e5",
+                   "--t-end", "100000.001", "--h", "1e-12", "--tol", "1e-6",
+                   "--out", str(tmp_path / "r")])
+    assert rc == 1
+    assert capsys.readouterr().err == "geomint: error: step size underflow at t = 100000\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_config_file(tmp_path, capsys):
@@ -686,6 +789,26 @@ def _load_script(name):
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     return script
+
+
+def _readme_table(header):
+    """The first two cells of each row of the README table under ``header``."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = text.split(header + "\n", 1)[1].split("\n\n", 1)[0].splitlines()[1:]
+    return [row.split("|")[1:3] for row in rows]
+
+
+def test_readme_tables_and_cli_flags_follow_the_one_key_table(capsys):
+    run_keys = [cells[0].strip().strip("`") for cells in _readme_table(
+        "| key | type | default | meaning |")]
+    assert run_keys == list(harness.RUN_KEYS)
+    overrides = {name for _, cell in _readme_table("| systems | override: default |")
+                 for name in re.findall(r"`(\w+)`:", cell)}
+    assert overrides == set(OVERRIDES)
+    with pytest.raises(SystemExit):
+        cli_main(["simulate", "--help"])
+    flags = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, flags=re.M)
+    assert flags == [f"--{key}" for key in harness._KEY_TYPES if key != "mode"] + ["--config"]
 
 
 def test_convergence_script_has_a_base_step_per_method():

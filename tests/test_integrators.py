@@ -377,6 +377,12 @@ def test_controller_clamps():
         controller_update(0.1, -1.0, cfg)
 
 
+def test_controller_exponent_reads_the_lower_order_of_the_pair():
+    assert [METHODS[m].alpha for m in ("rkmk54", "cf43", "cf32a", "cf32b")] == [
+        1 / 5, 1 / 4, 1 / 3, 1 / 3]
+    assert METHODS["rkmk4"].alpha is None
+
+
 def test_controller_config_validation():
     with pytest.raises(ValueError):
         ControllerConfig(tol=-1.0, alpha=0.25)
@@ -406,6 +412,15 @@ def test_fixed_integrate_shapes_and_endpoint():
     assert ts[0] == 0.0 and ts[-1] == 2.0
     with pytest.raises(ValueError):
         fixed_integrate(ACTION2, _linear_field, LIE_EULER, Y0, 0.0, 1.0, 0)
+
+
+def test_fixed_integrate_last_time_is_T_bit_for_bit():
+    # t0 + n h rounds past T here, so the last time must be set to T itself
+    t0, T, n = 0.1, 0.7, 37
+    assert t0 + n * ((T - t0) / n) != T
+    ts, _ = fixed_integrate(translation_action(1), lambda y: np.ones(1),
+                            METHODS["rkmk4"].stepper, np.array([0.0]), t0, T, n)
+    assert ts[-1] == T
 
 
 def test_adaptive_accepts_below_tolerance_and_lands_on_T():
@@ -483,6 +498,22 @@ def test_adaptive_step_underflow():
         adaptive_integrate(translation_action(1), lambda y: y, _constant_estimate(np.nan, trials),
                            np.array([1.0]), 0.0, 1.0, 1e-11, cfg)
     assert trials == [1e-11 / 2**k for k in range(4)]
+
+
+def test_adaptive_step_that_cannot_move_t_underflows():
+    # the float spacing at t = 1e5 is 1.5e-11, so t + 1e-12 == t: such a
+    # trial would move the state and leave t where it was
+    calls = []
+
+    def f(y):
+        calls.append(y)
+        return np.ones(1)
+
+    cfg = ControllerConfig(tol=1e-6, alpha=0.2)
+    with pytest.raises(StepSizeUnderflowError, match=r"^step size underflow at t = 100000$"):
+        adaptive_integrate(translation_action(1), f, METHODS["rkmk54"].stepper,
+                           np.array([0.0]), 1e5, 1e5 + 1e-3, 1e-12, cfg)
+    assert calls == []
 
 
 def test_adaptive_last_step_below_the_floor_lands_on_T():
