@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Compare the harness CSVs of two source trees over the csv_digest cases.
+"""Compare the harness CSVs of two source trees over a fixed list of 80 cases.
 
     python scripts/csv_compare.py OLD_TREE NEW_TREE
 
 A tree is a checkout root (holding ``src/geomint``) or a ``src``
-directory.  Each tree runs every case of ``csv_digest.cases()`` (the
-case list of the checkout this script sits in) in its own subprocess,
-into a temporary directory.  For each case the script prints
+directory.  Each tree runs every case of :func:`cases` (the case list
+of the checkout this script sits in) in its own subprocess, into a
+temporary directory.  For each case the script prints
 "byte-identical", or the largest |new - old| / max(1, |old|) over all
 numeric cells and metadata values with the file and column where it
 occurs (``invariants:energy``, or ``steps:# tol`` for a metadata
@@ -36,7 +36,7 @@ _CHILD = """
 import json, sys
 from dataclasses import replace
 import geomint
-from csv_digest import cases
+from csv_compare import cases
 from geomint.harness import run
 src, out = sys.argv[1], sys.argv[2]
 if not geomint.__file__.startswith(src):
@@ -45,6 +45,55 @@ for i, cfg in enumerate(cases()):
     paths = run(replace(cfg, out=f"{out}/case{i}"))
     print(json.dumps({"label": f"{cfg.system} {cfg.method} {cfg.mode}", "paths": paths}))
 """
+
+
+# Named here, not read from the registry, so that the two trees run the
+# same cases even where their registries differ.
+METHOD_IDS = ("cf32a", "cf32b", "cf4", "cf43", "heun", "lie-euler", "rkmk3", "rkmk4",
+              "rkmk4-2c", "rkmk54")
+
+
+def cases():
+    """The 80 RunConfigs, in order: every system with every explicit
+    method at a short t_end, adaptive rkmk54 and cf43 runs, symplectic
+    runs (heavytop-ext and heavytop-spatial, each at theta 0, 1/2 and 1),
+    one converge ladder, one ``steps`` run, runs that set system
+    overrides, t0 and seed, and pendulum chains of one, six and forty
+    links.  It imports geomint from the tree it runs under."""
+    from geomint.harness import RunConfig
+    from geomint.systems import SYSTEM_IDS
+
+    for system in SYSTEM_IDS:
+        for method in METHOD_IDS:
+            yield RunConfig(system=system, method=method, t_end=0.05, h=0.005)
+    # heavytop-body runs the right-action dexpinv under the controller
+    adaptive = (
+        ("heavytop-spatial", 0.1, 0.005),
+        ("heavytop-body", 0.1, 0.005),
+        ("pendulum", 0.5, 0.05),
+    )
+    for system, t_end, h in adaptive:
+        for method in ("rkmk54", "cf43"):
+            yield RunConfig(system=system, method=method, mode="adaptive",
+                            t_end=t_end, h=h, tol=1e-6)
+    yield RunConfig(system="heavytop-ext", method="symplectic", t_end=0.7, h=0.01)
+    yield RunConfig(system="heavytop-spatial", method="symplectic", t_end=0.7, h=0.01)
+    for system in ("heavytop-ext", "heavytop-spatial"):
+        for theta in (0.0, 1.0):
+            yield RunConfig(system=system, method="symplectic", t_end=0.7, h=0.01,
+                            theta=theta)
+    yield RunConfig(system="heavytop-spatial", method="heun", mode="converge",
+                    t_end=0.2, h=0.2)
+    yield RunConfig(system="heavytop-body", method="rkmk4", t_end=0.05, steps=7)
+    yield RunConfig(system="heavytop-lp", method="cf4", t0=0.5, t_end=0.6, h=0.01, seed=5,
+                    overrides={"mass": 12.0, "gravity": 0.5, "length": 1.5})
+    yield RunConfig(system="pendulum", method="rkmk4", t_end=0.05, h=0.005,
+                    overrides={"n": 3, "length": 0.8, "gravity": 9.0})
+    for n in (1, 6, 40):
+        yield RunConfig(system="pendulum", method="rkmk4", t_end=0.05, h=0.005,
+                        overrides={"n": n})
+    yield RunConfig(system="quadrotor", method="rkmk4", t_end=0.05, h=0.005,
+                    overrides={"payload_mass": 1.5, "gravity": 9.0})
 
 
 def _src(tree: str) -> str:

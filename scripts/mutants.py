@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Seeded defects: does the Tier-1 suite catch each one?
+
+    python scripts/mutants.py
+
+Each defect in ``DEFECTS`` is one text replacement in one file.  For each,
+the script copies the checkout's files (tracked, and untracked but not
+ignored) to a temporary directory, applies the one replacement there,
+runs the Tier-1 suite on the copy with ``-x`` and prints "caught" with
+the first failing test, or "missed".  The exit status is 0 only when
+every defect is caught.  A defect takes about
+half a minute, so this script is not part of Tier-1; a Tier-1 test
+checks that each defect's old text occurs exactly once in its file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 600
+# the test that checks the old texts fails on every defect; leave it out
+_SELF_TEST = "tests/test_harness.py::test_mutants_old_text_occurs_once_per_defect"
+
+
+class Defect(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    why: str
+
+
+DEFECTS = (
+    Defect("M3", "src/geomint/integrators.py",
+           "1.0 / (1.0 + min(self.p, self.p_hat))", "1.0 / (1.0 + max(self.p, self.p_hat))",
+           "controller exponent from the higher order: alpha 1/6 for rkmk54"),
+    Defect("M5", "src/geomint/actions.py",
+           "abs(qq - 1.0) <= 2.0 * _TS2_TOL", "abs(qq - 1.0) <= 2000.0 * _TS2_TOL",
+           "TS^2 check on |q| loosened 1000x"),
+    Defect("M9", "src/geomint/actions.py",
+           "abs(qw) <= _TS2_TOL *", "abs(qw) <= 1000.0 * _TS2_TOL *",
+           "TS^2 check on q.w loosened 1000x"),
+    Defect("M10", "src/geomint/integrators.py",
+           "r_norm > 100.0 * bound", "r_norm > 1e6 * bound",
+           "implicit solve accepts a stalled update with a large residual"),
+    Defect("M16", "src/geomint/integrators.py",
+           "    ts[-1] = T\n", "",
+           "fixed_integrate's last time left at t0 + n h instead of T"),
+    Defect("M17", "src/geomint/lie.py",
+           "_SERIES_CUTOFF = 0.5", "_SERIES_CUTOFF = 0.05",
+           "closed forms used down to 0.05, where they lose up to 4e-9 to cancellation"),
+    Defect("M18", "src/geomint/actions.py",
+           "_TS2_TOL = 1e-9", "_TS2_TOL = 1e-6",
+           "TS^2 tolerance raised 1000x"),
+    Defect("safety", "src/geomint/integrators.py",
+           "theta: float = 0.9\n", "theta: float = 0.99\n",
+           "controller safety factor raised from 0.9 to 0.99"),
+)
+
+
+def _copy_checkout(dest: Path) -> None:
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=ROOT, check=True, capture_output=True, text=True).stdout
+    for name in filter(None, listed.split("\0")):
+        if (ROOT / name).is_file():  # a deleted file stays listed until staged
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
+
+
+def run_defect(defect: Defect) -> tuple[bool, str]:
+    """(caught, detail) for one defect, run on a fresh copy."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        _copy_checkout(copy)
+        path = copy / defect.path
+        text = path.read_text()
+        if text.count(defect.old) != 1:
+            return False, f"old text occurs {text.count(defect.old)} times in {defect.path}"
+        path.write_text(text.replace(defect.old, defect.new))
+        env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+        where = subprocess.run([sys.executable, "-c", "import geomint; print(geomint.__file__)"],
+                               cwd=copy, env=env, capture_output=True, text=True).stdout
+        if not where.startswith(str(copy)):
+            return False, f"geomint imported from {where.strip() or 'nowhere'}, not the copy"
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                 "--continue-on-collection-errors", "--deselect", _SELF_TEST],
+                cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return True, f"timed out after {TIMEOUT_S} s"
+    if proc.returncode == 0:
+        return False, "every test passed"
+    failed = [line for line in proc.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+    if proc.returncode != 1 or not failed:
+        return False, f"pytest exited {proc.returncode} without a failing test"
+    return True, failed[0].split(" - ")[0]
+
+
+def main() -> int:
+    caught = 0
+    for defect in DEFECTS:
+        ok, detail = run_defect(defect)
+        caught += ok
+        print(f"{defect.name:7s} {'caught' if ok else 'missed'}  {detail}  ({defect.why})",
+              flush=True)
+    print(f"{caught}/{len(DEFECTS)} caught")
+    return 0 if caught == len(DEFECTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,7 +25,7 @@ from typing import Any, Callable, List, Optional, Tuple
 import numpy as np
 
 from .actions import HomogeneousAction
-from .kernels import SingularMatrixError, _times, solve_dense
+from .kernels import SingularMatrixError, _times, _transpose, solve_dense
 from .lie import BranchError, dexp_star_so3, exp_so3
 from .lie import _dexp_star, _exp_coeffs, _floats, _rotation
 
@@ -370,7 +370,7 @@ def so3r3_cotangent_group() -> CotangentGroup:
     def coad(g, mu):
         # R^T m on the rotational block
         m1, m2, m3, *t = _floats(mu)
-        return np.array([*_times(g[0].T.tolist(), m1, m2, m3), *t])
+        return np.array([*_times(_transpose(g[0].ravel().tolist()), m1, m2, m3), *t])
 
     def dexp_star(u, mu):
         x, y, z = _floats(u)[:3]

@@ -69,9 +69,9 @@ def _times_hat(a, x, y, z):
     )
 
 
-def _times(rows, v1, v2, v3):
-    """M v as three floats, for M given by its rows."""
-    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = rows
+def _times(a, v1, v2, v3):
+    """A v as three floats, for A given as nine floats row by row."""
+    a1, a2, a3, b1, b2, b3, c1, c2, c3 = a
     return a1 * v1 + a2 * v2 + a3 * v3, b1 * v1 + b2 * v2 + b3 * v3, c1 * v1 + c2 * v2 + c3 * v3
 
 

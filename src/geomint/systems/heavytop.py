@@ -145,13 +145,13 @@ def body_energy(params: HeavyTopParams, m: np.ndarray) -> np.ndarray:
 # Spatial form, state [Q.ravel(), pi]
 
 
-def _omega_and_torque(rows, cols, inertia_inv, p1, p2, p3, gamma, v):
+def _omega_and_torque(q, inertia_inv, p1, p2, p3, gamma, v):
     """omega = Q I^-1 Q^T pi and Gamma x Qv + pi x omega, as float lists,
-    for Q given by its rows and its columns."""
-    w1, w2, w3 = _times(cols, p1, p2, p3)
+    for Q given as nine floats row by row."""
+    w1, w2, w3 = _times(_transpose(q), p1, p2, p3)
     i1, i2, i3 = inertia_inv
-    o1, o2, o3 = _times(rows, i1 * w1, i2 * w2, i3 * w3)
-    e1, e2, e3 = _times(rows, *v)
+    o1, o2, o3 = _times(q, i1 * w1, i2 * w2, i3 * w3)
+    e1, e2, e3 = _times(q, *v)
     g1, g2, g3 = gamma
     return [o1, o2, o3], [
         g2 * e3 - g3 * e2 + (p2 * o3 - p3 * o2),
@@ -168,7 +168,7 @@ def heavytop_spatial_f_pair(params: HeavyTopParams):
 
     def f(g, mu):
         omega, torque = _omega_and_torque(
-            g.tolist(), g.T.tolist(), inertia_inv, *mu.tolist(), g0, mgl_chi
+            g.ravel().tolist(), inertia_inv, *mu.tolist(), g0, mgl_chi
         )
         return np.array(omega), np.array(torque)
 
@@ -225,10 +225,10 @@ def heavytop_ext_f_pair(params: HeavyTopParams):
     inertia_inv, g0 = params.inertia_inv.tolist(), params.g0.tolist()
 
     def f(g, mu):
-        rows, cols = g[0].tolist(), g[0].T.tolist()
+        q = g[0].ravel().tolist()
         p1, p2, p3, s1, s2, s3 = mu.tolist()
-        omega, torque = _omega_and_torque(rows, cols, inertia_inv, p1, p2, p3, g0, (-s1, -s2, -s3))
-        r1, r2, r3 = _times(cols, *g0)
+        omega, torque = _omega_and_torque(q, inertia_inv, p1, p2, p3, g0, (-s1, -s2, -s3))
+        r1, r2, r3 = _times(_transpose(q), *g0)
         return np.array([*omega, s1 - r1, s2 - r2, s3 - r3]), np.array([*torque, 0.0, 0.0, 0.0])
 
     return f
@@ -274,13 +274,12 @@ def _momentum_blocks(q0, mu0, theta, xi, nbar):
     u1, u2, u3 = theta * x, theta * y, theta * z
     R = _exp_so3((u1, u2, u3))
     Rt = _transpose(R)
-    a1, a2, a3 = _times((Rt[:3], Rt[3:6], Rt[6:]), *nbar)
+    a1, a2, a3 = _times(Rt, *nbar)
     b1, b2, b3 = mu0[0] + a1, mu0[1] + a2, mu0[2] + a3
     D = _dexp_matrix(x, y, z)
     A = [theta * d for d in _dexp_matrix(u1, u2, u3)]
     B = [d - e for d, e in zip(D, A)]
-    m = [d - e for d, e in zip(_times((D[:3], D[3:6], D[6:]), b1, b2, b3),
-                               _times((A[:3], A[3:6], A[6:]), a1, a2, a3))]
+    m = [d - e for d, e in zip(_times(D, b1, b2, b3), _times(A, a1, a2, a3))]
     # hat(a) R^T = (R hat(-a))^T
     da = _product(B, _product(_transpose(_times_hat(R, -a1, -a2, -a3)), A))
     t2 = theta * theta
@@ -305,8 +304,8 @@ def _field_blocks(Q, m, A, dm_dxi, dm_dn, inertia_inv, gamma, v):
          w12, s4 * r4 + s5 * r5 + s6 * r6, w23,
          w13, w23, i1 * r7 * r7 + i2 * r8 * r8 + i3 * r9 * r9)
     m1, m2, m3 = m
-    o1, o2, o3 = _times((W[:3], W[3:6], W[6:]), m1, m2, m3)
-    e1, e2, e3 = _times((Q[:3], Q[3:6], Q[6:]), *v)
+    o1, o2, o3 = _times(W, m1, m2, m3)
+    e1, e2, e3 = _times(Q, *v)
     k1, k2, k3, k4, k5, k6, k7, k8, k9 = _times_hat(W, m1, m2, m3)
     K = (k1, k2 + o3, k3 - o2, k4 - o3, k5, k6 + o1, k7 + o2, k8 - o1, k9)
     # hat(m) W - hat(omega) = -K^T, and hat(m) K = (-K^T hat(m))^T

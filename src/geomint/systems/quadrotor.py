@@ -170,7 +170,7 @@ def quadrotor_f(params: QuadrotorParams, controls: Controls, t, state) -> np.nda
     for i, (j1, j2, j3), (M1, M2, M3) in ((6, params.inertia1, c[6:9]),
                                           (18, params.inertia2, c[9:12])):
         o1, o2, o3 = s[i + 9:i + 12]
-        out += _times((s[i:i + 3], s[i + 3:i + 6], s[i + 6:i + 9]), o1, o2, o3)
+        out += _times(s[i:i + 9], o1, o2, o3)
         out += [(M1 - (o2 * j3 * o3 - o3 * j2 * o2)) / j1,
                 (M2 - (o3 * j1 * o1 - o1 * j3 * o3)) / j2,
                 (M3 - (o1 * j2 * o2 - o2 * j1 * o1)) / j3]

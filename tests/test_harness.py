@@ -815,8 +815,10 @@ def test_convergence_script_has_a_base_step_per_method():
     assert sorted(_load_script("heavytop_convergence").BASE_STEPS) == sorted(METHODS)
 
 
-def test_csv_digest_runs_every_method():
-    assert _load_script("csv_digest").METHOD_IDS == tuple(sorted(METHODS))
+def test_csv_compare_runs_every_method():
+    script = _load_script("csv_compare")
+    assert script.METHOD_IDS == tuple(sorted(METHODS))
+    assert len(list(script.cases())) == 80
 
 
 def test_csv_compare_names_the_file_and_column_of_the_largest_difference(tmp_path):
@@ -838,6 +840,14 @@ def test_csv_compare_names_the_file_and_column_of_the_largest_difference(tmp_pat
     assert line.endswith("; differ: invariants")
     identical = _load_script("csv_compare").identical_files(paths["old"], paths["new"])
     assert identical == [("trajectory", True), ("invariants", False)]
+
+
+def test_mutants_old_text_occurs_once_per_defect():
+    script = _load_script("mutants")
+    assert len({d.name for d in script.DEFECTS}) == len(script.DEFECTS)
+    for defect in script.DEFECTS:
+        assert defect.old != defect.new, defect.name
+        assert (script.ROOT / defect.path).read_text().count(defect.old) == 1, defect.name
 
 
 _FLOAT = r"[-+]?\d+\.\d+(?:e[-+]\d+)?"

@@ -579,6 +579,16 @@ def test_solve_config_validation():
             SolveConfig(method=method)
 
 
+# the abelian group R with its dual: exp, coad and dexp* are identities
+_LINE = CotangentGroup(
+    algebra_dim=1,
+    exp=lambda xi: xi,
+    compose=lambda g1, g2: g1 + g2,
+    coad=lambda g, mu: mu,
+    dexp_star=lambda u, mu: mu,
+)
+
+
 def test_symplectic_fixed_point_gives_up_after_100_iterations():
     # on an abelian group with f = (mu, mu) at theta = 0, each sweep maps
     # nbar to 0.9 (mu0 + nbar): it contracts by 0.9, so after 100 sweeps
@@ -589,17 +599,29 @@ def test_symplectic_fixed_point_gives_up_after_100_iterations():
         calls.append(None)
         return mu, mu
 
-    line = CotangentGroup(
-        algebra_dim=1,
-        exp=lambda xi: xi,
-        compose=lambda g1, g2: g1 + g2,
-        coad=lambda g, mu: mu,
-        dexp_star=lambda u, mu: mu,
-    )
     with pytest.raises(NonConvergenceError, match="did not converge in 100 iterations"):
-        symplectic_step(line, field, np.zeros(1), np.ones(1), 0.9, 0.0)
+        symplectic_step(_LINE, field, np.zeros(1), np.ones(1), 0.9, 0.0)
     # the predictor G(0), the first G(x), then one evaluation per sweep
     assert len(calls) == 102
+
+
+def test_symplectic_solve_rejects_a_stalled_update_with_a_large_residual():
+    # on the line with f = (1e-9 g + 1, 1e-9 mu + 1), g0 = mu0 = 0, h = 1,
+    # G(xi, nbar) = (1e-9 theta xi + 1, 1e-9 (1 - theta) nbar + 1).  A wrong
+    # J = (1 + 1e4) I shrinks the first update to 7e-14, below the stopping
+    # bound 2.4e-13, while the residual is still 7.1e-10: the solve must not
+    # return that iterate
+    theta = 0.5
+
+    def field(g, mu):
+        return 1e-9 * g + 1.0, 1e-9 * mu + 1.0
+
+    wrong = replace(_LINE, jacobian=lambda *args: -1e4 * np.eye(2))
+    with pytest.raises(NonConvergenceError, match="above tolerance"):
+        symplectic_step(wrong, field, np.zeros(1), np.zeros(1), 1.0, theta)
+    exact = replace(_LINE, jacobian=lambda *args: np.diag([1e-9 * theta, 1e-9 * (1 - theta)]))
+    g1, mu1 = symplectic_step(exact, field, np.zeros(1), np.zeros(1), 1.0, theta)
+    np.testing.assert_allclose([g1[0], mu1[0]], [1.0, 1.0], rtol=1e-8)
 
 
 def _heavy_top_case(system_id):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from fractions import Fraction
+from math import comb, factorial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,10 +12,14 @@ from _reference import dexpinv_series, se3_bracket
 from geomint.kernels import cross
 from geomint.lie import (
     BranchError,
+    _dexp_coeffs,
     _dexp_matrix,
     _dexp_slopes,
     _dexp_star,
     _dexp_star_jacobian,
+    _dexpinv_g2,
+    _dexpinv_g2t,
+    _exp_coeffs,
     _se3_bracket,
     dexp_star_so3,
     dexpinv_se3,
@@ -470,6 +477,59 @@ def test_dexp_slopes_series_and_closed_forms_agree_at_cutoff():
     series = _dexp_slopes(np.nextafter(0.25, 0.0))
     closed = _dexp_slopes(0.25)
     np.testing.assert_allclose(series, closed, rtol=1e-12, atol=0)
+
+
+def _bernoulli(n):
+    """B_0 .. B_n as exact fractions, from sum_k C(m + 1, k) B_k = 0."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return b
+
+
+_TERMS = 20
+_B = _bernoulli(2 * _TERMS + 4)
+
+
+def _series(z2, coeff):
+    """sum_k coeff(k) z2**k over the first _TERMS terms, exactly."""
+    return sum(coeff(k) * z2**k for k in range(_TERMS))
+
+
+def _exact_coefficients(a):
+    """The seven scalar coefficient functions at the float a, by exact
+    Taylor sums: sin(a)/a, (1 - cos a)/a^2 and (a - sin a)/a^3 and the
+    slopes of the last two in a^2, all at a^2 = a * a as rounded, then
+    (1 - (a/2) cot(a/2))/a^2 and its derivative over a, from Bernoulli
+    numbers, since (z/2) cot(z/2) = sum_n (-1)^n B_2n z^2n / (2n)!."""
+    a2, z2 = Fraction(a * a), Fraction(a) ** 2
+    # the dexpinv sums start at n = 1 and n = 2; k counts from there
+    return {
+        "sinc": _series(a2, lambda k: Fraction((-1) ** k, factorial(2 * k + 1))),
+        "cosc": _series(a2, lambda k: Fraction((-1) ** k, factorial(2 * k + 2))),
+        "g2": _series(a2, lambda k: Fraction((-1) ** k, factorial(2 * k + 3))),
+        "cosc slope": _series(a2, lambda k: (-1) ** (k + 1) * Fraction(k + 1, factorial(2 * k + 4))),
+        "g2 slope": _series(a2, lambda k: (-1) ** (k + 1) * Fraction(k + 1, factorial(2 * k + 5))),
+        "dexpinv g2": _series(z2, lambda k: (-1) ** k * _B[2 * k + 2] / factorial(2 * k + 2)),
+        "dexpinv g2t": _series(
+            z2, lambda k: (-1) ** (k + 1) * _B[2 * k + 4] * (2 * k + 2) / factorial(2 * k + 4)),
+    }
+
+
+@pytest.mark.parametrize("a", [0.001, 0.01, 0.04, 0.06, 0.08, 0.1, 0.15, 0.2, 0.3, 0.4, 0.49])
+def test_scalar_coefficients_match_exact_taylor_sums(a):
+    # the Taylor polynomials hold to rounding below a = 0.5, where the
+    # closed forms lose up to 4e-9 (dexpinv g2t at 0.06) to cancellation,
+    # so the switch to them must not come earlier
+    exact = _exact_coefficients(a)
+    got = zip(
+        ["sinc", "cosc", "cosc", "g2", "cosc slope", "g2 slope", "dexpinv g2", "dexpinv g2t"],
+        [*_exp_coeffs(a * a), *_dexp_coeffs(a * a), *_dexp_slopes(a * a),
+         _dexpinv_g2(a), _dexpinv_g2t(a)],
+    )
+    for name, value in got:
+        want = float(exact[name])
+        assert abs(value - want) <= 1e-14 * abs(want), name
 
 
 @pytest.mark.parametrize("angle", [0.2, 0.49, 0.51, 2.0, 5.0])
