@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from geomint.harness import RunConfig, run
+import numpy as np
+
+from geomint.harness import RunConfig, read_csv, run
 
 
 def main() -> None:
@@ -32,16 +34,11 @@ def main() -> None:
         out=args.out,
     )
     paths = run(cfg)
-    steps = [
-        line.split(",")
-        for line in Path(paths[-1]).read_text().splitlines()
-        if line and not line.startswith(("#", "t,"))
-    ]
-    accepted = [(float(t), float(h)) for t, h, _, acc in steps if acc == "1"]
-    rejected = sum(1 for *_, acc in steps if acc == "0")
-    t_min, h_min = min(accepted, key=lambda th: th[1])
-    print(f"{len(accepted)} accepted steps, {rejected} rejected")
-    print(f"smallest accepted step h = {h_min:.3e} at t = {t_min:.3f}")
+    t, h, _, accepted = read_csv(paths[-1])[2].T
+    t, h = t[accepted == 1], h[accepted == 1]
+    i = np.argmin(h)  # the first of equal minima
+    print(f"{len(h)} accepted steps, {len(accepted) - len(h)} rejected")
+    print(f"smallest accepted step h = {h[i]:.3e} at t = {t[i]:.3f}")
     for p in paths:
         print(p)
 

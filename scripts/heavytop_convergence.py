@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from geomint.harness import RunConfig, converge
+from geomint.harness import RunConfig, converge, read_csv
 
 BASE_STEPS = {
     "lie-euler": 0.02,
@@ -47,11 +47,7 @@ def main() -> None:
             out=str(outdir / method),
         )
         (path,) = converge(cfg)
-        slope = next(
-            line.split("=")[1].strip()
-            for line in Path(path).read_text().splitlines()
-            if line.startswith("# fitted_slope")
-        )
+        slope = read_csv(path)[0]["fitted_slope"]
         print(f"{method:10s} slope {float(slope):6.3f}  -> {path}")
 
 

@@ -62,6 +62,55 @@ DEFECTS = (
     Defect("safety", "src/geomint/integrators.py",
            "theta: float = 0.9\n", "theta: float = 0.99\n",
            "controller safety factor raised from 0.9 to 0.99"),
+    Defect("t-move", "src/geomint/integrators.py",
+           "if h < _H_MIN or t + h == t:", "if h < _H_MIN:",
+           "an adaptive step too short to move t is no longer refused"),
+    Defect("singular", "src/geomint/integrators.py",
+           "except (BranchError, SingularMatrixError):", "except BranchError:",
+           "a trial whose field raises SingularMatrixError ends the run, not rejected"),
+    Defect("end-check", "src/geomint/integrators.py",
+           "    if bad.size:\n", "    if False:\n",
+           "fixed_integrate returns a non-finite state"),
+    Defect("cond", "src/geomint/kernels.py",
+           "if not cond < 1e12:", "if not cond < 1e16:",
+           "solve_dense accepts matrices 1e4x worse conditioned"),
+    Defect("rejects", "src/geomint/integrators.py",
+           "_MAX_REJECTS = 30", "_MAX_REJECTS = 300",
+           "the controller gives up after 300 consecutive rejects, not 30"),
+    Defect("halve", "src/geomint/integrators.py",
+           "return 0.5 * h", "return 0.9 * h",
+           "a non-finite estimate cuts h by 0.9, not 0.5"),
+    Defect("fsal", "src/geomint/integrators.py",
+           "fsal = tableau.b_hat is not None and tableau.a[-1] + (0.0,) == tableau.b",
+           "fsal = False",
+           "rkmk54 evaluates its first-same-as-last stage inside the step"),
+    Defect("memo", "src/geomint/integrators.py",
+           "        if m is y:\n            base = last\n", "",
+           "a trial after a reject evaluates f(y) again"),
+    Defect("h-min", "src/geomint/integrators.py",
+           "_H_MIN = 1e-12", "_H_MIN = 1e-14",
+           "step size floor lowered 100x"),
+    Defect("pivot", "src/geomint/systems/pendulum.py",
+           "if not pivot > 0.0:", "if not pivot < 0.0:",
+           "the pendulum's Thomas sweep refuses every positive pivot"),
+    Defect("quad-finite", "src/geomint/systems/quadrotor.py",
+           "if not np.isfinite(state).all():", "if False:",
+           "quadrotor_f reads a non-finite state"),
+    Defect("pend-finite", "src/geomint/systems/pendulum.py",
+           "if not all(map(isfinite, s)):", "if False:",
+           "pendulum_f reads a non-finite state"),
+    Defect("zero-estimate", "src/geomint/integrators.py",
+           "    if e == 0.0:\n        return math.inf\n", "",
+           "an estimate of 0 divides by zero instead of taking the rest of the interval"),
+    Defect("solve-tol", "src/geomint/integrators.py",
+           "_SOLVE_TOL = 1e-13", "_SOLVE_TOL = 1e-10",
+           "implicit solve stopping bound raised 1000x"),
+    Defect("predictor", "src/geomint/integrators.py",
+           "if not np.isfinite(x).all():", "if False:",
+           "implicit solve runs on from a non-finite predictor"),
+    Defect("iterate", "src/geomint/integrators.py",
+           "if not np.isfinite(dx).all():", "if False:",
+           "implicit solve runs on from a non-finite update"),
 )
 
 
@@ -110,7 +159,7 @@ def main() -> int:
     for defect in DEFECTS:
         ok, detail = run_defect(defect)
         caught += ok
-        print(f"{defect.name:7s} {'caught' if ok else 'missed'}  {detail}  ({defect.why})",
+        print(f"{defect.name:13s} {'caught' if ok else 'missed'}  {detail}  ({defect.why})",
               flush=True)
     print(f"{caught}/{len(DEFECTS)} caught")
     return 0 if caught == len(DEFECTS) else 1

@@ -9,18 +9,10 @@ from __future__ import annotations
 
 import argparse
 import tempfile
-from pathlib import Path
 
 import numpy as np
 
-from geomint.harness import RunConfig, run
-
-
-def _columns(path):
-    """The named columns of a harness CSV, as float arrays."""
-    lines = Path(path).read_text().splitlines()
-    header, *rows = (line for line in lines if not line.startswith("#"))
-    return dict(zip(header.split(","), np.array([r.split(",") for r in rows], dtype=float).T))
+from geomint.harness import RunConfig, read_csv, run
 
 
 def main() -> None:
@@ -34,7 +26,8 @@ def main() -> None:
         with tempfile.TemporaryDirectory() as out:
             cfg = RunConfig(system="heavytop-ext", method="symplectic", t_end=args.h * args.steps,
                             steps=args.steps, theta=theta, out=f"{out}/run")
-            inv = _columns(run(cfg)[1])
+            _, header, rows = read_csv(run(cfg)[1])
+        inv = dict(zip(header, rows.T))
         err = np.abs(inv["energy"] - inv["energy"][0])
         half = len(err) // 2
         pg = inv["gamma0_dot_pi"]

@@ -1,4 +1,4 @@
-"""Run configuration, experiment drivers, and CSV emission.
+"""Run configuration, experiment drivers, and CSV emission and reading.
 
 Configs are flat ``key = value`` text files (or equivalent flag
 dictionaries); unknown keys are rejected with the offending line.  All
@@ -32,6 +32,7 @@ __all__ = [
     "parse_config",
     "run",
     "converge",
+    "read_csv",
     "LADDER_EXPONENTS",
 ]
 
@@ -195,7 +196,7 @@ def parse_config(
 
 
 # ---------------------------------------------------------------------------
-# CSV emission
+# CSV emission and reading
 
 
 def _write_csv(path, cfg: RunConfig, header: Sequence[str], rows, meta=(), fmt=None) -> None:
@@ -207,6 +208,16 @@ def _write_csv(path, cfg: RunConfig, header: Sequence[str], rows, meta=(), fmt=N
     lines.append(",".join(header))
     lines += [fmt % tuple(r) for r in rows]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def read_csv(path) -> Tuple[Dict[str, str], List[str], np.ndarray]:
+    """The inverse of ``_write_csv``: the ``# key = value`` metadata as
+    text, the header, and the rows as one float array, in which ``inf``
+    and ``nan`` parse and the step log's accepted flag reads 0.0 or 1.0."""
+    lines = Path(path).read_text().splitlines()
+    meta = dict(line[2:].split(" = ", 1) for line in lines if line.startswith("#"))
+    header, *rows = (line for line in lines if not line.startswith("#"))
+    return meta, header.split(","), np.array([row.split(",") for row in rows], dtype=float)
 
 
 def _emit_trajectory(cfg, system, ts, ys, hs, out_base) -> List[str]:
@@ -224,8 +235,9 @@ def _emit_trajectory(cfg, system, ts, ys, hs, out_base) -> List[str]:
 
 
 def _steps(cfg: RunConfig, h: float) -> int:
-    """The step count of a fixed run of step about h over [t0, t-end]."""
-    n = (cfg.t_end - cfg.t0) / h
+    """The step count of a fixed run of step about h over [t0, t-end]; a
+    step that underflowed to 0 gives an infinite count."""
+    n = (cfg.t_end - cfg.t0) / h if h else math.inf
     if not math.isfinite(n):
         raise ConfigError(f"the step count (t-end - t0) / h = {n} is not finite")
     return max(1, round(n))

@@ -72,6 +72,7 @@ class PendulumParams:
             raise ValueError(f"pendulum parameters must be finite, got {self}")
         if min(self.masses) <= 0 or min(self.lengths) <= 0:
             raise ValueError("masses and lengths must be positive")
+        self._inverse_coupling  # built here, so that its checks run at construction
 
     @property
     def n(self) -> int:
@@ -101,12 +102,20 @@ class PendulumParams:
         """K = M^-1 in closed form, as floats: the diagonal
         K_ii = (1/m_i + 1/m_{i-1}) / L_i^2, with no 1/m_{i-1} for the
         first link, and the N + 1 entries K_{i-1,i} = -1/(m_{i-1} L_{i-1} L_i),
-        with a zero at either end for the links the chain does not have."""
+        with a zero at either end for the links the chain does not have.
+        Raises ValueError where a divisor underflows to 0 or an entry
+        overflows."""
         m, L = [float(x) for x in self.masses], [float(x) for x in self.lengths]
-        diag = [(1.0 / m[i] + (1.0 / m[i - 1] if i else 0.0)) / (L[i] * L[i])
-                for i in range(self.n)]
-        off = [0.0, *(-1.0 / (m[i] * L[i] * L[i + 1]) for i in range(self.n - 1)), 0.0]
-        return diag, off
+        try:
+            diag = [(1.0 / m[i] + (1.0 / m[i - 1] if i else 0.0)) / (L[i] * L[i])
+                    for i in range(self.n)]
+            off = [0.0, *(-1.0 / (m[i] * L[i] * L[i + 1]) for i in range(self.n - 1)), 0.0]
+            if all(map(isfinite, diag + off)):
+                return diag, off
+        except ZeroDivisionError:
+            pass
+        raise ValueError(f"pendulum masses and lengths give no finite inverse coupling, "
+                         f"got {self}")
 
     @cached_property
     def _inverse_weight(self) -> list:

@@ -4,7 +4,9 @@ The truncated Bernoulli series of dexpinv is exact only in the limit, so
 no integrator uses it; the tests compare every action's closed-form
 ``dexpinv`` with it.  The infinitesimal generators give each action's
 ambient vector field, for the classical RK4 control and the field tests;
-no stepper reads them.  This module holds no random state.
+no stepper reads them.  The benchmark top is a Lagrange top, whose
+nutation has a closed form in Jacobi's sn.  This module holds no random
+state.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from itertools import accumulate
 from typing import Callable
 
 import numpy as np
+from scipy.special import ellipj, ellipkinc
 
 from geomint.actions import HomogeneousAction
 from geomint.kernels import cross
@@ -142,3 +145,33 @@ def generator(action: HomogeneousAction) -> Callable:
     pts = list(accumulate((f.point_dim for f in action.factors), initial=0))
     blocks = list(zip(gens, alg, alg[1:], pts, pts[1:]))
     return lambda xi, m: np.concatenate([g(xi[a:b], m[c:d]) for g, a, b, c, d in blocks])
+
+
+# ---------------------------------------------------------------------------
+# The Lagrange top: u = Gamma . e2 / |Gamma0| in closed form
+
+
+def lagrange_top_u(params, state, t):
+    """u(t) for a top with I1 = I3 = A and its centre of mass on e2, from
+    the Lie--Poisson state (Pi, Gamma) at t = 0 (Landau and Lifshitz,
+    *Mechanics*, ch. VI; Goldstein, *Classical Mechanics*, sec. 5.7).
+
+    The energy, the spin s = Pi_2 and p = Pi . Gamma / |Gamma| are
+    conserved, so with k = Mgl |Gamma| and a = (Pi_1^2 + Pi_3^2) / 2A + k u,
+    A^2 u'^2 = 2A (a - k u)(1 - u^2) - (p - s u)^2.  This cubic has roots
+    u1 <= u <= u2 < u3, and u = u1 + (u2 - u1) sn^2(lam t + tau0 | m) with
+    m = (u2 - u1) / (u3 - u1) and lam^2 = k (u3 - u1) / 2A."""
+    inertia, axis = np.asarray(params.inertia), np.asarray(params.axis)
+    if inertia[0] != inertia[2] or not np.array_equal(axis, [0.0, 1.0, 0.0]):
+        raise ValueError("not a Lagrange top about e2")
+    A, Pi, gamma = inertia[0], state[:3], state[3:6] / np.linalg.norm(state[3:6])
+    k, s, p, u0 = params.mgl * np.linalg.norm(state[3:6]), Pi[1], Pi @ gamma, gamma[1]
+    a = (Pi[0] ** 2 + Pi[2] ** 2) / (2 * A) + k * u0
+    cubic = [2 * A * k, -2 * A * a - s * s, 2 * p * s - 2 * A * k, 2 * A * a - p * p]
+    u1, u2, u3 = np.sort(np.roots(cubic).real)
+    m = (u2 - u1) / (u3 - u1)
+    tau0 = ellipkinc(np.arcsin(np.sqrt(np.clip((u0 - u1) / (u2 - u1), 0.0, 1.0))), m)
+    if gamma[2] * Pi[0] < gamma[0] * Pi[2]:  # u'(0) < 0: sn^2 falls from tau0
+        tau0 = -tau0
+    sn = ellipj(np.sqrt(k * (u3 - u1) / (2 * A)) * np.asarray(t) + tau0, m)[0]
+    return u1 + (u2 - u1) * sn**2

@@ -24,9 +24,10 @@ from geomint.harness import (
     converge,
     parse_config,
     parse_config_file,
+    read_csv,
     run,
 )
-from geomint.integrators import METHODS
+from geomint.integrators import METHODS, fixed_integrate
 from geomint.systems import OVERRIDES, SYSTEM_IDS, get_system
 
 
@@ -240,8 +241,7 @@ def _by_cli(tmp_path, capsys, key, value):
     if rc == 1 and err.startswith("geomint: error: "):
         raise ConfigError(err)
     assert rc == 0
-    meta, _, _ = _read_csv(tmp_path / "r.trajectory.csv")
-    return dict(line[2:].split(" = ") for line in meta)[key]
+    return read_csv(tmp_path / "r.trajectory.csv")[0][key]
 
 
 def _by_file(tmp_path, capsys, key, value):
@@ -281,31 +281,19 @@ def test_every_route_reads_an_integer_key_alike(tmp_path, capsys, route, key, va
 # -- CSV output -------------------------------------------------------------------------
 
 
-def _read_csv(path):
-    meta, header, rows = [], None, []
-    for line in path.read_text().splitlines():
-        if line.startswith("#"):
-            meta.append(line)
-        elif header is None:
-            header = line.split(",")
-        else:
-            rows.append(line.split(","))
-    return meta, header, np.array(rows, dtype=float)
-
-
 def test_fixed_run_outputs(tmp_path):
     cfg = RunConfig(
         system="heavytop-lp", method="rkmk4", h=0.01, t_end=0.5, out=str(tmp_path / "r")
     )
     paths = run(cfg)
     assert [p.split(".", 1)[1] for p in paths] == ["trajectory.csv", "invariants.csv"]
-    meta, header, data = _read_csv(tmp_path / "r.trajectory.csv")
-    assert any("system = heavytop-lp" in m for m in meta)
+    meta, header, data = read_csv(tmp_path / "r.trajectory.csv")
+    assert meta["system"] == "heavytop-lp"
     assert header == ["t", "h"] + [f"x{i}" for i in range(6)]
     assert data.shape == (51, 8)
     assert data[0, 0] == 0.0 and data[-1, 0] == pytest.approx(0.5)
 
-    _, inv_header, inv = _read_csv(tmp_path / "r.invariants.csv")
+    _, inv_header, inv = read_csv(tmp_path / "r.invariants.csv")
     assert inv_header == ["t", "energy", "gamma_norm", "pi_dot_gamma"]
     assert inv.shape == (51, 4)
     # the Casimir columns barely move
@@ -318,8 +306,8 @@ def test_symplectic_run_ends_exactly_at_t_end(tmp_path):
         system="heavytop-ext", method="symplectic", h=0.01, t_end=0.7, out=str(tmp_path / "r")
     )
     run(cfg)
-    _, _, data = _read_csv(tmp_path / "r.trajectory.csv")
-    _, _, inv = _read_csv(tmp_path / "r.invariants.csv")
+    _, _, data = read_csv(tmp_path / "r.trajectory.csv")
+    _, _, inv = read_csv(tmp_path / "r.invariants.csv")
     assert data.shape[0] == 71
     assert data[-1, 0] == 0.7 and inv[-1, 0] == 0.7
 
@@ -333,7 +321,7 @@ def test_adaptive_run_ends_exactly_at_t_end(tmp_path):
     for kind in ("trajectory", "invariants"):
         last = (tmp_path / f"r.{kind}.csv").read_text().splitlines()[-1]
         assert last.split(",")[0] == "1.0000000000000000e-03"
-    _, _, log = _read_csv(tmp_path / "r.steps.csv")
+    _, _, log = read_csv(tmp_path / "r.steps.csv")
     assert log[:, 3].tolist() == [1.0, 1.0]
     assert log[1, 1] == pytest.approx(5e-15, rel=0.01)
 
@@ -354,16 +342,43 @@ def test_csv_values_roundtrip_exactly(tmp_path):
         system="pendulum", method="rkmk4", h=0.05, t_end=0.5, out=str(tmp_path / "r")
     )
     run(cfg)
-    _, _, data = _read_csv(tmp_path / "r.trajectory.csv")
+    _, _, data = read_csv(tmp_path / "r.trajectory.csv")
     system = get_system("pendulum")
-    from geomint.integrators import METHODS, fixed_integrate
-
     ts, ys = fixed_integrate(
         system.action, system.field, METHODS["rkmk4"].stepper, system.initial, 0.0, 0.5, 10
     )
     # 17 significant digits reproduce the float64 values bit for bit
     np.testing.assert_array_equal(data[:, 2:], ys)
     np.testing.assert_array_equal(data[:, 0], ts)
+
+
+def test_read_csv_inverts_write_csv_on_every_kind_of_file(tmp_path):
+    fixed = RunConfig(system="heavytop-lp", method="cf4", steps=10, t_end=0.1,
+                      out=str(tmp_path / "f"))
+    system = fixed.build_system()
+    ts, ys = fixed_integrate(system.action, system.field, METHODS["cf4"].stepper,
+                             system.initial, 0.0, 0.1, 10)
+    (meta, _, traj), (inv_meta, inv_header, inv) = map(read_csv, run(fixed))
+    assert meta == inv_meta == dict(fixed.echo_items())
+    assert inv_header[1:] == list(system.invariants)
+    np.testing.assert_array_equal(traj[:, [0, *range(2, 8)]], np.column_stack([ts, ys]))
+    columns = [ts, *(invariant(ys) for invariant in system.invariants.values())]
+    np.testing.assert_array_equal(inv, np.column_stack(columns))
+    # the first trial leaves the exp branch: estimate inf, accepted written %d as 0
+    adaptive = RunConfig(system="heavytop-spatial", method="rkmk54", mode="adaptive", h=0.5,
+                         tol=1e-6, t_end=0.2, out=str(tmp_path / "a"))
+    meta, _, log = read_csv(run(adaptive)[-1])
+    assert meta == dict(adaptive.echo_items()) and log[0, 2:].tolist() == [np.inf, 0.0]
+    ladder = RunConfig(system="heavytop-lp", method="heun", mode="converge", h=0.1, t_end=0.1,
+                       out=str(tmp_path / "c"))
+    meta, _, orders = read_csv(converge(ladder)[0])
+    slope = np.polyfit(*np.log(orders).T, 1)[0]
+    assert meta == {**dict(ladder.echo_items()), "fitted_slope": "%.16e" % slope}
+    # a value may hold " = ", and nan and -inf cells parse
+    harness._write_csv(tmp_path / "x.csv", fixed, ["a", "b"], [(np.nan, -np.inf)],
+                       meta=[("note", "a = b")])
+    meta, _, rows = read_csv(tmp_path / "x.csv")
+    assert meta["note"] == "a = b" and np.isnan(rows[0, 0]) and rows[0, 1] == -np.inf
 
 
 def test_output_is_deterministic(tmp_path):
@@ -404,11 +419,11 @@ def test_adaptive_run_writes_step_log(tmp_path):
     )
     paths = run(cfg)
     assert paths[-1].endswith(".steps.csv")
-    meta, header, data = _read_csv(tmp_path / "r.steps.csv")
+    meta, header, data = read_csv(tmp_path / "r.steps.csv")
     assert header == ["t", "h", "error_estimate", "accepted"]
     accepted = data[data[:, 3] == 1.0]
     assert np.all(accepted[:, 2] < 1e-6)
-    _, _, traj = _read_csv(tmp_path / "r.trajectory.csv")
+    _, _, traj = read_csv(tmp_path / "r.trajectory.csv")
     assert len(accepted) == len(traj) - 1
 
 
@@ -417,7 +432,7 @@ def test_adaptive_run_takes_the_controller_exponent_from_the_lower_order(tmp_pat
     cfg = RunConfig(system="heavytop-lp", method="rkmk54", mode="adaptive", h=0.01,
                     tol=1e-6, t_end=1.0, out=str(tmp_path / "r"))
     run(cfg)
-    _, _, log = _read_csv(tmp_path / "r.steps.csv")
+    _, _, log = read_csv(tmp_path / "r.steps.csv")
     (_, h1, e1, _), (_, h2, _, _) = log[:2]
     assert abs(np.log10(e1 / cfg.tol)) > 1  # far enough from tol to tell 1/5 from 1/6
     assert h2 == pytest.approx(0.9 * (cfg.tol / e1) ** (1 / 5) * h1, rel=1e-14)
@@ -460,16 +475,19 @@ def test_missing_output_directory_fails_before_any_work(tmp_path, monkeypatch, o
 @pytest.mark.parametrize("command", ["simulate", "converge"])
 def test_cli_step_count_with_no_finite_value_fails_before_any_work(tmp_path, monkeypatch,
                                                                   capsys, command):
-    # (1e300 - 0) / 1e-300 overflows to inf, which has no whole number of steps
+    # (1e300 - 0) / 1e-300 overflows to inf, which has no whole number of
+    # steps; so does 0.05 / 5e-324, and the ladder's first rung 5e-324 / 16
+    # underflows to 0
     calls = []
     monkeypatch.setattr(harness, "reference_state", lambda *args: calls.append(args))
     monkeypatch.setattr(harness, "fixed_integrate", lambda *args: calls.append(args))
-    rc = cli_main([command, "--system", "heavytop-lp", "--method", "rkmk4", "--h", "1e-300",
-                   "--t-end", "1e300", "--out", str(tmp_path / "r")])
-    assert rc == 1
-    assert capsys.readouterr().err == (
-        "geomint: error: the step count (t-end - t0) / h = inf is not finite\n"
-    )
+    for h, t_end in (("1e-300", "1e300"), ("5e-324", "0.05")):
+        rc = cli_main([command, "--system", "heavytop-lp", "--method", "rkmk4", "--h", h,
+                       "--t-end", t_end, "--out", str(tmp_path / "r")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "geomint: error: the step count (t-end - t0) / h = inf is not finite\n"
+        )
     assert calls == []
 
 
@@ -494,11 +512,8 @@ def test_converge_writes_slope(tmp_path):
         out=str(tmp_path / "c"),
     )
     (path,) = converge(cfg)
-    text = (tmp_path / "c.orders.csv").read_text()
-    slope_line = next(l for l in text.splitlines() if l.startswith("# fitted_slope"))
-    slope = float(slope_line.split("=")[1])
-    assert 1.75 < slope < 2.25
-    _, header, data = _read_csv(tmp_path / "c.orders.csv")
+    meta, header, data = read_csv(path)
+    assert 1.75 < float(meta["fitted_slope"]) < 2.25
     assert header == ["h", "global_error"]
     assert data.shape == (len(LADDER_EXPONENTS), 2)
 
@@ -531,9 +546,9 @@ def test_cli_sets_t0_and_system_overrides(tmp_path, capsys):
     rc = cli_main(["simulate", "--system", "pendulum", "--method", "rkmk4", "--n", "3",
                    "--t0", "0.5", "--t-end", "0.6", "--h", "0.01", "--out", str(tmp_path / "r")])
     assert rc == 0
-    meta, header, data = _read_csv(tmp_path / "r.trajectory.csv")
+    meta, header, data = read_csv(tmp_path / "r.trajectory.csv")
     assert header[2:] == [f"x{i}" for i in range(18)]
-    assert "# t0 = 0.5" in meta and "# n = 3" in meta
+    assert meta["t0"] == "0.5" and meta["n"] == "3"
     assert data[0, 0] == 0.5
 
 
@@ -614,6 +629,22 @@ def test_cli_empty_pendulum_chain_exits_nonzero(tmp_path, capsys):
     assert cli_main(["simulate", "--config", str(cfgfile)]) == 1
     assert capsys.readouterr().err == "geomint: error: a pendulum needs at least one link\n"
     assert list(tmp_path.iterdir()) == [cfgfile]
+
+
+@pytest.mark.parametrize("command", ["simulate", "adapt"])
+@pytest.mark.parametrize("params", [["--n", "3", "--length", "1e-200"],
+                                    ["--n", "2", "--mass", "5e-324", "--length", "0.5"]],
+                         ids=["length", "mass"])
+def test_cli_pendulum_without_a_finite_inverse_coupling_exits_nonzero(tmp_path, capsys,
+                                                                       command, params):
+    # L_i^2, or m_i L_i L_{i+1}, underflows to 0: a divisor of the closed-form K
+    rc = cli_main([command, "--system", "pendulum", "--method", "rkmk54", "--h", "0.01",
+                   "--tol", "1e-6", "--t-end", "0.05", *params, "--out", str(tmp_path / "r")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("geomint: error: pendulum masses and lengths give no finite")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_reports_integrator_failure(tmp_path, capsys):
@@ -869,7 +900,7 @@ _FLOAT = r"[-+]?\d+\.\d+(?:e[-+]\d+)?"
 )
 def test_paper_scripts_print_lines_that_parse(tmp_path, monkeypatch, capsys, name, argv,
                                                patterns):
-    # each script reads the harness CSVs by hand; run its main() on a short case
+    # each script reads the harness CSVs through read_csv; run its main() on a short case
     script = _load_script(name)
     monkeypatch.setattr(sys, "argv", [name] + [a.format(tmp=tmp_path) for a in argv])
     script.main()

@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _reference import generator
+from _reference import generator, lagrange_top_u
+from geomint.harness import reference_state
 from geomint.integrators import (
     METHODS,
     ControllerConfig,
@@ -256,6 +257,16 @@ def test_all_formulations_agree_on_short_runs():
 
     np.testing.assert_allclose(runs["heavytop-ext"][:9].reshape(3, 3), Qb, atol=1e-9)
     np.testing.assert_allclose(runs["heavytop-ext"][9:12], pis, atol=1e-7)
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5, 1.0, 2.0])
+def test_reference_state_follows_the_lagrange_top_in_closed_form(t):
+    # u = Gamma . e2 / |Gamma0| nutates between 0 and 2.86e-3 with period
+    # 0.021 s, so t = 2 lies about 95 periods out
+    system = get_system("heavytop-lp")
+    u = lagrange_top_u(BRULS_TOP, system.initial, t)
+    end = reference_state(system, 0.0, t)
+    assert abs(end[4] / np.linalg.norm(system.initial[3:6]) - u) < 1e-11
 
 
 # -- Casimirs under the coadjoint action ------------------------------------------

@@ -517,8 +517,8 @@ def test_adaptive_step_that_cannot_move_t_underflows():
 
 
 def test_adaptive_last_step_below_the_floor_lands_on_T():
-    # the first step leaves T - t = 5e-13, under _H_MIN but above the
-    # loop's end tolerance; the floor is on h, so the short last step runs
+    # the first step leaves T - t = 5e-13, under _H_MIN; the floor is on
+    # the controller's h, not on a last step T cuts short, so that step runs
     cfg = ControllerConfig(tol=1e-6, alpha=0.2)
     res = adaptive_integrate(translation_action(1), lambda y: np.zeros(1),
                              METHODS["rkmk54"].stepper, np.array([1.0]), 0.0, 1.0,
@@ -622,6 +622,24 @@ def test_symplectic_solve_rejects_a_stalled_update_with_a_large_residual():
     exact = replace(_LINE, jacobian=lambda *args: np.diag([1e-9 * theta, 1e-9 * (1 - theta)]))
     g1, mu1 = symplectic_step(exact, field, np.zeros(1), np.zeros(1), 1.0, theta)
     np.testing.assert_allclose([g1[0], mu1[0]], [1.0, 1.0], rtol=1e-8)
+
+
+@pytest.mark.parametrize("finite_calls,message", [(0, "predictor"), (1, "iterate")])
+def test_symplectic_solve_stops_at_the_first_non_finite_value(finite_calls, message):
+    # the field turns NaN after its first finite_calls calls: the predictor
+    # G(0), or the G(x) of the first update.  Each is caught where it
+    # appears, one field call later; unchecked, the NaN runs on to a later
+    # check or to the iteration cap
+    calls = []
+
+    def field(g, mu):
+        calls.append(None)
+        value = np.full(1, 1.0 if len(calls) <= finite_calls else np.nan)
+        return value, value
+
+    with pytest.raises(NonConvergenceError, match=f"^implicit solve: {message} is not finite$"):
+        symplectic_step(_LINE, field, np.zeros(1), np.ones(1), 0.1, 0.5)
+    assert len(calls) == finite_calls + 1
 
 
 def _heavy_top_case(system_id):

@@ -45,7 +45,9 @@ def test_params_validation():
         PendulumParams(masses=(1.0,), lengths=(1.0, 1.0))
     with pytest.raises(ValueError):
         PendulumParams(masses=(0.0,), lengths=(1.0,))
-    for bad in ({"lengths": (np.nan,)}, {"masses": (np.inf,)}, {"gravity": np.nan}):
+    # the last two leave a divisor of the closed-form K at 0: L_1^2, m_1 L_1 L_2
+    for bad in ({"lengths": (np.nan,)}, {"masses": (np.inf,)}, {"gravity": np.nan},
+                {"lengths": (1e-200,)}, {"masses": (5e-324, 1.0), "lengths": (0.5, 0.5)}):
         with pytest.raises(ValueError):
             PendulumParams(**{"masses": (1.0,), "lengths": (1.0,), **bad})
 
