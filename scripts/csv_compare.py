@@ -57,9 +57,9 @@ def cases():
     """The 80 RunConfigs, in order: every system with every explicit
     method at a short t_end, adaptive rkmk54 and cf43 runs, symplectic
     runs (heavytop-ext and heavytop-spatial, each at theta 0, 1/2 and 1),
-    one converge ladder, one ``steps`` run, runs that set system
-    overrides, t0 and seed, and pendulum chains of one, six and forty
-    links.  It imports geomint from the tree it runs under."""
+    one converge ladder, a seven-step run whose h is 0.05 / 7, runs that
+    set system overrides, t0 and seed, and pendulum chains of one, six
+    and forty links.  It imports geomint from the tree it runs under."""
     from geomint.harness import RunConfig
     from geomint.systems import SYSTEM_IDS
 
@@ -84,7 +84,7 @@ def cases():
                             theta=theta)
     yield RunConfig(system="heavytop-spatial", method="heun", mode="converge",
                     t_end=0.2, h=0.2)
-    yield RunConfig(system="heavytop-body", method="rkmk4", t_end=0.05, steps=7)
+    yield RunConfig(system="heavytop-body", method="rkmk4", t_end=0.05, h=0.05 / 7)
     yield RunConfig(system="heavytop-lp", method="cf4", t0=0.5, t_end=0.6, h=0.01, seed=5,
                     overrides={"mass": 12.0, "gravity": 0.5, "length": 1.5})
     yield RunConfig(system="pendulum", method="rkmk4", t_end=0.05, h=0.005,

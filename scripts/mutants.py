@@ -111,6 +111,18 @@ DEFECTS = (
     Defect("iterate", "src/geomint/integrators.py",
            "if not np.isfinite(dx).all():", "if False:",
            "implicit solve runs on from a non-finite update"),
+    Defect("mgl", "src/geomint/systems/heavytop.py",
+           "if not np.isfinite(self.mgl):", "if False:",
+           "a heavy top accepts a weight Mgl that overflows to inf"),
+    Defect("mode-conflict", "src/geomint/cli.py",
+           'if mode != flags["mode"]:', "if False:",
+           "a config file's mode loses silently to the subcommand's"),
+    Defect("reads-tol", "src/geomint/harness.py",
+           '"tol": lambda cfg: cfg.mode == "adaptive",', '"tol": lambda cfg: False,',
+           "an adaptive run neither needs nor echoes tol"),
+    Defect("errstate", "src/geomint/cli.py",
+           'with np.errstate(all="ignore"):', "with np.errstate():",
+           "numpy's overflow warnings print before the CLI's error line"),
 )
 
 

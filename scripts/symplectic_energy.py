@@ -25,7 +25,7 @@ def main() -> None:
     for theta in args.thetas:
         with tempfile.TemporaryDirectory() as out:
             cfg = RunConfig(system="heavytop-ext", method="symplectic", t_end=args.h * args.steps,
-                            steps=args.steps, theta=theta, out=f"{out}/run")
+                            h=args.h, theta=theta, out=f"{out}/run")
             _, header, rows = read_csv(run(cfg)[1])
         inv = dict(zip(header, rows.T))
         err = np.abs(inv["energy"] - inv["energy"][0])

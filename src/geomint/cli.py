@@ -5,7 +5,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import _KEY_TYPES, RunConfig, parse_config, run
+import numpy as np
+
+from .harness import _KEY_TYPES, ConfigError, RunConfig, parse_config, parse_config_file, run
 from .integrators import NonConvergenceError, StepSizeUnderflowError, TooManyRejectsError
 
 _MODE_FOR = {"simulate": "fixed", "converge": "converge", "adapt": "adaptive"}
@@ -37,16 +39,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The RunConfig of the flags over --config (flags win), in the
+    subcommand's mode; a config file's mode line must name that mode."""
     flags = {key: getattr(args, key) for key in _FLAG_KEYS}
     flags["mode"] = _MODE_FOR[args.command]
+    if args.config is not None:
+        mode = parse_config_file(args.config).get("mode", flags["mode"])
+        if mode != flags["mode"]:
+            raise ConfigError(f"{args.config} sets mode = {mode}, but "
+                              f"'{args.command}' runs mode {flags['mode']}")
     return parse_config(flags, config_file=args.config)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        paths = run(cfg)
+        # a value that overflows is a defined error (the finiteness checks
+        # report it), so numpy's warnings would only precede that message
+        with np.errstate(all="ignore"):
+            paths = run(config_from_args(args))
     except (ValueError, OSError, MemoryError,  # a ConfigError is a ValueError
             NonConvergenceError, StepSizeUnderflowError, TooManyRejectsError) as exc:
         print(f"geomint: error: {exc}", file=sys.stderr)

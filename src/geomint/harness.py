@@ -41,9 +41,9 @@ LADDER_EXPONENTS = tuple(range(4, 10))
 
 # Run keys in CSV echo order, each with the type its value parses to; the
 # RunConfig field of a key is its name with '-' read as '_'.  A key is
-# echoed when its value is set and _ECHO_WHEN holds.  System overrides
-# follow, sorted by name.  _KEY_TYPES is the one list of keys, which the
-# config file, the flags dict and the command line all read.
+# echoed when the run reads it (_READS), so it is set.  System overrides
+# follow, sorted by name.  _KEY_TYPES is the one list of keys,
+# which the config file, the flags dict and the command line all read.
 RUN_KEYS: Dict[str, type] = {
     "system": str,
     "method": str,
@@ -52,7 +52,6 @@ RUN_KEYS: Dict[str, type] = {
     "t-end": float,
     "seed": int,
     "h": float,
-    "steps": int,
     "tol": float,
     "theta": float,
     "out": str,
@@ -60,10 +59,9 @@ RUN_KEYS: Dict[str, type] = {
 _KEY_TYPES = {**RUN_KEYS, **OVERRIDES}
 
 # The runs that read a key, for the keys not every run reads (a converge
-# ladder sets its own steps and its reference solve its own tol); out
-# names the files, not the run, and is never echoed.
-_ECHO_WHEN = {
-    "steps": lambda cfg: cfg.mode == "fixed",
+# ladder's reference solve sets its own tol); out names the files, not the
+# run, and is never echoed.  A run needs every key it reads.
+_READS = {
     "tol": lambda cfg: cfg.mode == "adaptive",
     "theta": lambda cfg: cfg.method == "symplectic",
     "out": lambda cfg: False,
@@ -84,7 +82,6 @@ class RunConfig:
     t0: float = 0.0
     t_end: float = 1.0
     h: Optional[float] = None
-    steps: Optional[int] = None
     tol: Optional[float] = None
     theta: float = 0.5  # symplectic family parameter
     safety: ClassVar[float] = ControllerConfig.theta  # controller safety factor
@@ -93,14 +90,12 @@ class RunConfig:
     overrides: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("steps", "seed"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, as_int(name, getattr(self, name)))
+        object.__setattr__(self, "seed", as_int("seed", self.seed))
         if self.mode not in _MODES:
             raise ConfigError(f"unknown mode {self.mode!r} (expected one of {_MODES})")
         if self.t_end <= self.t0:
             raise ConfigError(f"t-end ({self.t_end}) must exceed t0 ({self.t0})")
-        for name in ("h", "steps", "tol"):
+        for name in ("h", "tol"):
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ConfigError(f"{name} must be positive, got {value!r}")
@@ -113,32 +108,25 @@ class RunConfig:
                 f"unknown method {self.method!r} "
                 f"(expected 'symplectic' or one of {sorted(METHODS)})"
             )
-        if self.mode == "fixed":
-            if (self.h is None) == (self.steps is None):
-                raise ConfigError("fixed mode needs exactly one of h / steps")
-        elif self.mode == "adaptive":
-            if self.h is None:
-                raise ConfigError("adaptive mode needs an initial h")
-            if self.tol is None:
-                raise ConfigError("adaptive mode needs tol")
-            if self.method == "symplectic" or METHODS[self.method].p_hat is None:
-                raise ConfigError(
-                    f"method {self.method!r} has no embedded error estimate"
-                )
-        elif self.mode == "converge":
-            if self.h is None:
-                raise ConfigError("converge mode needs h (the ladder base step)")
+        for key in RUN_KEYS:
+            if getattr(self, _field(key)) is None and self._reads(key):
+                raise ConfigError(f"{self.mode} mode needs {key}")
+        if self.mode == "adaptive" and (self.method == "symplectic"
+                                        or METHODS[self.method].p_hat is None):
+            raise ConfigError(f"method {self.method!r} has no embedded error estimate")
         if not 0.0 <= self.theta <= 1.0:
             raise ConfigError("theta must lie in [0, 1]")
 
     def build_system(self) -> System:
         return get_system(self.system, **self.overrides)
 
+    def _reads(self, key: str) -> bool:
+        return key not in _READS or _READS[key](self)
+
     def echo_items(self) -> List[Tuple[str, str]]:
-        values = {key: getattr(self, _field(key)) for key in RUN_KEYS
-                  if _ECHO_WHEN.get(key, lambda cfg: True)(self)}
+        values = {key: getattr(self, _field(key)) for key in RUN_KEYS if self._reads(key)}
         values.update(sorted(self.overrides.items()))
-        return [(key, str(_typed(key, v))) for key, v in values.items() if v is not None]
+        return [(key, str(_typed(key, v))) for key, v in values.items()]
 
 
 def _field(key: str) -> str:
@@ -303,7 +291,7 @@ def run(cfg: RunConfig) -> List[str]:
     out_base = str(cfg.out)
 
     if cfg.mode == "fixed":
-        n = cfg.steps or _steps(cfg, cfg.h)
+        n = _steps(cfg, cfg.h)
         ts, ys = _integrate_fixed(cfg, system, n)
         ts[-1] = cfg.t_end  # the symplectic driver's t0 + n*h may round past it
         hs = np.full(n + 1, (cfg.t_end - cfg.t0) / n)

@@ -79,6 +79,9 @@ class HeavyTopParams:
             raise ValueError(f"heavy top parameters must be finite, got {self}")
         if min(self.inertia) <= 0 or self.mass <= 0 or self.length <= 0:
             raise ValueError("inertia diagonal, mass and length must be positive")
+        if not np.isfinite(self.mgl):
+            raise ValueError(f"heavy top weight mass * gravity * length must be finite, "
+                             f"got {self.mgl!r}")
         if abs(np.linalg.norm(self.axis) - 1.0) > 1e-12:
             raise ValueError("body axis must be a unit vector")
 

@@ -8,6 +8,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -63,9 +64,11 @@ def test_parse_config_file_basic(tmp_path):
 
 
 def test_parse_config_file_unknown_key_reports_line(tmp_path):
-    p = _write(tmp_path, "system = pendulum\nmethod = rkmk4\nstepsize = 0.1\n")
-    with pytest.raises(ConfigError, match=r":3.*stepsize"):
-        parse_config_file(p)
+    # steps is no key: h alone gives a fixed run's step
+    for key in ("stepsize", "steps"):
+        p = _write(tmp_path, f"system = pendulum\nmethod = rkmk4\n{key} = 3\n")
+        with pytest.raises(ConfigError, match=f":3: unknown key '{key}'$"):
+            parse_config_file(p)
 
 
 def test_parse_config_file_rejects_duplicates_and_garbage(tmp_path):
@@ -100,16 +103,18 @@ def test_overrides_are_forwarded():
 # -- RunConfig validation -------------------------------------------------------------
 
 
-def test_fixed_mode_needs_exactly_one_of_h_steps():
-    with pytest.raises(ConfigError):
-        RunConfig(system="pendulum", method="rkmk4")
-    with pytest.raises(ConfigError):
+def test_every_mode_needs_h():
+    for mode, method, tol in (("fixed", "rkmk4", None), ("adaptive", "rkmk54", 1e-6),
+                              ("converge", "rkmk4", None)):
+        with pytest.raises(ConfigError, match=f"^{mode} mode needs h$"):
+            RunConfig(system="pendulum", method=method, mode=mode, tol=tol)
+    with pytest.raises(TypeError, match="steps"):
         RunConfig(system="pendulum", method="rkmk4", h=0.1, steps=10)
     RunConfig(system="pendulum", method="rkmk4", h=0.1)  # ok
 
 
 def test_adaptive_mode_validation():
-    with pytest.raises(ConfigError, match="tol"):
+    with pytest.raises(ConfigError, match="^adaptive mode needs tol$"):
         RunConfig(system="pendulum", method="rkmk54", mode="adaptive", h=0.1)
     with pytest.raises(ConfigError, match="embedded"):
         RunConfig(system="pendulum", method="rkmk4", mode="adaptive", h=0.1, tol=1e-6)
@@ -126,11 +131,11 @@ def test_misc_validation():
         RunConfig(system="pendulum", method="rkmk4", h=0.1, mode="magic")
 
 
-def test_nonpositive_h_steps_tol_are_rejected():
+def test_nonpositive_h_and_tol_are_rejected():
     with pytest.raises(ConfigError, match="h must be positive"):
         RunConfig(system="heavytop-body", method="rkmk4", h=-0.1)
-    with pytest.raises(ConfigError, match="steps must be positive"):
-        RunConfig(system="heavytop-body", method="rkmk4", steps=0)
+    with pytest.raises(ConfigError, match="h must be positive"):
+        RunConfig(system="heavytop-body", method="rkmk4", h=0.0)
     with pytest.raises(ConfigError, match="h must be positive"):
         RunConfig(system="heavytop-lp", method="rkmk54", mode="adaptive", h=-0.01, tol=1e-6)
     with pytest.raises(ConfigError, match="tol must be positive"):
@@ -158,11 +163,11 @@ def test_echo_skips_keys_the_run_ignores():
         return [k for k, _ in RunConfig(system="heavytop-lp", **kwargs).echo_items()]
 
     common = ["system", "method", "mode", "t0", "t-end", "seed", "h"]
-    assert keys(method="rkmk4", h=0.01, tol=1e-3) == common
-    adaptive = keys(method="rkmk54", mode="adaptive", h=0.01, tol=1e-3, steps=3)
+    assert keys(method="rkmk4", h=0.01, tol=1e-3, theta=0.3) == common
+    adaptive = keys(method="rkmk54", mode="adaptive", h=0.01, tol=1e-3, theta=0.3)
     assert adaptive == common + ["tol"]
-    assert keys(method="rkmk4", mode="converge", h=0.1, steps=3, tol=1e-3) == common
-    assert keys(method="rkmk4", steps=3, theta=0.3) == common[:-1] + ["steps"]
+    assert keys(method="rkmk4", mode="converge", h=0.1, tol=1e-3) == common
+    assert keys(method="symplectic", h=0.01, tol=1e-3, theta=0.3) == common + ["theta"]
 
 
 def test_echo_follows_key_order_and_defaults(tmp_path):
@@ -183,7 +188,7 @@ def test_echo_follows_key_order_and_defaults(tmp_path):
         ("gravity", "0.5"),
         ("mass", "12.0"),
     ]
-    assert (cfg.theta, cfg.safety, cfg.steps, cfg.tol) == (0.5, 0.9, None, None)
+    assert (cfg.theta, cfg.safety, cfg.tol) == (0.5, 0.9, None)
 
 
 # -- system registry -------------------------------------------------------------------
@@ -224,14 +229,13 @@ def test_run_config_reads_seed_as_an_integer():
 
 # -- one integer rule on every route ----------------------------------------------------
 #
-# Each route takes a pendulum run with n or steps set to a value and returns
+# Each route takes a pendulum run with n or seed set to a value and returns
 # the value the run echoes (get_system, which echoes nothing, returns its
 # link count); a value the route refuses raises ConfigError or ValueError.
 
 
 def _keys(key, value):
-    plan = {"h": "0.005"} if key == "n" else {}
-    return {"system": "pendulum", "method": "rkmk4", "t-end": "0.01", **plan, key: value}
+    return {"system": "pendulum", "method": "rkmk4", "t-end": "0.01", "h": "0.005", key: value}
 
 
 def _by_cli(tmp_path, capsys, key, value):
@@ -254,8 +258,8 @@ def _by_flags(tmp_path, capsys, key, value):
 
 
 def _by_run_config(tmp_path, capsys, key, value):
-    kwargs = {"overrides": {"n": value}, "h": 0.005} if key == "n" else {"steps": value}
-    cfg = RunConfig(system="pendulum", method="rkmk4", t_end=0.01, **kwargs)
+    kwargs = {"overrides": {"n": value}} if key == "n" else {key: value}
+    cfg = RunConfig(system="pendulum", method="rkmk4", t_end=0.01, h=0.005, **kwargs)
     return dict(cfg.echo_items())[key]
 
 
@@ -264,7 +268,7 @@ def _by_get_system(tmp_path, capsys, key, value):
 
 
 _ROUTES = [(route, key) for route in (_by_cli, _by_file, _by_flags, _by_run_config)
-           for key in ("n", "steps")] + [(_by_get_system, "n")]
+           for key in ("n", "seed")] + [(_by_get_system, "n")]
 
 
 @pytest.mark.parametrize("route,key", _ROUTES,
@@ -328,7 +332,7 @@ def test_adaptive_run_ends_exactly_at_t_end(tmp_path):
 
 def test_csv_has_17_significant_digits(tmp_path):
     cfg = RunConfig(
-        system="heavytop-lp", method="rkmk4", steps=2, t_end=0.02, out=str(tmp_path / "r")
+        system="heavytop-lp", method="rkmk4", h=0.01, t_end=0.02, out=str(tmp_path / "r")
     )
     run(cfg)
     line = (tmp_path / "r.trajectory.csv").read_text().splitlines()[-1]
@@ -353,7 +357,7 @@ def test_csv_values_roundtrip_exactly(tmp_path):
 
 
 def test_read_csv_inverts_write_csv_on_every_kind_of_file(tmp_path):
-    fixed = RunConfig(system="heavytop-lp", method="cf4", steps=10, t_end=0.1,
+    fixed = RunConfig(system="heavytop-lp", method="cf4", h=0.01, t_end=0.1,
                       out=str(tmp_path / "f"))
     system = fixed.build_system()
     ts, ys = fixed_integrate(system.action, system.field, METHODS["cf4"].stepper,
@@ -400,7 +404,7 @@ def test_output_is_deterministic(tmp_path):
 def test_equal_overrides_write_identical_files(tmp_path, system, key, a, b):
     # each override is echoed as the system reads it, so 3 and 3.0 echo alike
     for name, value in (("a", a), ("b", b)):
-        run(RunConfig(system=system, method="rkmk4", steps=2, t_end=0.02,
+        run(RunConfig(system=system, method="rkmk4", h=0.01, t_end=0.02,
                       overrides={key: value}, out=str(tmp_path / name)))
     for kind in ("trajectory", "invariants"):
         first, second = ((tmp_path / f"{name}.{kind}.csv").read_bytes() for name in "ab")
@@ -491,12 +495,11 @@ def test_cli_step_count_with_no_finite_value_fails_before_any_work(tmp_path, mon
     assert calls == []
 
 
-@pytest.mark.parametrize("plan", [["--steps", str(10**15)], ["--h", "1e-15", "--t-end", "1"]])
-def test_cli_step_count_beyond_memory_exits_nonzero(tmp_path, capsys, plan):
+def test_cli_step_count_beyond_memory_exits_nonzero(tmp_path, capsys):
     # 10**15 steps of 6 floats need 48 PB, more than any 64-bit address
     # space, so the allocation fails at once
-    rc = cli_main(["simulate", "--system", "heavytop-lp", "--method", "rkmk4", *plan,
-                   "--out", str(tmp_path / "r")])
+    rc = cli_main(["simulate", "--system", "heavytop-lp", "--method", "rkmk4", "--h", "1e-15",
+                   "--t-end", "1", "--out", str(tmp_path / "r")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("geomint: error: Unable to allocate ")
     assert list(tmp_path.iterdir()) == []
@@ -581,6 +584,19 @@ def test_cli_config_file(tmp_path, capsys):
     assert (tmp_path / "x.steps.csv").exists()
 
 
+def test_cli_config_file_mode_must_match_the_subcommand(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("system = pendulum\nmethod = rkmk54\nmode = adaptive\nh = 0.05\n"
+                       f"tol = 1e-6\nt-end = 0.1\nout = {tmp_path / 'x'}\n")
+    assert cli_main(["simulate", "--config", str(cfgfile)]) == 1
+    assert capsys.readouterr().err == (
+        f"geomint: error: {cfgfile} sets mode = adaptive, but 'simulate' runs mode fixed\n"
+    )
+    assert list(tmp_path.iterdir()) == [cfgfile]
+    assert cli_main(["adapt", "--config", str(cfgfile)]) == 0
+    assert read_csv(tmp_path / "x.trajectory.csv")[0]["mode"] == "adaptive"
+
+
 def test_cli_errors_exit_nonzero(tmp_path, capsys):
     rc = cli_main(
         ["simulate", "--system", "pendulum", "--method", "rkmk4", "--t-end", "1.0",
@@ -610,14 +626,19 @@ def test_cli_non_finite_t_end_exits_nonzero(tmp_path, capsys):
 
 
 def test_cli_non_finite_system_parameter_exits_nonzero(tmp_path, capsys):
-    cfgfile = tmp_path / "nan.cfg"
-    cfgfile.write_text(
-        "system = heavytop-spatial\nmethod = rkmk4\nh = 0.01\nt-end = 0.05\nmass = nan\n"
-        f"out = {tmp_path / 'nan'}\n"
-    )
-    assert cli_main(["simulate", "--config", str(cfgfile)]) == 1
-    assert capsys.readouterr().err.startswith("geomint: error: heavy top parameters must be finite")
-    assert not (tmp_path / "nan.trajectory.csv").exists()
+    # a NaN mass; and a mass and length whose weight Mgl overflows, which
+    # would start the extended top from p(0) = -Mgl X = inf
+    for run_keys, error in (
+        ("system = heavytop-spatial\nmethod = rkmk4\nmass = nan\n",
+         "heavy top parameters must be finite"),
+        ("system = heavytop-ext\nmethod = symplectic\nmass = 1e308\nlength = 1e308\n",
+         "heavy top weight mass * gravity * length must be finite, got inf\n"),
+    ):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(f"{run_keys}h = 0.01\nt-end = 0.05\nout = {tmp_path / 'bad'}\n")
+        assert cli_main(["simulate", "--config", str(cfgfile)]) == 1
+        assert capsys.readouterr().err.startswith(f"geomint: error: {error}")
+        assert list(tmp_path.iterdir()) == [cfgfile]
 
 
 def test_cli_empty_pendulum_chain_exits_nonzero(tmp_path, capsys):
@@ -666,10 +687,20 @@ def test_cli_non_finite_multibody_state_exits_nonzero(tmp_path, system, capsys):
         f"system = {system}\nmethod = rkmk4\nh = 0.01\nt-end = 0.05\ngravity = 1e308\n"
         f"out = {tmp_path / 'huge'}\n"
     )
-    with np.errstate(all="ignore"):
-        assert cli_main(["simulate", "--config", str(cfgfile)]) == 1
+    assert cli_main(["simulate", "--config", str(cfgfile)]) == 1
     assert "not finite" in capsys.readouterr().err
     assert not (tmp_path / "huge.trajectory.csv").exists()
+
+
+def test_cli_error_line_has_no_numpy_warning_before_it(tmp_path, capsys):
+    # gravity = 1e308 overflows numpy products in the first field
+    # evaluation; only the finiteness check's error may reach stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli_main(["simulate", "--system", "pendulum", "--method", "rkmk4", "--h", "0.01",
+                       "--t-end", "0.05", "--gravity", "1e308", "--out", str(tmp_path / "r")])
+    assert rc == 1
+    assert capsys.readouterr().err == "geomint: error: pendulum state is not finite\n"
 
 
 @pytest.mark.parametrize("system", ["quadrotor", "pendulum"])
@@ -678,11 +709,10 @@ def test_cli_non_finite_last_step_exits_nonzero(tmp_path, system, capsys):
     # reads it, so only the end-state check of the driver can catch it
     cfgfile = tmp_path / "last.cfg"
     cfgfile.write_text(
-        f"system = {system}\nmethod = lie-euler\nsteps = 1\nt-end = 0.01\ngravity = 1e308\n"
+        f"system = {system}\nmethod = lie-euler\nh = 0.01\nt-end = 0.01\ngravity = 1e308\n"
         f"out = {tmp_path / 'last'}\n"
     )
-    with np.errstate(all="ignore"):
-        assert cli_main(["simulate", "--config", str(cfgfile)]) == 1
+    assert cli_main(["simulate", "--config", str(cfgfile)]) == 1
     assert "state not finite after step 1" in capsys.readouterr().err
     assert not (tmp_path / "last.trajectory.csv").exists()
 

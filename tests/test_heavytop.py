@@ -81,7 +81,7 @@ def test_params_validation():
     base = dict(inertia=(1.0, 1.0, 1.0), mass=1.0, length=1.0)
     for bad in ({"mass": np.nan}, {"length": np.inf}, {"gravity": np.nan},
                 {"inertia": (1.0, np.nan, 1.0)}, {"gamma0": (0.0, 0.0, -np.inf)},
-                {"mass": 0.0}, {"length": -2.0}):
+                {"mass": 0.0}, {"length": -2.0}, {"mass": 1e308, "length": 1e308}):
         with pytest.raises(ValueError):
             HeavyTopParams(**{**base, **bad})
 
@@ -348,6 +348,17 @@ def test_symplectic_default_solve_converges_at_the_benchmark_step(system_id, the
     system = get_system(system_id)
     _, ys = symplectic_integrate(system, theta, 0.01, 10)
     assert max(system.invariants["orthogonality"](y) for y in ys) <= 1e-12
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("system_id", ["heavytop-spatial", "heavytop-ext"])
+def test_symplectic_keeps_the_body_frame_spin(system_id, theta):
+    # the benchmark top is a Lagrange top (I1 = I3, centre of mass on e2),
+    # so its spin (Q^T pi) . e2 is conserved; the implicit family keeps it
+    # as a discrete Noether integral of the body symmetry
+    _, ys = symplectic_integrate(get_system(system_id), theta, 0.01, 500)
+    spin = np.einsum("nji,nj->ni", ys[:, :9].reshape(-1, 3, 3), ys[:, 9:12])[:, 1]
+    assert np.abs(spin - spin[0]).max() <= 1e-10
 
 
 @pytest.mark.parametrize("n_steps", [0, -1, -2])
