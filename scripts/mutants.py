@@ -123,6 +123,12 @@ DEFECTS = (
     Defect("errstate", "src/geomint/cli.py",
            'with np.errstate(all="ignore"):', "with np.errstate():",
            "numpy's overflow warnings print before the CLI's error line"),
+    Defect("estimate-b", "src/geomint/integrators.py",
+           "zip(tableau.b_hat, k)", "zip(tableau.b, k)",
+           "the RKMK estimate sums the main weights, so it reads 0 on every trial"),
+    Defect("parser-error", "src/geomint/cli.py",
+           "    def error(self, message):\n        raise ConfigError(message)\n", "",
+           "a bad command line exits 2 with argparse's usage line"),
 )
 
 

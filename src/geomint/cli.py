@@ -17,6 +17,14 @@ _FLAG_KEYS = [key for key in _KEY_TYPES if key != "mode"]
 _EPILOG = "--KEY VALUE is read as the config-file line 'KEY = VALUE'; flags win over --config."
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad command line is a ConfigError, so it exits 1 with one error
+    line, as a bad config-file line does; the subparsers share the class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     for key in _FLAG_KEYS:
         sub.add_argument(f"--{key}", dest=key, metavar=_KEY_TYPES[key].__name__.upper())
@@ -24,7 +32,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="geomint",
         description="Lie group integrators on rigid-body and multibody benchmarks",
     )
@@ -52,8 +60,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # a value that overflows is a defined error (the finiteness checks
         # report it), so numpy's warnings would only precede that message
         with np.errstate(all="ignore"):

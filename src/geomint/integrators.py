@@ -133,20 +133,17 @@ DOPRI54 = Tableau(
 
 @dataclass(frozen=True)
 class StepResult:
-    """The main update ``y_next``; for an embedded pair also ``y_aux``
-    and ``error_estimate``, None otherwise.  A pair hands over the work
-    only they need as the closure ``_embedded`` -> (y_aux, estimate),
-    run the first time either is read: fixed-step runs skip it."""
+    """The main update ``y_next``; for an embedded pair also the local
+    ``error_estimate``, None otherwise.  A pair hands over the work only
+    the estimate needs as the closure ``_estimate``, run the first time
+    the estimate is read: fixed-step runs skip it."""
 
     y_next: np.ndarray
-    _embedded: Optional[Callable[[], Tuple[np.ndarray, float]]] = None
+    _estimate: Optional[Callable[[], float]] = None
 
     @cached_property
-    def _aux(self):
-        return (None, None) if self._embedded is None else self._embedded()
-
-    y_aux = property(lambda self: self._aux[0])
-    error_estimate = property(lambda self: self._aux[1])
+    def error_estimate(self) -> Optional[float]:
+        return None if self._estimate is None else self._estimate()
 
 
 FieldMap = Callable[[np.ndarray], np.ndarray]
@@ -183,13 +180,13 @@ def rkmk_step(
     if tableau.b_hat is None:
         return StepResult(y_next=y1)
 
-    def embedded():
+    def estimate():
         if fsal:
             k.append(action.dexpinv(sigma1, f(y1)))
         sigma_hat = h * sum(b * ki for b, ki in zip(tableau.b_hat, k))
-        return action.act(action.exp(sigma_hat), y), float(np.linalg.norm(sigma1 - sigma_hat))
+        return float(np.linalg.norm(sigma1 - sigma_hat))
 
-    return StepResult(y_next=y1, _embedded=embedded)
+    return StepResult(y_next=y1, _estimate=estimate)
 
 
 def rkmk4_two_commutator_step(action, f, y, h) -> StepResult:
@@ -213,9 +210,9 @@ class CFScheme:
     (Celledoni, Marthinsen and Owren 2003).  With Y_0 = y, the k-th entry
     ``(base, row)`` of ``points + aux`` is Y_k = act(exp(h sum_j row[j]
     F_j), Y_base), where F_j = f(Y_{stages[j]}) is stage j's field.  The
-    last of ``points`` is y_next, the last of ``aux`` y_aux; taking a point
-    as a base reuses its exponentials.  The aux points and their stages
-    run only when the estimate |y_next - y_aux| is read."""
+    last of ``points`` is y_next, the last of ``aux`` the auxiliary update
+    y_hat; taking a point as a base reuses its exponentials.  The aux points
+    and their stages run only when the estimate |y_next - y_hat| is read."""
 
     name: str
     points: Tuple[Tuple[int, Tuple[float, ...]], ...]
@@ -263,12 +260,7 @@ def cf_step(action: HomogeneousAction, f: FieldMap, y, h: float, scheme: CFSchem
     y1 = advance(main)
     if not aux:
         return StepResult(y_next=y1)
-
-    def embedded():
-        y_aux = advance(aux)
-        return y_aux, float(np.linalg.norm(y1 - y_aux))
-
-    return StepResult(y_next=y1, _embedded=embedded)
+    return StepResult(y_next=y1, _estimate=lambda: float(np.linalg.norm(y1 - advance(aux))))
 
 
 LIE_EULER = CFScheme("lie-euler", ((0, (1.0,)),), stages=(0,))

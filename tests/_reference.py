@@ -5,12 +5,15 @@ no integrator uses it; the tests compare every action's closed-form
 ``dexpinv`` with it.  The infinitesimal generators give each action's
 ambient vector field, for the classical RK4 control and the field tests;
 no stepper reads them.  The benchmark top is a Lagrange top, whose
-nutation has a closed form in Jacobi's sn.  This module holds no random
-state.
+nutation has a closed form in Jacobi's sn.  An embedded pair's
+auxiliary method is built as its own stepper from the pair's table.
+This module holds no random state.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+from functools import partial
 from itertools import accumulate
 from typing import Callable
 
@@ -18,6 +21,7 @@ import numpy as np
 from scipy.special import ellipj, ellipkinc
 
 from geomint.actions import HomogeneousAction
+from geomint.integrators import CFScheme, Tableau, cf_step, rkmk_step
 from geomint.kernels import cross
 from geomint.lie import dexpinv_so3, exp_so3, hat
 
@@ -69,6 +73,15 @@ def coadjoint_so3_action() -> HomogeneousAction:
     on the public array kernels; a group element is a 3x3 array."""
     return HomogeneousAction("coadjoint-so3", 3, 3, exp=exp_so3, act=lambda g, mu: g @ mu,
                              bracket=cross, dexpinv=dexpinv_so3, factors=())
+
+
+def aux_stepper(table):
+    """The auxiliary method of an embedded pair as its own stepper: a
+    :class:`Tableau` with ``b_hat`` as its weights, or a :class:`CFScheme`
+    whose main points run on into its aux points."""
+    if isinstance(table, Tableau):
+        return partial(rkmk_step, tableau=replace(table, b=table.b_hat, b_hat=None))
+    return partial(cf_step, scheme=CFScheme(table.name, table.points + table.aux, table.stages))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from _reference import coadjoint_so3_action, dexpinv_series, generator
+from _reference import aux_stepper, coadjoint_so3_action, dexpinv_series, generator
 from geomint.actions import translation_action
 from geomint.integrators import (
     DOPRI54,
@@ -21,7 +21,6 @@ from geomint.integrators import (
     METHODS,
     RK4,
     ControllerConfig,
-    StepResult,
     adaptive_integrate,
     fixed_integrate,
     so3_cotangent_group,
@@ -58,10 +57,9 @@ def _reference(system_id: str, t_end: float):
 
 
 def _aux_stepper(stepper):
-    def aux(action, f, y, h):
-        return StepResult(y_next=stepper(action, f, y, h).y_aux)
-
-    return aux
+    # every embedded pair in METHODS is rkmk_step or cf_step over its table
+    (table,) = stepper.keywords.values()
+    return aux_stepper(table)
 
 
 def _ladder_slope(system, stepper, h0, t_end, ref):

@@ -564,6 +564,21 @@ def test_cli_bad_flag_value_exits_1_as_a_bad_file_line_does(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--system", "pendulum", "--method", "rkmk4", "--steps", "3", "--out", "r"],
+     ["simulate", "--system", "pendulum", "--method", "rkmk4", "--out", "r", "--h"],
+     [], ["frobnicate"]],
+    ids=["unknown-flag", "flag-without-value", "no-command", "unknown-command"],
+)
+def test_cli_bad_command_line_exits_1_with_one_error_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("geomint: error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_adaptive_step_that_cannot_move_t_exits_1(tmp_path, capsys):
     # at t = 1e5, t + 1e-12 == t: the first trial would move the state, not t
     rc = cli_main(["adapt", "--system", "heavytop-lp", "--method", "rkmk54", "--t0", "1e5",
