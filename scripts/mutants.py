@@ -124,11 +124,31 @@ DEFECTS = (
            'with np.errstate(all="ignore"):', "with np.errstate():",
            "numpy's overflow warnings print before the CLI's error line"),
     Defect("estimate-b", "src/geomint/integrators.py",
-           "zip(tableau.b_hat, k)", "zip(tableau.b, k)",
+           "h * b_hat.dot(K)", "h * b.dot(K)",
            "the RKMK estimate sums the main weights, so it reads 0 on every trial"),
     Defect("parser-error", "src/geomint/cli.py",
            "    def error(self, message):\n        raise ConfigError(message)\n", "",
            "a bad command line exits 2 with argparse's usage line"),
+    Defect("stage-rows", "src/geomint/integrators.py",
+           "a[i].dot(K[:i])", "b[:i].dot(K[:i])",
+           "each RKMK stage sums the earlier stages with the weights b, not its row of a"),
+    Defect("body-gravity", "src/geomint/systems/heavytop.py",
+           "_times(_transpose(q), *params.g0.tolist())", "_times(q, *params.g0.tolist())",
+           "the body top's gravity direction is Q Gamma0, not Q^T Gamma0"),
+    Defect("lp-sign", "src/geomint/systems/heavytop.py",
+           "-mgl * c1, -mgl * c2, -mgl * c3", "mgl * c1, mgl * c2, mgl * c3",
+           "the Lie-Poisson top's Mgl X part has the wrong sign"),
+    Defect("ext-drift", "src/geomint/systems/heavytop.py",
+           "[s1 - r1, s2 - r2, s3 - r3]", "[s1 + r1, s2 + r2, s3 + r3]",
+           "the extended top's q' is p + Q^T Gamma0, not p - Q^T Gamma0"),
+    Defect("pi-x-omega", "src/geomint/systems/heavytop.py",
+           " + (p2 * o3 - p3 * o2),\n        g3 * e1 - g1 * e3 + (p3 * o1 - p1 * o3),\n"
+           "        g1 * e2 - g2 * e1 + (p1 * o2 - p2 * o1),\n",
+           ",\n        g3 * e1 - g1 * e3,\n        g1 * e2 - g2 * e1,\n",
+           "the spatial torque's pi x omega term dropped"),
+    Defect("ladder", "src/geomint/harness.py",
+           "if any(n >= m for n, m in zip(ns, ns[1:])):", "if False:",
+           "a converge ladder whose rungs collapse to one step count is fitted anyway"),
 )
 
 

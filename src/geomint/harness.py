@@ -313,6 +313,8 @@ def converge(cfg: RunConfig) -> List[str]:
     with the fitted least-squares slope echoed in the metadata."""
     system = _build(cfg)
     ns = [_steps(cfg, cfg.h * 2.0**-k) for k in LADDER_EXPONENTS]
+    if any(n >= m for n, m in zip(ns, ns[1:])):
+        raise ConfigError(f"the ladder's step counts {ns} are not strictly increasing")
     ref = reference_state(system, cfg.t0, cfg.t_end)
     hs = [(cfg.t_end - cfg.t0) / n for n in ns]
     errs = [float(np.linalg.norm(_integrate_fixed(cfg, system, n)[1][-1] - ref)) for n in ns]

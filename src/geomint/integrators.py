@@ -89,6 +89,11 @@ class Tableau:
     def stages(self) -> int:
         return len(self.c)
 
+    @cached_property
+    def _rows(self):
+        """The rows of ``a``, ``b`` and ``b_hat`` as arrays, built on first use."""
+        return [np.array(row) for row in self.a], np.array(self.b), np.array(self.b_hat or ())
+
 
 RK4 = Tableau(
     name="rk4",
@@ -168,23 +173,22 @@ def rkmk_step(
     """
     # a first-same-as-last stage (its row is b) sits at y1 and feeds only b_hat
     fsal = tableau.b_hat is not None and tableau.a[-1] + (0.0,) == tableau.b
-    k: List[np.ndarray] = [f(y)]
-    for i in range(1, tableau.stages - fsal):
-        sigma = h * sum(
-            (tableau.a[i][j] * k[j] for j in range(i) if tableau.a[i][j] != 0.0),
-            np.zeros(action.algebra_dim),
-        )
-        k.append(action.dexpinv(sigma, f(action.act(action.exp(sigma), y))))
-    sigma1 = h * sum(b * ki for b, ki in zip(tableau.b, k))
+    n = tableau.stages - fsal
+    a, b, b_hat = tableau._rows
+    K = np.empty((tableau.stages, action.algebra_dim))
+    K[0] = f(y)
+    for i in range(1, n):
+        sigma = h * a[i].dot(K[:i])
+        K[i] = action.dexpinv(sigma, f(action.act(action.exp(sigma), y)))
+    sigma1 = h * b[:n].dot(K[:n])
     y1 = action.act(action.exp(sigma1), y)
     if tableau.b_hat is None:
         return StepResult(y_next=y1)
 
     def estimate():
         if fsal:
-            k.append(action.dexpinv(sigma1, f(y1)))
-        sigma_hat = h * sum(b * ki for b, ki in zip(tableau.b_hat, k))
-        return float(np.linalg.norm(sigma1 - sigma_hat))
+            K[-1] = action.dexpinv(sigma1, f(y1))
+        return float(np.linalg.norm(sigma1 - h * b_hat.dot(K)))
 
     return StepResult(y_next=y1, _estimate=estimate)
 

@@ -34,7 +34,7 @@ from ..actions import (
     ext_top_action,
 )
 from ..integrators import so3_cotangent_group, so3r3_cotangent_group
-from ..kernels import _dot, _product, _times, _times_hat, _transpose, cross
+from ..kernels import _dot, _product, _times, _times_hat, _transpose
 from ..lie import _dexp_matrix, _dexp_star_jacobian, _exp_so3
 
 __all__ = [
@@ -122,13 +122,13 @@ def bruls_momentum(params: HeavyTopParams = BRULS_TOP) -> np.ndarray:
 
 def heavytop_body_f(params: HeavyTopParams, m: np.ndarray) -> np.ndarray:
     """Frozen field for the body-top action: (I^-1 Pi, Pi x I^-1 Pi + Mgl Gamma x X)."""
-    Q = m[:9].reshape(3, 3)
-    Pi = m[9:12]
-    omega = params.inertia_inv * Pi
-    gamma = Q.T @ params.g0
-    return np.concatenate(
-        [omega, cross(Pi, omega) + params.mgl * cross(gamma, params.chi)]
-    )
+    *q, p1, p2, p3 = m.tolist()
+    (i1, i2, i3), (c1, c2, c3) = params.inertia_inv.tolist(), params.chi.tolist()
+    g1, g2, g3 = _times(_transpose(q), *params.g0.tolist())  # Gamma = Q^T Gamma0
+    o1, o2, o3, mgl = i1 * p1, i2 * p2, i3 * p3, params.mgl
+    return np.array([o1, o2, o3, p2 * o3 - p3 * o2 + mgl * (g2 * c3 - g3 * c2),
+                     p3 * o1 - p1 * o3 + mgl * (g3 * c1 - g1 * c3),
+                     p1 * o2 - p2 * o1 + mgl * (g1 * c2 - g2 * c1)])
 
 
 def _transpose_times(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -163,19 +163,27 @@ def _omega_and_torque(q, inertia_inv, p1, p2, p3, gamma, v):
     ]
 
 
-def heavytop_spatial_f_pair(params: HeavyTopParams):
-    """Hamiltonian (f1, f2) map consumed by the symplectic family:
-    (omega, Gamma0 x Q (Mgl X) + pi x omega), in closed form on floats."""
+def _spatial_maps(params: HeavyTopParams):
+    """The field on the flat state [Q.ravel(), pi] and the Hamiltonian (f1, f2)
+    map: (omega, Gamma0 x Q (Mgl X) + pi x omega), in closed form on floats."""
     inertia_inv, g0 = params.inertia_inv.tolist(), params.g0.tolist()
     mgl_chi = (params.mgl * params.chi).tolist()
 
-    def f(g, mu):
-        omega, torque = _omega_and_torque(
-            g.ravel().tolist(), inertia_inv, *mu.tolist(), g0, mgl_chi
-        )
-        return np.array(omega), np.array(torque)
+    def field(m):
+        *q, p1, p2, p3 = m.tolist()
+        omega, torque = _omega_and_torque(q, inertia_inv, p1, p2, p3, g0, mgl_chi)
+        return np.array(omega + torque)
 
-    return f
+    def pair(g, mu):
+        f1, f2 = _omega_and_torque(g.ravel().tolist(), inertia_inv, *mu.tolist(), g0, mgl_chi)
+        return np.array(f1), np.array(f2)
+
+    return field, pair
+
+
+def heavytop_spatial_f_pair(params: HeavyTopParams):
+    """Hamiltonian (f1, f2) map consumed by the symplectic family."""
+    return _spatial_maps(params)[1]
 
 
 def spatial_energy(params: HeavyTopParams, m: np.ndarray) -> np.ndarray:
@@ -203,7 +211,9 @@ def heavytop_liepoisson_f(params: HeavyTopParams, mu: np.ndarray) -> np.ndarray:
     coadjoint map, so both components carry a minus sign relative to the
     Hamiltonian gradients (I^-1 Pi, Mgl X).
     """
-    return np.concatenate([-params.inertia_inv * mu[:3], -params.mgl * params.chi])
+    (p1, p2, p3), (i1, i2, i3) = mu[:3].tolist(), params.inertia_inv.tolist()
+    c1, c2, c3, mgl = *params.chi.tolist(), params.mgl
+    return np.array([-i1 * p1, -i2 * p2, -i3 * p3, -mgl * c1, -mgl * c2, -mgl * c3])
 
 
 def liepoisson_energy(params: HeavyTopParams, mu: np.ndarray) -> np.ndarray:
@@ -222,24 +232,32 @@ def ext_initial_p(params: HeavyTopParams) -> np.ndarray:
     return -params.mgl * params.chi
 
 
-def heavytop_ext_f_pair(params: HeavyTopParams):
-    """(f1, f2) on the group (SO(3) x R^3) x dual, state ((Q, q), (pi, p)):
-    ((omega, p - Q^T Gamma0), (Gamma0 x Q(-p) + pi x omega, 0)), on floats."""
+def _ext_maps(params: HeavyTopParams):
+    """The field on the flat state [Q.ravel(), pi, p, q] and the (f1, f2) map on
+    (SO(3) x R^3) x dual, state ((Q, q), (pi, p)): f1 = (omega, p - Q^T Gamma0)
+    and f2 = (Gamma0 x Q(-p) + pi x omega, 0), in closed form on floats."""
     inertia_inv, g0 = params.inertia_inv.tolist(), params.g0.tolist()
 
-    def f(g, mu):
-        q = g[0].ravel().tolist()
-        p1, p2, p3, s1, s2, s3 = mu.tolist()
+    def closed_form(q, p1, p2, p3, s1, s2, s3):
         omega, torque = _omega_and_torque(q, inertia_inv, p1, p2, p3, g0, (-s1, -s2, -s3))
         r1, r2, r3 = _times(_transpose(q), *g0)
-        return np.array([*omega, s1 - r1, s2 - r2, s3 - r3]), np.array([*torque, 0.0, 0.0, 0.0])
+        return omega, torque, [s1 - r1, s2 - r2, s3 - r3]
 
-    return f
+    def field(m):
+        m = m.tolist()
+        omega, torque, drift = closed_form(m[:9], *m[9:15])
+        return np.array(omega + torque + [0.0, 0.0, 0.0] + drift)
+
+    def pair(g, mu):
+        omega, torque, drift = closed_form(g[0].ravel().tolist(), *mu.tolist())
+        return np.array(omega + drift), np.array(torque + [0.0, 0.0, 0.0])
+
+    return field, pair
 
 
-def _ext_field(pair, m: np.ndarray) -> np.ndarray:
-    f1, f2 = pair(*unpack_ext(m))
-    return np.concatenate([f1[:3], f2, f1[3:]])
+def heavytop_ext_f_pair(params: HeavyTopParams):
+    """(f1, f2) on the group (SO(3) x R^3) x dual; see :func:`_ext_maps`."""
+    return _ext_maps(params)[1]
 
 
 def ext_energy(params: HeavyTopParams, m: np.ndarray) -> np.ndarray:
@@ -401,11 +419,11 @@ def build_spatial(params: HeavyTopParams):
     pi0 = bruls_momentum(params)
     initial = np.concatenate([np.eye(3).ravel(), pi0])
     g0 = params.g0
-    f = heavytop_spatial_f_pair(params)
+    field, f = _spatial_maps(params)
     return System(
         name="heavytop-spatial",
         action=cotangent_so3_action(),
-        field=lambda m: np.concatenate(f(*unpack_spatial(m))),
+        field=field,
         initial=initial,
         invariants={
             "energy": lambda m: spatial_energy(params, m),
@@ -441,11 +459,11 @@ def build_ext(params: HeavyTopParams):
     pi0 = bruls_momentum(params)
     initial = np.concatenate([np.eye(3).ravel(), pi0, ext_initial_p(params), np.zeros(3)])
     g0 = params.g0
-    f = heavytop_ext_f_pair(params)
+    field, f = _ext_maps(params)
     return System(
         name="heavytop-ext",
         action=ext_top_action(),
-        field=lambda m: _ext_field(f, m),
+        field=field,
         initial=initial,
         invariants={
             "energy": lambda m: ext_energy(params, m),

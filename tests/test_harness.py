@@ -3,8 +3,11 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import json
+import math
 import os
 import pkgutil
+import platform
 import re
 import subprocess
 import sys
@@ -505,6 +508,29 @@ def test_cli_step_count_beyond_memory_exits_nonzero(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("method, flags, ns", [
+    # every rung is one step of h = t-end, so log h is the same on every row
+    ("lie-euler", ["--t-end", "1", "--h", "2000", "--gravity", "0.001"], [1] * 6),
+    ("heun", ["--t-end", "0.01", "--h", "1e10"], [1] * 6),
+    # rungs that do not halve h
+    ("lie-euler", ["--t-end", "1", "--h", "100", "--gravity", "0.001"], [1, 1, 1, 1, 3, 5]),
+])
+def test_cli_converge_ladder_whose_rungs_collapse_exits_nonzero(tmp_path, monkeypatch, capfd,
+                                                              method, flags, ns):
+    # LAPACK writes its DLASCL lines at C level, so capfd, not capsys
+    calls, reference_state = [], harness.reference_state
+    monkeypatch.setattr(harness, "reference_state",
+                        lambda *args: calls.append(args) or reference_state(*args))
+    rc = cli_main(["converge", "--system", "pendulum", "--method", method, *flags,
+                   "--out", str(tmp_path / "c")])
+    out, err = capfd.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == f"geomint: error: the ladder's step counts {ns} are not strictly increasing\n"
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_converge_writes_slope(tmp_path):
     cfg = RunConfig(
         system="pendulum",
@@ -916,6 +942,31 @@ def test_csv_compare_names_the_file_and_column_of_the_largest_difference(tmp_pat
     assert line.endswith("; differ: invariants")
     identical = _load_script("csv_compare").identical_files(paths["old"], paths["new"])
     assert identical == [("trajectory", True), ("invariants", False)]
+
+
+def test_bench_script_writes_every_record_with_its_schema(tmp_path, monkeypatch):
+    script = _load_script("bench")
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr(sys, "argv", ["bench", "--out", str(out), "--repeats", "2",
+                                      "--number", "1"])
+    script.main()
+    result = json.loads(out.read_text())
+    meta = result["meta"]
+    assert meta["src_lines"] > 0 and isinstance(meta["src_lines"], int)
+    assert meta["revision"] and meta["numpy"] == np.__version__
+    assert meta["python"] == platform.python_version() and meta["speed_factor"] > 0
+    names = [(r["layer"], r["name"]) for r in result["records"]]
+    assert len(set(names)) == len(names)
+    tops = ["heavytop-body", "heavytop-spatial", "heavytop-lp", "heavytop-ext"]
+    fields = tops + [f"pendulum-{n}" for n in (3, 10, 40, 160)] + ["quadrotor"]
+    steps = [f"{top} {m}" for top in tops for m in METHODS]
+    steps += ["heavytop-spatial symplectic", "heavytop-ext symplectic"]
+    steps += [f"{s} {m}" for s in ("pendulum-3", "quadrotor") for m in ("rkmk4", "rkmk54")]
+    assert sorted(names) == sorted([("field", n) for n in fields] + [("step", n) for n in steps])
+    for record in result["records"]:
+        assert set(record) == {"layer", "name", "median_us", "iqr_us", "accuracy", "invariant"}
+        assert record["median_us"] > 0 and record["iqr_us"] >= 0
+        assert 0 <= record["accuracy"] < math.inf
 
 
 def test_mutants_old_text_occurs_once_per_defect():

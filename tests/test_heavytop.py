@@ -24,7 +24,9 @@ from geomint.systems.heavytop import (
     BRULS_TOP,
     HeavyTopParams,
     body_energy,
+    build_body,
     build_ext,
+    build_liepoisson,
     build_spatial,
     bruls_momentum,
     ext_energy,
@@ -213,6 +215,68 @@ def test_hamiltonian_pairs_match_numpy_reference(pair, reference, ext):
         for out, ref in zip(pair(params)(g, mu), reference(params)(g, mu)):
             assert isinstance(out, np.ndarray) and out.shape == ref.shape
             np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
+
+# Numpy forms of the explicit fields before they were written on floats,
+# kept as references for the closed forms.  The spatial and ext fields were
+# their Hamiltonian pairs laid out as the flat state, so they are pinned bit
+# for bit to that layout of the pairs, and to rounding to the numpy pairs,
+# whose matrix products go through BLAS.
+
+
+def _reference_body_field(params, m):
+    Q, Pi = m[:9].reshape(3, 3), m[9:12]
+    omega = params.inertia_inv * Pi
+    gamma = Q.T @ params.g0
+    return np.concatenate([omega, cross(Pi, omega) + params.mgl * cross(gamma, params.chi)])
+
+
+def _reference_lp_field(params, mu):
+    return np.concatenate([-params.inertia_inv * mu[:3], -params.mgl * params.chi])
+
+
+def _spatial_layout(pair):
+    return lambda params, m: np.concatenate(pair(params)(*unpack_spatial(m)))
+
+
+def _ext_layout(pair):
+    def field(params, m):
+        f1, f2 = pair(params)(*unpack_ext(m))
+        return np.concatenate([f1[:3], f2, f1[3:]])
+
+    return field
+
+
+# per form: build function, size of the state after the rotation block
+# (None for no block), the reference pinned bit for bit and the numpy one
+_FIELD_REFERENCES = {
+    "body": (build_body, 3, _reference_body_field, _reference_body_field),
+    "spatial": (build_spatial, 3, _spatial_layout(heavytop_spatial_f_pair),
+                _spatial_layout(_reference_spatial_pair)),
+    "lp": (build_liepoisson, None, _reference_lp_field, _reference_lp_field),
+    "ext": (build_ext, 9, _ext_layout(heavytop_ext_f_pair), _ext_layout(_reference_ext_pair)),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_FIELD_REFERENCES))
+def test_explicit_fields_match_their_references(form):
+    build, rest, exact, reference = _FIELD_REFERENCES[form]
+
+    def state():
+        if rest is None:
+            return 50.0 * rng.normal(size=6)
+        return np.concatenate([_random_rotation().ravel(), 50.0 * rng.normal(size=rest)])
+
+    field = build(BRULS_TOP).field
+    for _ in range(50):
+        m = state()
+        np.testing.assert_array_equal(field(m), exact(BRULS_TOP, m))
+    # tolerance fixed beforehand: 1e-13 of the largest reference entry
+    for _ in range(200):
+        params, m = _random_top(), state()
+        ref = reference(params, m)
+        np.testing.assert_allclose(build(params).field(m), ref, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(ref)))
 
 
 # -- energy is a first integral of each field -----------------------------------
