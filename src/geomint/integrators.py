@@ -25,7 +25,7 @@ from typing import Any, Callable, List, Optional, Tuple
 import numpy as np
 
 from .actions import HomogeneousAction
-from .kernels import SingularMatrixError, _times, _transpose, solve_dense
+from .kernels import SingularMatrixError, _times, _transpose, inverse
 from .lie import BranchError, dexp_star_so3, exp_so3
 from .lie import _dexp_star, _exp_coeffs, _floats, _rotation
 
@@ -409,12 +409,15 @@ def _symplectic_residual_map(group, f, g0, mu0, h, theta):
 
     def gmap(x):
         xi, nbar = x[:na], x[na:]
-        e_theta = group.exp(theta * xi)
+        u = theta * xi
+        e_theta = group.exp(u)
         ad_n = group.coad(e_theta, nbar)
         m_theta = group.dexp_star(-xi, mu0 + ad_n)
         if theta != 0.0:
-            m_theta = m_theta - theta * group.dexp_star(-theta * xi, ad_n)
-        return h * np.concatenate(f(group.compose(e_theta, g0), m_theta))
+            m_theta -= theta * group.dexp_star(-u, ad_n)
+        gx = np.concatenate(f(group.compose(e_theta, g0), m_theta))
+        gx *= h
+        return gx
 
     return gmap
 
@@ -428,26 +431,31 @@ def _simplified_newton(G, n: int, dG) -> np.ndarray:
     solution the update contracts the error and G may amplify it, which on
     the heavy top shows as drift of the conserved Gamma0.pi."""
     x = G(np.zeros(n))
-    if not np.isfinite(x).all():
+    xx = x.dot(x)
+    if not math.isfinite(xx):
         raise NonConvergenceError("implicit solve: predictor is not finite")
     gx = G(x)
+    J = np.eye(n)
+    J -= dG(x)
     try:
-        J_inv = solve_dense(np.eye(n) - dG(x), np.eye(n))
+        J_inv = inverse(J)
     except SingularMatrixError as exc:
         raise NonConvergenceError(f"implicit solve: Jacobian is singular: {exc}") from None
     for _ in range(_SOLVE_MAX_ITER):
         r = x - gx
-        dx = J_inv @ r
-        if not np.isfinite(dx).all():
+        dx = J_inv.dot(r)
+        dd = dx.dot(dx)
+        # fails on a non-finite x or dx, and on an |x|^2 that makes the bound inf
+        if not math.isfinite(xx + dd):
             raise NonConvergenceError("implicit solve: iterate is not finite")
-        # sqrt(v @ v) is np.linalg.norm of a real vector
-        bound = _SOLVE_TOL * (1.0 + math.sqrt(x @ x))
+        bound = _SOLVE_TOL * (1.0 + math.sqrt(xx))
         x = x - dx
-        if math.sqrt(dx @ dx) <= bound:
-            r_norm = math.sqrt(r @ r)
+        if math.sqrt(dd) <= bound:
+            r_norm = math.sqrt(r.dot(r))
             if r_norm > 100.0 * bound:
                 raise NonConvergenceError(f"implicit solve: residual {r_norm:.3e} above tolerance")
             return x
+        xx = x.dot(x)
         gx = G(x)
     raise NonConvergenceError(
         f"implicit solve did not converge in {_SOLVE_MAX_ITER} iterations"
@@ -479,9 +487,7 @@ def symplectic_step(
     xi, nbar = x[: group.algebra_dim], x[group.algebra_dim :]
 
     g1 = group.compose(group.exp(xi), g0)
-    mu1 = group.coad(group.exp((theta - 1.0) * xi), nbar) + group.coad(
-        group.exp(-xi), mu0
-    )
+    mu1 = group.coad(group.exp((theta - 1.0) * xi), nbar) + group.coad(group.exp(-xi), mu0)
     return g1, mu1
 
 

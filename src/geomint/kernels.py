@@ -1,4 +1,4 @@
-"""The float helpers shared by the other modules, and the one dense
+"""The float helpers shared by the other modules, and a dense inverse and
 solve, on numpy alone.  Arrays are plain float64 numpy arrays.
 """
 
@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SingularMatrixError", "cross", "solve_dense"]
+__all__ = ["SingularMatrixError", "cross", "inverse", "solve_dense"]
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -75,6 +75,25 @@ def _times(a, v1, v2, v3):
     return a1 * v1 + a2 * v2 + a3 * v3, b1 * v1 + b2 * v2 + b3 * v3, c1 * v1 + c2 * v2 + c3 * v3
 
 
+def _conditioned(A, invert):
+    """``invert(A)``, whose last ``len(A)`` columns are ``A^-1``, under the rule of solve_dense."""
+    try:
+        X = invert(A)
+        cond = np.linalg.norm(A) * np.linalg.norm(X[:, -len(A):])
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    # written so that a NaN condition number fails it
+    if not cond < 1e12:
+        raise SingularMatrixError(f"matrix numerically singular or not finite: "
+                                  f"condition number {cond:.3e}")
+    return X
+
+
+def inverse(A):
+    """``A^-1`` by numpy's LU inverse; raises as :func:`solve_dense` does."""
+    return _conditioned(A, np.linalg.inv)
+
+
 def solve_dense(A, b):
     """Solve ``A x = b`` for a square float ndarray ``A`` by numpy's LU
     solve, solving for ``A^-1`` on the same factors.  Raises
@@ -83,15 +102,5 @@ def solve_dense(A, b):
     rule rejects every matrix whose smallest LU pivot is below
     ``1e-13 ||A||_F``; it also rejects some with no small pivot, more so
     as ``n`` grows."""
-    n = len(A)
-    try:
-        X = np.linalg.solve(A, np.column_stack((b, np.eye(n))))
-        cond = np.linalg.norm(A) * np.linalg.norm(X[:, -n:])
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    # written so that a NaN condition number fails it
-    if not cond < 1e12:
-        raise SingularMatrixError(
-            f"matrix numerically singular or not finite: condition number {cond:.3e}"
-        )
-    return X[:, :-n].reshape(np.shape(b))
+    X = _conditioned(A, lambda A: np.linalg.solve(A, np.column_stack((b, np.eye(len(A))))))
+    return X[:, : -len(A)].reshape(np.shape(b))

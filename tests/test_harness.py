@@ -955,6 +955,7 @@ def test_bench_script_writes_every_record_with_its_schema(tmp_path, monkeypatch)
     assert meta["src_lines"] > 0 and isinstance(meta["src_lines"], int)
     assert meta["revision"] and meta["numpy"] == np.__version__
     assert meta["python"] == platform.python_version() and meta["speed_factor"] > 0
+    assert meta["reference_s"] > 0
     names = [(r["layer"], r["name"]) for r in result["records"]]
     assert len(set(names)) == len(names)
     tops = ["heavytop-body", "heavytop-spatial", "heavytop-lp", "heavytop-ext"]
@@ -962,7 +963,10 @@ def test_bench_script_writes_every_record_with_its_schema(tmp_path, monkeypatch)
     steps = [f"{top} {m}" for top in tops for m in METHODS]
     steps += ["heavytop-spatial symplectic", "heavytop-ext symplectic"]
     steps += [f"{s} {m}" for s in ("pendulum-3", "quadrotor") for m in ("rkmk4", "rkmk54")]
-    assert sorted(names) == sorted([("field", n) for n in fields] + [("step", n) for n in steps])
+    implicit = [f"{top} {part}" for top in ("heavytop-spatial", "heavytop-ext")
+                for part in ("G", "dG/dx", "J^-1", "newton")]
+    assert sorted(names) == sorted([("field", n) for n in fields] + [("step", n) for n in steps]
+                                   + [("implicit", n) for n in implicit])
     for record in result["records"]:
         assert set(record) == {"layer", "name", "median_us", "iqr_us", "accuracy", "invariant"}
         assert record["median_us"] > 0 and record["iqr_us"] >= 0

@@ -644,6 +644,51 @@ def test_symplectic_solve_stops_at_the_first_non_finite_value(finite_calls, mess
     assert len(calls) == finite_calls + 1
 
 
+@pytest.mark.parametrize("theta, g1", [(1.0, 2.0), (0.5, 4.0 / 3.0)])
+def test_symplectic_solve_refuses_a_predictor_whose_norm_overflows(theta, g1):
+    # on the line with f = (c + g / 2, c + mu / 2), g0 = mu0 = 0 and h = 1,
+    # c = 1 solves to g1.  At c = 1e200 the predictor (1e200, 1e200) is
+    # finite but |x|^2 overflows, so the stopping bound _SOLVE_TOL (1 + |x|)
+    # would be inf and pass the first update, 1.5e200 or 1.25e200, although
+    # the solution is 1e200 g1
+    calls = []
+
+    def field_of(c):
+        def field(g, mu):
+            calls.append(None)
+            return c + 0.5 * g, c + 0.5 * mu
+
+        return field
+
+    got, _ = symplectic_step(_LINE, field_of(1.0), np.zeros(1), np.zeros(1), 1.0, theta)
+    np.testing.assert_allclose(got, [g1], rtol=1e-12)
+    calls.clear()
+    with np.errstate(over="ignore"), pytest.raises(
+        NonConvergenceError, match="^implicit solve: predictor is not finite$"
+    ):
+        symplectic_step(_LINE, field_of(1e200), np.zeros(1), np.zeros(1), 1.0, theta)
+    assert len(calls) <= 2
+
+
+def test_symplectic_solve_refuses_an_iterate_whose_norm_overflows():
+    # G returns 6e153 in both entries (|x|^2 = 7.2e307), then 1.2e154: the
+    # sweep to it has |dx|^2 = 7.2e307, yet |x|^2 overflows.  The next update,
+    # 1e150, is far above 1e-13 |x| = 1.7e141, but an inf bound would pass it
+    values = [6e153, 1.2e154, 1.2e154 - 1e150]
+    calls = []
+
+    def field(g, mu):
+        value = np.full(1, values[len(calls)])
+        calls.append(None)
+        return value, value
+
+    with np.errstate(over="ignore"), pytest.raises(
+        NonConvergenceError, match="^implicit solve: iterate is not finite$"
+    ):
+        symplectic_step(_LINE, field, np.zeros(1), np.zeros(1), 1.0, 0.5)
+    assert len(calls) == 3
+
+
 def _heavy_top_case(system_id):
     """(group with its exact Jacobian, field, g0, mu0) of a heavy top."""
     system = get_system(system_id)

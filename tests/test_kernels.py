@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from geomint.kernels import SingularMatrixError, cross, solve_dense
+from geomint.kernels import SingularMatrixError, cross, inverse, solve_dense
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
 vec3 = st.tuples(finite, finite, finite).map(np.array)
@@ -87,3 +87,25 @@ def _near_singular_12():
 def test_solve_dense_near_singular_raises(A):
     with pytest.raises(SingularMatrixError, match="condition number"):
         solve_dense(A, np.ones(len(A)))
+
+
+@pytest.mark.parametrize("n", [6, 12])
+def test_inverse_is_the_identity_columns_of_one_lu_solve(n):
+    # numpy's inverse is the LU solve against I, bit for bit, on J-like matrices
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        A = np.eye(n) - 0.1 * rng.normal(size=(n, n))
+        np.testing.assert_array_equal(inverse(A), np.linalg.solve(A, np.eye(n)))
+        np.testing.assert_array_equal(inverse(A), solve_dense(A, np.eye(n)))
+
+
+@pytest.mark.parametrize(
+    "A",
+    [np.diag([1.0, 1.0, 1.0, 0.0]), np.diag([1.0, np.nan, 1.0, 1.0]),
+     np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]), _near_singular_12()],
+    ids=["singular", "nan", "2x2", "12x12"],
+)
+def test_inverse_refuses_what_solve_dense_refuses(A):
+    for solve in (inverse, lambda A: solve_dense(A, np.ones(len(A)))):
+        with pytest.raises(SingularMatrixError, match="condition number"):
+            solve(A)
