@@ -147,7 +147,10 @@ def _record(layer, name, system, method, h, repeats, number, calibrate, loops):
         call = lambda: symplectic_step(ct.group, ct.f, g, mu, h, 0.5)  # noqa: E731
     else:
         stepper = METHODS[method].stepper
-        call = lambda: stepper(system.action, system.field, y, h).error_estimate  # noqa: E731
+
+        def call():
+            _, estimate = stepper(system.action, system.field, y, h)
+            return estimate and estimate()
     median, iqr = _time_us(call, repeats, number, calibrate, loops)
     if method == "symplectic" or layer == "implicit":
         _, ys = symplectic_integrate(system, 0.5, h, DRIFT_STEPS)

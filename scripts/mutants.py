@@ -85,9 +85,14 @@ DEFECTS = (
            "return 0.5 * h", "return 0.9 * h",
            "a non-finite estimate cuts h by 0.9, not 0.5"),
     Defect("fsal", "src/geomint/integrators.py",
-           "fsal = tableau.b_hat is not None and tableau.a[-1] + (0.0,) == tableau.b",
+           "fsal = self.b_hat is not None and self.a[-1] + (0.0,) == self.b",
            "fsal = False",
            "rkmk54 evaluates its first-same-as-last stage inside the step"),
+    Defect("estimate-none", "src/geomint/integrators.py",
+           "            if estimate is None:\n"
+           "                raise ValueError(\"adaptive integration requires an embedded stepper\")\n",
+           "",
+           "an adaptive run of a method without a pair fails with TypeError, not the ValueError"),
     Defect("memo", "src/geomint/integrators.py",
            "        if m is y:\n            base = last\n", "",
            "a trial after a reject evaluates f(y) again"),
@@ -97,6 +102,9 @@ DEFECTS = (
     Defect("pivot", "src/geomint/systems/pendulum.py",
            "if not pivot > 0.0:", "if not pivot < 0.0:",
            "the pendulum's Thomas sweep refuses every positive pivot"),
+    Defect("pend-tilt", "src/geomint/systems/pendulum.py",
+           "kp.append((k * x, k * y, k * z - g))", "kp.append((k * x + 1e-6 * g, k * y, k * z - g))",
+           "the pendulum's gravity tilted 1e-6 off e3, so a rotation about e3 is no symmetry"),
     Defect("quad-finite", "src/geomint/systems/quadrotor.py",
            "if not np.isfinite(state).all():", "if False:",
            "quadrotor_f reads a non-finite state"),

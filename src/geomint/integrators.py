@@ -4,15 +4,21 @@ Two explicit families operate on a :class:`~geomint.actions.HomogeneousAction`:
 Runge--Kutta--Munthe-Kaas schemes, which integrate the pulled-back
 equation sigma' = dexpinv_sigma(f(act(exp(sigma), y))) in the algebra,
 and commutator-free schemes, which compose several exponentials per
-step: :func:`cf_step` reads a :class:`CFScheme` table as :func:`rkmk_step`
-reads a Butcher :class:`Tableau`.  A separate implicit one-parameter
-family provides symplectic steps on right-trivialized cotangent groups
-G x g*; its nonlinear equation is solved by one simplified-Newton loop
-whose J = I - dG/dx takes dG/dx from the group record's ``jacobian`` (the
-heavy tops' carry one) and dG/dx = 0 for a group without one.
+step.  A method of either family is its table, a Butcher :class:`Tableau`
+or a :class:`CFScheme` of exponent coefficients, and the table is its own
+stepper.  A separate implicit one-parameter family provides symplectic
+steps on right-trivialized cotangent groups G x g*; its nonlinear
+equation is solved by one simplified-Newton loop whose J = I - dG/dx
+takes dG/dx from the group record's ``jacobian`` (the heavy tops' carry
+one) and dG/dx = 0 for a group without one.
 
-Every stepper is pure: ``stepper(action, f, y, h) -> StepResult`` where
-``f`` maps a flat manifold point to a flat algebra element.
+Every stepper is pure: ``stepper(action, f, y, h) -> (y_next, estimate)``
+where ``f`` maps a flat manifold point to a flat algebra element.
+``estimate`` is None for a method without an embedded pair; for a pair
+it is a zero-argument closure that returns the local error estimate as
+a float.  The work only the estimate needs runs when it is called, so
+fixed-step runs, which never call it, skip that work; calling it twice
+gives the same float.
 """
 
 from __future__ import annotations
@@ -34,11 +40,8 @@ __all__ = [
     "RK4",
     "KUTTA3",
     "DOPRI54",
-    "StepResult",
-    "rkmk_step",
     "rkmk4_two_commutator_step",
     "CFScheme",
-    "cf_step",
     "METHODS",
     "MethodInfo",
     "CotangentGroup",
@@ -58,14 +61,19 @@ __all__ = [
 ]
 
 
+FieldMap = Callable[[np.ndarray], np.ndarray]
+Step = Tuple[np.ndarray, Optional[Callable[[], float]]]
+
+
 # ---------------------------------------------------------------------------
-# Butcher tableaux
+# RKMK schemes
 
 
 @dataclass(frozen=True)
 class Tableau:
     """Explicit Runge--Kutta coefficients, optionally with an embedded
-    second weight row for error estimation."""
+    second weight row for error estimation.  Called as a stepper, it takes
+    one RKMK step."""
 
     name: str
     c: Tuple[float, ...]
@@ -91,8 +99,35 @@ class Tableau:
 
     @cached_property
     def _rows(self):
-        """The rows of ``a``, ``b`` and ``b_hat`` as arrays, built on first use."""
-        return [np.array(row) for row in self.a], np.array(self.b), np.array(self.b_hat or ())
+        """The rows of ``a``, ``b`` and ``b_hat`` as arrays, and the number
+        of stages the main update uses, built on first use.  A
+        first-same-as-last stage (its row is b) sits at y1 and feeds only
+        b_hat, so the update leaves it out."""
+        fsal = self.b_hat is not None and self.a[-1] + (0.0,) == self.b
+        return ([np.array(row) for row in self.a], np.array(self.b),
+                np.array(self.b_hat or ()), self.stages - fsal)
+
+    def __call__(self, action: HomogeneousAction, f: FieldMap, y, h: float) -> Step:
+        """One RKMK step.  The algebra-valued stages solve the dexpinv
+        equation from sigma = 0 with the action's exact dexpinv; the first
+        stage sits at sigma = 0, where dexpinv is the identity."""
+        a, b, b_hat, n = self._rows
+        K = np.empty((len(a), action.algebra_dim))
+        K[0] = f(y)
+        for i in range(1, n):
+            sigma = h * a[i].dot(K[:i])
+            K[i] = action.dexpinv(sigma, f(action.act(action.exp(sigma), y)))
+        sigma1 = h * b[:n].dot(K[:n])
+        y1 = action.act(action.exp(sigma1), y)
+        if self.b_hat is None:
+            return y1, None
+
+        def estimate():
+            if n < len(a):
+                K[-1] = action.dexpinv(sigma1, f(y1))
+            return float(np.linalg.norm(sigma1 - h * b_hat.dot(K)))
+
+        return y1, estimate
 
 
 RK4 = Tableau(
@@ -136,64 +171,7 @@ DOPRI54 = Tableau(
 )
 
 
-@dataclass(frozen=True)
-class StepResult:
-    """The main update ``y_next``; for an embedded pair also the local
-    ``error_estimate``, None otherwise.  A pair hands over the work only
-    the estimate needs as the closure ``_estimate``, run the first time
-    the estimate is read: fixed-step runs skip it."""
-
-    y_next: np.ndarray
-    _estimate: Optional[Callable[[], float]] = None
-
-    @cached_property
-    def error_estimate(self) -> Optional[float]:
-        return None if self._estimate is None else self._estimate()
-
-
-FieldMap = Callable[[np.ndarray], np.ndarray]
-
-
-# ---------------------------------------------------------------------------
-# One-step schemes
-
-
-def rkmk_step(
-    action: HomogeneousAction,
-    f: FieldMap,
-    y,
-    h: float,
-    tableau: Tableau = RK4,
-) -> StepResult:
-    """Generic explicit RKMK step for any explicit tableau.
-
-    The algebra-valued stages solve the dexpinv equation from sigma = 0
-    with the action's exact dexpinv; the first stage sits at sigma = 0,
-    where dexpinv is the identity.
-    """
-    # a first-same-as-last stage (its row is b) sits at y1 and feeds only b_hat
-    fsal = tableau.b_hat is not None and tableau.a[-1] + (0.0,) == tableau.b
-    n = tableau.stages - fsal
-    a, b, b_hat = tableau._rows
-    K = np.empty((tableau.stages, action.algebra_dim))
-    K[0] = f(y)
-    for i in range(1, n):
-        sigma = h * a[i].dot(K[:i])
-        K[i] = action.dexpinv(sigma, f(action.act(action.exp(sigma), y)))
-    sigma1 = h * b[:n].dot(K[:n])
-    y1 = action.act(action.exp(sigma1), y)
-    if tableau.b_hat is None:
-        return StepResult(y_next=y1)
-
-    def estimate():
-        if fsal:
-            K[-1] = action.dexpinv(sigma1, f(y1))
-        return float(np.linalg.norm(sigma1 - h * b_hat.dot(K)))
-
-    return StepResult(y_next=y1, _estimate=estimate)
-
-
-def rkmk4_two_commutator_step(action, f, y, h) -> StepResult:
+def rkmk4_two_commutator_step(action, f, y, h) -> Step:
     """Four-stage order-4 RKMK scheme needing only two commutators."""
     br = action.bracket
     k1 = h * f(y)
@@ -201,7 +179,7 @@ def rkmk4_two_commutator_step(action, f, y, h) -> StepResult:
     k3 = h * f(action.act(action.exp(0.5 * k2 - 0.125 * br(k1, k2)), y))
     k4 = h * f(action.act(action.exp(k3), y))
     sigma = (k1 + 2.0 * k2 + 2.0 * k3 + k4 - 0.5 * br(k1, k4)) / 6.0
-    return StepResult(y_next=action.act(action.exp(sigma), y))
+    return action.act(action.exp(sigma), y), None
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +194,8 @@ class CFScheme:
     F_j), Y_base), where F_j = f(Y_{stages[j]}) is stage j's field.  The
     last of ``points`` is y_next, the last of ``aux`` the auxiliary update
     y_hat; taking a point as a base reuses its exponentials.  The aux points
-    and their stages run only when the estimate |y_next - y_hat| is read."""
+    and their stages run only when the estimate |y_next - y_hat| is called.
+    Called as a stepper, the scheme takes one step."""
 
     name: str
     points: Tuple[Tuple[int, Tuple[float, ...]], ...]
@@ -247,24 +226,23 @@ class CFScheme:
                 for k, (base, row) in enumerate(self.points + self.aux, 1)]
         return plan[: len(self.points)], plan[len(self.points) :]
 
+    def __call__(self, action: HomogeneousAction, f: FieldMap, y, h: float) -> Step:
+        """One commutator-free step."""
+        Y, F = [y], np.empty((len(self.stages), action.algebra_dim))
+        F[0] = f(y)  # the first row can only use a stage at y
+        main, aux = self._plan
 
-def cf_step(action: HomogeneousAction, f: FieldMap, y, h: float, scheme: CFScheme) -> StepResult:
-    """One step of any commutator-free scheme; see :class:`CFScheme`."""
-    Y, F = [y], np.empty((len(scheme.stages), action.algebra_dim))
-    F[0] = f(y)  # the first row can only use a stage at y
-    main, aux = scheme._plan
+        def advance(plan):
+            for base, row, stage in plan:
+                Y.append(action.act(action.exp(h * row.dot(F[: len(row)])), Y[base]))
+                if stage:
+                    F[stage] = f(Y[-1])
+            return Y[-1]
 
-    def advance(plan):
-        for base, row, stage in plan:
-            Y.append(action.act(action.exp(h * row.dot(F[: len(row)])), Y[base]))
-            if stage:
-                F[stage] = f(Y[-1])
-        return Y[-1]
-
-    y1 = advance(main)
-    if not aux:
-        return StepResult(y_next=y1)
-    return StepResult(y_next=y1, _estimate=lambda: float(np.linalg.norm(y1 - advance(aux))))
+        y1 = advance(main)
+        if not aux:
+            return y1, None
+        return y1, lambda: float(np.linalg.norm(y1 - advance(aux)))
 
 
 LIE_EULER = CFScheme("lie-euler", ((0, (1.0,)),), stages=(0,))
@@ -287,9 +265,10 @@ CF43 = CFScheme("cf43", _CF4, stages=(0, 1, 2, 3, 6),
 
 @dataclass(frozen=True)
 class MethodInfo:
-    """Registry entry: the stepper plus its (main, auxiliary) orders."""
+    """Registry entry: the stepper, a table for all but rkmk4-2c, plus
+    its (main, auxiliary) orders."""
 
-    stepper: Callable[..., StepResult]
+    stepper: Callable[..., Step]
     p: int
     p_hat: Optional[int] = None
 
@@ -301,16 +280,16 @@ class MethodInfo:
 
 
 METHODS = {
-    "lie-euler": MethodInfo(partial(cf_step, scheme=LIE_EULER), 1),
-    "heun": MethodInfo(partial(cf_step, scheme=HEUN), 2),
-    "rkmk3": MethodInfo(partial(rkmk_step, tableau=KUTTA3), 3),
-    "rkmk4": MethodInfo(partial(rkmk_step, tableau=RK4), 4),
+    "lie-euler": MethodInfo(LIE_EULER, 1),
+    "heun": MethodInfo(HEUN, 2),
+    "rkmk3": MethodInfo(KUTTA3, 3),
+    "rkmk4": MethodInfo(RK4, 4),
     "rkmk4-2c": MethodInfo(rkmk4_two_commutator_step, 4),
-    "cf4": MethodInfo(partial(cf_step, scheme=CF4), 4),
-    "cf32a": MethodInfo(partial(cf_step, scheme=CF32A), 3, 2),
-    "cf32b": MethodInfo(partial(cf_step, scheme=CF32B), 3, 2),
-    "cf43": MethodInfo(partial(cf_step, scheme=CF43), 4, 3),
-    "rkmk54": MethodInfo(partial(rkmk_step, tableau=DOPRI54), 5, 4),
+    "cf4": MethodInfo(CF4, 4),
+    "cf32a": MethodInfo(CF32A, 3, 2),
+    "cf32b": MethodInfo(CF32B, 3, 2),
+    "cf43": MethodInfo(CF43, 4, 3),
+    "rkmk54": MethodInfo(DOPRI54, 5, 4),
 }
 
 
@@ -554,7 +533,7 @@ class TooManyRejectsError(RuntimeError):
 def adaptive_integrate(
     action: HomogeneousAction,
     f: FieldMap,
-    stepper: Callable[..., StepResult],
+    stepper: Callable[..., Step],
     y0,
     t0: float,
     T: float,
@@ -601,20 +580,18 @@ def adaptive_integrate(
         final = t + h >= T
         h_try = T - t if final else h
         try:
-            res = stepper(action, f_memo, y, h_try)
-            # read inside the try: the embedded part runs here
-            e = res.error_estimate
+            y1, estimate = stepper(action, f_memo, y, h_try)
+            if estimate is None:
+                raise ValueError("adaptive integration requires an embedded stepper")
+            e = estimate()  # called inside the try: the embedded part runs here
         except (BranchError, SingularMatrixError):
             e = math.inf
-        else:
-            if e is None:
-                raise ValueError("adaptive integration requires an embedded stepper")
         accepted = math.isfinite(e) and e < cfg.tol
         log.append(StepAttempt(t=t, h=h_try, error_estimate=e, accepted=accepted))
         h = controller_update(h_try, e, cfg)
         if accepted:
             t = T if final else t + h_try
-            y = np.asarray(res.y_next, dtype=float)
+            y = np.asarray(y1, dtype=float)
             ts.append(t)
             ys.append(y)
             consecutive = 0
@@ -630,7 +607,7 @@ def adaptive_integrate(
 def fixed_integrate(
     action: HomogeneousAction,
     f: FieldMap,
-    stepper: Callable[..., StepResult],
+    stepper: Callable[..., Step],
     y0,
     t0: float,
     T: float,
@@ -646,7 +623,7 @@ def fixed_integrate(
     ys = np.empty((n_steps + 1, np.asarray(y0).shape[0]))
     ys[0] = y0
     for n in range(n_steps):
-        ys[n + 1] = stepper(action, f, ys[n], h).y_next
+        ys[n + 1] = stepper(action, f, ys[n], h)[0]
     bad = np.flatnonzero(~np.isfinite(ys).all(axis=1))
     if bad.size:
         raise ValueError(f"state not finite after step {bad[0]} of {n_steps}")

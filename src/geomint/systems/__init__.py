@@ -11,7 +11,7 @@ from typing import Any, Callable, Dict, Mapping, Optional
 import numpy as np
 
 from ..actions import HomogeneousAction
-from ..integrators import CotangentGroup, SolveConfig, StepResult, fixed_integrate, symplectic_step
+from ..integrators import CotangentGroup, SolveConfig, fixed_integrate, symplectic_step
 from ..kernels import _dot
 
 __all__ = [
@@ -100,7 +100,7 @@ def symplectic_integrate(
         raise ValueError(f"system {system.name} has no cotangent formulation")
 
     def step(action, f, y, _):
-        return StepResult(ct.pack(*symplectic_step(ct.group, f, *ct.unpack(y), h, theta)))
+        return ct.pack(*symplectic_step(ct.group, f, *ct.unpack(y), h, theta)), None
 
     return fixed_integrate(system.action, ct.f, step, system.initial, t0, t0 + n_steps * h,
                            n_steps)

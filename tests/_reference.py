@@ -13,7 +13,6 @@ This module holds no random state.
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import partial
 from itertools import accumulate
 from typing import Callable
 
@@ -21,7 +20,7 @@ import numpy as np
 from scipy.special import ellipj, ellipkinc
 
 from geomint.actions import HomogeneousAction
-from geomint.integrators import CFScheme, Tableau, cf_step, rkmk_step
+from geomint.integrators import CFScheme, Tableau
 from geomint.kernels import cross
 from geomint.lie import dexpinv_so3, exp_so3, hat
 
@@ -80,8 +79,8 @@ def aux_stepper(table):
     :class:`Tableau` with ``b_hat`` as its weights, or a :class:`CFScheme`
     whose main points run on into its aux points."""
     if isinstance(table, Tableau):
-        return partial(rkmk_step, tableau=replace(table, b=table.b_hat, b_hat=None))
-    return partial(cf_step, scheme=CFScheme(table.name, table.points + table.aux, table.stages))
+        return replace(table, b=table.b_hat, b_hat=None)
+    return CFScheme(table.name, table.points + table.aux, table.stages)
 
 
 # ---------------------------------------------------------------------------

@@ -56,12 +56,6 @@ def _reference(system_id: str, t_end: float):
     return _REFS[key]
 
 
-def _aux_stepper(stepper):
-    # every embedded pair in METHODS is rkmk_step or cf_step over its table
-    (table,) = stepper.keywords.values()
-    return aux_stepper(table)
-
-
 def _ladder_slope(system, stepper, h0, t_end, ref):
     hs, errs = [], []
     for k in range(4, 10):
@@ -122,7 +116,7 @@ def test_criterion_1_convergence_orders():
             if abs(slope - p) > 0.25:
                 failures.append(f"{method} main slope {slope:.3f} != {p}")
         if p_hat is not None:
-            slope = _ladder_slope(system, _aux_stepper(stepper), h0, t_end, ref)
+            slope = _ladder_slope(system, aux_stepper(stepper), h0, t_end, ref)
             lines.append(f"{method}^:{slope:.2f}(p={p_hat})")
             if abs(slope - p_hat) > 0.25:
                 failures.append(f"{method} aux slope {slope:.3f} != {p_hat}")
@@ -425,7 +419,7 @@ def test_criterion_7_exactness_and_reduction():
     for method, tableau in pairs:
         yl, yc = y.copy(), y.copy()
         for _ in range(20):
-            yl = METHODS[method].stepper(flat, f, yl, h).y_next
+            yl = METHODS[method].stepper(flat, f, yl, h)[0]
             yc = classical(tableau, yc, h)
         worst_red = max(worst_red, float(np.linalg.norm(yl - yc)))
     if worst_red > 1e-12:

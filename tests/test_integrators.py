@@ -7,8 +7,14 @@ import pytest
 
 from geomint.actions import translation_action
 from geomint.integrators import (
+    CF4,
+    CF32A,
+    CF32B,
+    CF43,
     DOPRI54,
+    HEUN,
     KUTTA3,
+    LIE_EULER,
     METHODS,
     RK4,
     AdaptiveResult,
@@ -17,7 +23,6 @@ from geomint.integrators import (
     CotangentGroup,
     NonConvergenceError,
     SolveConfig,
-    StepResult,
     StepSizeUnderflowError,
     Tableau,
     TooManyRejectsError,
@@ -27,7 +32,6 @@ from geomint.integrators import (
     controller_update,
     fixed_integrate,
     rkmk4_two_commutator_step,
-    rkmk_step,
     so3_cotangent_group,
     so3r3_cotangent_group,
     symplectic_step,
@@ -39,7 +43,6 @@ from geomint.systems import get_system
 
 rng = np.random.default_rng(99)
 RKMK54 = METHODS["rkmk54"].stepper
-LIE_EULER = METHODS["lie-euler"].stepper
 
 
 # -- tableaux ----------------------------------------------------------------
@@ -120,12 +123,20 @@ Y0 = np.array([1.0, -0.3])
 def test_rkmk_collapses_to_classical(tableau):
     h = 0.05
     ref, ref_aux = _classical_rk_step(tableau, Y0, h)
-    res = rkmk_step(ACTION2, _linear_field, Y0, h, tableau=tableau)
-    np.testing.assert_allclose(res.y_next, ref, atol=1e-13)
+    y1, estimate = tableau(ACTION2, _linear_field, Y0, h)
+    np.testing.assert_allclose(y1, ref, atol=1e-13)
     if ref_aux is not None:
-        y_hat = aux_stepper(tableau)(ACTION2, _linear_field, Y0, h).y_next
+        y_hat = aux_stepper(tableau)(ACTION2, _linear_field, Y0, h)[0]
         np.testing.assert_allclose(y_hat, ref_aux, atol=1e-13)
-        assert abs(res.error_estimate - np.linalg.norm(ref - ref_aux)) < 1e-15
+        assert abs(estimate() - np.linalg.norm(ref - ref_aux)) < 1e-15
+
+
+def test_every_method_but_rkmk4_2c_is_its_table():
+    tables = {"lie-euler": LIE_EULER, "heun": HEUN, "rkmk3": KUTTA3, "rkmk4": RK4, "cf4": CF4,
+              "cf32a": CF32A, "cf32b": CF32B, "cf43": CF43, "rkmk54": DOPRI54}
+    assert set(METHODS) - set(tables) == {"rkmk4-2c"}
+    for name, table in tables.items():
+        assert METHODS[name].stepper is table, name
 
 
 def test_commutator_free_schemes_collapse_to_classical_rk4():
@@ -133,10 +144,10 @@ def test_commutator_free_schemes_collapse_to_classical_rk4():
     h = 0.05
     ref, _ = _classical_rk_step(RK4, Y0, h)
     np.testing.assert_allclose(
-        METHODS["cf4"].stepper(ACTION2, _linear_field, Y0, h).y_next, ref, atol=1e-13
+        METHODS["cf4"].stepper(ACTION2, _linear_field, Y0, h)[0], ref, atol=1e-13
     )
     np.testing.assert_allclose(
-        rkmk4_two_commutator_step(ACTION2, _linear_field, Y0, h).y_next, ref, atol=1e-13
+        rkmk4_two_commutator_step(ACTION2, _linear_field, Y0, h)[0], ref, atol=1e-13
     )
 
 
@@ -161,23 +172,22 @@ def test_commutator_free_pairs_collapse_to_classical_rk(method, main, aux):
     if aux is not None:
         ref_aux, _ = _classical_rk_step(aux, Y0, h)
     stepper = METHODS[method].stepper
-    res = stepper(ACTION2, _linear_field, Y0, h)
-    np.testing.assert_allclose(res.y_next, ref, atol=1e-13)
-    y_hat = aux_stepper(stepper.keywords["scheme"])(ACTION2, _linear_field, Y0, h).y_next
+    np.testing.assert_allclose(stepper(ACTION2, _linear_field, Y0, h)[0], ref, atol=1e-13)
+    y_hat = aux_stepper(stepper)(ACTION2, _linear_field, Y0, h)[0]
     np.testing.assert_allclose(y_hat, ref_aux, atol=1e-13)
 
 
 def test_lie_euler_collapses_to_euler_and_heun():
     h = 0.05
     np.testing.assert_allclose(
-        LIE_EULER(ACTION2, _linear_field, Y0, h).y_next,
+        LIE_EULER(ACTION2, _linear_field, Y0, h)[0],
         Y0 + h * _linear_field(Y0),
         atol=1e-15,
     )
     f1 = _linear_field(Y0)
     f2 = _linear_field(Y0 + h * f1)
     np.testing.assert_allclose(
-        METHODS["heun"].stepper(ACTION2, _linear_field, Y0, h).y_next,
+        METHODS["heun"].stepper(ACTION2, _linear_field, Y0, h)[0],
         Y0 + 0.5 * h * (f1 + f2),
         atol=1e-15,
     )
@@ -211,15 +221,15 @@ def test_series_dexpinv_matches_exact_for_small_steps():
 
     h = 1e-3
     y0 = np.array([0.3, -1.1, 0.8])
-    exact = rkmk_step(action, euler_field, y0, h, tableau=RK4)
-    series = METHODS["rkmk4"].stepper(series_action, euler_field, y0, h)
-    np.testing.assert_allclose(series.y_next, exact.y_next, atol=1e-12)
+    exact = RK4(action, euler_field, y0, h)[0]
+    series = METHODS["rkmk4"].stepper(series_action, euler_field, y0, h)[0]
+    np.testing.assert_allclose(series, exact, atol=1e-12)
 
 
 @pytest.mark.parametrize("method,calls", [("rkmk3", 2), ("rkmk4", 3), ("rkmk54", 6)])
 def test_rkmk_skips_dexpinv_at_the_first_stage(method, calls):
     # stage 1 sits at sigma = 0, where dexpinv is the identity; the
-    # estimate is read so that rkmk54 also runs its seventh stage
+    # estimate is called so that rkmk54 also runs its seventh stage
     action = coadjoint_so3_action()
     seen = []
 
@@ -229,7 +239,9 @@ def test_rkmk_skips_dexpinv_at_the_first_stage(method, calls):
 
     f = lambda mu: np.array([1.0, 0.5, 2.0]) * mu
     y0 = np.array([0.3, -1.1, 0.8])
-    METHODS[method].stepper(replace(action, dexpinv=dexpinv), f, y0, 0.1).error_estimate
+    _, estimate = METHODS[method].stepper(replace(action, dexpinv=dexpinv), f, y0, 0.1)
+    if estimate is not None:
+        estimate()
     assert len(seen) == calls
     assert all(np.any(u != 0.0) for u in seen)
 
@@ -265,12 +277,24 @@ def test_fixed_step_runs_skip_the_embedded_part(method, main, with_estimate):
     assert tuple(v / 4 for v in counts.values()) == main
 
     counts.update(f=0, exp=0, dexpinv=0)
-    res = stepper(action, field, y0, 0.1)
-    assert res.error_estimate > 0.0
+    y1, estimate = stepper(action, field, y0, 0.1)
+    assert estimate() > 0.0
     assert tuple(counts.values()) == with_estimate
 
-    plain = stepper(coadjoint_so3_action(), f, y0, 0.1)
-    np.testing.assert_array_equal(plain.y_next, res.y_next)
+    plain = stepper(coadjoint_so3_action(), f, y0, 0.1)[0]
+    np.testing.assert_array_equal(plain, y1)
+
+
+@pytest.mark.parametrize("method", [m for m, info in METHODS.items() if info.p_hat is not None])
+def test_an_estimate_called_twice_gives_the_same_float(method):
+    f = lambda mu: np.array([1.0, 0.5, 2.0]) * mu
+    y1, estimate = METHODS[method].stepper(coadjoint_so3_action(), f, np.array([0.3, -1.1, 0.8]),
+                                           0.1)
+    kept = y1.copy()
+    first = estimate()
+    assert type(first) is float and first > 0.0
+    assert estimate() == first
+    np.testing.assert_array_equal(y1, kept)
 
 
 # (field evaluations, exps) per step of the schemes without an estimate;
@@ -288,7 +312,7 @@ def test_commutator_free_evaluation_counts(method, calls):
 
 def test_adaptive_rejects_branch_error_in_the_embedded_part():
     # DOPRI54's seventh stage sits at the final sigma and runs only when
-    # the estimate is read; a BranchError there rejects the trial step
+    # the estimate is called; a BranchError there rejects the trial step
     action = coadjoint_so3_action()
     calls = []
 
@@ -326,7 +350,7 @@ def test_adaptive_rkmk54_evaluates_the_shared_stage_once(tol, h0):
     y, ys = y0, [y0]
     for attempt in log:
         if attempt.accepted:
-            y = RKMK54(coadjoint_so3_action(), f, y, attempt.h).y_next
+            y = RKMK54(coadjoint_so3_action(), f, y, attempt.h)[0]
             ys.append(y)
     np.testing.assert_array_equal(res.ys, np.array(ys))
 
@@ -336,8 +360,8 @@ def test_rkmk54_error_estimate_scales_at_order_five():
     iinv = np.array([1.0, 0.5, 2.0])
     f = lambda mu: iinv * mu
     y0 = np.array([0.3, -1.1, 0.8])
-    e1 = RKMK54(action, f, y0, 0.1).error_estimate
-    e2 = RKMK54(action, f, y0, 0.05).error_estimate
+    e1 = RKMK54(action, f, y0, 0.1)[1]()
+    e2 = RKMK54(action, f, y0, 0.05)[1]()
     assert 20.0 < e1 / e2 < 50.0
 
 
@@ -444,15 +468,15 @@ def test_adaptive_accepts_below_tolerance_and_lands_on_T():
 
 def test_adaptive_requires_embedded_stepper():
     cfg = ControllerConfig(tol=1e-8, alpha=0.2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="embedded"):
         adaptive_integrate(ACTION2, _linear_field, LIE_EULER, Y0, 0.0, 1.0, 0.1, cfg)
 
 
 def test_adaptive_rejects_non_finite_estimate_and_halves_h():
     # a trial step longer than 0.05 reports a NaN estimate
     def stepper(action, f, y, h):
-        res = RKMK54(action, f, y, h)
-        return replace(res, _estimate=lambda: np.nan) if h > 0.05 else res
+        y1, estimate = RKMK54(action, f, y, h)
+        return y1, (lambda: np.nan) if h > 0.05 else estimate
 
     cfg = ControllerConfig(tol=1e-8, alpha=0.2)
     res = adaptive_integrate(ACTION2, _linear_field, stepper, Y0, 0.0, 1.0, 0.08, cfg)
@@ -487,7 +511,7 @@ def _constant_estimate(e, trials):
     """A stepper that stays put, logs each trial h and reports estimate e."""
     def stepper(action, f, y, h):
         trials.append(h)
-        return StepResult(y_next=y, _estimate=lambda: e)
+        return y, lambda: e
     return stepper
 
 

@@ -13,13 +13,12 @@ as a tableau.
 
 from __future__ import annotations
 
-from functools import partial
 from math import prod
 
 import numpy as np
 import pytest
 
-from geomint.integrators import METHODS
+from geomint.integrators import METHODS, CFScheme, Tableau
 
 MAX_VERTICES = 6
 
@@ -61,15 +60,13 @@ def classical_order(A, b):
 def _tableau(name):
     """(A, b, b_hat) of the method's tableau, or of the tableau its
     commutator-free scheme collapses to; b_hat is None without a pair."""
-    keywords = METHODS[name].stepper.keywords
-    if "tableau" in keywords:
-        t = keywords["tableau"]
+    t = scheme = METHODS[name].stepper
+    if isinstance(t, Tableau):
         A = np.zeros((t.stages, t.stages))
         for i, row in enumerate(t.a):
             A[i, :len(row)] = row
         np.testing.assert_allclose(A.sum(axis=1), t.c, rtol=0, atol=1e-15)
         return A, np.array(t.b), None if t.b_hat is None else np.array(t.b_hat)
-    scheme = keywords["scheme"]
     s = len(scheme.stages)
     sums = [np.zeros(s)]  # the coefficients summed from y to each point
     for base, row in scheme.points + scheme.aux:
@@ -83,7 +80,8 @@ def test_the_trees_up_to_six_vertices():
 
 
 @pytest.mark.parametrize(
-    "name", [name for name, info in METHODS.items() if isinstance(info.stepper, partial)]
+    "name",
+    [name for name, info in METHODS.items() if isinstance(info.stepper, (Tableau, CFScheme))],
 )
 def test_classical_order_is_the_registered_order(name):
     A, b, b_hat = _tableau(name)
