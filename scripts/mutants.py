@@ -167,6 +167,17 @@ DEFECTS = (
     Defect("ladder", "src/geomint/harness.py",
            "if any(n >= m for n, m in zip(ns, ns[1:])):", "if False:",
            "a converge ladder whose rungs collapse to one step count is fitted anyway"),
+    Defect("coad-r", "src/geomint/integrators.py",
+           "[*_times(_transpose(g[:9]), m1, m2, m3), *t]", "[*_times(g[:9], m1, m2, m3), *t]",
+           "the float cotangent group's coad applies R, not R^T"),
+    Defect("compose-tail", "src/geomint/integrators.py",
+           "*map(add, g1[9:], g2[9:])", "*(a - b for a, b in zip(g1[9:], g2[9:]))",
+           "the float cotangent group's compose subtracts the R^n parts"),
+    Defect("top-tilt", "src/geomint/systems/heavytop.py",
+           "return _omega_and_torque(g, inertia_inv, *mu, g0, mgl_chi)",
+           "return _omega_and_torque(g, inertia_inv, *mu, (g0[0] + 1e-6 * g0[2], *g0[1:]), mgl_chi)",
+           "the spatial top's implicit pair has gravity tilted 1e-6 off Gamma0, so a rotation"
+           " about Gamma0 is no symmetry"),
 )
 
 

@@ -16,9 +16,9 @@ Every stepper is pure: ``stepper(action, f, y, h) -> (y_next, estimate)``
 where ``f`` maps a flat manifold point to a flat algebra element.
 ``estimate`` is None for a method without an embedded pair; for a pair
 it is a zero-argument closure that returns the local error estimate as
-a float.  The work only the estimate needs runs when it is called, so
-fixed-step runs, which never call it, skip that work; calling it twice
-gives the same float.
+a float.  The work only the estimate needs runs when it is first called,
+so fixed-step runs, which never call it, skip that work; a later call
+returns the stored float and does no work.
 """
 
 from __future__ import annotations
@@ -26,14 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Any, Callable, List, Optional, Tuple
+from operator import add
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .actions import HomogeneousAction
-from .kernels import SingularMatrixError, _times, _transpose, inverse
-from .lie import BranchError, dexp_star_so3, exp_so3
-from .lie import _dexp_star, _exp_coeffs, _floats, _rotation
+from .kernels import SingularMatrixError, _product, _times, _transpose, inverse
+from .lie import BranchError, _dexp_star, _exp_coeffs, _rotation, dexp_star_so3, exp_so3
 
 __all__ = [
     "Tableau",
@@ -46,7 +46,7 @@ __all__ = [
     "MethodInfo",
     "CotangentGroup",
     "so3_cotangent_group",
-    "so3r3_cotangent_group",
+    "so3rn_cotangent_group",
     "SolveConfig",
     "NonConvergenceError",
     "symplectic_step",
@@ -63,6 +63,19 @@ __all__ = [
 
 FieldMap = Callable[[np.ndarray], np.ndarray]
 Step = Tuple[np.ndarray, Optional[Callable[[], float]]]
+
+
+def _once(fn: Callable[[], float]) -> Callable[[], float]:
+    """``fn`` as an estimate: the first call runs it, later calls return
+    the stored float."""
+    value = []
+
+    def once():
+        if not value:
+            value.append(fn())
+        return value[0]
+
+    return once
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +140,7 @@ class Tableau:
                 K[-1] = action.dexpinv(sigma1, f(y1))
             return float(np.linalg.norm(sigma1 - h * b_hat.dot(K)))
 
-        return y1, estimate
+        return y1, _once(estimate)
 
 
 RK4 = Tableau(
@@ -242,7 +255,7 @@ class CFScheme:
         y1 = advance(main)
         if not aux:
             return y1, None
-        return y1, lambda: float(np.linalg.norm(y1 - advance(aux)))
+        return y1, _once(lambda: float(np.linalg.norm(y1 - advance(aux))))
 
 
 LIE_EULER = CFScheme("lie-euler", ((0, (1.0,)),), stages=(0,))
@@ -302,8 +315,10 @@ class CotangentGroup:
     """Group data for the implicit symplectic family on G x g*.
 
     ``coad`` is the coadjoint map Ad*_g on the dual, ``dexp_star`` the
-    dual of the differential of exp.  Algebra and dual elements are flat
-    arrays of length ``algebra_dim``, since g* has the dimension of g.
+    dual of the differential of exp.  Algebra and dual elements are float
+    sequences of length ``algebra_dim``, since g* has the dimension of g;
+    a group element is whatever ``exp`` returns, and ``compose`` takes and
+    returns such elements.
 
     ``jacobian(g0, mu0, h, theta, x)``, when given, is the exact dG/dx of
     the step's residual map G (:func:`_symplectic_residual_map`) for the
@@ -314,15 +329,15 @@ class CotangentGroup:
     """
 
     algebra_dim: int
-    exp: Callable[[np.ndarray], Any]
+    exp: Callable[[Sequence[float]], Any]
     compose: Callable[[Any, Any], Any]
-    coad: Callable[[Any, np.ndarray], np.ndarray]
-    dexp_star: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    coad: Callable[[Any, Sequence[float]], Sequence[float]]
+    dexp_star: Callable[[Sequence[float], Sequence[float]], Sequence[float]]
     jacobian: Optional[Callable[..., np.ndarray]] = None
 
 
 def so3_cotangent_group() -> CotangentGroup:
-    """SO(3) x so(3)*: Ad*_R mu = R^T mu."""
+    """SO(3) x so(3)*: Ad*_R mu = R^T mu, on 3x3 rotation matrices."""
     return CotangentGroup(
         algebra_dim=3,
         exp=exp_so3,
@@ -332,29 +347,31 @@ def so3_cotangent_group() -> CotangentGroup:
     )
 
 
-def so3r3_cotangent_group() -> CotangentGroup:
-    """(SO(3) x R^3) x its dual; the translational factor is abelian, so
-    its coadjoint and dexp* blocks are identities.  The maps are closed
-    forms on floats."""
+def so3rn_cotangent_group(n: int) -> CotangentGroup:
+    """(SO(3) x R^n) x its dual, in closed form on floats.  An element is
+    9 + n floats: R row by row, then the R^n part.  The translational
+    factor is abelian, so its coadjoint and dexp* blocks are identities
+    and ``compose`` adds the R^n parts."""
 
     def expmap(xi):
-        x, y, z, *t = _floats(xi)
-        g = np.array(_rotation(x, y, z, *_exp_coeffs(x * x + y * y + z * z), *t))
-        return g[:9].reshape(3, 3), g[9:]
+        x, y, z, *t = xi
+        return _rotation(x, y, z, *_exp_coeffs(x * x + y * y + z * z), *t)
 
     def coad(g, mu):
         # R^T m on the rotational block
-        m1, m2, m3, *t = _floats(mu)
-        return np.array([*_times(_transpose(g[0].ravel().tolist()), m1, m2, m3), *t])
+        m1, m2, m3, *t = mu
+        return [*_times(_transpose(g[:9]), m1, m2, m3), *t]
 
     def dexp_star(u, mu):
-        x, y, z = _floats(u)[:3]
-        return np.array(_dexp_star(x, y, z, *_floats(mu)))
+        return _dexp_star(*u[:3], *mu)
+
+    def compose(g1, g2):
+        return (*_product(g1[:9], g2[:9]), *map(add, g1[9:], g2[9:]))
 
     return CotangentGroup(
-        algebra_dim=6,
+        algebra_dim=3 + n,
         exp=expmap,
-        compose=lambda g1, g2: (g1[0] @ g2[0], g1[1] + g2[1]),
+        compose=compose,
         coad=coad,
         dexp_star=dexp_star,
     )
@@ -383,20 +400,22 @@ class NonConvergenceError(RuntimeError):
 
 
 def _symplectic_residual_map(group, f, g0, mu0, h, theta):
-    """Returns G(x) = h f(exp(theta xi) g0, M_theta) on the flat x = (xi, nbar)."""
+    """Returns G(x) = h f(exp(theta xi) g0, M_theta) on the flat x = (xi, nbar),
+    with the group maps and ``f`` called on float lists."""
     na = group.algebra_dim
 
     def gmap(x):
+        x = x.tolist()
         xi, nbar = x[:na], x[na:]
-        u = theta * xi
+        u = [theta * c for c in xi]
         e_theta = group.exp(u)
         ad_n = group.coad(e_theta, nbar)
-        m_theta = group.dexp_star(-xi, mu0 + ad_n)
+        m_theta = group.dexp_star([-c for c in xi], [m + a for m, a in zip(mu0, ad_n)])
         if theta != 0.0:
-            m_theta -= theta * group.dexp_star(-u, ad_n)
-        gx = np.concatenate(f(group.compose(e_theta, g0), m_theta))
-        gx *= h
-        return gx
+            m_theta = [m - theta * d for m, d in
+                       zip(m_theta, group.dexp_star([-c for c in u], ad_n))]
+        f1, f2 = f(group.compose(e_theta, g0), m_theta)
+        return np.array([h * c for c in (*f1, *f2)])
 
     return gmap
 
@@ -443,9 +462,9 @@ def _simplified_newton(G, n: int, dG) -> np.ndarray:
 
 def symplectic_step(
     group: CotangentGroup,
-    f: Callable[[Any, np.ndarray], Tuple[np.ndarray, np.ndarray]],
+    f: Callable[[Any, Sequence[float]], Tuple[Sequence[float], Sequence[float]]],
     g0,
-    mu0: np.ndarray,
+    mu0: Sequence[float],
     h: float,
     theta: float,
     solve: SolveConfig = SolveConfig(),
@@ -455,19 +474,22 @@ def symplectic_step(
     Solves (xi, nbar) = h f(exp(theta xi) g0, M_theta) and updates by the
     cotangent-group product, so mu1 = Ad*_{exp((theta-1)xi)} nbar +
     Ad*_{exp(-xi)} mu0.  ``f`` maps (group element, dual element) to an
-    (algebra, dual) pair.  ``solve`` is accepted and unused; see
-    :class:`SolveConfig`.
+    (algebra, dual) pair of float sequences.  Returns g1 as ``compose``
+    returns it and mu1 as a float list.  ``solve`` is accepted and unused;
+    see :class:`SolveConfig`.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
     G = _symplectic_residual_map(group, f, g0, mu0, h, theta)
     jacobian = group.jacobian or (lambda *args: 0.0)
     x = _simplified_newton(G, 2 * group.algebra_dim, partial(jacobian, g0, mu0, h, theta))
+    x = x.tolist()
     xi, nbar = x[: group.algebra_dim], x[group.algebra_dim :]
 
     g1 = group.compose(group.exp(xi), g0)
-    mu1 = group.coad(group.exp((theta - 1.0) * xi), nbar) + group.coad(group.exp(-xi), mu0)
-    return g1, mu1
+    a = group.coad(group.exp([(theta - 1.0) * c for c in xi]), nbar)
+    b = group.coad(group.exp([-c for c in xi]), mu0)
+    return g1, [p + q for p, q in zip(a, b)]
 
 
 # ---------------------------------------------------------------------------

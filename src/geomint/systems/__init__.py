@@ -6,7 +6,7 @@ import inspect
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ class CotangentForm:
     pack/unpack maps between (g, mu) pairs and the flat state layout."""
 
     group: CotangentGroup
-    f: Callable[[Any, np.ndarray], tuple]
+    f: Callable[[Any, Sequence[float]], tuple]
     pack: Callable[[Any, np.ndarray], np.ndarray]
     unpack: Callable[[np.ndarray], tuple]
 

@@ -33,7 +33,7 @@ from ..actions import (
     cotangent_so3_action,
     ext_top_action,
 )
-from ..integrators import so3_cotangent_group, so3r3_cotangent_group
+from ..integrators import so3rn_cotangent_group
 from ..kernels import _dot, _product, _times, _times_hat, _transpose
 from ..lie import _dexp_matrix, _dexp_star_jacobian, _exp_so3
 
@@ -165,7 +165,8 @@ def _omega_and_torque(q, inertia_inv, p1, p2, p3, gamma, v):
 
 def _spatial_maps(params: HeavyTopParams):
     """The field on the flat state [Q.ravel(), pi] and the Hamiltonian (f1, f2)
-    map: (omega, Gamma0 x Q (Mgl X) + pi x omega), in closed form on floats."""
+    map: (omega, Gamma0 x Q (Mgl X) + pi x omega), in closed form on floats,
+    from Q row by row and pi to two float lists."""
     inertia_inv, g0 = params.inertia_inv.tolist(), params.g0.tolist()
     mgl_chi = (params.mgl * params.chi).tolist()
 
@@ -175,8 +176,7 @@ def _spatial_maps(params: HeavyTopParams):
         return np.array(omega + torque)
 
     def pair(g, mu):
-        f1, f2 = _omega_and_torque(g.ravel().tolist(), inertia_inv, *mu.tolist(), g0, mgl_chi)
-        return np.array(f1), np.array(f2)
+        return _omega_and_torque(g, inertia_inv, *mu, g0, mgl_chi)
 
     return field, pair
 
@@ -192,11 +192,13 @@ def spatial_energy(params: HeavyTopParams, m: np.ndarray) -> np.ndarray:
 
 
 def pack_spatial(g, mu) -> np.ndarray:
-    return np.concatenate([np.asarray(g).ravel(), mu])
+    return np.array([*g, *mu])
 
 
 def unpack_spatial(m: np.ndarray):
-    return m[:9].reshape(3, 3), m[9:12]
+    """(Q row by row, pi) of the flat state, as float lists."""
+    m = m.tolist()
+    return m[:9], m[9:12]
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +237,8 @@ def ext_initial_p(params: HeavyTopParams) -> np.ndarray:
 def _ext_maps(params: HeavyTopParams):
     """The field on the flat state [Q.ravel(), pi, p, q] and the (f1, f2) map on
     (SO(3) x R^3) x dual, state ((Q, q), (pi, p)): f1 = (omega, p - Q^T Gamma0)
-    and f2 = (Gamma0 x Q(-p) + pi x omega, 0), in closed form on floats."""
+    and f2 = (Gamma0 x Q(-p) + pi x omega, 0), in closed form on floats, from
+    (Q row by row, q) and (pi, p) to two float lists."""
     inertia_inv, g0 = params.inertia_inv.tolist(), params.g0.tolist()
 
     def closed_form(q, p1, p2, p3, s1, s2, s3):
@@ -249,8 +252,8 @@ def _ext_maps(params: HeavyTopParams):
         return np.array(omega + torque + [0.0, 0.0, 0.0] + drift)
 
     def pair(g, mu):
-        omega, torque, drift = closed_form(g[0].ravel().tolist(), *mu.tolist())
-        return np.array(omega + drift), np.array(torque + [0.0, 0.0, 0.0])
+        omega, torque, drift = closed_form(g[:9], *mu)
+        return omega + drift, torque + [0.0, 0.0, 0.0]
 
     return field, pair
 
@@ -267,13 +270,13 @@ def ext_energy(params: HeavyTopParams, m: np.ndarray) -> np.ndarray:
 
 
 def pack_ext(g, mu) -> np.ndarray:
-    Q, q = g
-    return np.concatenate([np.asarray(Q).ravel(), mu[:3], mu[3:6], q])
+    return np.array([*g[:9], *mu, *g[9:]])
 
 
 def unpack_ext(m: np.ndarray):
-    Q = m[:9].reshape(3, 3)
-    return (Q, m[15:18]), m[9:15]
+    """((Q row by row, q), (pi, p)) of the flat state, as float lists."""
+    m = m.tolist()
+    return m[:9] + m[15:18], m[9:15]
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +364,7 @@ def _spatial_jacobian(params: HeavyTopParams):
 
     def jacobian(q0, mu0, h, theta, x):
         x = x.tolist()
-        Q, m, A, dm_dxi, dm_dn = _momentum_blocks(
-            q0.ravel().tolist(), mu0.tolist(), theta, x[:3], x[3:])
+        Q, m, A, dm_dxi, dm_dn = _momentum_blocks(q0, mu0, theta, x[:3], x[3:])
         w_xi, w_n, t_xi, t_n = _field_blocks(Q, m, A, dm_dxi, dm_dn, inertia_inv, g0, mgl_chi)
         return _assemble([[w_xi, w_n], [t_xi, t_n]], h)
 
@@ -377,9 +379,8 @@ def _ext_jacobian(params: HeavyTopParams):
     g1, g2, g3 = g0
 
     def jacobian(g, mu0, h, theta, x):
-        x, mu0 = x.tolist(), mu0.tolist()
-        Q, m, A, dm_dxi, dm_dn = _momentum_blocks(
-            g[0].ravel().tolist(), mu0, theta, x[:3], x[6:9])
+        x = x.tolist()
+        Q, m, A, dm_dxi, dm_dn = _momentum_blocks(g[:9], mu0, theta, x[:3], x[6:9])
         c = 1.0 - theta
         v = [-s - c * n for s, n in zip(mu0[3:], x[9:])]
         w_xi, w_n, t_xi, t_n = _field_blocks(Q, m, A, dm_dxi, dm_dn, inertia_inv, g0, v)
@@ -431,7 +432,7 @@ def build_spatial(params: HeavyTopParams):
             "gamma0_dot_pi": lambda m: _dot(g0, m[..., 9:12]),
         },
         cotangent=CotangentForm(
-            group=replace(so3_cotangent_group(), jacobian=_spatial_jacobian(params)),
+            group=replace(so3rn_cotangent_group(0), jacobian=_spatial_jacobian(params)),
             f=f,
             pack=pack_spatial,
             unpack=unpack_spatial,
@@ -472,7 +473,7 @@ def build_ext(params: HeavyTopParams):
             "gamma0_dot_pi": lambda m: _dot(g0, m[..., 9:12]),
         },
         cotangent=CotangentForm(
-            group=replace(so3r3_cotangent_group(), jacobian=_ext_jacobian(params)),
+            group=replace(so3rn_cotangent_group(3), jacobian=_ext_jacobian(params)),
             f=f,
             pack=pack_ext,
             unpack=unpack_ext,

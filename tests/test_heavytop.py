@@ -212,8 +212,9 @@ def test_hamiltonian_pairs_match_numpy_reference(pair, reference, ext):
         Q = _random_rotation()
         g, mu = ((Q, rng.normal(size=3)), 50.0 * rng.normal(size=6)) if ext else (
             Q, 50.0 * rng.normal(size=3))
-        for out, ref in zip(pair(params)(g, mu), reference(params)(g, mu)):
-            assert isinstance(out, np.ndarray) and out.shape == ref.shape
+        flat = (*Q.ravel().tolist(), *g[1].tolist()) if ext else tuple(Q.ravel().tolist())
+        for out, ref in zip(pair(params)(flat, mu.tolist()), reference(params)(g, mu)):
+            assert isinstance(out, list) and np.shape(out) == ref.shape
             np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
 
 
@@ -235,13 +236,21 @@ def _reference_lp_field(params, mu):
     return np.concatenate([-params.inertia_inv * mu[:3], -params.mgl * params.chi])
 
 
-def _spatial_layout(pair):
-    return lambda params, m: np.concatenate(pair(params)(*unpack_spatial(m)))
+def _unpack_spatial_arrays(m):
+    return m[:9].reshape(3, 3), m[9:12]
 
 
-def _ext_layout(pair):
+def _unpack_ext_arrays(m):
+    return (m[:9].reshape(3, 3), m[15:18]), m[9:15]
+
+
+def _spatial_layout(pair, unpack=unpack_spatial):
+    return lambda params, m: np.concatenate(pair(params)(*unpack(m)))
+
+
+def _ext_layout(pair, unpack=unpack_ext):
     def field(params, m):
-        f1, f2 = pair(params)(*unpack_ext(m))
+        f1, f2 = pair(params)(*unpack(m))
         return np.concatenate([f1[:3], f2, f1[3:]])
 
     return field
@@ -252,9 +261,10 @@ def _ext_layout(pair):
 _FIELD_REFERENCES = {
     "body": (build_body, 3, _reference_body_field, _reference_body_field),
     "spatial": (build_spatial, 3, _spatial_layout(heavytop_spatial_f_pair),
-                _spatial_layout(_reference_spatial_pair)),
+                _spatial_layout(_reference_spatial_pair, _unpack_spatial_arrays)),
     "lp": (build_liepoisson, None, _reference_lp_field, _reference_lp_field),
-    "ext": (build_ext, 9, _ext_layout(heavytop_ext_f_pair), _ext_layout(_reference_ext_pair)),
+    "ext": (build_ext, 9, _ext_layout(heavytop_ext_f_pair),
+            _ext_layout(_reference_ext_pair, _unpack_ext_arrays)),
 }
 
 
@@ -387,9 +397,9 @@ def test_coadjoint_action_preserves_casimirs_exactly():
 
 def test_spatial_pack_roundtrip():
     Q, pi = _random_state()
-    m = pack_spatial(Q, pi)
+    m = pack_spatial(tuple(Q.ravel().tolist()), pi.tolist())
     Q2, pi2 = unpack_spatial(m)
-    np.testing.assert_array_equal(Q2, Q)
+    np.testing.assert_array_equal(np.reshape(Q2, (3, 3)), Q)
     np.testing.assert_array_equal(pi2, pi)
 
 
@@ -397,9 +407,9 @@ def test_ext_pack_roundtrip():
     Q, _ = _random_state()
     q = rng.normal(size=3)
     mu = rng.normal(size=6)
-    g2, mu2 = unpack_ext(pack_ext((Q, q), mu))
-    np.testing.assert_array_equal(g2[0], Q)
-    np.testing.assert_array_equal(g2[1], q)
+    g2, mu2 = unpack_ext(pack_ext((*Q.ravel().tolist(), *q.tolist()), mu.tolist()))
+    np.testing.assert_array_equal(np.reshape(g2[:9], (3, 3)), Q)
+    np.testing.assert_array_equal(g2[9:], q)
     np.testing.assert_array_equal(mu2, mu)
 
 
@@ -459,6 +469,34 @@ def test_symplectic_keeps_the_body_frame_spin(system_id, theta):
     _, ys = symplectic_integrate(get_system(system_id), theta, 0.01, 500)
     spin = np.einsum("nji,nj->ni", ys[:, :9].reshape(-1, 3, 3), ys[:, 9:12])[:, 1]
     assert np.abs(spin - spin[0]).max() <= 1e-10
+
+
+def _turn_about_gamma0(S, m):
+    """States of the spatial or extended top with Q and pi turned by S; the
+    extended top's p and q are body-frame and stay."""
+    out = m.copy()
+    out[..., :9] = (S @ m[..., :9].reshape(m.shape[:-1] + (3, 3))).reshape(m.shape[:-1] + (9,))
+    out[..., 9:12] = m[..., 9:12] @ S.T
+    return out
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("system_id", ["heavytop-spatial", "heavytop-ext"])
+def test_symplectic_family_commutes_with_a_rotation_about_gamma0(system_id, theta):
+    # gravity is along Gamma0, so a rotation S about it maps the field to
+    # itself; exp, coad and dexp* commute with it, so the run from the
+    # turned start is the turned run to rounding (at most 9.5e-14 here)
+    system = get_system(system_id)
+    start = system.initial.copy()
+    start[:9] = (exp_so3([0.3, -0.2, 0.1]) @ start[:9].reshape(3, 3)).ravel()
+    S = exp_so3(0.7 * BRULS_TOP.g0 / np.linalg.norm(BRULS_TOP.g0))
+
+    def run(y0):
+        return symplectic_integrate(replace(system, initial=y0), theta, 0.01, 200)[1]
+
+    expected = _turn_about_gamma0(S, run(start))
+    np.testing.assert_allclose(run(_turn_about_gamma0(S, start)), expected, rtol=0,
+                               atol=1e-12 * np.abs(expected).max())
 
 
 @pytest.mark.parametrize("n_steps", [0, -1, -2])
@@ -526,7 +564,7 @@ def test_exact_jacobian_matches_central_differences(system_id, theta):
     _, mu_start = ct.unpack(system.initial)
     for angle in (0.3, 0.8, 2.0):
         Q0 = exp_so3(rng.normal(size=3))
-        g0 = Q0 if n == 6 else (Q0, rng.normal(size=3))
+        g0 = (*Q0.ravel().tolist(), *([] if n == 6 else rng.normal(size=3).tolist()))
         mu0 = mu_start + rng.normal(size=n // 2)
         x = rng.normal(size=n)
         x[:3] *= angle / np.linalg.norm(x[:3])

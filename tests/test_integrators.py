@@ -33,7 +33,7 @@ from geomint.integrators import (
     fixed_integrate,
     rkmk4_two_commutator_step,
     so3_cotangent_group,
-    so3r3_cotangent_group,
+    so3rn_cotangent_group,
     symplectic_step,
 )
 from _reference import aux_stepper, coadjoint_so3_action, dexpinv_series
@@ -287,13 +287,17 @@ def test_fixed_step_runs_skip_the_embedded_part(method, main, with_estimate):
 
 @pytest.mark.parametrize("method", [m for m, info in METHODS.items() if info.p_hat is not None])
 def test_an_estimate_called_twice_gives_the_same_float(method):
+    # the second call returns the stored float with no field evaluation,
+    # exp or dexpinv
     f = lambda mu: np.array([1.0, 0.5, 2.0]) * mu
-    y1, estimate = METHODS[method].stepper(coadjoint_so3_action(), f, np.array([0.3, -1.1, 0.8]),
-                                           0.1)
+    action, field, counts = _counted(coadjoint_so3_action(), f)
+    y1, estimate = METHODS[method].stepper(action, field, np.array([0.3, -1.1, 0.8]), 0.1)
     kept = y1.copy()
     first = estimate()
     assert type(first) is float and first > 0.0
+    counts.update(f=0, exp=0, dexpinv=0)
     assert estimate() == first
+    assert counts == {"f": 0, "exp": 0, "dexpinv": 0}
     np.testing.assert_array_equal(y1, kept)
 
 
@@ -588,8 +592,9 @@ def _free_rigid_body(g, mu):
 
 
 def _free_rigid_body_r3(g, mu):
-    """The free body on (SO(3) x R^3) x dual; the translational part is still."""
-    omega, torque = _free_rigid_body(g[0], mu[:3])
+    """The free body on (SO(3) x R^3) x dual, g as R row by row and then the
+    R^3 part; the translational part is still."""
+    omega, torque = _free_rigid_body(np.reshape(g[:9], (3, 3)), np.asarray(mu[:3]))
     return np.concatenate([omega, np.zeros(3)]), np.concatenate([torque, np.zeros(3)])
 
 
@@ -640,7 +645,7 @@ def test_symplectic_solve_rejects_a_stalled_update_with_a_large_residual():
     theta = 0.5
 
     def field(g, mu):
-        return 1e-9 * g + 1.0, 1e-9 * mu + 1.0
+        return 1e-9 * g + 1.0, 1e-9 * np.asarray(mu) + 1.0
 
     wrong = replace(_LINE, jacobian=lambda *args: -1e4 * np.eye(2))
     with pytest.raises(NonConvergenceError, match="above tolerance"):
@@ -680,7 +685,7 @@ def test_symplectic_solve_refuses_a_predictor_whose_norm_overflows(theta, g1):
     def field_of(c):
         def field(g, mu):
             calls.append(None)
-            return c + 0.5 * g, c + 0.5 * mu
+            return c + 0.5 * g, c + 0.5 * np.asarray(mu)
 
         return field
 
@@ -724,7 +729,7 @@ def _heavy_top_case(system_id):
 _STEP_CASES = [
     (so3_cotangent_group(), _free_rigid_body, exp_so3([0.3, -0.2, 0.9]),
      np.array([0.4, -1.0, 0.7])),
-    (so3r3_cotangent_group(), _free_rigid_body_r3, (exp_so3([0.3, -0.2, 0.9]), np.ones(3)),
+    (so3rn_cotangent_group(3), _free_rigid_body_r3, (*exp_so3([0.3, -0.2, 0.9]).ravel(), 1.0, 1.0, 1.0),
      np.array([0.4, -1.0, 0.7, 0.0, 0.0, 0.0])),
     _heavy_top_case("heavytop-spatial"),
     _heavy_top_case("heavytop-ext"),
@@ -814,55 +819,68 @@ def test_symplectic_conserves_free_energy():
 
 
 def test_so3r3_group_blocks():
-    group = so3r3_cotangent_group()
+    group = so3rn_cotangent_group(3)
     xi = rng.normal(size=6)
     mu = rng.normal(size=6)
     g = group.exp(xi)
-    np.testing.assert_allclose(g[0], exp_so3(xi[:3]), atol=1e-15)
-    np.testing.assert_array_equal(g[1], xi[3:])
+    R = np.reshape(g[:9], (3, 3))
+    np.testing.assert_allclose(R, exp_so3(xi[:3]), atol=1e-15)
+    np.testing.assert_array_equal(g[9:], xi[3:])
     out = group.coad(g, mu)
-    np.testing.assert_allclose(out[:3], g[0].T @ mu[:3], atol=1e-15)
+    np.testing.assert_allclose(out[:3], R.T @ mu[:3], atol=1e-15)
     np.testing.assert_array_equal(out[3:], mu[3:])
     ds = group.dexp_star(xi, mu)
     np.testing.assert_allclose(ds[:3], dexp_star_so3(xi[:3], mu[:3]), atol=1e-15)
     np.testing.assert_array_equal(ds[3:], mu[3:])
 
 
-# numpy maps of the (SO(3) x R^3) cotangent group before they were written
-# on floats, kept as the reference for the closed forms
+# numpy maps of the (SO(3) x R^n) cotangent group before they were written
+# on floats, kept as the reference for the closed forms; an element is the
+# pair (R, the R^n part), and n is the length of the algebra element less 3
 _REFERENCE_SO3R3 = CotangentGroup(
     algebra_dim=6,
-    exp=lambda xi: (exp_so3(xi[:3]), np.asarray(xi[3:6], dtype=float)),
+    exp=lambda xi: (exp_so3(xi[:3]), np.asarray(xi[3:], dtype=float)),
     compose=lambda g1, g2: (g1[0] @ g2[0], g1[1] + g2[1]),
-    coad=lambda g, mu: np.concatenate([g[0].T @ mu[:3], mu[3:6]]),
-    dexp_star=lambda u, mu: np.concatenate([dexp_star_so3(u[:3], mu[:3]), mu[3:6]]),
+    coad=lambda g, mu: np.concatenate([g[0].T @ mu[:3], mu[3:]]),
+    dexp_star=lambda u, mu: np.concatenate([dexp_star_so3(u[:3], mu[:3]), mu[3:]]),
 )
 
 
+def _flat_element(g_ref):
+    """The reference's (R, the R^n part) as the 9 + n floats of the float group."""
+    return (*g_ref[0].ravel().tolist(), *g_ref[1].tolist())
+
+
 def test_so3r3_group_matches_numpy_reference():
-    # tolerance fixed beforehand: 1e-13 of the largest reference entry
-    group, ref = so3r3_cotangent_group(), _REFERENCE_SO3R3
+    # the float group at n = 0 and 3; tolerance fixed beforehand: 1e-13 of
+    # the largest reference entry
+    ref = _REFERENCE_SO3R3
 
     def close(out, expected):
-        assert isinstance(out, np.ndarray) and out.shape == expected.shape
+        out, expected = np.asarray(out), np.asarray(expected)
+        assert out.shape == expected.shape
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-13 * np.max(np.abs(expected)))
 
-    for _ in range(500):
-        # rotation angles below 2 pi, either side of the series cutoff 0.5
-        u = rng.normal(size=6)
-        u[:3] *= rng.uniform(0.0, 2.0 * np.pi) / np.linalg.norm(u[:3])
-        mu = 50.0 * rng.normal(size=6)
-        g, g_ref = group.exp(u), ref.exp(u)
-        close(g[0], g_ref[0])
-        close(g[1], g_ref[1])
-        close(group.coad(g_ref, mu), ref.coad(g_ref, mu))
-        close(group.dexp_star(u, mu), ref.dexp_star(u, mu))
+    for n in (0, 3):
+        group = so3rn_cotangent_group(n)
+        for _ in range(500):
+            # rotation angles below 2 pi, either side of the series cutoff 0.5
+            u = rng.normal(size=3 + n)
+            u[:3] *= rng.uniform(0.0, 2.0 * np.pi) / np.linalg.norm(u[:3])
+            mu = 50.0 * rng.normal(size=3 + n)
+            g, g_ref = group.exp(u.tolist()), ref.exp(u)
+            close(g, _flat_element(g_ref))
+            close(group.coad(_flat_element(g_ref), mu.tolist()), ref.coad(g_ref, mu))
+            close(group.dexp_star(u.tolist(), mu.tolist()), ref.dexp_star(u, mu))
+            h_ref = ref.exp(rng.normal(size=3 + n))
+            close(group.compose(_flat_element(g_ref), _flat_element(h_ref)),
+                  _flat_element(ref.compose(g_ref, h_ref)))
 
 
 @pytest.mark.parametrize("group, field, g0, mu0", _STEP_CASES, ids=_STEP_IDS)
 def test_symplectic_step_accepts_a_field_returning_lists(group, field, g0, mu0):
     def as_lists(g, mu):
-        return tuple(a.tolist() for a in field(g, mu))
+        return tuple(np.asarray(a).tolist() for a in field(g, mu))
 
     def flat(g):
         return np.concatenate([np.ravel(a) for a in (g if isinstance(g, tuple) else (g,))])
