@@ -151,7 +151,7 @@ DEFECTS = (
            "a[i].dot(K[:i])", "b[:i].dot(K[:i])",
            "each RKMK stage sums the earlier stages with the weights b, not its row of a"),
     Defect("body-gravity", "src/geomint/systems/heavytop.py",
-           "_times(_transpose(q), *params.g0.tolist())", "_times(q, *params.g0.tolist())",
+           "_times(_transpose(q), *gamma0)", "_times(q, *gamma0)",
            "the body top's gravity direction is Q Gamma0, not Q^T Gamma0"),
     Defect("lp-sign", "src/geomint/systems/heavytop.py",
            "-mgl * c1, -mgl * c2, -mgl * c3", "mgl * c1, mgl * c2, mgl * c3",
@@ -176,8 +176,12 @@ DEFECTS = (
     Defect("top-tilt", "src/geomint/systems/heavytop.py",
            "return _omega_and_torque(g, inertia_inv, *mu, g0, mgl_chi)",
            "return _omega_and_torque(g, inertia_inv, *mu, (g0[0] + 1e-6 * g0[2], *g0[1:]), mgl_chi)",
-           "the spatial top's implicit pair has gravity tilted 1e-6 off Gamma0, so a rotation"
-           " about Gamma0 is no symmetry"),
+           "the spatial top's pair, and so its explicit field, has gravity tilted 1e-6 off"
+           " Gamma0, so a rotation about Gamma0 is no symmetry"),
+    Defect("pack-ext-tail", "src/geomint/systems/heavytop.py",
+           "*g[-3:]", "*g[9:]",
+           "pack_ext splits the R^3 tail after nine entries, which empties the extended"
+           " top's drift block in its explicit field"),
 )
 
 

@@ -89,14 +89,12 @@ class Tableau:
     one RKMK step."""
 
     name: str
-    c: Tuple[float, ...]
     a: Tuple[Tuple[float, ...], ...]
     b: Tuple[float, ...]
     b_hat: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self):
-        s = len(self.c)
-        if len(self.a) != s or len(self.b) != s:
+        if len(self.a) != len(self.b):
             raise ValueError(f"{self.name}: inconsistent stage count")
         for i, row in enumerate(self.a):
             if len(row) > i:
@@ -108,7 +106,7 @@ class Tableau:
 
     @property
     def stages(self) -> int:
-        return len(self.c)
+        return len(self.b)
 
     @cached_property
     def _rows(self):
@@ -145,14 +143,12 @@ class Tableau:
 
 RK4 = Tableau(
     name="rk4",
-    c=(0.0, 0.5, 0.5, 1.0),
     a=((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)),
     b=(1 / 6, 1 / 3, 1 / 3, 1 / 6),
 )
 
 KUTTA3 = Tableau(
     name="kutta3",
-    c=(0.0, 0.5, 1.0),
     a=((), (0.5,), (-1.0, 2.0)),
     b=(1 / 6, 2 / 3, 1 / 6),
 )
@@ -161,7 +157,6 @@ KUTTA3 = Tableau(
 # embedded method's seventh stage.
 DOPRI54 = Tableau(
     name="dopri54",
-    c=(0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0),
     a=(
         (),
         (1 / 5,),

@@ -9,9 +9,12 @@ action that makes its equations a frozen-field assembly:
 * extended form (Q, pi, p, q) with a quadratic Hamiltonian, where the
   constant momentum p = -M g l X absorbs the gravitational torque.
 
-The spatial and extended forms also carry, on their cotangent group
-record, the exact Jacobian of the implicit symplectic step's residual
-map, from which the simplified-Newton solve forms its J.
+Each form's field or Hamiltonian (f1, f2) pair is built once per
+parameter set, and reads the parameters only then.  The spatial and
+extended forms' explicit field is their pair laid out by ``pack``; these
+two forms also carry, on their cotangent group record, the exact Jacobian
+of the implicit symplectic step's residual map, from which the
+simplified-Newton solve forms its J.
 
 Gravity enters through gamma0, the upward spatial axis scaled by the
 gravitational acceleration; the ``gravity`` field is a further
@@ -120,15 +123,20 @@ def bruls_momentum(params: HeavyTopParams = BRULS_TOP) -> np.ndarray:
 # Body form, state [Q.ravel(), Pi]
 
 
-def heavytop_body_f(params: HeavyTopParams, m: np.ndarray) -> np.ndarray:
-    """Frozen field for the body-top action: (I^-1 Pi, Pi x I^-1 Pi + Mgl Gamma x X)."""
-    *q, p1, p2, p3 = m.tolist()
+def heavytop_body_f(params: HeavyTopParams):
+    """The frozen field for the body-top action, (I^-1 Pi, Pi x I^-1 Pi + Mgl Gamma x X)."""
     (i1, i2, i3), (c1, c2, c3) = params.inertia_inv.tolist(), params.chi.tolist()
-    g1, g2, g3 = _times(_transpose(q), *params.g0.tolist())  # Gamma = Q^T Gamma0
-    o1, o2, o3, mgl = i1 * p1, i2 * p2, i3 * p3, params.mgl
-    return np.array([o1, o2, o3, p2 * o3 - p3 * o2 + mgl * (g2 * c3 - g3 * c2),
-                     p3 * o1 - p1 * o3 + mgl * (g3 * c1 - g1 * c3),
-                     p1 * o2 - p2 * o1 + mgl * (g1 * c2 - g2 * c1)])
+    gamma0, mgl = params.g0.tolist(), params.mgl
+
+    def field(m):
+        *q, p1, p2, p3 = m.tolist()
+        g1, g2, g3 = _times(_transpose(q), *gamma0)  # Gamma = Q^T Gamma0
+        o1, o2, o3 = i1 * p1, i2 * p2, i3 * p3
+        return np.array([o1, o2, o3, p2 * o3 - p3 * o2 + mgl * (g2 * c3 - g3 * c2),
+                         p3 * o1 - p1 * o3 + mgl * (g3 * c1 - g1 * c3),
+                         p1 * o2 - p2 * o1 + mgl * (g1 * c2 - g2 * c1)])
+
+    return field
 
 
 def _transpose_times(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -163,27 +171,16 @@ def _omega_and_torque(q, inertia_inv, p1, p2, p3, gamma, v):
     ]
 
 
-def _spatial_maps(params: HeavyTopParams):
-    """The field on the flat state [Q.ravel(), pi] and the Hamiltonian (f1, f2)
-    map: (omega, Gamma0 x Q (Mgl X) + pi x omega), in closed form on floats,
-    from Q row by row and pi to two float lists."""
+def heavytop_spatial_f_pair(params: HeavyTopParams):
+    """The Hamiltonian (f1, f2) map (omega, Gamma0 x Q (Mgl X) + pi x omega),
+    in closed form on floats, from Q row by row and pi to two float lists."""
     inertia_inv, g0 = params.inertia_inv.tolist(), params.g0.tolist()
     mgl_chi = (params.mgl * params.chi).tolist()
-
-    def field(m):
-        *q, p1, p2, p3 = m.tolist()
-        omega, torque = _omega_and_torque(q, inertia_inv, p1, p2, p3, g0, mgl_chi)
-        return np.array(omega + torque)
 
     def pair(g, mu):
         return _omega_and_torque(g, inertia_inv, *mu, g0, mgl_chi)
 
-    return field, pair
-
-
-def heavytop_spatial_f_pair(params: HeavyTopParams):
-    """Hamiltonian (f1, f2) map consumed by the symplectic family."""
-    return _spatial_maps(params)[1]
+    return pair
 
 
 def spatial_energy(params: HeavyTopParams, m: np.ndarray) -> np.ndarray:
@@ -205,17 +202,23 @@ def unpack_spatial(m: np.ndarray):
 # Lie--Poisson form on se(3)*, state [Pi, Gamma]
 
 
-def heavytop_liepoisson_f(params: HeavyTopParams, mu: np.ndarray) -> np.ndarray:
-    """se(3) element whose coadjoint generator reproduces the reduced
-    equations Pi' = Pi x I^-1 Pi + Mgl Gamma x X, Gamma' = Gamma x I^-1 Pi.
+def heavytop_liepoisson_f(params: HeavyTopParams):
+    """Field of se(3) elements whose coadjoint generator reproduces the
+    reduced equations Pi' = Pi x I^-1 Pi + Mgl Gamma x X, Gamma' = Gamma x I^-1 Pi.
 
     The generator of g.mu = Ad*_{g^-1} mu is minus the infinitesimal
     coadjoint map, so both components carry a minus sign relative to the
     Hamiltonian gradients (I^-1 Pi, Mgl X).
     """
-    (p1, p2, p3), (i1, i2, i3) = mu[:3].tolist(), params.inertia_inv.tolist()
-    c1, c2, c3, mgl = *params.chi.tolist(), params.mgl
-    return np.array([-i1 * p1, -i2 * p2, -i3 * p3, -mgl * c1, -mgl * c2, -mgl * c3])
+    (i1, i2, i3), (c1, c2, c3) = params.inertia_inv.tolist(), params.chi.tolist()
+    mgl = params.mgl
+    v = [-mgl * c1, -mgl * c2, -mgl * c3]
+
+    def field(mu):
+        p1, p2, p3 = mu[:3].tolist()
+        return np.array([-i1 * p1, -i2 * p2, -i3 * p3, *v])
+
+    return field
 
 
 def liepoisson_energy(params: HeavyTopParams, mu: np.ndarray) -> np.ndarray:
@@ -234,33 +237,21 @@ def ext_initial_p(params: HeavyTopParams) -> np.ndarray:
     return -params.mgl * params.chi
 
 
-def _ext_maps(params: HeavyTopParams):
-    """The field on the flat state [Q.ravel(), pi, p, q] and the (f1, f2) map on
-    (SO(3) x R^3) x dual, state ((Q, q), (pi, p)): f1 = (omega, p - Q^T Gamma0)
-    and f2 = (Gamma0 x Q(-p) + pi x omega, 0), in closed form on floats, from
-    (Q row by row, q) and (pi, p) to two float lists."""
+def heavytop_ext_f_pair(params: HeavyTopParams):
+    """The (f1, f2) map on (SO(3) x R^3) x dual, state ((Q, q), (pi, p)):
+    f1 = (omega, p - Q^T Gamma0) and f2 = (Gamma0 x Q(-p) + pi x omega, 0),
+    in closed form on floats, from (Q row by row, q) and (pi, p) to two
+    float lists."""
     inertia_inv, g0 = params.inertia_inv.tolist(), params.g0.tolist()
 
-    def closed_form(q, p1, p2, p3, s1, s2, s3):
+    def pair(g, mu):
+        q = g[:9]
+        p1, p2, p3, s1, s2, s3 = mu
         omega, torque = _omega_and_torque(q, inertia_inv, p1, p2, p3, g0, (-s1, -s2, -s3))
         r1, r2, r3 = _times(_transpose(q), *g0)
-        return omega, torque, [s1 - r1, s2 - r2, s3 - r3]
+        return omega + [s1 - r1, s2 - r2, s3 - r3], torque + [0.0, 0.0, 0.0]
 
-    def field(m):
-        m = m.tolist()
-        omega, torque, drift = closed_form(m[:9], *m[9:15])
-        return np.array(omega + torque + [0.0, 0.0, 0.0] + drift)
-
-    def pair(g, mu):
-        omega, torque, drift = closed_form(g[:9], *mu)
-        return omega + drift, torque + [0.0, 0.0, 0.0]
-
-    return field, pair
-
-
-def heavytop_ext_f_pair(params: HeavyTopParams):
-    """(f1, f2) on the group (SO(3) x R^3) x dual; see :func:`_ext_maps`."""
-    return _ext_maps(params)[1]
+    return pair
 
 
 def ext_energy(params: HeavyTopParams, m: np.ndarray) -> np.ndarray:
@@ -270,7 +261,9 @@ def ext_energy(params: HeavyTopParams, m: np.ndarray) -> np.ndarray:
 
 
 def pack_ext(g, mu) -> np.ndarray:
-    return np.array([*g[:9], *mu, *g[9:]])
+    """[Q.ravel(), pi, p, q] of ((Q, q), (pi, p)); the R^3 tail is split from
+    the end, so the pair's ((omega, drift), (torque, 0)) packs as the field."""
+    return np.array([*g[:-3], *mu, *g[-3:]])
 
 
 def unpack_ext(m: np.ndarray):
@@ -407,7 +400,7 @@ def build_body(params: HeavyTopParams):
     return System(
         name="heavytop-body",
         action=body_top_action(),
-        field=lambda m: heavytop_body_f(params, m),
+        field=heavytop_body_f(params),
         initial=initial,
         invariants={
             "energy": lambda m: body_energy(params, m),
@@ -420,11 +413,11 @@ def build_spatial(params: HeavyTopParams):
     pi0 = bruls_momentum(params)
     initial = np.concatenate([np.eye(3).ravel(), pi0])
     g0 = params.g0
-    field, f = _spatial_maps(params)
+    f = heavytop_spatial_f_pair(params)
     return System(
         name="heavytop-spatial",
         action=cotangent_so3_action(),
-        field=field,
+        field=lambda m: pack_spatial(*f(*unpack_spatial(m))),
         initial=initial,
         invariants={
             "energy": lambda m: spatial_energy(params, m),
@@ -446,7 +439,7 @@ def build_liepoisson(params: HeavyTopParams):
     return System(
         name="heavytop-lp",
         action=coadjoint_se3_action(),
-        field=lambda mu: heavytop_liepoisson_f(params, mu),
+        field=heavytop_liepoisson_f(params),
         initial=initial,
         invariants={
             "energy": lambda mu: liepoisson_energy(params, mu),
@@ -460,11 +453,11 @@ def build_ext(params: HeavyTopParams):
     pi0 = bruls_momentum(params)
     initial = np.concatenate([np.eye(3).ravel(), pi0, ext_initial_p(params), np.zeros(3)])
     g0 = params.g0
-    field, f = _ext_maps(params)
+    f = heavytop_ext_f_pair(params)
     return System(
         name="heavytop-ext",
         action=ext_top_action(),
-        field=field,
+        field=lambda m: pack_ext(*f(*unpack_ext(m))),
         initial=initial,
         invariants={
             "energy": lambda m: ext_energy(params, m),

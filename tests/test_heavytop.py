@@ -74,6 +74,29 @@ def test_parameter_arrays_are_built_once_and_read_only():
     np.testing.assert_array_equal(params.inertia_inv, [1.0, 0.5, 0.25])
 
 
+def test_built_maps_read_no_parameter_per_call(monkeypatch):
+    # each field and pair reads the parameters when it is built: once every
+    # parameter read raises, the built maps still run and give the same values
+    params = HeavyTopParams(inertia=(1.0, 2.0, 4.0), mass=3.0, length=0.5, gravity=1.5,
+                            axis=(0.6, 0.0, 0.8), gamma0=(0.5, -1.0, -9.0))
+    move = np.random.default_rng(11)
+    systems = [build(params) for build in (build_body, build_spatial, build_liepoisson, build_ext)]
+    calls = [(s.field, (s.initial + 0.1 * move.normal(size=s.initial.shape),)) for s in systems]
+    calls += [(s.cotangent.f, s.cotangent.unpack(s.initial)) for s in systems if s.cotangent]
+    expected = [f(*args) for f, args in calls]
+
+    def refuse(self):
+        raise AssertionError("a heavy-top parameter read after the map was built")
+
+    for name in ("inertia", "mass", "length", "gravity", "axis", "gamma0",
+                 "inertia_inv", "mgl", "chi", "g0"):
+        monkeypatch.setattr(HeavyTopParams, name, property(refuse), raising=False)
+    with pytest.raises(AssertionError):
+        params.mgl
+    for (f, args), out in zip(calls, expected):
+        np.testing.assert_array_equal(f(*args), out)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         HeavyTopParams(inertia=(1.0, -1.0, 1.0), mass=1.0, length=1.0)
@@ -96,7 +119,7 @@ def test_body_field_oracle():
     Q, _ = _random_state()
     Pi = np.array([1.0, -2.0, 0.5])
     m = np.concatenate([Q.ravel(), Pi])
-    out = heavytop_body_f(params, m)
+    out = heavytop_body_f(params)(m)
     omega = Pi / np.asarray(params.inertia)
     gamma = Q.T @ params.g0
     np.testing.assert_allclose(out[:3], omega, atol=1e-15)
@@ -112,7 +135,7 @@ def test_spatial_field_consistent_with_body_form():
     Q, _ = _random_state()
     Pi = rng.normal(size=3)
     body = np.concatenate([Q.ravel(), Pi])
-    fb = heavytop_body_f(params, body)
+    fb = heavytop_body_f(params)(body)
     omega_b, Pi_dot = fb[:3], fb[3:]
     Q_dot = Q @ np.array(
         [[0, -omega_b[2], omega_b[1]], [omega_b[2], 0, -omega_b[0]], [-omega_b[1], omega_b[0], 0]]
@@ -132,7 +155,7 @@ def test_liepoisson_field_reproduces_reduced_equations():
     mu = rng.normal(size=6)
     Pi, Gamma = mu[:3], mu[3:]
     system = get_system("heavytop-lp")
-    dmu = generator(system.action)(heavytop_liepoisson_f(params, mu), mu)
+    dmu = generator(system.action)(heavytop_liepoisson_f(params)(mu), mu)
     omega = Pi / np.asarray(params.inertia)
     np.testing.assert_allclose(
         dmu[:3], np.cross(Pi, omega) + 30.0 * np.cross(Gamma, [0, 1.0, 0]), atol=1e-12

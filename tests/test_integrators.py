@@ -50,12 +50,12 @@ RKMK54 = METHODS["rkmk54"].stepper
 
 def test_tableau_rejects_non_explicit():
     with pytest.raises(ValueError):
-        Tableau(name="bad", c=(0.0, 1.0), a=((0.0, 0.5), (1.0, 0.0)), b=(0.5, 0.5))
+        Tableau(name="bad", a=((0.0, 0.5), (1.0, 0.0)), b=(0.5, 0.5))
 
 
 def test_tableau_rejects_bad_weights():
     with pytest.raises(ValueError):
-        Tableau(name="bad", c=(0.0,), a=((0.0,),), b=(0.7,))
+        Tableau(name="bad", a=((0.0,),), b=(0.7,))
 
 
 def test_dopri54_is_fsal():
@@ -154,11 +154,11 @@ def test_commutator_free_schemes_collapse_to_classical_rk4():
 # the classical tableaux the embedded pairs collapse to: each pair's
 # stages, its main weights b and its auxiliary weights b_hat; cf43's
 # auxiliary update is Ralston's third-order method on its own stages
-_CF32A_RK = Tableau(name="cf32a", c=(0.0, 1 / 3, 2 / 3), a=((), (1 / 3,), (0.0, 2 / 3)),
+_CF32A_RK = Tableau(name="cf32a", a=((), (1 / 3,), (0.0, 2 / 3)),
                     b=(0.25, 0.0, 0.75), b_hat=(0.0, 0.5, 0.5))
-_CF32B_RK = Tableau(name="cf32b", c=(0.0, 2 / 3, 2 / 3), a=((), (2 / 3,), (5 / 12, 0.25)),
+_CF32B_RK = Tableau(name="cf32b", a=((), (2 / 3,), (5 / 12, 0.25)),
                     b=(0.25, -0.25, 1.0), b_hat=(0.25, 0.0, 0.75))
-_RALSTON3 = Tableau(name="ralston3", c=(0.0, 0.5, 0.75), a=((), (0.5,), (0.0, 0.75)),
+_RALSTON3 = Tableau(name="ralston3", a=((), (0.5,), (0.0, 0.75)),
                     b=(2 / 9, 1 / 3, 4 / 9))
 
 

@@ -65,7 +65,6 @@ def _tableau(name):
         A = np.zeros((t.stages, t.stages))
         for i, row in enumerate(t.a):
             A[i, :len(row)] = row
-        np.testing.assert_allclose(A.sum(axis=1), t.c, rtol=0, atol=1e-15)
         return A, np.array(t.b), None if t.b_hat is None else np.array(t.b_hat)
     s = len(scheme.stages)
     sums = [np.zeros(s)]  # the coefficients summed from y to each point
