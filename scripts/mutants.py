@@ -5,9 +5,11 @@
 
 Each defect in ``DEFECTS`` is one text replacement in one file.  For each,
 the script copies the checkout's files (tracked, and untracked but not
-ignored) to a temporary directory, applies the one replacement there,
-runs the Tier-1 suite on the copy with ``-x`` and prints "caught" with
-the first failing test, or "missed".  The suite runs file by file with
+ignored; outside a git checkout, every file but those under ``.git``,
+``__pycache__`` and ``.perfbench-out``) to a temporary directory,
+applies the one replacement there, runs the Tier-1 suite on the copy
+with ``-x`` and prints "caught" with the first failing test, or
+"missed".  The suite runs file by file with
 ``tests/test_acceptance.py`` last: the other files check the same
 properties in seconds, where a defect can make an acceptance criterion's
 reference solve run to the timeout.  The exit status is 0 only when
@@ -129,6 +131,12 @@ DEFECTS = (
     Defect("newton-step", "src/geomint/integrators.py",
            "dx = J_inv.dot(r)", "dx = r",
            "implicit solve ignores the exact Jacobian: every update is the sweep x <- G(x)"),
+    Defect("newton-jpoint", "src/geomint/integrators.py",
+           "J -= dG(gx)", "J -= dG(x)",
+           "implicit solve forms J at the predictor x0, not at its image G(x0)"),
+    Defect("image-finite", "src/geomint/integrators.py",
+           "if not all(map(math.isfinite, gx.tolist())):", "if False:",
+           "implicit solve forms J at a non-finite G(x0)"),
     Defect("mgl", "src/geomint/systems/heavytop.py",
            "if not np.isfinite(self.mgl):", "if False:",
            "a heavy top accepts a weight Mgl that overflows to inf"),
@@ -185,11 +193,19 @@ DEFECTS = (
 )
 
 
+_UNCOPIED = {".git", "__pycache__", ".perfbench-out"}
+
+
 def _copy_checkout(dest: Path) -> None:
-    listed = subprocess.run(
+    proc = subprocess.run(
         ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
-        cwd=ROOT, check=True, capture_output=True, text=True).stdout
-    for name in filter(None, listed.split("\0")):
+        cwd=ROOT, capture_output=True, text=True)
+    if proc.returncode == 0:
+        names = filter(None, proc.stdout.split("\0"))
+    else:  # outside a git checkout: every file but git's and the run outputs
+        names = (str(p.relative_to(ROOT)) for p in ROOT.rglob("*")
+                 if not _UNCOPIED.intersection(p.relative_to(ROOT).parts))
+    for name in names:
         if (ROOT / name).is_file():  # a deleted file stays listed until staged
             (dest / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(ROOT / name, dest / name)

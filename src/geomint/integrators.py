@@ -417,7 +417,9 @@ def _symplectic_residual_map(group, f, g0, mu0, h, theta):
 
 def _simplified_newton(G, n: int, dG) -> np.ndarray:
     """Solves x = G(x) on R^n by simplified Newton (Hairer, Lubich and Wanner,
-    GNI VIII.6): predictor x0 = G(0), J = I - dG(x0) formed once there, then
+    GNI VIII.6): predictor x0 = G(0), J = I - dG(G(x0)) formed once at the
+    predictor's first image, which lies nearer the solution than x0 and
+    costs no extra evaluation since the first update needs G(x0), then
     x <- x - J^-1 (x - G(x)) until the update is below _SOLVE_TOL (1 + |x|),
     for at most _SOLVE_MAX_ITER iterations; dG = 0 gives J = I and the sweep
     x <- G(x) to rounding.  It returns the last update, not G(x): near the
@@ -428,8 +430,11 @@ def _simplified_newton(G, n: int, dG) -> np.ndarray:
     if not math.isfinite(xx):
         raise NonConvergenceError("implicit solve: predictor is not finite")
     gx = G(x)
+    # J is formed at gx, so a non-finite gx must stop here, before dG sees it
+    if not all(map(math.isfinite, gx.tolist())):
+        raise NonConvergenceError("implicit solve: iterate is not finite")
     J = np.eye(n)
-    J -= dG(x)
+    J -= dG(gx)
     try:
         J_inv = inverse(J)
     except SingularMatrixError as exc:

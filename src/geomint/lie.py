@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 _SERIES_CUTOFF = 0.5
+# the branch bound (2 pi)^2, so that a test on a**2 needs no root
+_TWO_PI_SQ = (2.0 * math.pi) ** 2
 
 
 class BranchError(ValueError):
@@ -160,7 +162,7 @@ def dexp_star_so3(u, mu):
 def _dexp_star(x, y, z, m1, m2, m3, *tail):
     """dexp_star_so3 of (x, y, z) and (m1, m2, m3) as floats, then ``tail``."""
     a2 = x * x + y * y + z * z
-    if math.sqrt(a2) >= 2.0 * math.pi:
+    if a2 >= _TWO_PI_SQ:
         raise BranchError("||u|| >= 2*pi")
     p, q = _dexp_coeffs(a2)
     um = q * (x * m1 + y * m2 + z * m3)

@@ -860,12 +860,16 @@ def test_perfbench_imports_resolve():
     assert not missing
 
 
-def test_perfbench_replays_run(monkeypatch):
+def test_perfbench_replays_run(monkeypatch, tmp_path):
     # a name can resolve while what the benchmark passes it no longer fits:
     # run the traced driver on one shortened case per (system, method) of
-    # each workload, then call every replayed callable on its arguments
+    # each workload, check that it ends where a harness run of the case
+    # ends (the traced driver loops over symplectic_step itself, so solver
+    # state carried across steps would part them), then call every
+    # replayed callable on its arguments
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     cases, tracing = importlib.import_module("cases"), importlib.import_module("tracing")
+    checks = importlib.import_module("checks")
     short = {}
     for workload in cases.WORKLOADS:
         for cfg in cases.build_cases(workload, seed=1):
@@ -877,6 +881,9 @@ def test_perfbench_replays_run(monkeypatch):
         tracer.start_case(i)
         ys, steps = tracing.drive(cfg, systems[i], tracer)
         assert steps >= 1 and np.isfinite(ys).all()
+        ref_steps, ref_final, _ = checks.check_case(
+            cfg, harness.run(replace(cfg, out=str(tmp_path / f"case{i}"))))
+        assert steps == ref_steps and np.array_equal(ys[-1], ref_final), (cfg.system, cfg.method)
     calls = tracing.replay_args(short, systems, tracer.samples)
     calls.update(tracing.kernel_args(short, tracer.samples))
     assert all(calls.values())
@@ -979,6 +986,19 @@ def test_mutants_old_text_occurs_once_per_defect():
     for defect in script.DEFECTS:
         assert defect.old != defect.new, defect.name
         assert (script.ROOT / defect.path).read_text().count(defect.old) == 1, defect.name
+
+
+def test_mutants_copy_the_files_outside_a_git_checkout(monkeypatch, tmp_path):
+    # in a `git archive` copy, git ls-files exits 128; the copy then takes
+    # every file under the root but git's, the caches and the benchmark's
+    script = _load_script("mutants")
+    monkeypatch.setattr(script.subprocess, "run",
+                        lambda args, **kw: subprocess.CompletedProcess(args, 128, "", "fatal"))
+    script._copy_checkout(tmp_path)
+    assert (tmp_path / "src" / "geomint" / "__init__.py").is_file()
+    assert (tmp_path / "tests" / "test_harness.py").is_file()
+    assert not any(part in script._UNCOPIED for p in tmp_path.rglob("*")
+                   for part in p.relative_to(tmp_path).parts)
 
 
 _FLOAT = r"[-+]?\d+\.\d+(?:e[-+]\d+)?"

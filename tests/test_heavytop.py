@@ -557,9 +557,31 @@ def test_symplectic_fixed_point_field_evaluations_per_step():
     assert _count_field_calls(system, 0.00125, 80) == 13 * 80
 
 
-def test_symplectic_default_field_evaluations_per_step():
-    # the exact-Jacobian Newton solve at the same theta and h: 5 per step
-    assert _count_field_calls(get_system("heavytop-ext"), 0.00125, 80) == 5 * 80
+@pytest.mark.parametrize("system_id, h, n_steps, per_step", [
+    ("heavytop-ext", 0.00125, 80, 5),
+    # J formed at G(x0), not at x0, saves one evaluation per step here:
+    # 8 per step, where J at x0 took 450 in 50 steps
+    ("heavytop-spatial", 0.01, 50, 8),
+    ("heavytop-ext", 0.01, 50, 8),
+])
+def test_symplectic_default_field_evaluations_per_step(system_id, h, n_steps, per_step):
+    # the exact-Jacobian Newton solve at theta = 1/2
+    assert _count_field_calls(get_system(system_id), h, n_steps) == per_step * n_steps
+
+
+@pytest.mark.parametrize("h, n_steps, bound", [
+    # 4.5e-11 with J at G(x0); J formed at the predictor x0 left 7.6e-10
+    (0.013, 1538, 1e-10),
+    # 9.0e-12 with J at G(x0), where J at x0 left 1.5e-12
+    (0.005, 4000, 2e-11),
+])
+def test_symplectic_ext_gamma0_pi_drift(h, n_steps, bound):
+    # the conserved Gamma0.pi over midpoint steps of the extended top, whose
+    # drift is the stopping rule's error
+    system = get_system("heavytop-ext")
+    _, ys = symplectic_integrate(system, 0.5, h, n_steps)
+    pg = ys[:, 9:12] @ BRULS_TOP.g0
+    assert np.abs(pg - pg[0]).max() <= bound
 
 
 @pytest.mark.parametrize("system_id", ["heavytop-spatial", "heavytop-ext"])

@@ -673,6 +673,32 @@ def test_symplectic_solve_stops_at_the_first_non_finite_value(finite_calls, mess
     assert len(calls) == finite_calls + 1
 
 
+def test_symplectic_solve_forms_no_jacobian_at_a_non_finite_image():
+    # J is formed at G(x0); on the extended top with its exact Jacobian, a
+    # field that turns NaN on its second call makes G(x0) NaN, which must be
+    # refused as a non-finite iterate before the Jacobian sees it (there it
+    # would surface as a singular J with condition number nan)
+    system = get_system("heavytop-ext")
+    ct = system.cotangent
+    calls, points = [], []
+
+    def field(g, mu):
+        calls.append(None)
+        f1, f2 = ct.f(g, mu)
+        return (f1, f2) if len(calls) == 1 else ([np.nan] * len(f1), f2)
+
+    def jacobian(*args):
+        points.append(np.array(args[-1]))
+        return ct.group.jacobian(*args)
+
+    group = replace(ct.group, jacobian=jacobian)
+    g, mu = ct.unpack(system.initial)
+    with pytest.raises(NonConvergenceError, match="not finite"):
+        symplectic_step(group, field, g, mu, 0.01, 0.5)
+    assert len(calls) == 2
+    assert all(np.isfinite(x).all() for x in points)
+
+
 @pytest.mark.parametrize("theta, g1", [(1.0, 2.0), (0.5, 4.0 / 3.0)])
 def test_symplectic_solve_refuses_a_predictor_whose_norm_overflows(theta, g1):
     # on the line with f = (c + g / 2, c + mu / 2), g0 = mu0 = 0 and h = 1,
