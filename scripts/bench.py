@@ -2,13 +2,15 @@
 """Field, step and implicit-solve timings, written as one JSON file.
 
     python scripts/bench.py --out BENCH.json [--repeats 15] [--number 100]
+    python scripts/bench.py --compare A.json B.json
 
 Each record times one call: a frozen-field evaluation at the system's
 initial state (layer "field"), one trial step from it (layer "step";
 for an embedded pair the trial includes its error estimate), or one
 part of the implicit step at theta = 1/2 from it (layer "implicit"): the
 residual map G at the step's predictor, the exact dG/dx there, the
-inverse of J = I - dG/dx, and the whole simplified-Newton solve.  A
+inverse of J = I - dG/dx, and the whole simplified-Newton solve.  G is
+the map the step solves, the group's closed form where it carries one.  A
 record holds the median and the interquartile range, in microseconds
 per call, of ``repeats`` samples of ``number`` calls each.  Its
 ``accuracy`` is the worst invariant drift of a short run of the
@@ -24,16 +26,24 @@ reads as on a machine where the loop takes REFERENCE_S.  A drift of the
 machine's speed between records then moves the loop with the sample.
 
 The file also holds ``meta``: ``src_lines`` (the line count of the
-tracked files under ``src/``, as ``git ls-files src | xargs wc -l``), the
-git revision, the Python and numpy versions, ``reference_s``, and
-``speed_factor``, REFERENCE_S over the median of all the loop times.
-The kernel, action, integration-loop and end-to-end layers are not
-timed here.
+tracked files under ``src/``, as ``git ls-files src | xargs wc -l``),
+``revision`` (the short commit, and where the tracked files differ from
+it, ``+`` and the first 8 hex digits of the SHA-1 of ``git diff HEAD``,
+so that the file names the tree it measured), the Python and numpy
+versions, ``reference_s``, and ``speed_factor``, REFERENCE_S over the
+median of all the loop times.  The kernel, action, integration-loop and
+end-to-end layers are not timed here.
+
+``--compare A.json B.json`` prints, for each record of either file, the
+two medians, their ratio B/A, and "moved" when the medians differ by
+more than both records' IQRs ("-" otherwise); a record in one file only
+is named as such.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import platform
@@ -48,7 +58,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from geomint.integrators import (  # noqa: E402
-    METHODS, _simplified_newton, _symplectic_residual_map, fixed_integrate, symplectic_step)
+    METHODS, _residual_map, _simplified_newton, fixed_integrate, symplectic_step)
 from geomint.kernels import inverse  # noqa: E402
 from geomint.systems import get_system, symplectic_integrate  # noqa: E402
 
@@ -73,6 +83,18 @@ def _git(*args):
     """git's output in the checkout, or None outside a git checkout."""
     proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
     return proc.stdout if proc.returncode == 0 else None
+
+
+def _revision():
+    """The short commit, with ``+`` and a short hash of ``git diff HEAD``
+    when the tracked files differ from it; "unknown" outside a checkout."""
+    head = _git("rev-parse", "--short", "HEAD")
+    if head is None:
+        return "unknown"
+    diff = _git("diff", "HEAD")
+    if not diff:
+        return head.strip()
+    return f"{head.strip()}+{hashlib.sha1(diff.encode()).hexdigest()[:8]}"
 
 
 def _time_us(call, repeats: int, number: int, calibrate, loops: list):
@@ -126,7 +148,7 @@ def _implicit_call(system, part, h):
     initial state at theta = 1/2."""
     ct = system.cotangent
     g, mu = ct.unpack(system.initial)
-    G = _symplectic_residual_map(ct.group, ct.f, g, mu, h, 0.5)
+    G = _residual_map(ct.group, ct.f, g, mu, h, 0.5)
     dG = lambda x: ct.group.jacobian(g, mu, h, 0.5, x)  # noqa: E731
     n = 2 * ct.group.algebra_dim
     x0 = G(np.zeros(n))
@@ -174,7 +196,7 @@ def bench(repeats: int, number: int) -> dict:
         p for p in (ROOT / "src").rglob("*") if p.is_file() and "__pycache__" not in p.parts]
     meta = {
         "src_lines": sum((ROOT / path).read_bytes().count(b"\n") for path in src),
-        "revision": (_git("describe", "--always", "--dirty") or "unknown").strip(),
+        "revision": _revision(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "reference_s": calibrate.REFERENCE_S,
@@ -186,12 +208,37 @@ def bench(repeats: int, number: int) -> dict:
     return {"meta": meta, "records": records}
 
 
+def compare(a: dict, b: dict) -> list:
+    """The lines of ``--compare``: one per record of ``a`` or ``b``, by
+    (layer, name), in ``a``'s order and then ``b``'s."""
+    old = {(r["layer"], r["name"]): r for r in a["records"]}
+    new = {(r["layer"], r["name"]): r for r in b["records"]}
+    lines = [f"A {a['meta']['revision']}  B {b['meta']['revision']}"]
+    for key in [*old, *(k for k in new if k not in old)]:
+        label = f"{key[0]:8s} {key[1]:26s}"
+        if key not in new or key not in old:
+            lines.append(f"{label} only in {'A' if key in old else 'B'}")
+            continue
+        ra, rb = old[key], new[key]
+        moved = abs(rb["median_us"] - ra["median_us"]) > max(ra["iqr_us"], rb["iqr_us"])
+        lines.append(f"{label} {ra['median_us']:10.2f} {rb['median_us']:10.2f} us  "
+                     f"B/A {rb['median_us'] / ra['median_us']:6.3f}  {'moved' if moved else '-'}")
+    return lines
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", required=True, help="JSON file to write")
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", help="JSON file to write")
+    mode.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                      help="two files this script wrote, to compare record by record")
     ap.add_argument("--repeats", type=int, default=15, help="samples per record")
     ap.add_argument("--number", type=int, default=100, help="calls per sample")
     args = ap.parse_args()
+    if args.compare:
+        a, b = (json.loads(Path(path).read_text()) for path in args.compare)
+        print("\n".join(compare(a, b)))
+        return
     result = bench(args.repeats, args.number)
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     for r in result["records"]:

@@ -181,6 +181,10 @@ DEFECTS = (
     Defect("compose-tail", "src/geomint/integrators.py",
            "*map(add, g1[9:], g2[9:])", "*(a - b for a, b in zip(g1[9:], g2[9:]))",
            "the float cotangent group's compose subtracts the R^n parts"),
+    Defect("residual-tail", "src/geomint/integrators.py",
+           "[c + b - theta * b for c, b in zip(c_t, n_t)]", "[c + b for c, b in zip(c_t, n_t)]",
+           "the float cotangent group's closed-form G drops -theta nbar_t from M_theta's"
+           " R^n tail"),
     Defect("top-tilt", "src/geomint/systems/heavytop.py",
            "return _omega_and_torque(g, inertia_inv, *mu, g0, mgl_chi)",
            "return _omega_and_torque(g, inertia_inv, *mu, (g0[0] + 1e-6 * g0[2], *g0[1:]), mgl_chi)",

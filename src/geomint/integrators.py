@@ -10,7 +10,11 @@ stepper.  A separate implicit one-parameter family provides symplectic
 steps on right-trivialized cotangent groups G x g*; its nonlinear
 equation is solved by one simplified-Newton loop whose J = I - dG/dx
 takes dG/dx from the group record's ``jacobian`` (the heavy tops' carry
-one) and dG/dx = 0 for a group without one.
+one) and dG/dx = 0 for a group without one.  The residual map G is the
+record's ``residual`` where it has one, a closed form on floats bit for
+bit equal to the map built from the group's ``exp``, ``coad``,
+``dexp_star`` and ``compose`` (``so3rn_cotangent_group``, so both heavy
+tops, carries one), and that generic map otherwise.
 
 Every stepper is pure: ``stepper(action, f, y, h) -> (y_next, estimate)``
 where ``f`` maps a flat manifold point to a flat algebra element.
@@ -33,7 +37,8 @@ import numpy as np
 
 from .actions import HomogeneousAction
 from .kernels import SingularMatrixError, _product, _times, _transpose, inverse
-from .lie import BranchError, _dexp_star, _exp_coeffs, _rotation, dexp_star_so3, exp_so3
+from .lie import (_TWO_PI_SQ, BranchError, _dexp_coeffs, _dexp_star, _exp_coeffs,
+                  _exp_dexp_coeffs, _rotation, dexp_star_so3, exp_so3)
 
 __all__ = [
     "Tableau",
@@ -321,6 +326,12 @@ class CotangentGroup:
     ``dataclasses.replace``.  The solve takes J = I - dG/dx from it; without
     it, dG/dx = 0 and J = I, so the one Newton update is the sweep
     x <- G(x) to rounding.
+
+    ``residual(f, g0, mu0, h, theta)``, when given, returns the step's G
+    itself in closed form, bit for bit the generic map built from the four
+    maps above, which the step then does not call; like ``jacobian`` it
+    survives ``dataclasses.replace``.  :func:`so3rn_cotangent_group`
+    carries one.
     """
 
     algebra_dim: int
@@ -329,6 +340,7 @@ class CotangentGroup:
     coad: Callable[[Any, Sequence[float]], Sequence[float]]
     dexp_star: Callable[[Sequence[float], Sequence[float]], Sequence[float]]
     jacobian: Optional[Callable[..., np.ndarray]] = None
+    residual: Optional[Callable[..., Callable[[np.ndarray], np.ndarray]]] = None
 
 
 def so3_cotangent_group() -> CotangentGroup:
@@ -346,7 +358,8 @@ def so3rn_cotangent_group(n: int) -> CotangentGroup:
     """(SO(3) x R^n) x its dual, in closed form on floats.  An element is
     9 + n floats: R row by row, then the R^n part.  The translational
     factor is abelian, so its coadjoint and dexp* blocks are identities
-    and ``compose`` adds the R^n parts."""
+    and ``compose`` adds the R^n parts.  Its ``residual`` is the step's G
+    in one function, bit for bit the generic map of these four."""
 
     def expmap(xi):
         x, y, z, *t = xi
@@ -363,12 +376,67 @@ def so3rn_cotangent_group(n: int) -> CotangentGroup:
     def compose(g1, g2):
         return (*_product(g1[:9], g2[:9]), *map(add, g1[9:], g2[9:]))
 
+    k = 3 + n
+
+    def residual(f, g0, mu0, h, theta):
+        # _symplectic_residual_map on this group: the float expressions of
+        # expmap, coad, both dexp_star calls and compose in their order,
+        # with exp(u) and dexp*_{-u} at u = theta xi sharing one root
+        q0, t0 = g0[:9], g0[9:]
+        c1, c2, c3 = mu0[:3]
+        c_t = mu0[3:]
+
+        def gmap(x):
+            x = x.tolist()
+            x1, x2, x3 = x[:3]
+            n1, n2, n3 = x[k : k + 3]
+            xx = x1 * x1 + x2 * x2 + x3 * x3
+            if xx >= _TWO_PI_SQ:
+                raise BranchError("||u|| >= 2*pi")
+            u1, u2, u3 = theta * x1, theta * x2, theta * x3
+            uu = u1 * u1 + u2 * u2 + u3 * u3
+            s, p, q = _exp_dexp_coeffs(uu)
+            R = _rotation(u1, u2, u3, s, p)
+            r1, r2, r3, r4, r5, r6, r7, r8, r9 = R
+            # a = R^T nbar and b = mu0 + a
+            a1 = r1 * n1 + r4 * n2 + r7 * n3
+            a2 = r2 * n1 + r5 * n2 + r8 * n3
+            a3 = r3 * n1 + r6 * n2 + r9 * n3
+            b1, b2, b3 = c1 + a1, c2 + a2, c3 + a3
+            # dexp*_{-xi} b
+            y1, y2, y3 = -x1, -x2, -x3
+            p_xi, q_xi = _dexp_coeffs(xx)
+            um = q_xi * (y1 * b1 + y2 * b2 + y3 * b3)
+            qa = 1.0 - q_xi * xx
+            m1 = qa * b1 - p_xi * (y2 * b3 - y3 * b2) + um * y1
+            m2 = qa * b2 - p_xi * (y3 * b1 - y1 * b3) + um * y2
+            m3 = qa * b3 - p_xi * (y1 * b2 - y2 * b1) + um * y3
+            if theta != 0.0:
+                # less theta dexp*_{-u} a
+                v1, v2, v3 = -u1, -u2, -u3
+                um = q * (v1 * a1 + v2 * a2 + v3 * a3)
+                qa = 1.0 - q * uu
+                m1 = m1 - theta * (qa * a1 - p * (v2 * a3 - v3 * a2) + um * v1)
+                m2 = m2 - theta * (qa * a2 - p * (v3 * a1 - v1 * a3) + um * v2)
+                m3 = m3 - theta * (qa * a3 - p * (v1 * a2 - v2 * a1) + um * v3)
+            g, m = _product(R, q0), [m1, m2, m3]
+            if n:  # the R^n tails: theta xi_t + t0, and mu0_t + nbar_t less theta nbar_t
+                n_t = x[k + 3 :]
+                g = (*g, *[theta * c + t for c, t in zip(x[3:k], t0)])
+                m += ([c + b - theta * b for c, b in zip(c_t, n_t)] if theta != 0.0
+                      else [c + b for c, b in zip(c_t, n_t)])
+            f1, f2 = f(g, m)
+            return np.array([h * c for c in (*f1, *f2)])
+
+        return gmap
+
     return CotangentGroup(
-        algebra_dim=3 + n,
+        algebra_dim=k,
         exp=expmap,
         compose=compose,
         coad=coad,
         dexp_star=dexp_star,
+        residual=residual,
     )
 
 
@@ -396,7 +464,8 @@ class NonConvergenceError(RuntimeError):
 
 def _symplectic_residual_map(group, f, g0, mu0, h, theta):
     """Returns G(x) = h f(exp(theta xi) g0, M_theta) on the flat x = (xi, nbar),
-    with the group maps and ``f`` called on float lists."""
+    with the group maps and ``f`` called on float lists: the generic map,
+    and the reference for a group's closed-form ``residual``."""
     na = group.algebra_dim
 
     def gmap(x):
@@ -413,6 +482,13 @@ def _symplectic_residual_map(group, f, g0, mu0, h, theta):
         return np.array([h * c for c in (*f1, *f2)])
 
     return gmap
+
+
+def _residual_map(group, f, g0, mu0, h, theta):
+    """The G a step solves: the group's closed form when it carries one,
+    otherwise :func:`_symplectic_residual_map`."""
+    residual = group.residual or partial(_symplectic_residual_map, group)
+    return residual(f, g0, mu0, h, theta)
 
 
 def _simplified_newton(G, n: int, dG) -> np.ndarray:
@@ -480,7 +556,7 @@ def symplectic_step(
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    G = _symplectic_residual_map(group, f, g0, mu0, h, theta)
+    G = _residual_map(group, f, g0, mu0, h, theta)
     jacobian = group.jacobian or (lambda *args: 0.0)
     x = _simplified_newton(G, 2 * group.algebra_dim, partial(jacobian, g0, mu0, h, theta))
     x = x.tolist()

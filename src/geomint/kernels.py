@@ -4,6 +4,8 @@ solve, on numpy alone.  Arrays are plain float64 numpy arrays.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["SingularMatrixError", "cross", "inverse", "solve_dense"]
@@ -75,11 +77,18 @@ def _times(a, v1, v2, v3):
     return a1 * v1 + a2 * v2 + a3 * v3, b1 * v1 + b2 * v2 + b3 * v3, c1 * v1 + c2 * v2 + c3 * v3
 
 
+def _frobenius(M):
+    """||M||_F computed as ``np.linalg.norm(M)`` computes it, bit for bit,
+    without its argument handling."""
+    v = M.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
 def _conditioned(A, invert):
     """``invert(A)``, whose last ``len(A)`` columns are ``A^-1``, under the rule of solve_dense."""
     try:
         X = invert(A)
-        cond = np.linalg.norm(A) * np.linalg.norm(X[:, -len(A):])
+        cond = _frobenius(A) * _frobenius(X[:, -len(A):])
     except np.linalg.LinAlgError:
         cond = np.inf
     # written so that a NaN condition number fails it

@@ -116,6 +116,17 @@ def _dexp_coeffs(a2):
     return (1.0 - c) / a2, (a - s) / (a2 * a)
 
 
+def _exp_dexp_coeffs(a2):
+    """sin(a)/a, (1 - cos a)/a**2 and (a - sin a)/a**3 at a = sqrt(a2): the
+    coefficients of :func:`_exp_coeffs` and :func:`_dexp_coeffs`, bit for
+    bit, from one root and one sine and cosine."""
+    if a2 < _SERIES_CUTOFF * _SERIES_CUTOFF:
+        return _poly_even(a2, _SINC), _poly_even(a2, _COSC), _poly_even(a2, _DEXP_G2)
+    a = math.sqrt(a2)
+    s, c = _sin_cos(a)
+    return s / a, (1.0 - c) / a2, (a - s) / (a2 * a)
+
+
 def _dexp_slopes(a2):
     """The derivatives of :func:`_dexp_coeffs` with respect to a**2."""
     if a2 < _SERIES_CUTOFF * _SERIES_CUTOFF:

@@ -980,6 +980,35 @@ def test_bench_script_writes_every_record_with_its_schema(tmp_path, monkeypatch)
         assert 0 <= record["accuracy"] < math.inf
 
 
+def test_bench_script_compares_two_files_record_by_record(tmp_path, monkeypatch, capsys):
+    def record(layer, name, median, iqr):
+        return {"layer": layer, "name": name, "median_us": median, "iqr_us": iqr,
+                "accuracy": 0.0, "invariant": "energy"}
+
+    files = {
+        "a.json": {"meta": {"revision": "aaaaaaa"}, "records": [
+            record("implicit", "top G", 10.0, 0.5), record("field", "top", 4.0, 0.5),
+            record("step", "top rkmk4", 20.0, 1.0)]},
+        "b.json": {"meta": {"revision": "aaaaaaa+0123abcd"}, "records": [
+            # G drops by more than both IQRs, the field moves less than A's
+            record("implicit", "top G", 6.0, 1.0), record("field", "top", 4.4, 0.1),
+            record("step", "quadrotor rkmk4", 30.0, 1.0)]},
+    }
+    for name, content in files.items():
+        (tmp_path / name).write_text(json.dumps(content))
+    monkeypatch.setattr(sys, "argv", ["bench", "--compare", str(tmp_path / "a.json"),
+                                      str(tmp_path / "b.json")])
+    _load_script("bench").main()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "A aaaaaaa  B aaaaaaa+0123abcd"
+    assert [line.split() for line in lines[1:]] == [
+        ["implicit", "top", "G", "10.00", "6.00", "us", "B/A", "0.600", "moved"],
+        ["field", "top", "4.00", "4.40", "us", "B/A", "1.100", "-"],
+        ["step", "top", "rkmk4", "only", "in", "A"],
+        ["step", "quadrotor", "rkmk4", "only", "in", "B"],
+    ]
+
+
 def test_mutants_old_text_occurs_once_per_defect():
     script = _load_script("mutants")
     assert len({d.name for d in script.DEFECTS}) == len(script.DEFECTS)

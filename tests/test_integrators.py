@@ -903,6 +903,31 @@ def test_so3r3_group_matches_numpy_reference():
                   _flat_element(ref.compose(g_ref, h_ref)))
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.25, 0.5, 1.0])
+@pytest.mark.parametrize("n, system_id", [(0, "heavytop-spatial"), (3, "heavytop-ext")])
+def test_so3rn_closed_form_residual_is_the_generic_map_bit_for_bit(n, system_id, theta):
+    # the field (g, mu) -> (g, mu) at h = 1 shows the group element and
+    # M_theta themselves, the heavy top's field a realistic G; the R^n tails
+    # xi_t and nbar_t are nonzero, which the extended top's solve never makes
+    group = so3rn_cotangent_group(n)
+    fields = [(lambda g, mu: (g, mu), 1.0), (get_system(system_id).cotangent.f, 0.01)]
+    for f, h in fields:
+        for angle in (0.3, 0.8, 1.5, 2.0, 5.0, 6.2):
+            g0 = (*exp_so3(rng.normal(size=3)).ravel().tolist(), *rng.normal(size=n).tolist())
+            mu0 = rng.normal(size=3 + n).tolist()
+            x = rng.normal(size=6 + 2 * n)
+            x[:3] *= angle / np.linalg.norm(x[:3])
+            closed = group.residual(f, g0, mu0, h, theta)(x)
+            generic = _symplectic_residual_map(group, f, g0, mu0, h, theta)(x)
+            np.testing.assert_array_equal(closed, generic)
+            assert closed.tobytes() == generic.tobytes()  # signed zeros too
+            x[:3] *= 2.0 * np.pi * (1.0 + 1e-12) / np.linalg.norm(x[:3])
+            for G in (group.residual(f, g0, mu0, h, theta),
+                      _symplectic_residual_map(group, f, g0, mu0, h, theta)):
+                with pytest.raises(BranchError):
+                    G(x)
+
+
 @pytest.mark.parametrize("group, field, g0, mu0", _STEP_CASES, ids=_STEP_IDS)
 def test_symplectic_step_accepts_a_field_returning_lists(group, field, g0, mu0):
     def as_lists(g, mu):
