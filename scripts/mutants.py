@@ -190,6 +190,13 @@ DEFECTS = (
            "return _omega_and_torque(g, inertia_inv, *mu, (g0[0] + 1e-6 * g0[2], *g0[1:]), mgl_chi)",
            "the spatial top's pair, and so its explicit field, has gravity tilted 1e-6 off"
            " Gamma0, so a rotation about Gamma0 is no symmetry"),
+    Defect("jac-d-u", "src/geomint/systems/heavytop.py",
+           "_rotation(u1, u2, u3, p_u, q_u)", "_rotation(u1, u2, u3, p_xi, q_xi)",
+           "the exact Jacobian builds D(theta xi) from the coefficients of |xi|, not |theta xi|"),
+    Defect("jac-dstar-u", "src/geomint/systems/heavytop.py",
+           "a1, a2, a3, uu, p_u, q_u", "a1, a2, a3, xx, p_xi, q_xi",
+           "the exact Jacobian's -theta xi derivative of dexp* reads |xi|^2 and its"
+           " coefficients"),
     Defect("pack-ext-tail", "src/geomint/systems/heavytop.py",
            "*g[-3:]", "*g[9:]",
            "pack_ext splits the R^3 tail after nine entries, which empties the extended"

@@ -37,8 +37,8 @@ import numpy as np
 
 from .actions import HomogeneousAction
 from .kernels import SingularMatrixError, _product, _times, _transpose, inverse
-from .lie import (_TWO_PI_SQ, BranchError, _dexp_coeffs, _dexp_star, _exp_coeffs,
-                  _exp_dexp_coeffs, _rotation, dexp_star_so3, exp_so3)
+from .lie import (_TWO_PI_SQ, BranchError, _dexp_star, _exp_coeffs, _exp_dexp_coeffs,
+                  _rotation, dexp_star_so3, exp_so3)
 
 __all__ = [
     "Tableau",
@@ -405,7 +405,7 @@ def so3rn_cotangent_group(n: int) -> CotangentGroup:
             b1, b2, b3 = c1 + a1, c2 + a2, c3 + a3
             # dexp*_{-xi} b
             y1, y2, y3 = -x1, -x2, -x3
-            p_xi, q_xi = _dexp_coeffs(xx)
+            _, p_xi, q_xi = _exp_dexp_coeffs(xx)
             um = q_xi * (y1 * b1 + y2 * b2 + y3 * b3)
             qa = 1.0 - q_xi * xx
             m1 = qa * b1 - p_xi * (y2 * b3 - y3 * b2) + um * y1

@@ -12,6 +12,10 @@ Conventions
 Every scalar coefficient function switches to a Taylor polynomial below
 ``|z| = 0.5``; the closed forms cancel catastrophically near zero while
 the degree-12 polynomials are exact to machine precision on that range.
+
+The so(3) coefficients come from two kernels: :func:`_exp_coeffs` gives
+sin(a)/a and (1 - cos a)/a**2 for exp, and :func:`_exp_dexp_coeffs` adds
+(a - sin a)/a**3 for dexp, so that exp evaluates no polynomial it discards.
 """
 
 from __future__ import annotations
@@ -107,19 +111,9 @@ def _exp_coeffs(a2):
     return s / a, (1.0 - c) / a2
 
 
-def _dexp_coeffs(a2):
-    """(1 - cos a)/a**2 and (a - sin a)/a**3 at a = sqrt(a2)."""
-    if a2 < _SERIES_CUTOFF * _SERIES_CUTOFF:
-        return _poly_even(a2, _COSC), _poly_even(a2, _DEXP_G2)
-    a = math.sqrt(a2)
-    s, c = _sin_cos(a)
-    return (1.0 - c) / a2, (a - s) / (a2 * a)
-
-
 def _exp_dexp_coeffs(a2):
-    """sin(a)/a, (1 - cos a)/a**2 and (a - sin a)/a**3 at a = sqrt(a2): the
-    coefficients of :func:`_exp_coeffs` and :func:`_dexp_coeffs`, bit for
-    bit, from one root and one sine and cosine."""
+    """sin(a)/a, (1 - cos a)/a**2 and (a - sin a)/a**3 at a = sqrt(a2); the
+    first two are those of :func:`_exp_coeffs`, bit for bit."""
     if a2 < _SERIES_CUTOFF * _SERIES_CUTOFF:
         return _poly_even(a2, _SINC), _poly_even(a2, _COSC), _poly_even(a2, _DEXP_G2)
     a = math.sqrt(a2)
@@ -128,7 +122,7 @@ def _exp_dexp_coeffs(a2):
 
 
 def _dexp_slopes(a2):
-    """The derivatives of :func:`_dexp_coeffs` with respect to a**2."""
+    """d/d(a**2) of (1 - cos a)/a**2 and (a - sin a)/a**3 at a = sqrt(a2)."""
     if a2 < _SERIES_CUTOFF * _SERIES_CUTOFF:
         return _poly_even(a2, _COSC_D), _poly_even(a2, _DEXP_G2_D)
     a = math.sqrt(a2)
@@ -175,7 +169,7 @@ def _dexp_star(x, y, z, m1, m2, m3, *tail):
     a2 = x * x + y * y + z * z
     if a2 >= _TWO_PI_SQ:
         raise BranchError("||u|| >= 2*pi")
-    p, q = _dexp_coeffs(a2)
+    _, p, q = _exp_dexp_coeffs(a2)
     um = q * (x * m1 + y * m2 + z * m3)
     qa2 = 1.0 - q * a2
     return (
@@ -186,20 +180,11 @@ def _dexp_star(x, y, z, m1, m2, m3, *tail):
     )
 
 
-def _dexp_matrix(x, y, z):
-    """The right-trivialised dexp at u = (x, y, z), I + p hat(u) + q hat(u)^2
-    with (p, q) of :func:`_dexp_coeffs`, as nine floats row by row.  Its
-    transpose applied to m is ``_dexp_star(u, m)``; that transpose is the
-    matrix at -u."""
-    return _rotation(x, y, z, *_dexp_coeffs(x * x + y * y + z * z))
-
-
-def _dexp_star_jacobian(x, y, z, m1, m2, m3):
+def _dexp_star_jacobian(x, y, z, m1, m2, m3, a2, p, q):
     """The derivative in u of ``_dexp_star(u, m)`` at u = (x, y, z), as nine
-    floats row by row: p hat(m) + q ((u.m) I + u m^T - 2 m u^T) + r u^T with
-    r = 2 q' (u (u.m) - |u|^2 m) - 2 p' u x m, where ' is d/d|u|^2."""
-    a2 = x * x + y * y + z * z
-    p, q = _dexp_coeffs(a2)
+    floats row by row, given a2 = |u|^2 and (p, q), the last two of
+    ``_exp_dexp_coeffs(a2)``: p hat(m) + q ((u.m) I + u m^T - 2 m u^T) + r u^T
+    with r = 2 q' (u (u.m) - |u|^2 m) - 2 p' u x m, where ' is d/d|u|^2."""
     dp, dq = _dexp_slopes(a2)
     um = x * m1 + y * m2 + z * m3
     # entry (i, j) is p hat(m)_ij + q (u.m) delta_ij + u_i t_j + s_i u_j

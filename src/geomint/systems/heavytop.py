@@ -38,7 +38,7 @@ from ..actions import (
 )
 from ..integrators import so3rn_cotangent_group
 from ..kernels import _dot, _product, _times, _times_hat, _transpose
-from ..lie import _dexp_matrix, _dexp_star_jacobian, _exp_so3
+from ..lie import _dexp_star_jacobian, _exp_dexp_coeffs, _rotation
 
 __all__ = [
     "HeavyTopParams",
@@ -277,11 +277,11 @@ def unpack_ext(m: np.ndarray):
 #
 # The symplectic step solves x = G(x) = h f(exp(theta xi) g0, M_theta)
 # (integrators._symplectic_residual_map).  On the rotational block, with
-# u = theta xi, R = exp(u) and D the right-trivialised dexp
-# (lie._dexp_matrix), a move dxi turns R into hat(w) R with w = theta D(u)
-# dxi; a = R^T nbar moves by hat(a) R^T w + R^T dnbar, and
-# M_theta = D(xi)(mu0 + a) - theta D(u) a, since dexp*_{-v} is D(v).
-# Matrices are nine floats row by row.
+# u = theta xi, R = exp(u) and D the right-trivialised dexp, both built by
+# lie._rotation from lie._exp_dexp_coeffs(|u|^2), a move dxi turns R into
+# hat(w) R with w = theta D(u) dxi; a = R^T nbar moves by hat(a) R^T w +
+# R^T dnbar, and M_theta = D(xi)(mu0 + a) - theta D(u) a, since
+# dexp*_{-v} is D(v).  Matrices are nine floats row by row.
 
 
 def _momentum_blocks(q0, mu0, theta, xi, nbar):
@@ -289,20 +289,23 @@ def _momentum_blocks(q0, mu0, theta, xi, nbar):
     which maps dxi to w, and the derivatives of M_theta in xi and nbar."""
     x, y, z = xi
     u1, u2, u3 = theta * x, theta * y, theta * z
-    R = _exp_so3((u1, u2, u3))
+    uu, xx = u1 * u1 + u2 * u2 + u3 * u3, x * x + y * y + z * z
+    s, p_u, q_u = _exp_dexp_coeffs(uu)
+    _, p_xi, q_xi = _exp_dexp_coeffs(xx)
+    R = _rotation(u1, u2, u3, s, p_u)
     Rt = _transpose(R)
     a1, a2, a3 = _times(Rt, *nbar)
     b1, b2, b3 = mu0[0] + a1, mu0[1] + a2, mu0[2] + a3
-    D = _dexp_matrix(x, y, z)
-    A = [theta * d for d in _dexp_matrix(u1, u2, u3)]
+    D = _rotation(x, y, z, p_xi, q_xi)
+    A = [theta * d for d in _rotation(u1, u2, u3, p_u, q_u)]
     B = [d - e for d, e in zip(D, A)]
     m = [d - e for d, e in zip(_times(D, b1, b2, b3), _times(A, a1, a2, a3))]
     # hat(a) R^T = (R hat(-a))^T
     da = _product(B, _product(_transpose(_times_hat(R, -a1, -a2, -a3)), A))
     t2 = theta * theta
-    dm_dxi = [t2 * p - q + c for p, q, c in zip(
-        _dexp_star_jacobian(-u1, -u2, -u3, a1, a2, a3),
-        _dexp_star_jacobian(-x, -y, -z, b1, b2, b3), da)]
+    dm_dxi = [t2 * du - dx + c for du, dx, c in zip(
+        _dexp_star_jacobian(-u1, -u2, -u3, a1, a2, a3, uu, p_u, q_u),
+        _dexp_star_jacobian(-x, -y, -z, b1, b2, b3, xx, p_xi, q_xi), da)]
     return _product(R, q0), m, A, dm_dxi, _product(B, Rt)
 
 

@@ -12,14 +12,15 @@ from _reference import dexpinv_series, se3_bracket
 from geomint.kernels import cross
 from geomint.lie import (
     BranchError,
-    _dexp_coeffs,
-    _dexp_matrix,
+    _TWO_PI_SQ,
     _dexp_slopes,
     _dexp_star,
     _dexp_star_jacobian,
     _dexpinv_g2,
     _dexpinv_g2t,
     _exp_coeffs,
+    _exp_dexp_coeffs,
+    _rotation,
     _se3_bracket,
     dexp_star_so3,
     dexpinv_se3,
@@ -467,7 +468,9 @@ def test_dexp_matrix_transpose_is_dexp_star(angle):
         u = rng.normal(size=3)
         u *= angle / np.linalg.norm(u)
         m = 50.0 * rng.normal(size=3)
-        D = np.array(_dexp_matrix(*u)).reshape(3, 3)
+        x, y, z = u.tolist()
+        D = np.array(_rotation(x, y, z, *_exp_dexp_coeffs(x * x + y * y + z * z)[1:]))
+        D = D.reshape(3, 3)
         err = np.abs(D.T @ m - np.array(_dexp_star(*u, *m))).max()
         assert err <= 1e-15 * np.linalg.norm(D) * np.linalg.norm(m)
 
@@ -523,13 +526,24 @@ def test_scalar_coefficients_match_exact_taylor_sums(a):
     # so the switch to them must not come earlier
     exact = _exact_coefficients(a)
     got = zip(
-        ["sinc", "cosc", "cosc", "g2", "cosc slope", "g2 slope", "dexpinv g2", "dexpinv g2t"],
-        [*_exp_coeffs(a * a), *_dexp_coeffs(a * a), *_dexp_slopes(a * a),
+        ["sinc", "cosc", "sinc", "cosc", "g2", "cosc slope", "g2 slope", "dexpinv g2",
+         "dexpinv g2t"],
+        [*_exp_coeffs(a * a), *_exp_dexp_coeffs(a * a), *_dexp_slopes(a * a),
          _dexpinv_g2(a), _dexpinv_g2t(a)],
     )
     for name, value in got:
         want = float(exact[name])
         assert abs(value - want) <= 1e-14 * abs(want), name
+
+
+@pytest.mark.parametrize("a2", [
+    0.0, 1e-300, 1e-8, 0.01, np.nextafter(0.25, 0.0), 0.25, np.nextafter(0.25, 1.0), 1.0, 4.0,
+    20.0, np.nextafter(_TWO_PI_SQ, 0.0), _TWO_PI_SQ,
+])
+def test_exp_dexp_coeffs_share_the_exp_coefficients_bit_for_bit(a2):
+    # R = exp(u) in the closed-form G and in the exact J is built from the
+    # shared kernel, and must be the explicit steps' exp_so3 bit for bit
+    assert np.array(_exp_dexp_coeffs(a2)[:2]).tobytes() == np.array(_exp_coeffs(a2)).tobytes()
 
 
 @pytest.mark.parametrize("angle", [0.2, 0.49, 0.51, 2.0, 5.0])
@@ -542,5 +556,7 @@ def test_dexp_star_jacobian_matches_central_differences(angle):
         columns = [(np.array(_dexp_star(*(u + e), *m)) - np.array(_dexp_star(*(u - e), *m)))
                    / (2.0 * eps) for e in eps * np.eye(3)]
         expected = np.array(columns).T
-        P = np.array(_dexp_star_jacobian(*u, *m)).reshape(3, 3)
+        x, y, z = u.tolist()
+        a2 = x * x + y * y + z * z
+        P = np.array(_dexp_star_jacobian(*u, *m, a2, *_exp_dexp_coeffs(a2)[1:])).reshape(3, 3)
         np.testing.assert_allclose(P, expected, rtol=0, atol=1e-7 * np.abs(expected).max())
